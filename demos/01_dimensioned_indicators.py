@@ -6,24 +6,25 @@ unit [P] (one publication) around matters: indices that look comparable
 as bare numbers may live on different powers of [P].
 """
 
-from scindex import compute_all, euclidean_index, h_index, qty_add, qty_compare
+from scindex import compute_all, qty_compare
 
 counts = [12, 7, 5, 3, 1, 1, 0]
+report = compute_all(counts)
 
 print("portfolio:", counts)
-for name, quantity in compute_all(counts).items():
+for name, quantity in report.items():
     print(f"  {name:>4} = {quantity.magnitude:10.4f}   {quantity.dim}")
 
 # h and g share the dimension [P], so they may be compared directly.
-h = h_index(counts)
-print("\nh compared with itself:", qty_compare(h, h))  # 0, i.e. equal
+h = report["h"]
+print("\nh compared with g:", qty_compare(h, report["g"]))
 
 # The Euclidean length lives on [P^3/2]; adding it to h is meaningless
 # and the algebra refuses to do it.
-i_e = euclidean_index(counts)
+i_e = report["i_E"]
 print(f"h = {h}, i_E = {i_e}")
 try:
-    qty_add(h, i_e)
+    h + i_e
 except Exception as exc:
     print("h + i_E ->", exc)
 

@@ -14,10 +14,6 @@ from .dimension import (
     PAPERS_SQUARED,
     Dimension,
     Quantity,
-    dim_div,
-    dim_mul,
-    dim_pow,
-    qty_add,
     qty_compare,
 )
 from .errors import (
@@ -27,7 +23,6 @@ from .errors import (
     FormatError,
     HeterogeneityError,
     NegativeCountError,
-    NonPositivePointError,
     ParseError,
     ScindexError,
     UnknownIndicatorError,
@@ -53,28 +48,17 @@ from .indicators import (
     IndicatorDescriptor,
     IndicatorReport,
     compute_all,
-    consistency,
     descriptor,
-    energy,
-    entropy_term,
-    euclidean_index,
-    exergy,
     g_index,
     h_index,
-    mean_impact,
-    paper_count,
     registry_names,
     registry_symbols,
-    total_citations,
-    z_index,
 )
 from .scaling import (
     DEFAULT_LAMBDAS,
     ExponentEstimate,
     ProbeResult,
-    ScaleSeries,
     fit_loglog,
-    loglog_fit,
     probe_registry,
     replicate_scale,
     verify_dimension,
@@ -101,10 +85,6 @@ __all__ = [
     "PAPERS_SQUARED",
     "PAPERS_CUBED",
     "EUCLIDEAN_DIM",
-    "dim_mul",
-    "dim_div",
-    "dim_pow",
-    "qty_add",
     "qty_compare",
     # expressions
     "DimExpr",
@@ -125,26 +105,15 @@ __all__ = [
     "registry_names",
     "registry_symbols",
     "descriptor",
-    "paper_count",
-    "total_citations",
-    "mean_impact",
     "h_index",
     "g_index",
-    "energy",
-    "exergy",
-    "entropy_term",
-    "consistency",
-    "z_index",
-    "euclidean_index",
     "compute_all",
     # scaling probe
-    "ScaleSeries",
     "ExponentEstimate",
     "ProbeResult",
     "DEFAULT_LAMBDAS",
     "replicate_scale",
     "fit_loglog",
-    "loglog_fit",
     "verify_dimension",
     "probe_registry",
     # analytics
@@ -172,5 +141,4 @@ __all__ = [
     "ZeroVarianceError",
     "UnknownIndicatorError",
     "FormatError",
-    "NonPositivePointError",
 ]

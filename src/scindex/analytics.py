@@ -9,24 +9,17 @@ indicator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dimension import (
-    DIMENSIONLESS,
-    PAPERS,
-    PAPERS_CUBED,
-    PAPERS_SQUARED,
-    Quantity,
-)
+from .dimension import PAPERS, Quantity
 from .errors import DomainError, UnknownIndicatorError, ZeroVarianceError
 from .indicators import (
-    EUCLIDEAN_DIM,
     CitationVector,
     IndicatorReport,
+    _ladder,
     compute_all,
     registry_names,
 )
@@ -121,26 +114,15 @@ def _check_summary(papers: int | None, impact: float | None, evenness: float | N
 def reconstruct_from_summary(papers: int, impact: float, evenness: float) -> IndicatorReport:
     """Rebuild the ladder indicators from the summary triple (P, i, eta).
 
-    C = i*P, X = i^2*P, E = X/eta, S = E - X, i_E = sqrt(E) and
-    z = (eta*i^2*P)^(1/3).  h is not derivable from the triple and is
-    absent from the result.
+    C = i*P, X = i^2*P, E = X/eta and S = E - X; the ladder builder
+    derives z and i_E from these and keeps i and eta as given.  h is not
+    derivable from the triple and is absent from the result.
     """
     _check_summary(papers, impact, evenness)
-    p = float(papers)
-    x = impact * impact * p
+    c = impact * papers
+    x = impact * impact * papers
     e = x / evenness
-    report: IndicatorReport = {
-        "P": Quantity(p, PAPERS),
-        "C": Quantity(impact * p, PAPERS_SQUARED),
-        "i": Quantity(impact, PAPERS),
-        "X": Quantity(x, PAPERS_CUBED),
-        "E": Quantity(e, PAPERS_CUBED),
-        "S": Quantity(e - x, PAPERS_CUBED),
-        "eta": Quantity(evenness, DIMENSIONLESS),
-        "z": Quantity((evenness * impact * impact * p) ** (1.0 / 3.0), PAPERS),
-        "i_E": Quantity(math.sqrt(e), EUCLIDEAN_DIM),
-    }
-    return report
+    return _ladder(papers, c, impact, x, e, e - x, evenness)
 
 
 def _registry_ordered(names: set[str]) -> tuple[str, ...]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .analytics import AnalyticsTable, PortfolioSummary
-from .dimension import DIMENSIONLESS, PAPERS, PAPERS_SQUARED, Quantity
-from .indicators import EUCLIDEAN_DIM
+from .dimension import Quantity
+from .indicators import registry_symbols
 
 __all__ = [
     "AuthorRow",
@@ -51,17 +51,6 @@ AUTHOR_ROWS: tuple[AuthorRow, ...] = (
     AuthorRow("ZHANG FL", 44, 62.32, 0.32, 23, 37.86, 733.40, 2742),
 )
 
-_COLUMN_DIMS = {
-    "P": PAPERS,
-    "i": PAPERS,
-    "eta": DIMENSIONLESS,
-    "h": PAPERS,
-    "z": PAPERS,
-    "i_E": EUCLIDEAN_DIM,
-    "C": PAPERS_SQUARED,
-}
-
-
 def author_portfolios() -> list[PortfolioSummary]:
     """The ten authors as summary portfolios (P, i, eta plus published h)."""
     return [
@@ -72,10 +61,11 @@ def author_portfolios() -> list[PortfolioSummary]:
 
 def published_table() -> AnalyticsTable:
     """The table exactly as printed, including the published z, i_E, C."""
+    dims = registry_symbols()
     labeled = []
     for row in AUTHOR_ROWS:
         report = {
-            name: Quantity(float(getattr(row, name)), _COLUMN_DIMS[name])
+            name: Quantity(float(getattr(row, name)), dims[name])
             for name in AUTHOR_COLUMNS
         }
         labeled.append((row.author, report))

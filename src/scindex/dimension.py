@@ -33,10 +33,6 @@ __all__ = [
     "PAPERS",
     "PAPERS_SQUARED",
     "PAPERS_CUBED",
-    "dim_mul",
-    "dim_div",
-    "dim_pow",
-    "qty_add",
     "qty_compare",
 ]
 
@@ -94,21 +90,6 @@ DIMENSIONLESS = Dimension(0)
 PAPERS = Dimension(1)
 PAPERS_SQUARED = Dimension(2)
 PAPERS_CUBED = Dimension(3)
-
-
-def dim_mul(a: Dimension, b: Dimension) -> Dimension:
-    """Dimension of a product: exponents add."""
-    return a * b
-
-
-def dim_div(a: Dimension, b: Dimension) -> Dimension:
-    """Dimension of a quotient: exponents subtract."""
-    return a / b
-
-
-def dim_pow(a: Dimension, power: Rational) -> Dimension:
-    """Dimension of a rational power: the exponent scales exactly."""
-    return a**power
 
 
 @dataclass(frozen=True)
@@ -195,11 +176,6 @@ class Quantity:
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.dim}"
-
-
-def qty_add(a: Quantity, b: Quantity) -> Quantity:
-    """Sum of two like-dimensioned quantities; heterogeneous input raises."""
-    return a + b
 
 
 def qty_compare(a: Quantity, b: Quantity) -> int:

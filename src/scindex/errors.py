@@ -99,7 +99,3 @@ class FormatError(ScindexError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class NonPositivePointError(ScindexError):
-    """A point with a non-positive coordinate cannot go on log axes."""

@@ -9,7 +9,9 @@ are doubles.
 The indicator ladder runs P (papers, [P]), C (total citations, [P^2]),
 and the second-order family X, E, S ([P^3]); the evenness ratio eta is
 dimensionless, the h-type indices h, g, z carry [P], and the Euclidean
-length of the citation list carries [P^3/2].
+length of the citation list carries [P^3/2].  Every rung except the
+rank indices h and g is a closed form of P, C = sum(c) and E = sum(c^2),
+so one builder derives and dimensions all of them.
 """
 
 from __future__ import annotations
@@ -39,17 +41,8 @@ __all__ = [
     "registry_names",
     "registry_symbols",
     "descriptor",
-    "paper_count",
-    "total_citations",
-    "mean_impact",
     "h_index",
     "g_index",
-    "energy",
-    "exergy",
-    "entropy_term",
-    "consistency",
-    "z_index",
-    "euclidean_index",
     "compute_all",
 ]
 
@@ -113,22 +106,6 @@ def _nonempty(v: Counts) -> CitationVector:
     return vec
 
 
-def paper_count(v: Counts) -> Quantity:
-    """P: number of papers in the portfolio, dimension [P]."""
-    return Quantity(float(len(_nonempty(v))), PAPERS)
-
-
-def total_citations(v: Counts) -> Quantity:
-    """C: sum of citation counts, dimension [P^2]."""
-    return Quantity(float(sum(_nonempty(v).counts)), PAPERS_SQUARED)
-
-
-def mean_impact(v: Counts) -> Quantity:
-    """i = C/P: mean citations per paper, dimension [P]."""
-    vec = _nonempty(v)
-    return Quantity(sum(vec.counts) / len(vec), PAPERS)
-
-
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
     vec = _nonempty(v)
@@ -155,58 +132,62 @@ def g_index(v: Counts) -> Quantity:
     return Quantity(float(g), PAPERS)
 
 
-def energy(v: Counts) -> Quantity:
-    """E: sum of squared citation counts, dimension [P^3]."""
-    total = sum(c * c for c in _nonempty(v).counts)
-    return Quantity(float(total), PAPERS_CUBED)
+def _ladder(
+    p: float,
+    c: float,
+    i: float,
+    x: float,
+    e: float,
+    s: float,
+    eta: float,
+    h: Quantity | None = None,
+    g: Quantity | None = None,
+) -> IndicatorReport:
+    """Attach each ladder value's dimension and derive z and i_E from the rest.
 
-
-def exergy(v: Counts) -> Quantity:
-    """X = i^2*P = C^2/P, dimension [P^3]."""
-    vec = _nonempty(v)
-    total = sum(vec.counts)
-    return Quantity((total * total) / len(vec), PAPERS_CUBED)
-
-
-def entropy_term(v: Counts) -> Quantity:
-    """S: squared dispersion of counts about the mean, dimension [P^3].
-
-    Computed as sum((c_k - i)^2), which is non-negative by construction
-    and exactly zero on uniform vectors; it equals E - X up to rounding.
+    z = (eta*i^2*P)^(1/3) and i_E = sqrt(E).  The rank indices h and g
+    are placed when given; a summary triple cannot supply them.
     """
-    vec = _nonempty(v)
-    mean = sum(vec.counts) / len(vec)
-    return Quantity(math.fsum((c - mean) ** 2 for c in vec.counts), PAPERS_CUBED)
+    report = {
+        "P": Quantity(p, PAPERS),
+        "C": Quantity(c, PAPERS_SQUARED),
+        "i": Quantity(i, PAPERS),
+    }
+    if h is not None:
+        report["h"] = h
+        report["g"] = g
+    report.update(
+        X=Quantity(x, PAPERS_CUBED),
+        E=Quantity(e, PAPERS_CUBED),
+        S=Quantity(s, PAPERS_CUBED),
+        eta=Quantity(eta, DIMENSIONLESS),
+        z=Quantity((eta * i * i * p) ** (1.0 / 3.0), PAPERS),
+        i_E=Quantity(math.sqrt(e), EUCLIDEAN_DIM),
+    )
+    return report
 
 
-def consistency(v: Counts) -> Quantity:
-    """eta = X/E in (0, 1]: evenness of the citation distribution.
+def _closed_forms(
+    vec: CitationVector, h: Quantity | None = None, g: Quantity | None = None
+) -> IndicatorReport:
+    """The ladder from the exact sums P, C = sum(c) and E = sum(c^2).
 
-    An all-zero vector has X = E = 0; eta is defined as 1 for it (a
+    X = C^2/P and S = (P*E - C^2)/P each round once from exact integers,
+    so S is non-negative and exactly zero on uniform vectors.  eta = X/E;
+    an all-zero vector has X = E = 0 and eta is defined as 1 for it (a
     zero vector is perfectly even, and S = 0 agrees).
     """
-    vec = _nonempty(v)
-    e = sum(c * c for c in vec.counts)
-    if e == 0:
-        return Quantity(1.0, DIMENSIONLESS)
-    total = sum(vec.counts)
-    x = (total * total) / len(vec)
-    return Quantity(x / e, DIMENSIONLESS)
+    counts = vec.counts
+    p = len(counts)
+    c = sum(counts)
+    e = sum(k * k for k in counts)
+    x = c * c / p
+    return _ladder(p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g)
 
 
-def z_index(v: Counts) -> Quantity:
-    """z = (eta * i^2 * P)^(1/3), an h-type index of dimension [P]."""
-    vec = _nonempty(v)
-    eta = consistency(vec).magnitude
-    p = len(vec)
-    mean = sum(vec.counts) / p
-    return Quantity((eta * mean * mean * p) ** (1.0 / 3.0), PAPERS)
-
-
-def euclidean_index(v: Counts) -> Quantity:
-    """Euclidean length of the citation list, sqrt(E), dimension [P^3/2]."""
-    vec = _nonempty(v)
-    return Quantity(math.sqrt(sum(c * c for c in vec.counts)), EUCLIDEAN_DIM)
+def _ladder_kernel(name: str) -> Callable[[Counts], Quantity]:
+    """Kernel for one closed-form indicator: the ladder's value of ``name``."""
+    return lambda v: _closed_forms(_nonempty(v))[name]
 
 
 @dataclass(frozen=True)
@@ -227,17 +208,17 @@ class IndicatorDescriptor:
 IndicatorReport = Dict[str, Quantity]
 
 REGISTRY: tuple[IndicatorDescriptor, ...] = (
-    IndicatorDescriptor("P", PAPERS, paper_count),
-    IndicatorDescriptor("C", PAPERS_SQUARED, total_citations),
-    IndicatorDescriptor("i", PAPERS, mean_impact),
+    IndicatorDescriptor("P", PAPERS, _ladder_kernel("P")),
+    IndicatorDescriptor("C", PAPERS_SQUARED, _ladder_kernel("C")),
+    IndicatorDescriptor("i", PAPERS, _ladder_kernel("i")),
     IndicatorDescriptor("h", PAPERS, h_index),
     IndicatorDescriptor("g", PAPERS, g_index, fit_tolerance=0.05),
-    IndicatorDescriptor("X", PAPERS_CUBED, exergy),
-    IndicatorDescriptor("E", PAPERS_CUBED, energy),
-    IndicatorDescriptor("S", PAPERS_CUBED, entropy_term),
-    IndicatorDescriptor("eta", DIMENSIONLESS, consistency),
-    IndicatorDescriptor("z", PAPERS, z_index),
-    IndicatorDescriptor("i_E", EUCLIDEAN_DIM, euclidean_index),
+    IndicatorDescriptor("X", PAPERS_CUBED, _ladder_kernel("X")),
+    IndicatorDescriptor("E", PAPERS_CUBED, _ladder_kernel("E")),
+    IndicatorDescriptor("S", PAPERS_CUBED, _ladder_kernel("S")),
+    IndicatorDescriptor("eta", DIMENSIONLESS, _ladder_kernel("eta")),
+    IndicatorDescriptor("z", PAPERS, _ladder_kernel("z")),
+    IndicatorDescriptor("i_E", EUCLIDEAN_DIM, _ladder_kernel("i_E")),
 )
 
 _BY_NAME = {d.name: d for d in REGISTRY}
@@ -262,4 +243,4 @@ def descriptor(name: str) -> IndicatorDescriptor:
 def compute_all(v: Counts) -> IndicatorReport:
     """Every registered indicator for one portfolio, in registry order."""
     vec = _nonempty(v)
-    return {d.name: d.compute(vec) for d in REGISTRY}
+    return _closed_forms(vec, h_index(vec), g_index(vec))

@@ -27,13 +27,11 @@ from .indicators import (
 )
 
 __all__ = [
-    "ScaleSeries",
     "ExponentEstimate",
     "ProbeResult",
     "DEFAULT_LAMBDAS",
     "replicate_scale",
     "fit_loglog",
-    "loglog_fit",
     "verify_dimension",
     "probe_registry",
 ]
@@ -41,20 +39,6 @@ __all__ = [
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
-
-
-@dataclass(frozen=True)
-class ScaleSeries:
-    """Indicator magnitudes observed at strictly increasing scale factors."""
-
-    lambdas: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __init__(self, lambdas: Sequence[int], values: Sequence[float]) -> None:
-        object.__setattr__(self, "lambdas", tuple(int(x) for x in lambdas))
-        object.__setattr__(self, "values", tuple(float(y) for y in values))
-        if len(self.lambdas) != len(self.values):
-            raise DomainError("scale series needs one value per lambda")
 
 
 @dataclass(frozen=True)
@@ -95,8 +79,11 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
         raise DegenerateSeriesError(
             f"log-log fit needs at least 3 points, got {len(xs)}"
         )
-    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
-        raise DegenerateSeriesError("log-log fit needs strictly positive points")
+    for x, y in zip(xs, ys):
+        if x <= 0 or y <= 0:
+            raise DegenerateSeriesError(
+                f"log-log fit needs strictly positive points, got ({x:g}, {y:g})"
+            )
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -104,15 +91,6 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     return ExponentEstimate(
         float(slope), float(intercept), float(np.max(np.abs(residuals)))
     )
-
-
-def loglog_fit(series: ScaleSeries) -> ExponentEstimate:
-    """Fit a :class:`ScaleSeries`; degenerate series raise."""
-    if len(series.lambdas) >= 2 and any(
-        b <= a for a, b in zip(series.lambdas, series.lambdas[1:])
-    ):
-        raise DegenerateSeriesError("scale factors must be strictly increasing")
-    return fit_loglog(series.lambdas, series.values)
 
 
 def verify_dimension(
@@ -138,8 +116,12 @@ def verify_dimension(
     declared = desc.declared_dim.exponent
     if all(value == 0.0 for value in values):
         return ProbeResult(desc.name, declared, lams, values, None, True, ZERO_SERIES_NOTE)
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise DegenerateSeriesError(
+            f"indicator {desc.name}: scale factors must be strictly increasing"
+        )
     try:
-        estimate = loglog_fit(ScaleSeries(lams, values))
+        estimate = fit_loglog(lams, values)
     except DegenerateSeriesError as exc:
         raise DegenerateSeriesError(f"indicator {desc.name}: {exc}") from None
     passed = abs(estimate.slope - float(declared)) <= tolerance

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, NonPositivePointError
+from .errors import DegenerateSeriesError, DomainError
 from .scaling import fit_loglog
 
 __all__ = ["PlotSeries", "emit_loglog_svg"]
@@ -34,14 +34,6 @@ class PlotSeries:
         object.__setattr__(
             self, "points", tuple((float(x), float(y)) for x, y in points)
         )
-
-
-def _check_positive(series: PlotSeries) -> None:
-    for x, y in series.points:
-        if x <= 0 or y <= 0:
-            raise NonPositivePointError(
-                f"series {series.name!r}: point ({x:g}, {y:g}) is not plottable on log axes"
-            )
 
 
 def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
@@ -74,15 +66,18 @@ def emit_loglog_svg(
 ) -> tuple[str, str]:
     """Render series to (svg_text, points_csv_text).
 
-    Every point must be strictly positive; every series needs at least
-    three points for its slope fit (fewer raise
-    :class:`DegenerateSeriesError`, propagated from the fit).
+    Every series needs at least three strictly positive points for its
+    slope fit; the fit's :class:`DegenerateSeriesError` otherwise
+    propagates, prefixed with the series name.
     """
     if not series:
         raise DomainError("nothing to plot")
+    fits = []
     for s in series:
-        _check_positive(s)
-    fits = [fit_loglog([p[0] for p in s.points], [p[1] for p in s.points]) for s in series]
+        try:
+            fits.append(fit_loglog([p[0] for p in s.points], [p[1] for p in s.points]))
+        except DegenerateSeriesError as exc:
+            raise DegenerateSeriesError(f"series {s.name}: {exc}") from None
 
     xs = [math.log10(p[0]) for s in series for p in s.points]
     ys = [math.log10(p[1]) for s in series for p in s.points]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytics import AnalyticsTable, PortfolioSummary
 from .errors import DomainError, FormatError, NegativeCountError
-from .indicators import CitationVector
+from .indicators import CitationVector, registry_symbols
 
 __all__ = [
     "WIDE_HEADER",
@@ -243,11 +243,9 @@ def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> st
 
 def format_magnitude(value: float, precision: int | None) -> str:
     """Render one magnitude: bare integers, fixed decimals, or shortest repr."""
-    if precision is None:
-        return repr(float(value))
-    if float(value).is_integer():
+    if precision is not None and float(value).is_integer():
         return str(int(value))
-    return f"{value:.{precision}f}"
+    return _format_real(value, precision)
 
 
 def _format_real(value: float, precision: int | None) -> str:
@@ -284,8 +282,6 @@ def emit_table(
     dims = [str(q.dim) for q in (table.cells[0] if table.cells else ())]
     if not table.cells:
         # Dimension row still required; fall back to the registry dims.
-        from .indicators import registry_symbols
-
         symbols = registry_symbols()
         dims = [str(symbols[name]) if name in symbols else "" for name in table.columns]
     lines = [

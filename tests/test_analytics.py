@@ -93,6 +93,18 @@ class TestReconstruction:
         assert ratio == pytest.approx(evenness, rel=1e-12)
 
     @given(
+        papers=st.integers(1, 500),
+        impact=st.floats(0, 500),
+        evenness=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    )
+    def test_summary_triple_passes_through(self, papers, impact, evenness):
+        report = reconstruct_from_summary(papers, impact, evenness)
+        assert report["i"].magnitude == impact
+        assert report["eta"].magnitude == evenness
+        if evenness == 1.0:
+            assert report["S"].magnitude == 0.0
+
+    @given(
         v=st.lists(st.integers(0, 100), min_size=1, max_size=30).filter(
             lambda counts: any(counts)
         )

@@ -89,6 +89,8 @@ class TestProbe:
     def test_bad_lambdas_exit_one(self, capsys):
         assert main(["probe", "--base", "4;2;1", "--lambdas", "1,zwei"]) == 1
         assert "lambdas" in capsys.readouterr().err
+        assert main(["probe", "--base", "4;2;1", "--lambdas", "3,2,1"]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_bad_base_exit_one(self, capsys):
         assert main(["probe", "--base", "4;x;1"]) == 1

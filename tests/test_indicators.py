@@ -1,6 +1,7 @@
 """Indicator values, dimensions, oracles and invariants."""
 
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -13,18 +14,10 @@ from scindex import (
     EmptyPortfolioError,
     NegativeCountError,
     compute_all,
-    consistency,
-    energy,
-    entropy_term,
-    euclidean_index,
-    exergy,
+    descriptor,
     g_index,
     h_index,
-    mean_impact,
-    paper_count,
     registry_names,
-    total_citations,
-    z_index,
 )
 from scindex.dimension import PAPERS, PAPERS_CUBED, PAPERS_SQUARED
 from scindex.indicators import EUCLIDEAN_DIM
@@ -72,26 +65,26 @@ class TestCitationVector:
         empty = CitationVector([])
         assert len(empty) == 0
         with pytest.raises(EmptyPortfolioError):
-            paper_count(empty)
+            descriptor("P").compute(empty)
         with pytest.raises(EmptyPortfolioError):
             compute_all(empty)
 
 
 class TestIndicatorValues:
     def test_paper_count(self):
-        assert paper_count([4, 2, 1]).magnitude == 3.0
-        assert paper_count([0, 0, 0]).magnitude == 3.0
-        assert paper_count([4, 2, 1]).dim == PAPERS
+        assert descriptor("P").compute([4, 2, 1]).magnitude == 3.0
+        assert descriptor("P").compute([0, 0, 0]).magnitude == 3.0
+        assert descriptor("P").compute([4, 2, 1]).dim == PAPERS
 
     def test_total_citations(self):
-        assert total_citations([4, 2, 1]).magnitude == 7.0
-        assert total_citations([0, 0, 0]).magnitude == 0.0
-        assert total_citations([4, 2, 1]).dim == PAPERS_SQUARED
+        assert descriptor("C").compute([4, 2, 1]).magnitude == 7.0
+        assert descriptor("C").compute([0, 0, 0]).magnitude == 0.0
+        assert descriptor("C").compute([4, 2, 1]).dim == PAPERS_SQUARED
 
     def test_mean_impact(self):
-        assert mean_impact([4, 2, 1]).magnitude == pytest.approx(7 / 3)
-        assert mean_impact([3, 3, 3]).magnitude == 3.0
-        assert mean_impact([4, 2, 1]).dim == PAPERS
+        assert descriptor("i").compute([4, 2, 1]).magnitude == pytest.approx(7 / 3)
+        assert descriptor("i").compute([3, 3, 3]).magnitude == 3.0
+        assert descriptor("i").compute([4, 2, 1]).dim == PAPERS
 
     def test_h_index(self):
         assert h_index([10, 5, 3, 2, 1]).magnitude == 3.0
@@ -106,36 +99,37 @@ class TestIndicatorValues:
         assert g_index([100]).magnitude == 1.0  # capped at P
 
     def test_energy(self):
-        assert energy([4, 2, 1]).magnitude == 21.0
-        assert energy([3, 3, 3]).magnitude == 27.0
-        assert energy([0, 0, 0]).magnitude == 0.0
-        assert energy([4, 2, 1]).dim == PAPERS_CUBED
+        assert descriptor("E").compute([4, 2, 1]).magnitude == 21.0
+        assert descriptor("E").compute([3, 3, 3]).magnitude == 27.0
+        assert descriptor("E").compute([0, 0, 0]).magnitude == 0.0
+        assert descriptor("E").compute([4, 2, 1]).dim == PAPERS_CUBED
 
     def test_exergy(self):
-        assert exergy([4, 2, 1]).magnitude == pytest.approx(49 / 3)
-        assert exergy([3, 3, 3]).magnitude == 27.0
-        assert exergy([0, 0, 0]).magnitude == 0.0
+        assert descriptor("X").compute([4, 2, 1]).magnitude == pytest.approx(49 / 3)
+        assert descriptor("X").compute([3, 3, 3]).magnitude == 27.0
+        assert descriptor("X").compute([0, 0, 0]).magnitude == 0.0
 
     def test_entropy_term(self):
-        assert entropy_term([4, 2, 1]).magnitude == pytest.approx(14 / 3)
-        assert entropy_term([3, 3, 3]).magnitude == 0.0
-        assert entropy_term([5]).magnitude == 0.0
+        assert descriptor("S").compute([4, 2, 1]).magnitude == pytest.approx(14 / 3)
+        assert descriptor("S").compute([3, 3, 3]).magnitude == 0.0
+        assert descriptor("S").compute([5]).magnitude == 0.0
 
     def test_consistency(self):
-        assert consistency([4, 2, 1]).magnitude == pytest.approx(7 / 9)
-        assert consistency([3, 3, 3]).magnitude == 1.0
-        assert consistency([0, 0, 0]).magnitude == 1.0  # zero-vector convention
+        assert descriptor("eta").compute([4, 2, 1]).magnitude == pytest.approx(7 / 9)
+        assert descriptor("eta").compute([3, 3, 3]).magnitude == 1.0
+        assert descriptor("eta").compute([0, 0, 0]).magnitude == 1.0  # zero-vector convention
 
     def test_z_index(self):
-        assert z_index([4, 2, 1]).magnitude == pytest.approx(7 / 3, rel=1e-12)
-        assert z_index([3, 3, 3]).magnitude == pytest.approx(3.0, rel=1e-12)
-        assert z_index([5]).magnitude == pytest.approx(25 ** (1 / 3), rel=1e-12)
+        assert descriptor("z").compute([4, 2, 1]).magnitude == pytest.approx(7 / 3, rel=1e-12)
+        assert descriptor("z").compute([3, 3, 3]).magnitude == pytest.approx(3.0, rel=1e-12)
+        assert descriptor("z").compute([5]).magnitude == pytest.approx(25 ** (1 / 3), rel=1e-12)
 
     def test_euclidean_index(self):
-        assert euclidean_index([4, 2, 1]).magnitude == pytest.approx(math.sqrt(21))
-        assert euclidean_index([3, 3, 3]).magnitude == pytest.approx(math.sqrt(27))
-        assert euclidean_index([4, 2, 1]).dim == EUCLIDEAN_DIM
-        assert str(euclidean_index([4, 2, 1]).dim) == "[P^3/2]"
+        i_e = descriptor("i_E").compute
+        assert i_e([4, 2, 1]).magnitude == pytest.approx(math.sqrt(21))
+        assert i_e([3, 3, 3]).magnitude == pytest.approx(math.sqrt(27))
+        assert i_e([4, 2, 1]).dim == EUCLIDEAN_DIM
+        assert str(i_e([4, 2, 1]).dim) == "[P^3/2]"
 
 
 class TestComputeAll:
@@ -185,6 +179,23 @@ class TestComputeAll:
         for desc in REGISTRY:
             assert report[desc.name].dim == desc.declared_dim
 
+    @given(v=vectors)
+    def test_sums_and_entropy_are_exact(self, v):
+        p, c, e = len(v), sum(v), sum(k * k for k in v)
+        report = compute_all(v)
+        assert report["S"].magnitude == float(Fraction(p * e - c * c, p))
+        assert report["P"].magnitude == p
+        assert report["C"].magnitude == c
+        assert report["E"].magnitude == e
+        assert report["h"].magnitude == h_brute(v)
+        assert report["g"].magnitude == g_brute(v)
+
+    @given(v=vectors)
+    def test_descriptors_agree_with_compute_all(self, v):
+        report = compute_all(v)
+        for desc in REGISTRY:
+            assert desc.compute(v) == report[desc.name], desc.name
+
 
 class TestOracles:
     def test_exhaustive_small_multisets(self):
@@ -215,39 +226,43 @@ class TestInvariants:
 
     @given(v=vectors)
     def test_consistency_range_and_equality_case(self, v):
-        eta = consistency(v).magnitude
+        eta = compute_all(v)["eta"].magnitude
         assert 0 < eta <= 1
         uniform = len(set(v)) == 1
         assert (eta == 1.0) == uniform
 
     @given(v=vectors)
     def test_entropy_sign_and_energy_split(self, v):
-        s = entropy_term(v).magnitude
-        e = energy(v).magnitude
-        x = exergy(v).magnitude
+        report = compute_all(v)
+        s = report["S"].magnitude
+        e = report["E"].magnitude
+        x = report["X"].magnitude
         assert s >= 0
         assert x <= e or x == pytest.approx(e, rel=1e-12)
-        assert (s == 0.0) == (consistency(v).magnitude == 1.0)
+        assert (s == 0.0) == (report["eta"].magnitude == 1.0)
 
     @given(v=small_vectors)
     def test_entropy_matches_energy_minus_exergy(self, v):
-        s = entropy_term(v).magnitude
-        split = energy(v).magnitude - exergy(v).magnitude
+        report = compute_all(v)
+        s = report["S"].magnitude
+        split = report["E"].magnitude - report["X"].magnitude
         assert s == pytest.approx(split, rel=1e-9, abs=1e-9)
 
     @given(v=vectors)
     def test_z_cubed_times_energy_is_exergy_squared(self, v):
-        z = z_index(v).magnitude
-        e = energy(v).magnitude
-        x = exergy(v).magnitude
+        report = compute_all(v)
+        z = report["z"].magnitude
+        e = report["E"].magnitude
+        x = report["X"].magnitude
         assert z**3 * e == pytest.approx(x**2, rel=1e-9, abs=1e-9)
 
     @given(v=vectors)
     def test_indicator_ladder_identities(self, v):
-        p = paper_count(v).magnitude
-        c = total_citations(v).magnitude
-        i = mean_impact(v).magnitude
-        x = exergy(v).magnitude
+        report = compute_all(v)
+        p = report["P"].magnitude
+        c = report["C"].magnitude
+        i = report["i"].magnitude
+        x = report["X"].magnitude
         assert c == pytest.approx(i * p, rel=1e-12, abs=1e-12)
         assert x == pytest.approx(i * c, rel=1e-12, abs=1e-12)
 

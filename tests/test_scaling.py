@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scindex import (
     DegenerateSeriesError,
     DomainError,
-    ScaleSeries,
     descriptor,
-    loglog_fit,
+    fit_loglog,
     probe_registry,
     replicate_scale,
     verify_dimension,
@@ -50,30 +49,26 @@ class TestReplicateScale:
 
 class TestLogLogFit:
     def test_exact_quadratic(self):
-        est = loglog_fit(ScaleSeries([1, 2, 4], [7, 28, 112]))
+        est = fit_loglog([1, 2, 4], [7, 28, 112])
         assert est.slope == pytest.approx(2.0, abs=1e-12)
         assert est.max_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_series(self):
-        est = loglog_fit(ScaleSeries([1, 2, 4], [0.7778, 0.7778, 0.7778]))
+        est = fit_loglog([1, 2, 4], [0.7778, 0.7778, 0.7778])
         assert est.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_three_halves(self):
         values = [math.sqrt(21), math.sqrt(168), math.sqrt(1344)]
-        est = loglog_fit(ScaleSeries([1, 2, 4], values))
+        est = fit_loglog([1, 2, 4], values)
         assert est.slope == pytest.approx(1.5, abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSeriesError):
-            loglog_fit(ScaleSeries([1, 2], [1.0, 2.0]))
+            fit_loglog([1, 2], [1.0, 2.0])
 
     def test_non_positive_value(self):
         with pytest.raises(DegenerateSeriesError):
-            loglog_fit(ScaleSeries([1, 2, 3], [1.0, 0.0, 3.0]))
-
-    def test_non_increasing_lambdas(self):
-        with pytest.raises(DegenerateSeriesError):
-            loglog_fit(ScaleSeries([1, 3, 2], [1.0, 2.0, 3.0]))
+            fit_loglog([1, 2, 3], [1.0, 0.0, 3.0])
 
     @given(
         amplitude=st.floats(0.1, 1e6),
@@ -83,7 +78,7 @@ class TestLogLogFit:
     def test_recovers_synthetic_power_laws(self, amplitude, exponent):
         lambdas = (1, 2, 3, 5, 8)
         values = [amplitude * lam**exponent for lam in lambdas]
-        est = loglog_fit(ScaleSeries(lambdas, values))
+        est = fit_loglog(lambdas, values)
         assert est.slope == pytest.approx(exponent, abs=1e-12)
         assert est.intercept == pytest.approx(math.log(amplitude), abs=1e-10)
 
@@ -133,6 +128,14 @@ class TestVerifyDimension:
         result = verify_dimension(descriptor("h"), [0, 0])
         assert result.passed
         assert result.note == ZERO_SERIES_NOTE
+
+    def test_non_increasing_lambdas(self):
+        for lambdas in ((1, 3, 2), (2, 2, 2)):
+            with pytest.raises(DegenerateSeriesError) as excinfo:
+                verify_dimension(descriptor("C"), [4, 2, 1], lambdas=lambdas)
+            assert str(excinfo.value) == (
+                "indicator C: scale factors must be strictly increasing"
+            )
 
     def test_degenerate_series_names_the_indicator(self):
         with pytest.raises(DegenerateSeriesError) as excinfo:

@@ -6,7 +6,6 @@ import pytest
 
 from scindex import (
     DegenerateSeriesError,
-    NonPositivePointError,
     PlotSeries,
     emit_loglog_svg,
 )
@@ -37,9 +36,10 @@ class TestEmitLogLogSvg:
         assert "<circle" in svg and "<rect" in svg
 
     def test_non_positive_point_rejected(self):
-        with pytest.raises(NonPositivePointError) as excinfo:
+        with pytest.raises(DegenerateSeriesError) as excinfo:
             emit_loglog_svg([PlotSeries("S", [(1, 0.0), (2, 1.0), (3, 2.0)])])
-        assert "S" in str(excinfo.value)
+        assert "series S" in str(excinfo.value)
+        assert "(1, 0)" in str(excinfo.value)
 
     def test_single_point_series_propagates_fit_error(self):
         with pytest.raises(DegenerateSeriesError):
