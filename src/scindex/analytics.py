@@ -9,6 +9,7 @@ indicator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -60,7 +61,7 @@ class PortfolioSummary:
                 f"portfolio {self.label!r} needs exactly one of: raw vector, summary triple"
             )
         if self.papers is not None:
-            _check_summary(self.papers, self.impact, self.evenness)
+            _check_summary(self.papers, self.impact, self.evenness, self.h)
 
     @classmethod
     def from_vector(cls, label: str, counts) -> "PortfolioSummary":
@@ -91,7 +92,10 @@ class PortfolioSummary:
     def report(self) -> tuple[IndicatorReport, frozenset[str]]:
         """Indicator report plus the set of reconstructed column names."""
         if self.vector is not None:
-            return compute_all(self.vector), frozenset()
+            try:
+                return compute_all(self.vector), frozenset()
+            except DomainError as exc:
+                raise DomainError(f"portfolio {self.label!r}: {exc}") from None
         assert self.papers is not None and self.impact is not None
         assert self.evenness is not None
         report = reconstruct_from_summary(self.papers, self.impact, self.evenness)
@@ -100,15 +104,24 @@ class PortfolioSummary:
         return report, RECONSTRUCTED_COLUMNS
 
 
-def _check_summary(papers: int | None, impact: float | None, evenness: float | None) -> None:
+def _check_summary(
+    papers: int | None,
+    impact: float | None,
+    evenness: float | None,
+    h: float | None = None,
+) -> None:
     if papers is None or impact is None or evenness is None:
         raise DomainError("summary form needs papers, impact and evenness")
     if papers < 1:
         raise DomainError(f"paper count must be >= 1, got {papers}")
     if impact < 0:
         raise DomainError(f"mean impact must be >= 0, got {impact}")
+    if not math.isfinite(impact):
+        raise DomainError(f"mean impact must be finite, got {impact}")
     if not 0 < evenness <= 1:
         raise DomainError(f"evenness must lie in (0, 1], got {evenness}")
+    if h is not None and not math.isfinite(h):
+        raise DomainError(f"h must be finite, got {h}")
 
 
 def reconstruct_from_summary(papers: int, impact: float, evenness: float) -> IndicatorReport:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Union
@@ -30,7 +31,12 @@ from .dimension import (
     Dimension,
     Quantity,
 )
-from .errors import EmptyPortfolioError, NegativeCountError, UnknownIndicatorError
+from .errors import (
+    DomainError,
+    EmptyPortfolioError,
+    NegativeCountError,
+    UnknownIndicatorError,
+)
 
 __all__ = [
     "CitationVector",
@@ -60,15 +66,13 @@ class CitationVector:
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Iterable[int]) -> None:
-        values = []
-        for c in counts:
-            if not isinstance(c, numbers.Integral):
-                raise TypeError(f"citation counts must be integers, got {c!r}")
-            c = int(c)
-            if c < 0:
-                raise NegativeCountError(f"negative citation count {c}")
-            values.append(c)
-        self._counts = tuple(sorted(values, reverse=True))
+        values = list(counts)
+        # Exact non-negative ints are checked and ordered by builtins alone;
+        # anything else takes the per-item path.
+        if not set(map(type, values)) <= {int} or (values and min(values) < 0):
+            values = _checked_counts(values)
+        values.sort(reverse=True)
+        self._counts = tuple(values)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -90,6 +94,22 @@ class CitationVector:
 
     def __repr__(self) -> str:
         return f"CitationVector({list(self._counts)!r})"
+
+
+def _checked_counts(values: list) -> list[int]:
+    """Convert integral counts to ``int``, raising for the first bad item.
+
+    ``bool`` is rejected although it is integral: ``True`` is not a count.
+    """
+    checked = []
+    for c in values:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            raise TypeError(f"citation counts must be integers, got {c!r}")
+        c = int(c)
+        if c < 0:
+            raise NegativeCountError(f"negative citation count {c}")
+        checked.append(c)
+    return checked
 
 
 Counts = Union[CitationVector, Iterable[int]]
@@ -120,15 +140,20 @@ def h_index(v: Counts) -> Quantity:
 def g_index(v: Counts) -> Quantity:
     """g: largest rank whose top papers jointly have >= rank^2 citations.
 
-    Capped at P: no fictitious zero-cited papers are appended.
+    Capped at P: no fictitious zero-cited papers are appended.  The scan
+    stops at the first rank that misses the threshold, which is exact:
+    on non-increasing counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0
+    and has non-increasing steps c_r - (2r - 1), so once d(r) < 0 it stays
+    negative and the ranks meeting the threshold form a prefix.
     """
     vec = _nonempty(v)
     g = 0
     running = 0
     for rank, c in enumerate(vec.counts, start=1):
         running += c
-        if running >= rank * rank:
-            g = rank
+        if running < rank * rank:
+            break
+        g = rank
     return Quantity(float(g), PAPERS)
 
 
@@ -175,14 +200,20 @@ def _closed_forms(
     X = C^2/P and S = (P*E - C^2)/P each round once from exact integers,
     so S is non-negative and exactly zero on uniform vectors.  eta = X/E;
     an all-zero vector has X = E = 0 and eta is defined as 1 for it (a
-    zero vector is perfectly even, and S = 0 agrees).
+    zero vector is perfectly even, and S = 0 agrees).  Sums beyond the
+    float range raise :class:`DomainError`.
     """
     counts = vec.counts
     p = len(counts)
     c = sum(counts)
-    e = sum(k * k for k in counts)
-    x = c * c / p
-    return _ladder(p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g)
+    e = sum(map(operator.mul, counts, counts))
+    try:
+        x = c * c / p
+        return _ladder(
+            p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g
+        )
+    except OverflowError:
+        raise DomainError("citation sums exceed the floating-point range") from None
 
 
 def _ladder_kernel(name: str) -> Callable[[Counts], Quantity]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "ExponentEstimate",
     "ProbeResult",
     "DEFAULT_LAMBDAS",
+    "MAX_REPLICA_COUNTS",
     "replicate_scale",
     "fit_loglog",
     "verify_dimension",
@@ -37,6 +39,11 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
+
+# Largest replica the probe builds, in counts (lambda * P).  A replica is a
+# list and a tuple of that many slots, about 16 MB at this limit, so an
+# oversized --lambdas fails at once instead of exhausting memory.
+MAX_REPLICA_COUNTS = 10**6
 
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
 
@@ -64,13 +71,23 @@ class ProbeResult:
 
 
 def replicate_scale(v: Counts, lam: int) -> CitationVector:
-    """Scale a portfolio: each count appears ``lam`` times at ``lam`` times its value."""
+    """Scale a portfolio: each count appears ``lam`` times at ``lam`` times its value.
+
+    The replica holds ``lam * P`` counts; more than ``MAX_REPLICA_COUNTS``
+    raises :class:`DomainError` before anything is allocated.
+    """
     vec = as_citation_vector(v)
     if len(vec) == 0:
         raise DomainError("cannot replicate an empty portfolio")
     if lam < 1:
         raise DomainError(f"replication factor must be >= 1, got {lam}")
-    return CitationVector([lam * c for c in vec.counts for _ in range(lam)])
+    size = lam * len(vec)
+    if size > MAX_REPLICA_COUNTS:
+        raise DomainError(
+            f"replication factor {lam} gives {size} counts, "
+            f"over the limit of {MAX_REPLICA_COUNTS}"
+        )
+    return CitationVector(chain.from_iterable(repeat(lam * c, lam) for c in vec.counts))
 
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:

@@ -53,17 +53,22 @@ def _decode(data: str | bytes) -> str:
 
 
 def _parse_counts(cell: str, line: int) -> CitationVector:
-    items = [item.strip() for item in cell.split(";") if item.strip() != ""]
-    counts = []
-    for item in items:
-        try:
-            value = int(item)
-        except ValueError:
-            raise FormatError(f"invalid citation count {item!r}", line) from None
-        if value < 0:
-            raise NegativeCountError(f"negative citation count {value}", line)
-        counts.append(value)
-    return CitationVector(counts)
+    items = list(filter(None, map(str.strip, cell.split(";"))))
+    try:
+        return CitationVector(map(int, items))
+    except ValueError:
+        bad = next(item for item in items if not _is_int_literal(item))
+        raise FormatError(f"invalid citation count {bad!r}", line) from None
+    except NegativeCountError as exc:
+        raise NegativeCountError(str(exc), line) from None
+
+
+def _is_int_literal(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_real(cell: str, name: str, line: int) -> float:
@@ -166,10 +171,15 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
                 raise FormatError(str(exc), number) from None
         else:
             h = entry.get("h")
+            papers = entry["P"]
+            if isinstance(papers, bool) or (
+                isinstance(papers, float) and not papers.is_integer()
+            ):
+                raise FormatError(f"paper count must be an integer, got {papers!r}", number)
             try:
                 records.append(
                     PortfolioSummary.from_summary(
-                        label, int(entry["P"]), float(entry["i"]), float(entry["eta"]),
+                        label, int(papers), float(entry["i"]), float(entry["eta"]),
                         h=None if h is None else float(h),
                     )
                 )

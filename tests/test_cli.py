@@ -1,11 +1,13 @@
 """Command-line contract: subcommands, exit codes, error rendering."""
 
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from scindex import CitationVector, scaling
 from scindex.cli import main
 
 WIDE_CSV = 'author,citations\nA,"4;2;1"\nB,"10;5;3;2;1"\nC,"7;7;7"\n'
@@ -92,6 +94,20 @@ class TestProbe:
         assert main(["probe", "--base", "4;2;1", "--lambdas", "3,2,1"]) == 1
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_oversized_lambda_exits_one_without_building(self, capsys, monkeypatch):
+        # The refused replica would hold 3e9 counts; the guard reads at most
+        # 100 items of any replica handed to the constructor and fails there.
+        def guarded(counts):
+            head = list(itertools.islice(counts, 100))
+            assert len(head) < 100, "an over-limit replica was being built"
+            return CitationVector(head)
+
+        monkeypatch.setattr(scaling, "CitationVector", guarded)
+        assert main(["probe", "--base", "4;2;1", "--lambdas", "1,2,1000000000"]) == 1
+        err = capsys.readouterr().err
+        assert "replication factor 1000000000" in err
+        assert "limit of 1000000" in err
+
     def test_bad_base_exit_one(self, capsys):
         assert main(["probe", "--base", "4;x;1"]) == 1
         assert "'x'" in capsys.readouterr().err
@@ -162,6 +178,20 @@ class TestCompute:
         path.write_text('author,citations\nA,"4;2;1"\nB,"1;-3"\n')
         assert main(["compute", str(path)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["huge.csv", "huge.json"])
+    def test_huge_count_names_portfolio(self, tmp_path, capsys, name):
+        huge = 10**200
+        path = tmp_path / name
+        if name.endswith(".json"):
+            rows = [{"author": "A", "citations": [4]}, {"author": "Big", "citations": [huge, 1]}]
+            path.write_text(json.dumps(rows))
+        else:
+            path.write_text(f'author,citations\nA,"4"\nBig,"{huge};1"\n')
+        assert main(["compute", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: portfolio 'Big': ")
+        assert "floating-point range" in err
 
     def test_output_file(self, wide_file, tmp_path, capsys):
         out = tmp_path / "table.tsv"

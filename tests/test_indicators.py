@@ -1,9 +1,11 @@
 """Indicator values, dimensions, oracles and invariants."""
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,36 @@ def g_brute(counts):
     return best
 
 
+def reference_counts(xs):
+    """The per-item loop the constructor ran before its builtin fast path,
+    plus the one change since: a bool is not a count."""
+    values = []
+    for c in xs:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            raise TypeError(f"citation counts must be integers, got {c!r}")
+        c = int(c)
+        if c < 0:
+            raise NegativeCountError(f"negative citation count {c}")
+        values.append(c)
+    return tuple(sorted(values, reverse=True))
+
+
+def outcome(build, xs):
+    try:
+        return "built", build(xs)
+    except (TypeError, NegativeCountError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+mixed_items = st.one_of(
+    st.integers(0, 10**30),
+    st.integers(-5, -1),
+    st.integers(-5, 10**6).map(np.int64),
+    st.floats(allow_nan=False),
+    st.booleans(),
+)
+
+
 class TestCitationVector:
     def test_sorts_non_increasing(self):
         assert CitationVector([1, 4, 2]).counts == (4, 2, 1)
@@ -60,6 +92,22 @@ class TestCitationVector:
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             CitationVector([4, 2.5, 1])
+
+    @given(
+        xs=st.one_of(
+            st.lists(st.integers(-3, 10**6), max_size=40),
+            st.lists(mixed_items, max_size=12),
+        )
+    )
+    @settings(max_examples=400)
+    def test_matches_the_per_item_reference(self, xs):
+        expected = outcome(reference_counts, xs)
+        got = outcome(lambda items: CitationVector(items).counts, xs)
+        assert got == expected
+        if got[0] == "built":
+            counts = got[1]
+            assert counts == tuple(sorted(map(int, xs), reverse=True))
+            assert all(type(c) is int for c in counts)
 
     def test_empty_constructible_but_rejected_by_indicators(self):
         empty = CitationVector([])

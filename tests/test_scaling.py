@@ -15,8 +15,9 @@ from scindex import (
     replicate_scale,
     verify_dimension,
 )
+from scindex import scaling
 from scindex.indicators import REGISTRY, CitationVector, compute_all
-from scindex.scaling import ZERO_SERIES_NOTE
+from scindex.scaling import MAX_REPLICA_COUNTS, ZERO_SERIES_NOTE
 
 # A base long and smooth enough that even g's rank thresholds replicate
 # cleanly (its probe slope is 1.0 to four decimals).
@@ -45,6 +46,19 @@ class TestReplicateScale:
     def test_empty_base(self):
         with pytest.raises(DomainError):
             replicate_scale([], 2)
+
+    def test_replica_size_is_bounded(self, monkeypatch):
+        assert MAX_REPLICA_COUNTS == 10**6
+        monkeypatch.setattr(scaling, "MAX_REPLICA_COUNTS", 6)
+        assert len(replicate_scale([4, 2, 1], 2)) == 6
+        with pytest.raises(DomainError, match="factor 3 gives 9 counts, over the limit of 6"):
+            replicate_scale([4, 2, 1], 3)
+
+    @given(v=st.lists(st.integers(0, 1000), min_size=1, max_size=40), lam=st.integers(1, 6))
+    def test_matches_materialised_replica(self, v, lam):
+        assert replicate_scale(v, lam) == CitationVector(
+            [lam * c for c in v for _ in range(lam)]
+        )
 
 
 class TestLogLogFit:

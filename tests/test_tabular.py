@@ -49,6 +49,7 @@ class TestParseCsv:
         with pytest.raises(NegativeCountError) as excinfo:
             parse_input('author,citations\nA,"4;-2;1"\n', "csv")
         assert excinfo.value.line == 2
+        assert str(excinfo.value) == "line 2: negative citation count -2"
 
     def test_bad_header(self):
         with pytest.raises(FormatError) as excinfo:
@@ -59,6 +60,7 @@ class TestParseCsv:
         with pytest.raises(FormatError) as excinfo:
             parse_input('author,citations\nA,"4;x;1"\n', "csv")
         assert excinfo.value.line == 2
+        assert str(excinfo.value) == "line 2: invalid citation count 'x'"
 
     def test_wrong_field_count(self):
         with pytest.raises(FormatError) as excinfo:
@@ -69,6 +71,19 @@ class TestParseCsv:
         with pytest.raises(FormatError) as excinfo:
             parse_input("author,P,i,eta\nA,10,5,1.5\n", "csv")
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("B,3,nan,0.5,1", "mean impact must be finite, got nan"),
+            ("B,3,inf,0.5,1", "mean impact must be finite, got inf"),
+            ("B,3,2,0.5,nan", "h must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_summary_reports_line(self, row, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(f"author,P,i,eta,h\nA,3,2,0.5,1\n{row}\n", "csv")
+        assert str(excinfo.value) == f"line 3: {message}"
 
     def test_bytes_accepted(self):
         records = parse_input(WIDE_SAMPLE.encode(), "csv")
@@ -109,6 +124,25 @@ class TestParseJson:
         with pytest.raises(NegativeCountError) as excinfo:
             parse_input(text, "json")
         assert excinfo.value.line == 2
+
+    def test_boolean_count_reports_record(self):
+        text = json.dumps(
+            [
+                {"author": "A", "citations": [4, 2, 1]},
+                {"author": "B", "citations": [True, 2, 1]},
+            ]
+        )
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "json")
+        assert str(excinfo.value) == "line 2: citation counts must be integers, got True"
+
+    def test_non_integral_paper_count_reports_record(self):
+        text = json.dumps([{"author": "A", "P": 2.7, "i": 1.0, "eta": 0.5}])
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "json")
+        assert str(excinfo.value) == "line 1: paper count must be an integer, got 2.7"
+        text = json.dumps([{"author": "A", "P": 3.0, "i": 1.0, "eta": 0.5}])
+        assert parse_input(text, "json")[0].papers == 3
 
     def test_not_an_array(self):
         with pytest.raises(FormatError):
