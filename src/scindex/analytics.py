@@ -10,19 +10,26 @@ indicator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dimension import PAPERS, Quantity
-from .errors import DomainError, UnknownIndicatorError, ZeroVarianceError
+from .dimension import Dimension, Quantity
+from .errors import (
+    DomainError,
+    HeterogeneityError,
+    UnknownIndicatorError,
+    ZeroVarianceError,
+)
 from .indicators import (
     CitationVector,
     IndicatorReport,
     _ladder,
     compute_all,
     registry_names,
+    registry_symbols,
 )
 
 __all__ = [
@@ -91,16 +98,16 @@ class PortfolioSummary:
 
     def report(self) -> tuple[IndicatorReport, frozenset[str]]:
         """Indicator report plus the set of reconstructed column names."""
-        if self.vector is not None:
-            try:
+        try:
+            if self.vector is not None:
                 return compute_all(self.vector), frozenset()
-            except DomainError as exc:
-                raise DomainError(f"portfolio {self.label!r}: {exc}") from None
-        assert self.papers is not None and self.impact is not None
-        assert self.evenness is not None
-        report = reconstruct_from_summary(self.papers, self.impact, self.evenness)
+            assert self.papers is not None and self.impact is not None
+            assert self.evenness is not None
+            report = reconstruct_from_summary(self.papers, self.impact, self.evenness)
+        except DomainError as exc:
+            raise DomainError(f"portfolio {self.label!r}: {exc}") from None
         if self.h is not None:
-            report["h"] = Quantity(self.h, PAPERS)
+            report = IndicatorReport({**report.magnitudes, "h": float(self.h)})
         return report, RECONSTRUCTED_COLUMNS
 
 
@@ -114,6 +121,8 @@ def _check_summary(
         raise DomainError("summary form needs papers, impact and evenness")
     if papers < 1:
         raise DomainError(f"paper count must be >= 1, got {papers}")
+    if papers > sys.float_info.max:
+        raise DomainError("paper count exceeds the floating-point range")
     if impact < 0:
         raise DomainError(f"mean impact must be >= 0, got {impact}")
     if not math.isfinite(impact):
@@ -144,13 +153,43 @@ def _registry_ordered(names: set[str]) -> tuple[str, ...]:
     return tuple(ordered)
 
 
+def _table_columns(
+    reports: Sequence[Mapping[str, object]], columns: Sequence[str] | None
+) -> tuple[str, ...]:
+    """The requested columns, or those all reports share in registry order."""
+    if columns is None:
+        if not reports:
+            raise DomainError("cannot infer columns for an empty table")
+        shared = set(reports[0])
+        for report in reports[1:]:
+            shared &= set(report)
+        return _registry_ordered(shared)
+    columns = tuple(columns)
+    for report in reports:
+        for name in columns:
+            if name not in report:
+                raise UnknownIndicatorError(name)
+    return columns
+
+
+def _registry_dims(columns: Sequence[str]) -> tuple[Dimension | None, ...]:
+    symbols = registry_symbols()
+    return tuple(map(symbols.get, columns))
+
+
 @dataclass(frozen=True)
 class AnalyticsTable:
-    """Labeled indicator reports sharing one ordered column set."""
+    """Labeled indicator values sharing one ordered column set.
+
+    ``dims`` holds one dimension per column (``None`` only for a name
+    outside the registry in a table without rows) and ``rows`` the float
+    magnitudes, one tuple per label.
+    """
 
     columns: tuple[str, ...]
+    dims: tuple[Dimension | None, ...]
     labels: tuple[str, ...]
-    cells: tuple[tuple[Quantity, ...], ...]
+    rows: tuple[tuple[float, ...], ...]
     reconstructed: tuple[frozenset[str], ...]
 
     @classmethod
@@ -160,28 +199,29 @@ class AnalyticsTable:
         columns: Sequence[str] | None = None,
         reconstructed: Sequence[frozenset[str]] | None = None,
     ) -> "AnalyticsTable":
-        if columns is None:
-            if not labeled:
-                raise DomainError("cannot infer columns for an empty table")
-            shared = set(labeled[0][1])
-            for _, report in labeled[1:]:
-                shared &= set(report)
-            columns = _registry_ordered(shared)
-        columns = tuple(columns)
-        for label, report in labeled:
-            for name in columns:
-                if name not in report:
-                    raise UnknownIndicatorError(name)
+        """Table from ``Quantity`` mappings; a column's rows share one dimension.
+
+        Each column takes its dimension from the first row, and a later
+        row of another dimension raises :class:`HeterogeneityError`.
+        """
+        columns = _table_columns([report for _, report in labeled], columns)
         if reconstructed is None:
             reconstructed = [frozenset()] * len(labeled)
-        cells = tuple(
-            tuple(report[name] for name in columns) for _, report in labeled
-        )
-        return cls(
-            columns=columns,
-            labels=tuple(label for label, _ in labeled),
-            cells=cells,
-            reconstructed=tuple(fs & set(columns) for fs in reconstructed),
+        if labeled:
+            dims = tuple(labeled[0][1][name].dim for name in columns)
+        else:
+            dims = _registry_dims(columns)
+        rows = []
+        for _, report in labeled:
+            row = []
+            for name, dim in zip(columns, dims):
+                quantity = report[name]
+                if quantity.dim != dim:
+                    raise HeterogeneityError(dim, quantity.dim, f"mix in column {name!r}")
+                row.append(quantity.magnitude)
+            rows.append(tuple(row))
+        return cls._assemble(
+            columns, dims, [label for label, _ in labeled], rows, reconstructed
         )
 
     @classmethod
@@ -190,13 +230,34 @@ class AnalyticsTable:
         portfolios: Sequence[PortfolioSummary],
         columns: Sequence[str] | None = None,
     ) -> "AnalyticsTable":
-        labeled = []
+        reports = []
         flags = []
         for portfolio in portfolios:
             report, recon = portfolio.report()
-            labeled.append((portfolio.label, report))
+            reports.append(report)
             flags.append(recon)
-        return cls.from_reports(labeled, columns=columns, reconstructed=flags)
+        columns = _table_columns(reports, columns)
+        rows = [
+            tuple(map(report.magnitudes.__getitem__, columns)) for report in reports
+        ]
+        return cls._assemble(
+            columns,
+            _registry_dims(columns),
+            [portfolio.label for portfolio in portfolios],
+            rows,
+            flags,
+        )
+
+    @classmethod
+    def _assemble(cls, columns, dims, labels, rows, reconstructed) -> "AnalyticsTable":
+        shown = frozenset(columns)
+        return cls(
+            columns=columns,
+            dims=dims,
+            labels=tuple(labels),
+            rows=tuple(rows),
+            reconstructed=tuple(fs & shown for fs in reconstructed),
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -209,14 +270,14 @@ class AnalyticsTable:
 
     def column_magnitudes(self, name: str) -> np.ndarray:
         idx = self.column_index(name)
-        return np.array([row[idx].magnitude for row in self.cells], dtype=float)
+        return np.array([row[idx] for row in self.rows], dtype=float)
 
-    def row(self, label: str) -> IndicatorReport:
+    def row(self, label: str) -> dict[str, Quantity]:
         try:
             idx = self.labels.index(label)
         except ValueError:
             raise DomainError(f"no row labeled {label!r}") from None
-        return dict(zip(self.columns, self.cells[idx]))
+        return dict(zip(self.columns, map(Quantity, self.rows[idx], self.dims)))
 
 
 def pearson_matrix(
@@ -248,5 +309,5 @@ def pearson_matrix(
 def rank_by(table: AnalyticsTable, indicator: str) -> list[str]:
     """Labels sorted by descending indicator magnitude; ties break by label."""
     idx = table.column_index(indicator)
-    keyed = [(-row[idx].magnitude, label) for label, row in zip(table.labels, table.cells)]
+    keyed = [(-row[idx], label) for label, row in zip(table.labels, table.rows)]
     return [label for _, label in sorted(keyed)]

@@ -57,13 +57,12 @@ def _resolve_precision(arg: str | None) -> int | None:
     return 2
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """Return (text, inferred_format)."""
+def _read_input(path: str) -> tuple[str | bytes, str]:
+    """Return (input, inferred_format); ``parse_input`` decodes file bytes."""
     if path == "-":
         return sys.stdin.read(), "csv"
-    text = Path(path).read_text(encoding="utf-8")
     inferred = "json" if path.endswith(".json") else "csv"
-    return text, inferred
+    return Path(path).read_bytes(), inferred
 
 
 def _load_records(path: str, format_arg: str | None):

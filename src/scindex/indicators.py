@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .dimension import (
     DIMENSIONLESS,
@@ -128,33 +129,40 @@ def _nonempty(v: Counts) -> CitationVector:
 
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
-    vec = _nonempty(v)
-    h = 0
-    for rank, c in enumerate(vec.counts, start=1):
-        if c < rank:
-            break
-        h = rank
-    return Quantity(float(h), PAPERS)
+    return Quantity(float(_h_rank(_nonempty(v).counts)), PAPERS)
 
 
 def g_index(v: Counts) -> Quantity:
-    """g: largest rank whose top papers jointly have >= rank^2 citations.
+    """g: largest rank whose top papers jointly have >= rank^2 citations."""
+    return Quantity(float(_g_rank(_nonempty(v).counts)), PAPERS)
 
-    Capped at P: no fictitious zero-cited papers are appended.  The scan
-    stops at the first rank that misses the threshold, which is exact:
-    on non-increasing counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0
-    and has non-increasing steps c_r - (2r - 1), so once d(r) < 0 it stays
-    negative and the ranks meeting the threshold form a prefix.
+
+def _h_rank(counts: tuple[int, ...]) -> int:
+    h = 0
+    for rank, c in enumerate(counts, start=1):
+        if c < rank:
+            break
+        h = rank
+    return h
+
+
+def _g_rank(counts: tuple[int, ...]) -> int:
+    """g on non-increasing counts, capped at P.
+
+    No fictitious zero-cited papers are appended.  The scan stops at the
+    first rank that misses the threshold, which is exact: on
+    non-increasing counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0
+    and has non-increasing steps c_r - (2r - 1), so once d(r) < 0 it
+    stays negative and the ranks meeting the threshold form a prefix.
     """
-    vec = _nonempty(v)
     g = 0
     running = 0
-    for rank, c in enumerate(vec.counts, start=1):
+    for rank, c in enumerate(counts, start=1):
         running += c
         if running < rank * rank:
             break
         g = rank
-    return Quantity(float(g), PAPERS)
+    return g
 
 
 def _ladder(
@@ -165,35 +173,30 @@ def _ladder(
     e: float,
     s: float,
     eta: float,
-    h: Quantity | None = None,
-    g: Quantity | None = None,
+    h: int | None = None,
+    g: int | None = None,
 ) -> IndicatorReport:
-    """Attach each ladder value's dimension and derive z and i_E from the rest.
+    """The report of the ladder values, with z and i_E derived from the rest.
 
     z = (eta*i^2*P)^(1/3) and i_E = sqrt(E).  The rank indices h and g
-    are placed when given; a summary triple cannot supply them.
+    are placed when given; a summary triple cannot supply them.  Every
+    magnitude is a float and must be finite.
     """
-    report = {
-        "P": Quantity(p, PAPERS),
-        "C": Quantity(c, PAPERS_SQUARED),
-        "i": Quantity(i, PAPERS),
-    }
-    if h is not None:
-        report["h"] = h
-        report["g"] = g
-    report.update(
-        X=Quantity(x, PAPERS_CUBED),
-        E=Quantity(e, PAPERS_CUBED),
-        S=Quantity(s, PAPERS_CUBED),
-        eta=Quantity(eta, DIMENSIONLESS),
-        z=Quantity((eta * i * i * p) ** (1.0 / 3.0), PAPERS),
-        i_E=Quantity(math.sqrt(e), EUCLIDEAN_DIM),
-    )
-    return report
+    z = (eta * i * i * p) ** (1.0 / 3.0)
+    i_e = math.sqrt(e)
+    if h is None:
+        names, values = _SUMMARY_LADDER, (p, c, i, x, e, s, eta, z, i_e)
+    else:
+        names, values = _FULL_LADDER, (p, c, i, h, g, x, e, s, eta, z, i_e)
+    magnitudes = dict(zip(names, map(float, values)))
+    if not all(map(math.isfinite, magnitudes.values())):
+        bad = next(v for v in magnitudes.values() if not math.isfinite(v))
+        raise DomainError(f"quantity magnitude must be finite, got {bad!r}")
+    return IndicatorReport(magnitudes)
 
 
 def _closed_forms(
-    vec: CitationVector, h: Quantity | None = None, g: Quantity | None = None
+    vec: CitationVector, h: int | None = None, g: int | None = None
 ) -> IndicatorReport:
     """The ladder from the exact sums P, C = sum(c) and E = sum(c^2).
 
@@ -236,7 +239,35 @@ class IndicatorDescriptor:
     fit_tolerance: float = 1e-6
 
 
-IndicatorReport = Dict[str, Quantity]
+class IndicatorReport(Mapping[str, Quantity]):
+    """Read-only mapping from indicator name to its dimensioned value.
+
+    ``magnitudes`` holds the float values keyed by registry name, in
+    ladder order; ``report[name]`` pairs one with the indicator's
+    declared dimension as a :class:`Quantity`.  The dimension belongs to
+    the indicator, so it is not stored per value.
+    """
+
+    __slots__ = ("magnitudes",)
+
+    def __init__(self, magnitudes: dict[str, float]) -> None:
+        self.magnitudes = magnitudes
+
+    def __getitem__(self, name: str) -> Quantity:
+        return Quantity(self.magnitudes[name], _BY_NAME[name].declared_dim)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.magnitudes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.magnitudes)
+
+    def __len__(self) -> int:
+        return len(self.magnitudes)
+
+    def __repr__(self) -> str:
+        return f"IndicatorReport({self.magnitudes!r})"
+
 
 REGISTRY: tuple[IndicatorDescriptor, ...] = (
     IndicatorDescriptor("P", PAPERS, _ladder_kernel("P")),
@@ -253,6 +284,8 @@ REGISTRY: tuple[IndicatorDescriptor, ...] = (
 )
 
 _BY_NAME = {d.name: d for d in REGISTRY}
+_FULL_LADDER = tuple(_BY_NAME)
+_SUMMARY_LADDER = tuple(name for name in _BY_NAME if name not in ("h", "g"))
 
 
 def registry_names() -> tuple[str, ...]:
@@ -274,4 +307,4 @@ def descriptor(name: str) -> IndicatorDescriptor:
 def compute_all(v: Counts) -> IndicatorReport:
     """Every registered indicator for one portfolio, in registry order."""
     vec = _nonempty(v)
-    return _closed_forms(vec, h_index(vec), g_index(vec))
+    return _closed_forms(vec, _h_rank(vec.counts), _g_rank(vec.counts))

@@ -22,13 +22,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Sequence
+from itertools import repeat
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .analytics import AnalyticsTable, PortfolioSummary
 from .errors import DomainError, FormatError, NegativeCountError
-from .indicators import CitationVector, registry_symbols
+from .indicators import CitationVector
 
 __all__ = [
     "WIDE_HEADER",
@@ -47,13 +48,35 @@ SUMMARY_HEADER_H: tuple[str, ...] = SUMMARY_HEADER + ("h",)
 
 
 def _decode(data: str | bytes) -> str:
+    """Text of the input, without a leading byte-order mark."""
     if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise FormatError(f"input is not UTF-8: {exc.reason}", line) from None
+    return data.removeprefix("\ufeff")
 
 
-def _parse_counts(cell: str, line: int) -> CitationVector:
+def _add_record(
+    records: list[PortfolioSummary],
+    first_lines: dict[str, int],
+    record: PortfolioSummary,
+    line: int,
+) -> None:
+    """Append ``record`` unless its label was already given."""
+    first = first_lines.setdefault(record.label, line)
+    if first != line:
+        raise FormatError(
+            f"duplicate author {record.label!r}, first given at line {first}", line
+        )
+    records.append(record)
+
+
+def _parse_counts(label: str, cell: str, line: int) -> CitationVector:
     items = list(filter(None, map(str.strip, cell.split(";"))))
+    if not items:
+        raise FormatError(f"portfolio {label!r} has no papers", line)
     try:
         return CitationVector(map(int, items))
     except ValueError:
@@ -97,19 +120,29 @@ def _summary_record(
 def _parse_csv(text: str) -> list[PortfolioSummary]:
     reader = csv.reader(io.StringIO(text))
     try:
+        return _csv_records(reader)
+    except csv.Error as exc:
+        raise FormatError(str(exc), reader.line_num) from None
+
+
+def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
+    try:
         header = next(reader)
     except StopIteration:
         raise FormatError("empty input", 1) from None
     header = tuple(h.strip() for h in header)
     records: list[PortfolioSummary] = []
+    first_lines: dict[str, int] = {}
     if header == WIDE_HEADER:
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
                 raise FormatError(f"expected 2 fields, got {len(row)}", line)
-            records.append(
-                PortfolioSummary.from_vector(row[0], _parse_counts(row[1], line))
+            label = row[0]
+            vector = _parse_counts(label, row[1], line)
+            _add_record(
+                records, first_lines, PortfolioSummary.from_vector(label, vector), line
             )
         return records
     if header in (SUMMARY_HEADER, SUMMARY_HEADER_H):
@@ -125,7 +158,9 @@ def _parse_csv(text: str) -> list[PortfolioSummary]:
             h: float | None = None
             if expected == 5 and row[4].strip() != "":
                 h = _parse_real(row[4], "h", line)
-            records.append(_summary_record(row[0], p, i, eta, h, line))
+            _add_record(
+                records, first_lines, _summary_record(row[0], p, i, eta, h, line), line
+            )
         return records
     raise FormatError(
         "header must be 'author,citations' or 'author,P,i,eta[,h]', "
@@ -137,11 +172,14 @@ def _parse_csv(text: str) -> list[PortfolioSummary]:
 def _parse_json(text: str) -> list[PortfolioSummary]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the digit limit, which the
+        # decoder does not report as JSONDecodeError.
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records")
     records: list[PortfolioSummary] = []
+    first_lines: dict[str, int] = {}
     form: str | None = None
     for number, entry in enumerate(payload, start=1):
         if not isinstance(entry, dict) or "author" not in entry:
@@ -163,8 +201,10 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
             counts = entry["citations"]
             if not isinstance(counts, list):
                 raise FormatError("'citations' must be an array of integers", number)
+            if not counts:
+                raise FormatError(f"portfolio {label!r} has no papers", number)
             try:
-                records.append(PortfolioSummary.from_vector(label, counts))
+                record = PortfolioSummary.from_vector(label, counts)
             except NegativeCountError as exc:
                 raise NegativeCountError(str(exc), number) from None
             except TypeError as exc:
@@ -177,21 +217,24 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
             ):
                 raise FormatError(f"paper count must be an integer, got {papers!r}", number)
             try:
-                records.append(
-                    PortfolioSummary.from_summary(
-                        label, int(papers), float(entry["i"]), float(entry["eta"]),
-                        h=None if h is None else float(h),
-                    )
+                record = PortfolioSummary.from_summary(
+                    label, int(papers), float(entry["i"]), float(entry["eta"]),
+                    h=None if h is None else float(h),
                 )
             except DomainError as exc:
                 raise FormatError(str(exc), number) from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"invalid summary record: {exc}", number) from None
+        _add_record(records, first_lines, record, number)
     return records
 
 
 def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary]:
-    """Parse portfolio records from CSV or JSON text."""
+    """Parse portfolio records from CSV or JSON text.
+
+    A leading UTF-8 byte-order mark is ignored.  An author label may be
+    given once per input.
+    """
     text = _decode(data)
     if format == "csv":
         return _parse_csv(text)
@@ -207,28 +250,26 @@ def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> st
         raise FormatError("cannot emit a mix of wide and summary records")
     wide = forms == {True}
     if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
         if wide:
-            writer.writerow(WIDE_HEADER)
+            lines: list[Sequence[str]] = [WIDE_HEADER]
             for record in records:
                 assert record.vector is not None
-                writer.writerow(
+                lines.append(
                     [record.label, ";".join(str(c) for c in record.vector.counts)]
                 )
         else:
-            writer.writerow(SUMMARY_HEADER_H)
+            lines = [SUMMARY_HEADER_H]
             for record in records:
-                writer.writerow(
+                lines.append(
                     [
                         record.label,
-                        record.papers,
+                        str(record.papers),
                         repr(record.impact),
                         repr(record.evenness),
                         "" if record.h is None else repr(record.h),
                     ]
                 )
-        return out.getvalue()
+        return _csv_text(lines)
     if format == "json":
         rows: list[dict[str, Any]] = []
         for record in records:
@@ -251,6 +292,21 @@ def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> st
     raise FormatError(f"unknown record format {format!r}")
 
 
+def _csv_text(lines: Sequence[Sequence[str]]) -> str:
+    """CSV with "\\n" line ends that ``csv.reader`` reads back field for field.
+
+    The writer quotes only fields holding a delimiter, a quote or a
+    character of its line terminator, so a row with a carriage return
+    in a field is written fully quoted.
+    """
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for line in lines:
+        (quoted if any("\r" in field for field in line) else plain).writerow(line)
+    return out.getvalue()
+
+
 def format_magnitude(value: float, precision: int | None) -> str:
     """Render one magnitude: bare integers, fixed decimals, or shortest repr."""
     if precision is not None and float(value).is_integer():
@@ -266,14 +322,12 @@ def _format_real(value: float, precision: int | None) -> str:
 
 def table_rows(table: AnalyticsTable) -> list[dict[str, Any]]:
     """JSON-ready rows: exact values, rendered dimension, derived-cell flags."""
+    dims = [str(dim) for dim in table.dims]
     rows = []
-    for label, cells, recon in zip(table.labels, table.cells, table.reconstructed):
+    for label, values, recon in zip(table.labels, table.rows, table.reconstructed):
         row: dict[str, Any] = {"author": label}
-        for name, quantity in zip(table.columns, cells):
-            cell: dict[str, Any] = {
-                "value": quantity.magnitude,
-                "dimension": str(quantity.dim),
-            }
+        for name, dim, value in zip(table.columns, dims, values):
+            cell: dict[str, Any] = {"value": value, "dimension": dim}
             if name in recon:
                 cell["reconstructed"] = True
             row[name] = cell
@@ -281,33 +335,64 @@ def table_rows(table: AnalyticsTable) -> list[dict[str, Any]]:
     return rows
 
 
+def _json_table(table: AnalyticsTable) -> str:
+    """``json.dumps(table_rows(table), indent=2) + "\n"``, one row at a time.
+
+    Each column's text around its value is rendered once, and each set
+    of reconstructed flags gives one row template, so a row costs one
+    ``%`` format: labels go through ``json.dumps`` and values through
+    ``repr``, exactly as the ``json`` module writes them.
+    """
+    if not table.rows:
+        return "[]\n"
+    # A JSON object holds a repeated column once, where it first appears.
+    names = tuple(dict.fromkeys(table.columns))
+    first = [table.columns.index(name) for name in names]
+    cells = {}
+    for name, j in zip(names, first):
+        head = (
+            f",\n    {_json_literal(name)}: {{\n      \"value\": %r,"
+            f"\n      \"dimension\": {_json_literal(str(table.dims[j]))}"
+        )
+        cells[name] = (head + "\n    }", head + ',\n      "reconstructed": true\n    }')
+    templates: dict[frozenset[str], str] = {}
+    out = []
+    for label, values, recon in zip(table.labels, table.rows, table.reconstructed):
+        template = templates.get(recon)
+        if template is None:
+            template = templates[recon] = (
+                '  {\n    "author": %s'
+                + "".join(cells[name][name in recon] for name in names)
+                + "\n  }"
+            )
+        if len(names) < len(values):
+            values = [values[j] for j in first]
+        out.append(template % (json.dumps(label), *values))
+    return "[\n" + ",\n".join(out) + "\n]\n"
+
+
+def _json_literal(text: str) -> str:
+    """``text`` as a JSON string, escaped for use in a ``%`` template."""
+    return json.dumps(text).replace("%", "%%")
+
+
 def emit_table(
     table: AnalyticsTable, format: str = "tsv", precision: int | None = 2
 ) -> str:
     """Render a table with its mandatory dimension row."""
     if format == "json":
-        return json.dumps(table_rows(table), indent=2) + "\n"
+        return _json_table(table)
     if format not in ("tsv", "csv"):
         raise FormatError(f"unknown table format {format!r}")
-    dims = [str(q.dim) for q in (table.cells[0] if table.cells else ())]
-    if not table.cells:
-        # Dimension row still required; fall back to the registry dims.
-        symbols = registry_symbols()
-        dims = [str(symbols[name]) if name in symbols else "" for name in table.columns]
     lines = [
         ["author", *table.columns],
-        ["dimensions", *dims],
+        ["dimensions", *("" if dim is None else str(dim) for dim in table.dims)],
     ]
-    for label, cells in zip(table.labels, table.cells):
-        lines.append(
-            [label, *(format_magnitude(q.magnitude, precision) for q in cells)]
-        )
+    for label, values in zip(table.labels, table.rows):
+        lines.append([label, *map(format_magnitude, values, repeat(precision))])
     if format == "tsv":
         return "".join("\t".join(line) + "\n" for line in lines)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(lines)
-    return out.getvalue()
+    return _csv_text(lines)
 
 
 def emit_matrix(
@@ -330,7 +415,4 @@ def emit_matrix(
         lines.append([name, *(_format_real(float(x), precision) for x in row)])
     if format == "tsv":
         return "".join("\t".join(line) + "\n" for line in lines)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(lines)
-    return out.getvalue()
+    return _csv_text(lines)

@@ -1,6 +1,7 @@
 """Summary reconstruction, correlation matrices and ranking."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scindex import (
     AnalyticsTable,
     DomainError,
+    HeterogeneityError,
     PortfolioSummary,
     Quantity,
     UnknownIndicatorError,
@@ -20,7 +22,7 @@ from scindex import (
     reconstruct_from_summary,
 )
 from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, reconstructed_table
-from scindex.dimension import PAPERS
+from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
 
 
 def _toy_table(columns, rows):
@@ -150,6 +152,21 @@ class TestPortfolioSummary:
         report, flags = record.report()
         assert flags == frozenset({"C", "X", "E", "S", "z", "i_E"})
         assert report["h"].magnitude == 4.0
+        assert tuple(report) == ("P", "C", "i", "X", "E", "S", "eta", "z", "i_E", "h")
+        assert report["h"] == Quantity(4.0, PAPERS)
+
+    def test_paper_count_beyond_float_range(self):
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary.from_summary("a", 10**400, 2.0, 0.5)
+        assert str(excinfo.value) == "paper count exceeds the floating-point range"
+
+    def test_overflowing_summary_names_portfolio(self):
+        record = PortfolioSummary.from_summary("A", 10**300, 1e10, 0.5)
+        with pytest.raises(DomainError) as excinfo:
+            record.report()
+        assert str(excinfo.value) == (
+            "portfolio 'A': quantity magnitude must be finite, got inf"
+        )
 
 
 class TestPearson:
@@ -240,6 +257,27 @@ class TestAnalyticsTable:
                 columns=("P", "h"),
             )
 
+    def test_mixed_dimensions_in_a_column_rejected(self):
+        labeled = [
+            ("a", {"P": Quantity(3.0, PAPERS), "h": Quantity(2.0, PAPERS)}),
+            ("b", {"P": Quantity(4.0, PAPERS), "h": Quantity(2.0, PAPERS_SQUARED)}),
+        ]
+        with pytest.raises(HeterogeneityError) as excinfo:
+            AnalyticsTable.from_reports(labeled)
+        assert str(excinfo.value) == (
+            "cannot mix in column 'h' quantities of dimension [P] and [P^2]"
+        )
+
+    def test_dimensions_belong_to_columns(self):
+        table = AnalyticsTable.from_portfolios(
+            [PortfolioSummary.from_vector("a", [4, 2, 1])], columns=("P", "i_E", "eta")
+        )
+        assert table.dims == (PAPERS, Dimension(Fraction(3, 2)), Dimension(0))
+        assert table.rows == ((3.0, math.sqrt(21), (49 / 3) / 21),)
+        empty = AnalyticsTable.from_portfolios([], columns=("C", "w"))
+        assert empty.dims == (PAPERS_SQUARED, None)
+        assert empty.rows == ()
+
     def test_row_lookup(self):
         table = reconstructed_table()
         row = table.row("LI YF")
@@ -247,6 +285,7 @@ class TestAnalyticsTable:
 
     def test_reference_rows_carry_published_h(self):
         table = reconstructed_table()
-        for record, row in zip(AUTHOR_ROWS, table.cells):
-            h = row[table.columns.index("h")]
+        idx = table.columns.index("h")
+        for record, row in zip(AUTHOR_ROWS, table.rows):
+            h = Quantity(row[idx], table.dims[idx])
             assert h.magnitude == record.h

@@ -193,6 +193,48 @@ class TestCompute:
         assert err.startswith("error: portfolio 'Big': ")
         assert "floating-point range" in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'author,citations\nA,"4"\nB,\n', "error: line 3: portfolio 'B' has no papers"),
+            (b'[{"author": "B", "citations": []}]', "error: line 1: portfolio 'B' has no papers"),
+            (b'author,citations\nA,"4"\nA,"1"\n', "error: line 3: duplicate author 'A'"),
+            (b'author,citations\nA,"\xff"\n', "error: line 2: input is not UTF-8"),
+            (
+                b"author,P,i,eta\nA,1" + b"0" * 400 + b",2,0.5\n",
+                "error: line 2: paper count exceeds the floating-point range",
+            ),
+            (
+                b"author,P,i,eta\nA,1" + b"0" * 300 + b",1e10,0.5\n",
+                "error: portfolio 'A': quantity magnitude must be finite, got inf",
+            ),
+            (
+                b'author,citations\nA,"' + b";".join([b"123456"] * 20_000) + b'"\n',
+                "error: line 2: field larger than field limit",
+            ),
+        ],
+        ids=[
+            "empty-csv-row",
+            "empty-json-record",
+            "duplicate-label",
+            "not-utf8",
+            "huge-summary-P",
+            "overflowing-summary",
+            "oversized-csv-field",
+        ],
+    )
+    def test_malformed_input_exits_one_with_location(self, tmp_path, capsys, data, message):
+        path = tmp_path / ("in.json" if data.startswith(b"[") else "in.csv")
+        path.write_bytes(data)
+        assert main(["compute", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + WIDE_CSV.encode())
+        assert main(["compute", str(path)]) == 0
+        assert "A\t3" in capsys.readouterr().out
+
     def test_output_file(self, wide_file, tmp_path, capsys):
         out = tmp_path / "table.tsv"
         assert main(["compute", wide_file, "-o", str(out)]) == 0

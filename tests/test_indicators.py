@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scindex import (
     REGISTRY,
     CitationVector,
+    DomainError,
     EmptyPortfolioError,
     NegativeCountError,
     compute_all,
@@ -21,8 +22,14 @@ from scindex import (
     h_index,
     registry_names,
 )
-from scindex.dimension import PAPERS, PAPERS_CUBED, PAPERS_SQUARED
-from scindex.indicators import EUCLIDEAN_DIM
+from scindex.dimension import (
+    DIMENSIONLESS,
+    PAPERS,
+    PAPERS_CUBED,
+    PAPERS_SQUARED,
+    Quantity,
+)
+from scindex.indicators import EUCLIDEAN_DIM, _ladder
 
 # Vectors kept within the published-data ranges; the rounding analysis
 # for the S = E - X comparison needs P*c^2 well under 2^53.
@@ -243,6 +250,56 @@ class TestComputeAll:
         report = compute_all(v)
         for desc in REGISTRY:
             assert desc.compute(v) == report[desc.name], desc.name
+
+
+def quantity_ladder(counts):
+    """Reference: the report as a dict of Quantity built cell by cell."""
+    v = sorted(counts, reverse=True)
+    p, c, e = len(v), sum(v), sum(k * k for k in v)
+    x = c * c / p
+    i = c / p
+    eta = x / e if e else 1.0
+    return {
+        "P": Quantity(p, PAPERS),
+        "C": Quantity(c, PAPERS_SQUARED),
+        "i": Quantity(i, PAPERS),
+        "h": Quantity(h_brute(v), PAPERS),
+        "g": Quantity(g_brute(v), PAPERS),
+        "X": Quantity(x, PAPERS_CUBED),
+        "E": Quantity(e, PAPERS_CUBED),
+        "S": Quantity((p * e - c * c) / p, PAPERS_CUBED),
+        "eta": Quantity(eta, DIMENSIONLESS),
+        "z": Quantity((eta * i * i * p) ** (1.0 / 3.0), PAPERS),
+        "i_E": Quantity(math.sqrt(e), EUCLIDEAN_DIM),
+    }
+
+
+class TestIndicatorReport:
+    @given(v=vectors)
+    def test_is_the_dict_of_quantities_in_registry_order(self, v):
+        report = compute_all(v)
+        expected = quantity_ladder(v)
+        assert dict(report) == expected
+        assert list(dict(report)) == list(expected)
+        assert list(report.items()) == list(expected.items())
+        assert len(report) == len(expected)
+        assert report.magnitudes == {k: q.magnitude for k, q in expected.items()}
+        assert all(type(m) is float for m in report.magnitudes.values())
+
+    def test_mapping_protocol(self):
+        report = compute_all([4, 2, 1])
+        assert "h" in report and "w" not in report
+        assert report.get("w") is None
+        assert report.get("g") == Quantity(2.0, PAPERS)
+        with pytest.raises(KeyError):
+            report["w"]
+        with pytest.raises(TypeError):
+            report["P"] = Quantity(1.0, PAPERS)
+        assert report == dict(report)
+
+    def test_non_finite_value_is_rejected(self):
+        with pytest.raises(DomainError, match="quantity magnitude must be finite, got inf"):
+            _ladder(1, math.inf, math.inf, math.inf, math.inf, 0.0, 1.0)
 
 
 class TestOracles:

@@ -1,21 +1,31 @@
 """CSV/JSON ingestion and table emission contracts."""
 
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scindex import (
     AnalyticsTable,
     FormatError,
     NegativeCountError,
     PortfolioSummary,
+    Quantity,
+    ScindexError,
     emit_records,
     emit_table,
     parse_input,
+    registry_names,
+    registry_symbols,
 )
 from scindex.analytics import pearson_matrix
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
-from scindex.tabular import emit_matrix, format_magnitude
+from scindex.dimension import Dimension
+from scindex.tabular import emit_matrix, format_magnitude, table_rows
 
 WIDE_SAMPLE = 'author,citations\nA,"4;2;1"\n'
 SUMMARY_SAMPLE = "author,P,i,eta,h\nLI YF,142,33.25,0.20,34\n"
@@ -89,6 +99,56 @@ class TestParseCsv:
         records = parse_input(WIDE_SAMPLE.encode(), "csv")
         assert records[0].vector.counts == (4, 2, 1)
 
+    @pytest.mark.parametrize("cell", ["", '""', '" ; "'])
+    def test_empty_portfolio_reports_line_and_label(self, cell):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(f'author,citations\nA,"4;2;1"\nB,{cell}\n', "csv")
+        assert str(excinfo.value) == "line 3: portfolio 'B' has no papers"
+
+    def test_paper_count_beyond_float_range_reports_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(f"author,P,i,eta\nA,1{'0' * 400},2,0.5\n", "csv")
+        assert str(excinfo.value) == "line 2: paper count exceeds the floating-point range"
+
+    def test_oversized_field_reports_line(self):
+        cell = ";".join(["123456"] * 20_000)
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(f'author,citations\nA,"4"\nB,"{cell}"\n', "csv")
+        assert excinfo.value.line == 3
+        assert "field larger than field limit" in str(excinfo.value)
+        assert csv.field_size_limit() == 131_072
+
+    def test_malformed_quoting_reports_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input('author,citations\nA,"4"\n\r"\n', "csv")
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("data", [WIDE_SAMPLE, WIDE_SAMPLE.encode()], ids=["str", "bytes"])
+    def test_byte_order_mark_ignored(self, data):
+        bom = "\ufeff" if isinstance(data, str) else b"\xef\xbb\xbf"
+        records = parse_input(bom + data, "csv")
+        assert records[0].label == "A"
+        assert records[0].vector.counts == (4, 2, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'author,citations\nA,"4;2;1"\nB,"1"\nA,"3"\n',
+            "author,P,i,eta\nA,10,5,0.5\nB,10,5,0.5\nA,9,5,0.5\n",
+        ],
+        ids=["wide", "summary"],
+    )
+    def test_duplicate_author_names_first_line(self, text):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == "line 4: duplicate author 'A', first given at line 2"
+
+    def test_invalid_utf8_reports_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(b'author,citations\nA,"4"\nB,"\xff"\n', "csv")
+        assert excinfo.value.line == 3
+        assert "not UTF-8" in str(excinfo.value)
+
 
 class TestParseJson:
     def test_wide_records(self):
@@ -152,6 +212,90 @@ class TestParseJson:
         with pytest.raises(FormatError):
             parse_input("不[", "json")
 
+    def test_empty_portfolio_reports_record_and_label(self):
+        text = json.dumps(
+            [{"author": "A", "citations": [4]}, {"author": "B", "citations": []}]
+        )
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "json")
+        assert str(excinfo.value) == "line 2: portfolio 'B' has no papers"
+
+    def test_byte_order_mark_ignored(self):
+        text = json.dumps([{"author": "A", "citations": [4, 2, 1]}])
+        assert parse_input("\ufeff" + text, "json")[0].label == "A"
+        assert parse_input(b"\xef\xbb\xbf" + text.encode(), "json")[0].label == "A"
+
+    def test_duplicate_author_names_first_record(self):
+        text = json.dumps(
+            [
+                {"author": "A", "P": 10, "i": 5.0, "eta": 0.5},
+                {"author": "B", "P": 10, "i": 5.0, "eta": 0.5},
+                {"author": "A", "P": 9, "i": 5.0, "eta": 0.5},
+            ]
+        )
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "json")
+        assert str(excinfo.value) == "line 3: duplicate author 'A', first given at line 1"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"P": 10**400, "i": 2.0, "eta": 0.5}, "paper count exceeds the floating-point range"),
+            ({"P": 3, "i": 10**400, "eta": 0.5}, "invalid summary record: "),
+        ],
+    )
+    def test_huge_summary_numbers_report_record(self, record, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(json.dumps([{"author": "A", **record}]), "json")
+        assert str(excinfo.value).startswith(f"line 1: {message}")
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, f"[{'1' * 5000}]"], ids=["deep-nesting", "long-integer"]
+    )
+    def test_decoder_limits_are_format_errors(self, text):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            parse_input(text, "json")
+
+
+# Text that reaches the row parsers: a header of each form, then rows
+# drawn from the characters that matter to CSV framing and the numbers.
+_csv_header = st.sampled_from(
+    ["author,citations\n", "author,P,i,eta\n", "author,P,i,eta,h\n", ""]
+)
+_csv_body = st.text(alphabet=',;"\n\r \ufeff0123456789-.eEinfaA\x00_', max_size=80)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.sampled_from(["A", "3", "1e400", "x"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["author", "citations", "P", "i", "eta", "h", "x"]),
+        inner,
+        max_size=6,
+    ),
+    max_leaves=12,
+)
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.one_of(
+            st.text(),
+            st.binary(),
+            st.builds(str.__add__, _csv_header, _csv_body),
+            _json_values.map(lambda v: json.dumps(v, allow_nan=True)),
+        ),
+        form=st.sampled_from(["csv", "json"]),
+    )
+    def test_only_scindex_errors(self, data, form):
+        try:
+            parse_input(data, form)
+        except ScindexError:
+            pass
+
 
 class TestRoundTrips:
     def test_wide_csv_round_trip(self):
@@ -171,6 +315,26 @@ class TestRoundTrips:
         records = [PortfolioSummary.from_vector("A", [4, 2, 1])]
         text = emit_records(records, "json")
         assert parse_input(text, "json") == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), wide=st.booleans(), form=st.sampled_from(["csv", "json"]))
+    def test_emitted_records_parse_back(self, data, wide, form):
+        labels = data.draw(st.lists(st.text(max_size=8), unique=True, max_size=5))
+        if wide:
+            counts = st.lists(st.integers(0, 10**9), min_size=1, max_size=8)
+            records = [PortfolioSummary.from_vector(l, data.draw(counts)) for l in labels]
+        else:
+            records = [
+                PortfolioSummary.from_summary(
+                    label,
+                    data.draw(st.integers(1, 10**6)),
+                    data.draw(st.floats(0, 1e6)),
+                    data.draw(st.floats(0, 1, exclude_min=True)),
+                    h=data.draw(st.none() | st.floats(0, 1e3)),
+                )
+                for label in labels
+            ]
+        assert parse_input(emit_records(records, form), form) == records
 
     def test_mixed_records_cannot_be_emitted(self):
         records = [
@@ -208,13 +372,11 @@ class TestEmitTable:
     def test_full_precision_reparses_exactly(self):
         table = reconstructed_table()
         lines = emit_table(table, "tsv", precision=None).splitlines()
-        for label, cells, line in zip(table.labels, table.cells, lines[2:]):
+        for label, values, line in zip(table.labels, table.rows, lines[2:]):
             fields = line.split("\t")
             assert fields[0] == label
-            for quantity, field in zip(cells, fields[1:]):
-                assert abs(float(field) - quantity.magnitude) <= 1e-12 * max(
-                    1.0, abs(quantity.magnitude)
-                )
+            for value, field in zip(values, fields[1:]):
+                assert abs(float(field) - value) <= 1e-12 * max(1.0, abs(value))
 
     def test_empty_column_selection_is_header_only(self):
         table = AnalyticsTable.from_portfolios(
@@ -246,6 +408,75 @@ class TestEmitTable:
         )
         rows = json.loads(emit_table(table, "json"))
         assert all("reconstructed" not in cell for cell in rows[0].values() if isinstance(cell, dict))
+
+
+# Column names include ones outside the registry, with characters that
+# JSON escapes and that a %-template must not read as a directive.
+_NAMES = registry_names() + ("w", 'q"t', "100%", "\u00fc")
+_DIMS = st.sampled_from(
+    [Dimension(0), Dimension(1), Dimension(2), Dimension(3), Dimension(Fraction(3, 2))]
+)
+_MAGNITUDES = st.one_of(
+    st.integers(-(10**6), 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, -1e300, 5e-324, 1e-300, 2.0**53, 1e16, 0.5, -0.0]),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A table through ``from_reports`` plus the quantities it was built from."""
+    columns = tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=6)))
+    dims = {name: draw(_DIMS) for name in columns}
+    labeled = []
+    for _ in range(draw(st.integers(0, 4))):
+        label = draw(st.text(max_size=6))
+        labeled.append((label, {n: Quantity(draw(_MAGNITUDES), d) for n, d in dims.items()}))
+    flags = [draw(st.frozensets(st.sampled_from(_NAMES))) for _ in labeled]
+    table = AnalyticsTable.from_reports(labeled, columns=columns, reconstructed=flags)
+    return table, labeled
+
+
+def _reference_lines(table, labeled, precision):
+    """The table's fields, rendered cell by cell from the quantities themselves."""
+    if labeled:
+        dims = [str(labeled[0][1][name].dim) for name in table.columns]
+    else:
+        symbols = registry_symbols()
+        dims = [str(symbols[n]) if n in symbols else "" for n in table.columns]
+    lines = [["author", *table.columns], ["dimensions", *dims]]
+    for label, report in labeled:
+        lines.append(
+            [label, *(format_magnitude(report[n].magnitude, precision) for n in table.columns)]
+        )
+    return lines
+
+
+class TestEmitTableDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_tables())
+    def test_json_matches_the_json_module(self, drawn):
+        table, labeled = drawn
+        assert emit_table(table, "json") == json.dumps(table_rows(table), indent=2) + "\n"
+        for row, (label, report) in zip(table_rows(table), labeled):
+            assert row["author"] == label
+            for name in table.columns:
+                assert row[name]["value"] == report[name].magnitude
+                assert row[name]["dimension"] == str(report[name].dim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_tables(), precision=st.sampled_from([None, 0, 2, 5]))
+    def test_delimited_matches_per_cell_formatting(self, drawn, precision):
+        table, labeled = drawn
+        lines = _reference_lines(table, labeled, precision)
+        tsv = "".join("\t".join(line) + "\n" for line in lines)
+        assert emit_table(table, "tsv", precision) == tsv
+        text = emit_table(table, "csv", precision)
+        assert list(csv.reader(io.StringIO(text))) == lines
+        if not any("\r" in field for line in lines for field in line):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows(lines)
+            assert text == out.getvalue()
 
 
 class TestEmitMatrix:
