@@ -55,7 +55,6 @@ from .indicators import (
     registry_symbols,
 )
 from .scaling import (
-    DEFAULT_LAMBDAS,
     ExponentEstimate,
     ProbeResult,
     fit_loglog,
@@ -111,7 +110,6 @@ __all__ = [
     # scaling probe
     "ExponentEstimate",
     "ProbeResult",
-    "DEFAULT_LAMBDAS",
     "replicate_scale",
     "fit_loglog",
     "verify_dimension",

@@ -10,11 +10,10 @@ indicator.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .dimension import Dimension, Quantity
 from .errors import (
@@ -268,10 +267,6 @@ class AnalyticsTable:
         except ValueError:
             raise UnknownIndicatorError(name) from None
 
-    def column_magnitudes(self, name: str) -> np.ndarray:
-        idx = self.column_index(name)
-        return np.array([row[idx] for row in self.rows], dtype=float)
-
     def row(self, label: str) -> dict[str, Quantity]:
         try:
             idx = self.labels.index(label)
@@ -282,28 +277,30 @@ class AnalyticsTable:
 
 def pearson_matrix(
     table: AnalyticsTable, columns: Sequence[str] | None = None
-) -> np.ndarray:
-    """Pearson correlation of the selected columns; symmetric, unit diagonal.
+) -> tuple[tuple[float, ...], ...]:
+    """Pearson correlation of the selected columns, as a tuple of row tuples.
 
-    Uses the covariance-over-product-of-deviations form directly (the
-    sample/population variance convention cancels in r).
+    Symmetric with a unit diagonal.  Uses the covariance-over-product-of-
+    deviations form directly (the sample/population variance convention
+    cancels in r).
     """
     names = tuple(columns) if columns is not None else table.columns
     if len(table) < 3:
         raise DomainError(f"correlation needs at least 3 rows, got {len(table)}")
-    data = []
+    deviations = []
     for name in names:
-        values = table.column_magnitudes(name)
-        if np.all(values == values[0]):
+        values = list(map(operator.itemgetter(table.column_index(name)), table.rows))
+        if min(values) == max(values):
             raise ZeroVarianceError(name)
-        data.append(values - values.mean())
-    matrix = np.eye(len(names))
-    norms = [float(np.sqrt(np.dot(d, d))) for d in data]
+        mean = math.fsum(values) / len(values)
+        deviations.append([value - mean for value in values])
+    norms = [math.sqrt(sum(map(operator.mul, d, d))) for d in deviations]
+    matrix = [[1.0] * len(names) for _ in names]
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            r = float(np.dot(data[a], data[b])) / (norms[a] * norms[b])
-            matrix[a, b] = matrix[b, a] = r
-    return matrix
+            r = sum(map(operator.mul, deviations[a], deviations[b])) / (norms[a] * norms[b])
+            matrix[a][b] = matrix[b][a] = r
+    return tuple(map(tuple, matrix))
 
 
 def rank_by(table: AnalyticsTable, indicator: str) -> list[str]:

@@ -57,10 +57,10 @@ def _resolve_precision(arg: str | None) -> int | None:
     return 2
 
 
-def _read_input(path: str) -> tuple[str | bytes, str]:
-    """Return (input, inferred_format); ``parse_input`` decodes file bytes."""
+def _read_input(path: str) -> tuple[bytes, str]:
+    """Return (input bytes, inferred_format); ``parse_input`` decodes them."""
     if path == "-":
-        return sys.stdin.read(), "csv"
+        return sys.stdin.buffer.read(), "csv"
     inferred = "json" if path.endswith(".json") else "csv"
     return Path(path).read_bytes(), inferred
 
@@ -183,7 +183,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             "table": table_rows(reconstructed),
             "correlation": {
                 "columns": list(datasets.AUTHOR_COLUMNS),
-                "matrix": [[float(x) for x in row] for row in matrix],
+                "matrix": matrix,
             },
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)

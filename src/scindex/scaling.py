@@ -10,12 +10,12 @@ gates the fitted slope against the declared exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from statistics import linear_regression
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateSeriesError, DomainError
 from .indicators import (
@@ -92,6 +92,10 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     """OLS slope/intercept in log-log space, plus the largest |residual|."""
+    if len(xs) != len(ys):
+        raise DegenerateSeriesError(
+            f"log-log fit needs as many x as y values, got {len(xs)} and {len(ys)}"
+        )
     if len(xs) < 3:
         raise DegenerateSeriesError(
             f"log-log fit needs at least 3 points, got {len(xs)}"
@@ -101,13 +105,13 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
             raise DegenerateSeriesError(
                 f"log-log fit needs strictly positive points, got ({x:g}, {y:g})"
             )
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residuals = ly - (slope * lx + intercept)
-    return ExponentEstimate(
-        float(slope), float(intercept), float(np.max(np.abs(residuals)))
-    )
+    lx = list(map(math.log, xs))
+    ly = list(map(math.log, ys))
+    if len(set(lx)) < 2:
+        raise DegenerateSeriesError("log-log fit needs at least 2 distinct x values")
+    slope, intercept = linear_regression(lx, ly)
+    residual = max(abs(y - (slope * x + intercept)) for x, y in zip(lx, ly))
+    return ExponentEstimate(slope, intercept, residual)
 
 
 def verify_dimension(

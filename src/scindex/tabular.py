@@ -15,6 +15,9 @@ with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
 matching the usual published presentation); integral values print bare;
 ``precision=None`` prints shortest round-trip representations.  JSON
 cells always carry exact float values plus the rendered dimension.
+TSV fields escape backslash, tab, line feed and carriage return as
+``\\\\``, ``\\t``, ``\\n`` and ``\\r`` (the Linear TSV convention); CSV
+quotes them instead.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import io
 import json
 from itertools import repeat
 from typing import Any, Iterator, Sequence
-
-import numpy as np
 
 from .analytics import AnalyticsTable, PortfolioSummary
 from .errors import DomainError, FormatError, NegativeCountError
@@ -307,6 +308,32 @@ def _csv_text(lines: Sequence[Sequence[str]]) -> str:
     return out.getvalue()
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def _tsv_text(lines: Sequence[Sequence[str]]) -> str:
+    """TSV with "\\n" line ends and escaped fields (the Linear TSV convention).
+
+    A backslash, tab, line feed or carriage return in a field is written
+    as ``\\\\``, ``\\t``, ``\\n`` or ``\\r``, so each line is one row and
+    each tab ends a field.  Most tables hold none of them: the plain
+    text is escaped only when it has a backslash, a carriage return, or
+    more tabs and line ends than its fields need.
+    """
+    text = "".join("\t".join(line) + "\n" for line in lines)
+    separators = sum(map(len, lines))
+    if (
+        text.count("\t") + text.count("\n") == separators
+        and "\\" not in text
+        and "\r" not in text
+    ):
+        return text
+    return "".join(
+        "\t".join(field.translate(_TSV_ESCAPES) for field in line) + "\n"
+        for line in lines
+    )
+
+
 def format_magnitude(value: float, precision: int | None) -> str:
     """Render one magnitude: bare integers, fixed decimals, or shortest repr."""
     if precision is not None and float(value).is_integer():
@@ -391,28 +418,25 @@ def emit_table(
     for label, values in zip(table.labels, table.rows):
         lines.append([label, *map(format_magnitude, values, repeat(precision))])
     if format == "tsv":
-        return "".join("\t".join(line) + "\n" for line in lines)
+        return _tsv_text(lines)
     return _csv_text(lines)
 
 
 def emit_matrix(
     names: Sequence[str],
-    matrix: np.ndarray,
+    matrix: Sequence[Sequence[float]],
     format: str = "tsv",
     precision: int | None = 2,
 ) -> str:
     """Render a correlation matrix with row and column headers."""
     if format == "json":
-        payload = {
-            "columns": list(names),
-            "matrix": [[float(x) for x in row] for row in np.asarray(matrix)],
-        }
+        payload = {"columns": list(names), "matrix": [list(row) for row in matrix]}
         return json.dumps(payload, indent=2) + "\n"
     if format not in ("tsv", "csv"):
         raise FormatError(f"unknown matrix format {format!r}")
     lines = [["correlation", *names]]
-    for name, row in zip(names, np.asarray(matrix)):
-        lines.append([name, *(_format_real(float(x), precision) for x in row)])
+    for name, row in zip(names, matrix):
+        lines.append([name, *map(_format_real, row, repeat(precision))])
     if format == "tsv":
-        return "".join("\t".join(line) + "\n" for line in lines)
+        return _tsv_text(lines)
     return _csv_text(lines)

@@ -102,7 +102,7 @@ def test_criterion_2_correlation_block():
             if deviations[a, b] > CORR_ABS_TOL:
                 failures.append(
                     f"corr({AUTHOR_COLUMNS[a]},{AUTHOR_COLUMNS[b]}) "
-                    f"{matrix[a, b]:.3f} vs {PUBLISHED_CORRELATION[a, b]:.2f}"
+                    f"{matrix[a][b]:.3f} vs {PUBLISHED_CORRELATION[a, b]:.2f}"
                 )
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s >= 1s")
@@ -112,9 +112,9 @@ def test_criterion_2_correlation_block():
 
     # Spot checks called out explicitly.
     cols = list(AUTHOR_COLUMNS)
-    assert matrix[cols.index("P"), cols.index("h")] == pytest.approx(0.74, abs=CORR_ABS_TOL)
-    assert matrix[cols.index("i"), cols.index("i_E")] == pytest.approx(0.92, abs=CORR_ABS_TOL)
-    assert matrix[cols.index("eta"), cols.index("i_E")] == pytest.approx(-0.60, abs=CORR_ABS_TOL)
+    assert matrix[cols.index("P")][cols.index("h")] == pytest.approx(0.74, abs=CORR_ABS_TOL)
+    assert matrix[cols.index("i")][cols.index("i_E")] == pytest.approx(0.92, abs=CORR_ABS_TOL)
+    assert matrix[cols.index("eta")][cols.index("i_E")] == pytest.approx(-0.60, abs=CORR_ABS_TOL)
 
 
 def test_criterion_3_dimension_row():

@@ -243,9 +243,25 @@ class TestCompute:
     def test_stdin(self, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(WIDE_CSV))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(WIDE_CSV.encode())))
         assert main(["compute", "-"]) == 0
         assert "A\t3" in capsys.readouterr().out
+
+    def test_stdin_is_decoded_as_utf8(self, capsys, monkeypatch):
+        import io
+
+        data = b"author,citations\nA,\xff\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["compute", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: input is not UTF-8")
+
+    def test_tsv_escapes_tab_and_newline_in_labels(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text('author,citations\n"A\tB","4;2"\n"C\nD","1"\n')
+        assert main(["compute", str(path), "--columns", "P,C"]) == 0
+        assert capsys.readouterr().out == (
+            "author\tP\tC\ndimensions\t[P]\t[P^2]\nA\\tB\t2\t6\nC\\nD\t1\t1\n"
+        )
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["compute"]) == 1
@@ -304,6 +320,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "[P]\n"
+
+    def test_runtime_does_not_import_numpy(self):
+        code = (
+            "import sys, scindex.cli\n"
+            "scindex.cli.main(['dims', 'C/P'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[P]\nFalse\n"
 
     def test_module_invocation_failure(self):
         proc = subprocess.run(

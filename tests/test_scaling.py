@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,35 @@ class TestLogLogFit:
     def test_non_positive_value(self):
         with pytest.raises(DegenerateSeriesError):
             fit_loglog([1, 2, 3], [1.0, 0.0, 3.0])
+
+    def test_single_distinct_x(self):
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            fit_loglog([2, 2, 2], [1.0, 2.0, 3.0])
+        assert str(excinfo.value) == "log-log fit needs at least 2 distinct x values"
+
+    def test_unequal_lengths(self):
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            fit_loglog([1, 2, 3, 4], [1.0, 2.0, 3.0])
+        assert str(excinfo.value) == (
+            "log-log fit needs as many x as y values, got 4 and 3"
+        )
+
+    @given(
+        xs=st.lists(st.integers(1, 50), min_size=3, max_size=12, unique=True).filter(
+            lambda xs: max(xs) >= 2 * min(xs)
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_matches_numpy_polyfit(self, xs, data):
+        ys = data.draw(st.lists(st.floats(0.01, 1e4), min_size=len(xs), max_size=len(xs)))
+        est = fit_loglog(xs, ys)
+        lx, ly = np.log(xs), np.log(ys)
+        slope, intercept = np.polyfit(lx, ly, 1)
+        residual = np.max(np.abs(ly - (slope * lx + intercept)))
+        assert abs(est.slope - slope) <= 1e-12
+        assert abs(est.intercept - intercept) <= 1e-12
+        assert abs(est.max_residual - residual) <= 1e-12
 
     @given(
         amplitude=st.floats(0.1, 1e6),

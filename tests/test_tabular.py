@@ -452,6 +452,15 @@ def _reference_lines(table, labeled, precision):
     return lines
 
 
+def _tsv_escaped(field):
+    return (
+        field.replace("\\", "\\\\")
+        .replace("\t", "\\t")
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
+
+
 class TestEmitTableDifferential:
     @settings(max_examples=200, deadline=None)
     @given(drawn=_tables())
@@ -469,7 +478,7 @@ class TestEmitTableDifferential:
     def test_delimited_matches_per_cell_formatting(self, drawn, precision):
         table, labeled = drawn
         lines = _reference_lines(table, labeled, precision)
-        tsv = "".join("\t".join(line) + "\n" for line in lines)
+        tsv = "".join("\t".join(map(_tsv_escaped, line)) + "\n" for line in lines)
         assert emit_table(table, "tsv", precision) == tsv
         text = emit_table(table, "csv", precision)
         assert list(csv.reader(io.StringIO(text))) == lines
@@ -493,6 +502,14 @@ class TestEmitMatrix:
         payload = json.loads(emit_matrix(("P", "h"), matrix, "json"))
         assert payload["columns"] == ["P", "h"]
         assert payload["matrix"][0][0] == 1.0
+
+    def test_tsv_escapes_names(self):
+        text = emit_matrix(("a\tb", "c\\d"), ((1.0, 0.5), (0.5, 1.0)), "tsv")
+        assert text == (
+            "correlation\ta\\tb\tc\\\\d\n"
+            "a\\tb\t1.00\t0.50\n"
+            "c\\\\d\t0.50\t1.00\n"
+        )
 
 
 class TestFormatting:
