@@ -106,7 +106,7 @@ class PortfolioSummary:
         except DomainError as exc:
             raise DomainError(f"portfolio {self.label!r}: {exc}") from None
         if self.h is not None:
-            report = IndicatorReport({**report.magnitudes, "h": float(self.h)})
+            report.magnitudes["h"] = float(self.h)
         return report, RECONSTRUCTED_COLUMNS
 
 
@@ -155,18 +155,19 @@ def _registry_ordered(names: set[str]) -> tuple[str, ...]:
 def _table_columns(
     reports: Sequence[Mapping[str, object]], columns: Sequence[str] | None
 ) -> tuple[str, ...]:
-    """The requested columns, or those all reports share in registry order."""
+    """The requested columns, or those all reports share in registry order.
+
+    Each distinct key set is checked once, in order of first appearance.
+    """
+    keysets = list(map(set, dict.fromkeys(map(tuple, reports))))
     if columns is None:
         if not reports:
             raise DomainError("cannot infer columns for an empty table")
-        shared = set(reports[0])
-        for report in reports[1:]:
-            shared &= set(report)
-        return _registry_ordered(shared)
+        return _registry_ordered(set.intersection(*keysets))
     columns = tuple(columns)
-    for report in reports:
+    for keys in keysets:
         for name in columns:
-            if name not in report:
+            if name not in keys:
                 raise UnknownIndicatorError(name)
     return columns
 
@@ -233,29 +234,26 @@ class AnalyticsTable:
         flags = []
         for portfolio in portfolios:
             report, recon = portfolio.report()
-            reports.append(report)
+            reports.append(report.magnitudes)
             flags.append(recon)
         columns = _table_columns(reports, columns)
-        rows = [
-            tuple(map(report.magnitudes.__getitem__, columns)) for report in reports
-        ]
-        return cls._assemble(
-            columns,
-            _registry_dims(columns),
-            [portfolio.label for portfolio in portfolios],
-            rows,
-            flags,
-        )
+        if len(columns) > 1:
+            rows = list(map(operator.itemgetter(*columns), reports))
+        else:  # itemgetter returns a bare value for one name
+            rows = [tuple(map(report.__getitem__, columns)) for report in reports]
+        labels = [portfolio.label for portfolio in portfolios]
+        return cls._assemble(columns, _registry_dims(columns), labels, rows, flags)
 
     @classmethod
     def _assemble(cls, columns, dims, labels, rows, reconstructed) -> "AnalyticsTable":
         shown = frozenset(columns)
+        visible = {flags: flags & shown for flags in set(reconstructed)}
         return cls(
             columns=columns,
             dims=dims,
             labels=tuple(labels),
             rows=tuple(rows),
-            reconstructed=tuple(fs & shown for fs in reconstructed),
+            reconstructed=tuple(map(visible.__getitem__, reconstructed)),
         )
 
     def __len__(self) -> int:

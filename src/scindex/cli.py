@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed input or expression, 2 scaling
 verification failure.  ``--precision`` (or the ``SCINDEX_PRECISION``
-environment variable) controls rendered decimals; ``full`` emits
-shortest round-trip values.
+environment variable) controls rendered decimals, at most 17; ``full``
+emits shortest round-trip values.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def _parse_precision(text: str) -> int | None:
         raise FormatError(f"invalid precision {text!r} (expected an integer or 'full')")
     if value < 0:
         raise FormatError(f"precision must be >= 0, got {value}")
+    if value > 17:  # a double has at most 17 significant digits; 'full' is exact
+        raise FormatError(f"precision must be <= 17, got {value}")
     return value
 
 
@@ -145,6 +147,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
     names = None if args.index == "all" else _split_csv_list(args.index)
+    if args.tolerance is not None and not 0 <= args.tolerance < float("inf"):
+        raise FormatError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     results = probe_registry(base, lambdas, names=names, tolerance=args.tolerance)
     _write_output(_format_probe_lines(results), args.output)
     if args.svg:

@@ -13,8 +13,12 @@ Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
 ``[P^2]``).  Reals print with ``precision`` decimals (default 2,
 matching the usual published presentation); integral values print bare;
-``precision=None`` prints shortest round-trip representations.  JSON
-cells always carry exact float values plus the rendered dimension.
+``precision=None`` prints shortest round-trip representations.  That
+rule is :func:`format_magnitude`'s, per cell, but a table is formatted a
+column at a time: a column of integral values prints as integers, a
+column with none as fixed decimals, and only a mixed column goes cell by
+cell.  JSON cells always carry exact float values plus the rendered
+dimension.
 TSV fields escape backslash, tab, line feed and carriage return as
 ``\\\\``, ``\\t``, ``\\n`` and ``\\r`` (the Linear TSV convention); CSV
 quotes them instead.
@@ -95,35 +99,48 @@ def _is_int_literal(text: str) -> bool:
     return True
 
 
-def _parse_real(cell: str, name: str, line: int) -> float:
+def _parse_number(kind: type, cell: str, name: str, line: int) -> float | int:
     try:
-        return float(cell)
+        return kind(cell)
     except ValueError:
         raise FormatError(f"invalid {name} value {cell!r}", line) from None
-
-
-def _parse_int(cell: str, name: str, line: int) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise FormatError(f"invalid {name} value {cell!r}", line) from None
-
-
-def _summary_record(
-    label: str, p: int, i: float, eta: float, h: float | None, line: int
-) -> PortfolioSummary:
-    try:
-        return PortfolioSummary.from_summary(label, p, i, eta, h=h)
-    except DomainError as exc:
-        raise FormatError(str(exc), line) from None
 
 
 def _parse_csv(text: str) -> list[PortfolioSummary]:
+    records = _summary_columns(text)
+    if records is not None:
+        return records
     reader = csv.reader(io.StringIO(text))
     try:
         return _csv_records(reader)
     except csv.Error as exc:
         raise FormatError(str(exc), reader.line_num) from None
+
+
+def _summary_columns(text: str) -> list[PortfolioSummary] | None:
+    """The records of a well-formed summary CSV, converted column by column.
+
+    Any other input gives None and is read again row by row by
+    :func:`_csv_records`, the one place that raises located errors.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = tuple(map(str.strip, next(reader)))
+        if header not in (SUMMARY_HEADER, SUMMARY_HEADER_H):
+            return None
+        rows = list(filter(None, reader))
+        if set(map(len, rows)) != {len(header)}:
+            return None
+        labels, papers, impacts, etas, *published = zip(*rows)
+        if len(set(labels)) != len(labels):
+            return None
+        h = repeat(None)
+        if published:
+            h = [float(c) if c.strip() else None for c in published[0]]
+        papers, impacts, etas = map(int, papers), map(float, impacts), map(float, etas)
+        return list(map(PortfolioSummary, labels, repeat(None), papers, impacts, etas, h))
+    except (StopIteration, csv.Error, ValueError, DomainError):
+        return None
 
 
 def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
@@ -153,15 +170,17 @@ def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
                 continue
             if len(row) != expected:
                 raise FormatError(f"expected {expected} fields, got {len(row)}", line)
-            p = _parse_int(row[1], "P", line)
-            i = _parse_real(row[2], "i", line)
-            eta = _parse_real(row[3], "eta", line)
+            p = _parse_number(int, row[1], "P", line)
+            i = _parse_number(float, row[2], "i", line)
+            eta = _parse_number(float, row[3], "eta", line)
             h: float | None = None
             if expected == 5 and row[4].strip() != "":
-                h = _parse_real(row[4], "h", line)
-            _add_record(
-                records, first_lines, _summary_record(row[0], p, i, eta, h, line), line
-            )
+                h = _parse_number(float, row[4], "h", line)
+            try:
+                record = PortfolioSummary.from_summary(row[0], p, i, eta, h=h)
+            except DomainError as exc:
+                raise FormatError(str(exc), line) from None
+            _add_record(records, first_lines, record, line)
         return records
     raise FormatError(
         "header must be 'author,citations' or 'author,P,i,eta[,h]', "
@@ -309,6 +328,7 @@ def _csv_text(lines: Sequence[Sequence[str]]) -> str:
 
 
 _TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_TSV_SPECIALS = tuple(map(chr, _TSV_ESCAPES))
 
 
 def _tsv_text(lines: Sequence[Sequence[str]]) -> str:
@@ -411,15 +431,34 @@ def emit_table(
         return _json_table(table)
     if format not in ("tsv", "csv"):
         raise FormatError(f"unknown table format {format!r}")
-    lines = [
+    head = [
         ["author", *table.columns],
         ["dimensions", *("" if dim is None else str(dim) for dim in table.dims)],
     ]
-    for label, values in zip(table.labels, table.rows):
-        lines.append([label, *map(format_magnitude, values, repeat(precision))])
-    if format == "tsv":
-        return _tsv_text(lines)
-    return _csv_text(lines)
+    cells = [_format_column(column, precision) for column in zip(*table.rows)]
+    if format == "csv":
+        return _csv_text(head + list(zip(table.labels, *cells)))
+    labels = table.labels
+    if any(map("".join(labels).__contains__, _TSV_SPECIALS)):
+        labels = [label.translate(_TSV_ESCAPES) for label in labels]
+    body = "\n".join(map("\t".join, zip(labels, *cells)))
+    return _tsv_text(head) + (body + "\n" if labels else "")
+
+
+def _format_column(values: Sequence[float], precision: int | None) -> Sequence[str]:
+    """One column's floats as text, by the rule of :func:`format_magnitude`.
+
+    A column whose values are all integral, or all not, is formatted in
+    one pass; only a mixed column is formatted cell by cell.
+    """
+    if precision is None:
+        return list(map(repr, values))
+    integral = list(map(float.is_integer, values))
+    if all(integral):
+        return list(map(str, map(int, values)))
+    if not any(integral):
+        return list(map(format, values, repeat(f".{precision}f")))
+    return list(map(format_magnitude, values, repeat(precision)))
 
 
 def emit_matrix(

@@ -274,6 +274,33 @@ class TestAnalyticsTable:
                 columns=("P", "h"),
             )
 
+    @pytest.mark.parametrize(
+        "order, columns, missing",
+        [((0, 1, 2), ("h", "g"), "g"), ((0, 2, 1), ("h", "g"), "h"), ((1, 2), ("P", "g"), "g")],
+    )
+    def test_missing_column_named_by_first_report_lacking_it(self, order, columns, missing):
+        portfolios = [
+            PortfolioSummary.from_vector("raw", [4, 2, 1]),
+            PortfolioSummary.from_summary("with h", 10, 5.0, 0.5, h=4),
+            PortfolioSummary.from_summary("without h", 10, 5.0, 0.5),
+        ]
+        with pytest.raises(UnknownIndicatorError) as excinfo:
+            AnalyticsTable.from_portfolios([portfolios[k] for k in order], columns=columns)
+        assert excinfo.value.name == missing
+
+    @pytest.mark.parametrize("columns", [(), ("C",), ("C", "P"), ("P", "P", "h")])
+    def test_rows_and_flags_follow_the_columns(self, columns):
+        portfolios = [
+            PortfolioSummary.from_vector("raw", [4, 2, 1]),
+            PortfolioSummary.from_summary("with h", 10, 5.0, 0.5, h=4),
+        ]
+        table = AnalyticsTable.from_portfolios(portfolios, columns=columns)
+        reports = [dict(p.report()[0].magnitudes) for p in portfolios]
+        assert table.rows == tuple(tuple(r[n] for n in columns) for r in reports)
+        assert table.reconstructed == (
+            frozenset(), frozenset(columns) & {"C", "X", "E", "S", "z", "i_E"}
+        )
+
     def test_mixed_dimensions_in_a_column_rejected(self):
         labeled = [
             ("a", {"P": Quantity(3.0, PAPERS), "h": Quantity(2.0, PAPERS)}),

@@ -108,6 +108,21 @@ class TestProbe:
         assert "replication factor 1000000000" in err
         assert "limit of 1000000" in err
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+    def test_bad_tolerance_exits_one(self, capsys, value, shown):
+        code = main(["probe", "--base", "4;2;1", "--index", "C", "--tolerance", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --tolerance must be a finite number >= 0, got {shown}\n"
+        )
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code = main(["probe", "--base", "4;2;1", "--index", "C", "--tolerance", "0"])
+        assert code in (0, 2)
+        assert capsys.readouterr().out.startswith("index\t")
+
     def test_bad_base_exit_one(self, capsys):
         assert main(["probe", "--base", "4;x;1"]) == 1
         assert "'x'" in capsys.readouterr().err
@@ -157,6 +172,24 @@ class TestCompute:
         monkeypatch.setenv("SCINDEX_PRECISION", "5")
         assert main(["compute", wide_file, "--columns", "i"]) == 0
         assert "2.33333" in capsys.readouterr().out
+
+    def test_precision_bound_flag(self, wide_file, capsys):
+        assert main(["compute", wide_file, "--precision", "17"]) == 0
+        assert "\t2.33333333333333348\t" in capsys.readouterr().out
+        assert main(["compute", wide_file, "--precision", "18"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be <= 17, got 18\n"
+
+    def test_precision_bound_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCINDEX_PRECISION", "400")
+        assert main(["table1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be <= 17, got 400\n"
+        monkeypatch.setenv("SCINDEX_PRECISION", "full")
+        assert main(["table1"]) == 0
+        assert "\t885.9736875325361\t" in capsys.readouterr().out
 
     def test_flag_overrides_env(self, wide_file, capsys, monkeypatch):
         monkeypatch.setenv("SCINDEX_PRECISION", "5")

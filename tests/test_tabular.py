@@ -25,7 +25,13 @@ from scindex import (
 from scindex.analytics import pearson_matrix
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
 from scindex.dimension import Dimension
-from scindex.tabular import emit_matrix, format_magnitude, table_rows
+from scindex.tabular import (
+    SUMMARY_HEADER,
+    SUMMARY_HEADER_H,
+    emit_matrix,
+    format_magnitude,
+    table_rows,
+)
 
 WIDE_SAMPLE = 'author,citations\nA,"4;2;1"\n'
 SUMMARY_SAMPLE = "author,P,i,eta,h\nLI YF,142,33.25,0.20,34\n"
@@ -279,7 +285,89 @@ _json_values = st.recursive(
 )
 
 
+# Summary CSV rows with at most one defect, each defect paired with the
+# message the row-by-row reader gives for it.
+_SUMMARY_DEFECTS = [
+    None, "bad int", "bad float", "nan i", "eta range", "P below 1", "field count",
+    "duplicate",
+]
+_label_text = st.text(
+    alphabet=st.characters(
+        blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def _summary_csvs(draw):
+    """(text, reference records, None) or (text, None, (line, message))."""
+    with_h = draw(st.booleans())
+    names = SUMMARY_HEADER_H if with_h else SUMMARY_HEADER
+    padded = [f" {n} " if draw(st.booleans()) else n for n in names]
+    lines = [",".join(padded)]
+    labels = draw(st.lists(_label_text, unique=True, max_size=12))
+    defect = draw(st.sampled_from(_SUMMARY_DEFECTS)) if labels else None
+    if defect == "duplicate" and len(labels) < 2:
+        defect = None
+    at = draw(st.integers(1 if defect == "duplicate" else 0, len(labels) - 1)) if defect else -1
+    records, line_of, failure = [], [], None
+    for r, label in enumerate(labels):
+        while draw(st.integers(0, 3)) == 0:
+            lines.append("")
+        line_of.append(len(lines) + 1)
+        p = draw(st.integers(1, 10**6))
+        i = draw(st.floats(0, 1e6))
+        eta = draw(st.floats(0, 1, exclude_min=True))
+        h = draw(st.none() | st.floats(0, 1e3)) if with_h else None
+        records.append(PortfolioSummary.from_summary(label, p, i, eta, h=h))
+        cells = [label, str(p), repr(i), repr(eta)] + (["" if h is None else repr(h)] if with_h else [])
+        if r == at:
+            message = None
+            if defect == "bad int":
+                cells[1] = draw(st.sampled_from(["1.5", "x", "", "1e3", "--1"]))
+                message = f"invalid P value {cells[1]!r}"
+            elif defect == "bad float":
+                field = draw(st.sampled_from(names[2:]))
+                cells[names.index(field)] = draw(st.sampled_from(["x", "1.2.3", "--1", "0x1"]))
+                message = f"invalid {field} value {cells[names.index(field)]!r}"
+            elif defect == "nan i":
+                cells[2] = "nan"
+                message = "mean impact must be finite, got nan"
+            elif defect == "eta range":
+                bad = draw(st.sampled_from([0.0, -0.25, 1.5, 1.0000000000000002]))
+                cells[3] = repr(bad)
+                message = f"evenness must lie in (0, 1], got {bad}"
+            elif defect == "P below 1":
+                cells[1] = draw(st.sampled_from(["0", "-3"]))
+                message = f"paper count must be >= 1, got {int(cells[1])}"
+            elif defect == "field count":
+                cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+                message = f"expected {len(names)} fields, got {len(cells)}"
+            else:
+                first = draw(st.integers(0, r - 1))
+                cells[0] = labels[first]
+                message = f"duplicate author {labels[first]!r}, first given at line {line_of[first]}"
+            failure = (line_of[r], message)
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    return text, None if failure else records, failure
+
+
 class TestParseProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_summary_csvs())
+    def test_summary_rows_match_the_row_reference(self, drawn):
+        text, records, failure = drawn
+        if failure is None:
+            assert parse_input(text, "csv") == records
+            return
+        line, message = failure
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"
+
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.one_of(
@@ -461,6 +549,47 @@ def _tsv_escaped(field):
     )
 
 
+_INTEGRAL = st.integers(-(10**6), 10**6).map(float) | st.sampled_from(
+    [1e300, -1e300, 2.0**53, 1e16, -0.0]
+)
+_FRACTIONAL = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()) | st.sampled_from(
+    [5e-324, 1e-300, 0.5, -2.5, 0.125]
+)
+
+
+@st.composite
+def _column_kind_tables(draw):
+    """A table of up to 20 rows whose columns are each all integral, all not, or mixed."""
+    columns = tuple(draw(st.lists(st.sampled_from(registry_names()), max_size=6)))
+    count = draw(st.integers(0, 20))
+    special = draw(st.sampled_from(["", "\\", "\t", "\n", "\r", "\\\t\n\r"]))
+    alphabet = "ab\u00e9,\"" + special
+    labels = draw(st.lists(st.text(alphabet, max_size=6), min_size=count, max_size=count))
+    values = {}
+    for name in columns:
+        kind = draw(st.sampled_from([_INTEGRAL, _FRACTIONAL, _INTEGRAL | _FRACTIONAL]))
+        values[name] = draw(st.lists(kind, min_size=count, max_size=count))
+    dims = registry_symbols()
+    labeled = [
+        (label, {name: Quantity(column[k], dims[name]) for name, column in values.items()})
+        for k, label in enumerate(labels)
+    ]
+    return AnalyticsTable.from_reports(labeled, columns=columns), labeled
+
+
+def _assert_delimited_matches(table, labeled, precision):
+    """TSV and CSV against the per-cell ``format_magnitude`` reference."""
+    lines = _reference_lines(table, labeled, precision)
+    tsv = "".join("\t".join(map(_tsv_escaped, line)) + "\n" for line in lines)
+    assert emit_table(table, "tsv", precision) == tsv
+    text = emit_table(table, "csv", precision)
+    assert list(csv.reader(io.StringIO(text))) == lines
+    if not any("\r" in field for line in lines for field in line):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(lines)
+        assert text == out.getvalue()
+
+
 class TestEmitTableDifferential:
     @settings(max_examples=200, deadline=None)
     @given(drawn=_tables())
@@ -476,16 +605,12 @@ class TestEmitTableDifferential:
     @settings(max_examples=200, deadline=None)
     @given(drawn=_tables(), precision=st.sampled_from([None, 0, 2, 5]))
     def test_delimited_matches_per_cell_formatting(self, drawn, precision):
-        table, labeled = drawn
-        lines = _reference_lines(table, labeled, precision)
-        tsv = "".join("\t".join(map(_tsv_escaped, line)) + "\n" for line in lines)
-        assert emit_table(table, "tsv", precision) == tsv
-        text = emit_table(table, "csv", precision)
-        assert list(csv.reader(io.StringIO(text))) == lines
-        if not any("\r" in field for line in lines for field in line):
-            out = io.StringIO()
-            csv.writer(out, lineterminator="\n").writerows(lines)
-            assert text == out.getvalue()
+        _assert_delimited_matches(*drawn, precision)
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_column_kind_tables(), precision=st.sampled_from([None, 0, 2, 5]))
+    def test_column_kinds_match_per_cell_formatting(self, drawn, precision):
+        _assert_delimited_matches(*drawn, precision)
 
 
 class TestEmitMatrix:
