@@ -239,7 +239,7 @@ class AnalyticsTable:
         columns = _table_columns(reports, columns)
         if len(columns) > 1:
             rows = list(map(operator.itemgetter(*columns), reports))
-        else:  # itemgetter returns a bare value for one name
+        else:  # itemgetter needs a name, and gives a bare value for one
             rows = [tuple(map(report.__getitem__, columns)) for report in reports]
         labels = [portfolio.label for portfolio in portfolios]
         return cls._assemble(columns, _registry_dims(columns), labels, rows, flags)
