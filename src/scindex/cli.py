@@ -29,9 +29,9 @@ from .analytics import AnalyticsTable, pearson_matrix
 from .errors import FormatError, ScindexError
 from .expressions import dimension_of
 from .indicators import registry_names, registry_symbols
-from .scaling import DEFAULT_LAMBDAS, ProbeResult, probe_registry
+from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
-from .tabular import emit_matrix, emit_table, parse_input, table_rows
+from .tabular import emit_matrix, emit_table, number, parse_input, table_rows
 
 __all__ = ["main", "run"]
 
@@ -40,7 +40,7 @@ def _parse_precision(text: str) -> int | None:
     if text == "full":
         return None
     try:
-        value = int(text)
+        value = number(int, text)
     except ValueError:
         raise FormatError(f"invalid precision {text!r} (expected an integer or 'full')")
     if value < 0:
@@ -90,7 +90,7 @@ def _parse_counts_arg(text: str) -> list[int]:
         if item == "":
             continue
         try:
-            counts.append(int(item))
+            counts.append(number(int, item))
         except ValueError:
             raise FormatError(f"invalid citation count {item!r} in --base") from None
     if not counts:
@@ -100,7 +100,7 @@ def _parse_counts_arg(text: str) -> list[int]:
 
 def _parse_lambdas_arg(text: str) -> list[int]:
     try:
-        lams = [int(item) for item in _split_csv_list(text)]
+        lams = [number(int, item) for item in _split_csv_list(text)]
     except ValueError:
         raise FormatError(f"invalid --lambdas value {text!r}") from None
     if not lams:
@@ -147,8 +147,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
     names = None if args.index == "all" else _split_csv_list(args.index)
-    if args.tolerance is not None and not 0 <= args.tolerance < float("inf"):
-        raise FormatError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    if args.tolerance is not None:
+        check_tolerance(args.tolerance, "--tolerance")
     results = probe_registry(base, lambdas, names=names, tolerance=args.tolerance)
     _write_output(_format_probe_lines(results), args.output)
     if args.svg:

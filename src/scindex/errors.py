@@ -91,7 +91,9 @@ class FormatError(ScindexError):
     """Malformed tabular input.
 
     ``line`` is the 1-based line number for CSV input, or the 1-based
-    record number for JSON input.
+    record number for JSON input; a JSON document that does not decode
+    to an array gives its text line (1 when it decodes to something
+    else).
     """
 
     def __init__(self, message: str, line: int | None = None) -> None:

@@ -11,7 +11,9 @@ and the second-order family X, E, S ([P^3]); the evenness ratio eta is
 dimensionless, the h-type indices h, g, z carry [P], and the Euclidean
 length of the citation list carries [P^3/2].  Every rung except the
 rank indices h and g is a closed form of P, C = sum(c) and E = sum(c^2),
-so one builder derives and dimensions all of them.
+so one builder derives and dimensions all of them.  The sums and the
+rank indices have a second implementation on the (value, multiplicity)
+runs of a vector, which replicas (see :mod:`scindex.scaling`) are held as.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby, repeat, starmap
 from typing import Callable, Iterable, Iterator, Union
 
 from .dimension import (
@@ -55,6 +58,11 @@ __all__ = [
 
 EUCLIDEAN_DIM = Dimension(Fraction(3, 2))
 
+# Most counts a run-form vector builds when its counts are asked for.  The
+# counts are a tuple of that many slots, about 8 MB at this limit, so an
+# oversized replica fails at once instead of exhausting memory.
+MAX_REPLICA_COUNTS = 10**6
+
 
 class CitationVector:
     """Non-negative per-paper citation counts, held sorted non-increasing.
@@ -62,9 +70,19 @@ class CitationVector:
     Two vectors that are permutations of each other compare equal.  An
     empty vector may be constructed (it represents an empty portfolio)
     but every indicator rejects it.
+
+    A vector holds one of two forms.  The count form is the sorted
+    tuple of counts.  The run form, made by :meth:`from_runs`, is the
+    pairs (value v, multiplicity m) of that tuple, in strictly
+    decreasing v; it takes O(distinct values) however many papers it
+    stands for.  The indicators read whichever form the vector holds,
+    and equality and hashing compare runs.  A run-form vector builds its
+    counts only when they are asked for (``counts``, iteration,
+    ``repr``), and refuses to build more than ``MAX_REPLICA_COUNTS`` of
+    them.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_counts", "_runs")
 
     def __init__(self, counts: Iterable[int]) -> None:
         values = list(counts)
@@ -74,27 +92,75 @@ class CitationVector:
             values = _checked_counts(values)
         values.sort(reverse=True)
         self._counts = tuple(values)
+        self._runs = None
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
+        """The vector of ``m`` papers with ``v`` citations for each ``(v, m)``.
+
+        Values must be non-negative ints in strictly decreasing order and
+        multiplicities positive ints.
+        """
+        runs = tuple(runs)
+        previous = None
+        for v, m in runs:
+            if type(v) is not int or type(m) is not int:
+                raise TypeError(f"runs must hold int pairs, got {(v, m)!r}")
+            if v < 0:
+                raise NegativeCountError(f"negative citation count {v}")
+            if m < 1 or (previous is not None and v >= previous):
+                raise DomainError(
+                    f"runs need strictly decreasing values and multiplicities >= 1, "
+                    f"got {(v, m)!r}"
+                )
+            previous = v
+        vec = object.__new__(cls)
+        vec._counts = None
+        vec._runs = runs
+        return vec
 
     @property
     def counts(self) -> tuple[int, ...]:
+        if self._counts is None:
+            size = sum(m for _, m in self._runs)
+            if size > MAX_REPLICA_COUNTS:
+                raise DomainError(
+                    f"a vector of {size} counts is over the limit of "
+                    f"{MAX_REPLICA_COUNTS} that may be built"
+                )
+            self._counts = tuple(chain.from_iterable(starmap(repeat, self._runs)))
         return self._counts
 
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The (value, multiplicity) pairs of the counts, largest value first."""
+        if self._runs is not None:
+            return self._runs
+        return tuple((v, len(list(group))) for v, group in groupby(self._counts))
+
     def __len__(self) -> int:
+        if self._runs is not None:
+            return sum(m for _, m in self._runs)
         return len(self._counts)
 
+    def __bool__(self) -> bool:
+        return bool(self._counts if self._runs is None else self._runs)
+
     def __iter__(self):
-        return iter(self._counts)
+        return iter(self.counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationVector):
             return NotImplemented
-        return self._counts == other._counts
+        if self._runs is None and other._runs is None:
+            return self._counts == other._counts
+        return self.runs == other.runs
 
     def __hash__(self) -> int:
-        return hash(self._counts)
+        return hash(self.runs)
 
     def __repr__(self) -> str:
-        return f"CitationVector({list(self._counts)!r})"
+        return f"CitationVector({list(self.counts)!r})"
 
 
 def _checked_counts(values: list) -> list[int]:
@@ -122,19 +188,36 @@ def as_citation_vector(v: Counts) -> CitationVector:
 
 def _nonempty(v: Counts) -> CitationVector:
     vec = as_citation_vector(v)
-    if len(vec) == 0:
+    if not vec:
         raise EmptyPortfolioError("portfolio has no papers")
     return vec
 
 
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
-    return Quantity(float(_h_rank(_nonempty(v).counts)), PAPERS)
+    return Quantity(_rank_magnitude(_h(_nonempty(v))), PAPERS)
 
 
 def g_index(v: Counts) -> Quantity:
     """g: largest rank whose top papers jointly have >= rank^2 citations."""
-    return Quantity(float(_g_rank(_nonempty(v).counts)), PAPERS)
+    return Quantity(_rank_magnitude(_g(_nonempty(v))), PAPERS)
+
+
+def _rank_magnitude(rank: int) -> float:
+    try:
+        return float(rank)
+    except OverflowError:
+        raise DomainError("rank index exceeds the floating-point range") from None
+
+
+def _h(vec: CitationVector) -> int:
+    runs = vec._runs
+    return _h_rank(vec._counts) if runs is None else _h_runs(runs)
+
+
+def _g(vec: CitationVector) -> int:
+    runs = vec._runs
+    return _g_rank(vec._counts) if runs is None else _g_runs(runs)
 
 
 def _h_rank(counts: tuple[int, ...]) -> int:
@@ -163,6 +246,56 @@ def _g_rank(counts: tuple[int, ...]) -> int:
             break
         g = rank
     return g
+
+
+def _h_runs(runs: tuple[tuple[int, int], ...]) -> int:
+    """h from (value, multiplicity) runs: ``_h_rank`` on the counts they stand for.
+
+    With R papers in earlier runs, a run of m papers at v citations
+    holds ranks R+1..R+m, of which those up to v pass.  A run with
+    v >= R + m passes whole; the first that does not ends the scan.
+    """
+    ranked = 0
+    for v, m in runs:
+        if v < ranked + m:
+            return max(ranked, min(v, ranked + m))
+        ranked += m
+    return ranked
+
+
+def _g_runs(runs: tuple[tuple[int, int], ...]) -> int:
+    """g from (value, multiplicity) runs: ``_g_rank`` on the counts they stand for.
+
+    With R papers and S citations in earlier runs, rank R+k of a run at
+    v citations passes when S + k*v >= (R+k)^2.  A run whose last rank
+    passes passes whole (the ranks meeting the threshold form a prefix,
+    see ``_g_rank``).  In the first run that fails, the passing k are
+    those up to the larger root of k^2 + (2R - v)k + R^2 - S, which is
+    (v - 2R + sqrt(D))/2 with D = v^2 - 4Rv + 4S; its floor is
+    (v - 2R + isqrt(D)) // 2 exactly.  D >= 0 because k = 0 passes.
+    """
+    ranked = cited = 0
+    for v, m in runs:
+        if cited + m * v < (ranked + m) ** 2:
+            root = math.isqrt(v * v - 4 * ranked * v + 4 * cited)
+            return ranked + (v - 2 * ranked + root) // 2
+        ranked += m
+        cited += m * v
+    return ranked
+
+
+def _sums(vec: CitationVector) -> tuple[int, int, int]:
+    """The exact sums P, C = sum(c) and E = sum(c^2) of either form."""
+    runs = vec._runs
+    if runs is None:
+        counts = vec._counts
+        return len(counts), sum(counts), sum(map(operator.mul, counts, counts))
+    p = c = e = 0
+    for v, m in runs:
+        p += m
+        c += v * m
+        e += v * v * m
+    return p, c, e
 
 
 def _ladder(
@@ -206,10 +339,7 @@ def _closed_forms(
     zero vector is perfectly even, and S = 0 agrees).  Sums beyond the
     float range raise :class:`DomainError`.
     """
-    counts = vec.counts
-    p = len(counts)
-    c = sum(counts)
-    e = sum(map(operator.mul, counts, counts))
+    p, c, e = _sums(vec)
     try:
         x = c * c / p
         return _ladder(
@@ -307,4 +437,4 @@ def descriptor(name: str) -> IndicatorDescriptor:
 def compute_all(v: Counts) -> IndicatorReport:
     """Every registered indicator for one portfolio, in registry order."""
     vec = _nonempty(v)
-    return _closed_forms(vec, _h_rank(vec.counts), _g_rank(vec.counts))
+    return _closed_forms(vec, _h(vec), _g(vec))

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from statistics import linear_regression
 from typing import Sequence
 
 from .errors import DegenerateSeriesError, DomainError
 from .indicators import (
+    MAX_REPLICA_COUNTS,
     REGISTRY,
     CitationVector,
     Counts,
@@ -34,16 +34,12 @@ __all__ = [
     "MAX_REPLICA_COUNTS",
     "replicate_scale",
     "fit_loglog",
+    "check_tolerance",
     "verify_dimension",
     "probe_registry",
 ]
 
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
-
-# Largest replica the probe builds, in counts (lambda * P).  A replica is a
-# list and a tuple of that many slots, about 16 MB at this limit, so an
-# oversized --lambdas fails at once instead of exhausting memory.
-MAX_REPLICA_COUNTS = 10**6
 
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
 
@@ -73,21 +69,16 @@ class ProbeResult:
 def replicate_scale(v: Counts, lam: int) -> CitationVector:
     """Scale a portfolio: each count appears ``lam`` times at ``lam`` times its value.
 
-    The replica holds ``lam * P`` counts; more than ``MAX_REPLICA_COUNTS``
-    raises :class:`DomainError` before anything is allocated.
+    The replica is returned in run form: each run (v, m) of the base
+    becomes (lam*v, lam*m), which takes O(distinct values) whatever
+    ``lam`` is.  Its ``lam * P`` counts are built only if asked for.
     """
     vec = as_citation_vector(v)
-    if len(vec) == 0:
+    if not vec:
         raise DomainError("cannot replicate an empty portfolio")
     if lam < 1:
         raise DomainError(f"replication factor must be >= 1, got {lam}")
-    size = lam * len(vec)
-    if size > MAX_REPLICA_COUNTS:
-        raise DomainError(
-            f"replication factor {lam} gives {size} counts, "
-            f"over the limit of {MAX_REPLICA_COUNTS}"
-        )
-    return CitationVector(chain.from_iterable(repeat(lam * c, lam) for c in vec.counts))
+    return CitationVector.from_runs((lam * c, lam * m) for c, m in vec.runs)
 
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
@@ -114,6 +105,12 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     return ExponentEstimate(slope, intercept, residual)
 
 
+def check_tolerance(tolerance: float, name: str = "tolerance") -> None:
+    """Raise :class:`DomainError` unless ``tolerance`` is a finite number >= 0."""
+    if not 0 <= tolerance < math.inf:
+        raise DomainError(f"{name} must be a finite number >= 0, got {tolerance}")
+
+
 def verify_dimension(
     desc: IndicatorDescriptor,
     base: Counts,
@@ -127,13 +124,22 @@ def verify_dimension(
     ``tolerance`` of the declared exponent (the descriptor's own gate
     when ``tolerance`` is None).  A series that is exactly zero at all
     scales (e.g. the dispersion term on a uniform portfolio) is
-    consistent with any power law and passes without a fit.
+    consistent with any power law and passes without a fit.  A scale
+    factor whose replica leaves the float range raises
+    :class:`DomainError` naming the indicator and the factor.
     """
-    vec = as_citation_vector(base)
+    vec = _run_form(base)
     lams = tuple(int(x) for x in lambdas)
     if tolerance is None:
         tolerance = desc.fit_tolerance
-    values = tuple(desc.compute(replicate_scale(vec, lam)).magnitude for lam in lams)
+    check_tolerance(tolerance)
+    values = []
+    for lam in lams:
+        try:
+            values.append(desc.compute(replicate_scale(vec, lam)).magnitude)
+        except DomainError as exc:
+            raise DomainError(f"indicator {desc.name} at lambda {lam}: {exc}") from None
+    values = tuple(values)
     declared = desc.declared_dim.exponent
     if all(value == 0.0 for value in values):
         return ProbeResult(desc.name, declared, lams, values, None, True, ZERO_SERIES_NOTE)
@@ -149,6 +155,10 @@ def verify_dimension(
     return ProbeResult(desc.name, declared, lams, values, estimate, passed)
 
 
+def _run_form(base: Counts) -> CitationVector:
+    return CitationVector.from_runs(as_citation_vector(base).runs)
+
+
 def probe_registry(
     base: Counts,
     lambdas: Sequence[int] = DEFAULT_LAMBDAS,
@@ -156,8 +166,11 @@ def probe_registry(
     tolerance: float | None = None,
 ) -> list[ProbeResult]:
     """Run the probe for several registered indicators, in registry order."""
+    if tolerance is not None:
+        check_tolerance(tolerance)
     if names is None:
         descriptors = list(REGISTRY)
     else:
         descriptors = [descriptor(name) for name in names]
-    return [verify_dimension(d, base, lambdas, tolerance) for d in descriptors]
+    vec = _run_form(base)
+    return [verify_dimension(d, vec, lambdas, tolerance) for d in descriptors]

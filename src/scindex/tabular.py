@@ -29,6 +29,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import sys
 from itertools import repeat
 from typing import Any, Iterator, Sequence
 
@@ -78,11 +80,23 @@ def _add_record(
     records.append(record)
 
 
+def number(kind: type, text: str) -> float | int:
+    """``kind(text)``, refusing the digit separators (``1_000``) of Python literals.
+
+    Raises ``ValueError`` as ``int`` and ``float`` do.
+    """
+    if "_" in text:
+        raise ValueError(f"invalid literal {text!r}")
+    return kind(text)
+
+
 def _parse_counts(label: str, cell: str, line: int) -> CitationVector:
     items = list(filter(None, map(str.strip, cell.split(";"))))
     if not items:
         raise FormatError(f"portfolio {label!r} has no papers", line)
     try:
+        if "_" in cell:
+            raise ValueError(cell)
         return CitationVector(map(int, items))
     except ValueError:
         bad = next(item for item in items if not _is_int_literal(item))
@@ -93,7 +107,7 @@ def _parse_counts(label: str, cell: str, line: int) -> CitationVector:
 
 def _is_int_literal(text: str) -> bool:
     try:
-        int(text)
+        number(int, text)
     except ValueError:
         return False
     return True
@@ -101,7 +115,7 @@ def _is_int_literal(text: str) -> bool:
 
 def _parse_number(kind: type, cell: str, name: str, line: int) -> float | int:
     try:
-        return kind(cell)
+        return number(kind, cell)
     except ValueError:
         raise FormatError(f"invalid {name} value {cell!r}", line) from None
 
@@ -131,9 +145,10 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
         rows = list(filter(None, reader))
         if set(map(len, rows)) != {len(header)}:
             return None
-        labels, papers, impacts, etas, *published = zip(*rows)
-        if len(set(labels)) != len(labels):
+        labels, *numbers = zip(*rows)
+        if len(set(labels)) != len(labels) or any("_" in "".join(c) for c in numbers):
             return None
+        papers, impacts, etas, *published = numbers
         h = repeat(None)
         if published:
             h = [float(c) if c.strip() else None for c in published[0]]
@@ -192,12 +207,18 @@ def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
 def _parse_json(text: str) -> list[PortfolioSummary]:
     try:
         payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError also covers integers past the digit limit, which the
-        # decoder does not report as JSONDecodeError.
-        raise FormatError(f"invalid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}", exc.lineno) from None
+    except RecursionError as exc:
+        raise FormatError(f"invalid JSON: {exc}", 1) from None  # nesting has no position
+    except ValueError as exc:
+        # An integer past the digit limit, which the decoder reports without
+        # a position: its line is that of the first over-long digit run.
+        run = re.search(r"\d{%d,}" % (sys.get_int_max_str_digits() + 1), text)
+        line = text.count("\n", 0, run.start()) + 1 if run else 1
+        raise FormatError(f"invalid JSON: {exc}", line) from None
     if not isinstance(payload, list):
-        raise FormatError("expected a JSON array of records")
+        raise FormatError("expected a JSON array of records", 1)
     records: list[PortfolioSummary] = []
     first_lines: dict[str, int] = {}
     form: str | None = None

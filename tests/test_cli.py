@@ -1,13 +1,12 @@
 """Command-line contract: subcommands, exit codes, error rendering."""
 
-import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from scindex import CitationVector, scaling
+from scindex import indicators
 from scindex.cli import main
 
 WIDE_CSV = 'author,citations\nA,"4;2;1"\nB,"10;5;3;2;1"\nC,"7;7;7"\n'
@@ -94,19 +93,20 @@ class TestProbe:
         assert main(["probe", "--base", "4;2;1", "--lambdas", "3,2,1"]) == 1
         assert "strictly increasing" in capsys.readouterr().err
 
-    def test_oversized_lambda_exits_one_without_building(self, capsys, monkeypatch):
-        # The refused replica would hold 3e9 counts; the guard reads at most
-        # 100 items of any replica handed to the constructor and fails there.
-        def guarded(counts):
-            head = list(itertools.islice(counts, 100))
-            assert len(head) < 100, "an over-limit replica was being built"
-            return CitationVector(head)
+    def test_huge_lambda_probes_without_building_the_replica(self, capsys, monkeypatch):
+        # The replica at lambda 1e9 stands for 3e9 papers.  With the build
+        # limit at zero, any replica whose counts were built would fail.
+        monkeypatch.setattr(indicators, "MAX_REPLICA_COUNTS", 0)
+        assert main(["probe", "--base", "4;2;1", "--lambdas", "1,2,1000000000"]) == 0
+        assert capsys.readouterr().out.count("\tpass\t") == 11
 
-        monkeypatch.setattr(scaling, "CitationVector", guarded)
-        assert main(["probe", "--base", "4;2;1", "--lambdas", "1,2,1000000000"]) == 1
-        err = capsys.readouterr().err
-        assert "replication factor 1000000000" in err
-        assert "limit of 1000000" in err
+    def test_lambda_beyond_the_float_range_exits_one(self, capsys):
+        lam = 10**110
+        assert main(["probe", "--base", "4;2;1", "--lambdas", f"1,2,{lam}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: indicator P at lambda {lam}: "
+            "citation sums exceed the floating-point range\n"
+        )
 
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
     def test_bad_tolerance_exits_one(self, capsys, value, shown):
@@ -126,6 +126,17 @@ class TestProbe:
     def test_bad_base_exit_one(self, capsys):
         assert main(["probe", "--base", "4;x;1"]) == 1
         assert "'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--base", "4;1_0;1"], "invalid citation count '1_0' in --base"),
+            (["--base", "4;2;1", "--lambdas", "1,2_0,3"], "invalid --lambdas value '1,2_0,3'"),
+        ],
+    )
+    def test_digit_separators_exit_one(self, capsys, options, message):
+        assert main(["probe", *options]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_index_exit_one(self, capsys):
         assert main(["probe", "--base", "4;2;1", "--index", "nope"]) == 1
@@ -172,6 +183,12 @@ class TestCompute:
         monkeypatch.setenv("SCINDEX_PRECISION", "5")
         assert main(["compute", wide_file, "--columns", "i"]) == 0
         assert "2.33333" in capsys.readouterr().out
+
+    def test_precision_digit_separator(self, wide_file, capsys):
+        assert main(["compute", wide_file, "--precision", "1_0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid precision '1_0' (expected an integer or 'full')\n"
+        )
 
     def test_precision_bound_flag(self, wide_file, capsys):
         assert main(["compute", wide_file, "--precision", "17"]) == 0

@@ -1,6 +1,7 @@
 """Replication scaling and log-log exponent verification."""
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scindex import (
     replicate_scale,
     verify_dimension,
 )
-from scindex import scaling
+from scindex import indicators
 from scindex.indicators import REGISTRY, CitationVector, compute_all
 from scindex.scaling import MAX_REPLICA_COUNTS, ZERO_SERIES_NOTE
 
@@ -48,18 +49,75 @@ class TestReplicateScale:
         with pytest.raises(DomainError):
             replicate_scale([], 2)
 
-    def test_replica_size_is_bounded(self, monkeypatch):
+    def test_replica_is_held_as_runs(self):
+        lam = 10**9
+        out = replicate_scale([4, 2, 2, 1], lam)
+        assert out.runs == ((4 * lam, lam), (2 * lam, 2 * lam), (lam, lam))
+        assert len(out) == 4 * lam
+
+    def test_building_the_counts_is_bounded(self, monkeypatch):
         assert MAX_REPLICA_COUNTS == 10**6
-        monkeypatch.setattr(scaling, "MAX_REPLICA_COUNTS", 6)
-        assert len(replicate_scale([4, 2, 1], 2)) == 6
-        with pytest.raises(DomainError, match="factor 3 gives 9 counts, over the limit of 6"):
-            replicate_scale([4, 2, 1], 3)
+        monkeypatch.setattr(indicators, "MAX_REPLICA_COUNTS", 6)
+        assert replicate_scale([4, 2, 1], 2).counts == (8, 8, 4, 4, 2, 2)
+        big = replicate_scale([4, 2, 1], 3)
+        assert compute_all(big)["g"].magnitude == 7.0  # indicators need no counts
+        with pytest.raises(DomainError, match="vector of 9 counts is over the limit of 6"):
+            big.counts
 
     @given(v=st.lists(st.integers(0, 1000), min_size=1, max_size=40), lam=st.integers(1, 6))
     def test_matches_materialised_replica(self, v, lam):
         assert replicate_scale(v, lam) == CitationVector(
             [lam * c for c in v for _ in range(lam)]
         )
+
+
+def _materialised(base, lam):
+    """The replica as counts: the oracle that ``replicate_scale``'s runs stand for."""
+    return CitationVector(chain.from_iterable(repeat(lam * c, lam) for c in base))
+
+
+# Bases whose largest count ranges from 1 to 1000, so that g stops inside a
+# run as often as it reaches P.
+_oracle_bases = st.sampled_from([1, 3, 10, 30, 100, 1000]).flatmap(
+    lambda top: st.lists(st.integers(0, top), min_size=1, max_size=40)
+)
+
+
+@given(base=_oracle_bases, lam=st.integers(1, 12))
+@settings(max_examples=500)
+def test_run_form_matches_materialised_oracle(base, lam):
+    runs = replicate_scale(base, lam)
+    counts = _materialised(base, lam)
+    assert compute_all(runs).magnitudes == compute_all(counts).magnitudes
+    assert runs == counts and counts == runs
+    assert hash(runs) == hash(counts)
+    assert runs.runs == counts.runs
+    assert repr(runs) == repr(counts)
+
+
+class TestRunForm:
+    def test_from_runs_checks_its_runs(self):
+        for runs, error in (
+            ([(2, 1), (2, 1)], DomainError),
+            ([(1, 1), (2, 1)], DomainError),
+            ([(2, 0)], DomainError),
+            ([(-1, 1)], indicators.NegativeCountError),
+            ([(2.0, 1)], TypeError),
+            ([(True, 1)], TypeError),
+        ):
+            with pytest.raises(error):
+                CitationVector.from_runs(runs)
+
+    def test_empty_runs_are_an_empty_portfolio(self):
+        empty = CitationVector.from_runs([])
+        assert not empty and len(empty) == 0 and empty == CitationVector([])
+        with pytest.raises(indicators.EmptyPortfolioError):
+            compute_all(empty)
+
+    def test_rank_past_the_float_range(self):
+        huge = CitationVector.from_runs([(10**400, 10**400)])
+        with pytest.raises(DomainError, match="rank index exceeds the floating-point range"):
+            descriptor("h").compute(huge)
 
 
 class TestLogLogFit:
@@ -185,6 +243,25 @@ class TestVerifyDimension:
         with pytest.raises(DegenerateSeriesError) as excinfo:
             verify_dimension(descriptor("C"), [4, 2, 1], lambdas=(1, 2))
         assert "C" in str(excinfo.value)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_malformed_tolerance_is_refused(self, tolerance):
+        message = f"tolerance must be a finite number >= 0, got {tolerance}"
+        with pytest.raises(DomainError, match=message):
+            verify_dimension(descriptor("C"), [4, 2, 1], tolerance=tolerance)
+        with pytest.raises(DomainError, match=message):
+            probe_registry([4, 2, 1], names=[], tolerance=tolerance)
+
+    def test_scale_factor_past_the_float_range_is_named(self):
+        # E = 21 * lam^3 leaves the float range, and with it the ladder that
+        # every closed-form indicator is read from; the rank h does not.
+        lam = 10**110
+        assert verify_dimension(descriptor("h"), [4, 2, 1], lambdas=(1, 2, lam)).passed
+        with pytest.raises(DomainError) as excinfo:
+            verify_dimension(descriptor("C"), [4, 2, 1], lambdas=(1, 2, lam))
+        assert str(excinfo.value) == (
+            f"indicator C at lambda {lam}: citation sums exceed the floating-point range"
+        )
 
     def test_probe_registry_order_and_override(self):
         results = probe_registry([4, 2, 1], names=["C", "h"])

@@ -78,6 +78,20 @@ class TestParseCsv:
         assert excinfo.value.line == 2
         assert str(excinfo.value) == "line 2: invalid citation count 'x'"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('author,citations\nA,"4;1_0;1"\n', "invalid citation count '1_0'"),
+            ("author,P,i,eta\nA,1_000,2.5,0.5\n", "invalid P value '1_000'"),
+            ("author,P,i,eta\nA,1000,2_5.0,0.5\n", "invalid i value '2_5.0'"),
+            ("author,P,i,eta,h\nA,1000,2.5,0.5,1_0\n", "invalid h value '1_0'"),
+        ],
+    )
+    def test_digit_separators_are_refused(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == f"line 2: {message}"
+
     def test_wrong_field_count(self):
         with pytest.raises(FormatError) as excinfo:
             parse_input("author,P,i,eta\nA,10,5\n", "csv")
@@ -211,12 +225,24 @@ class TestParseJson:
         assert parse_input(text, "json")[0].papers == 3
 
     def test_not_an_array(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as excinfo:
             parse_input('{"author": "A"}', "json")
+        assert str(excinfo.value) == "line 1: expected a JSON array of records"
 
     def test_invalid_json(self):
         with pytest.raises(FormatError):
             parse_input("不[", "json")
+
+    def test_invalid_json_names_the_decoder_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input('[\n  {"author": "A"},\n  {"author": "B",}\n]', "json")
+        assert excinfo.value.line == 3
+        assert str(excinfo.value).startswith("line 3: invalid JSON: ")
+
+    def test_over_long_integer_names_its_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(f'[\n  {{"author": "A",\n   "P": {"1" * 5000}}}\n]', "json")
+        assert excinfo.value.line == 3
 
     def test_empty_portfolio_reports_record_and_label(self):
         text = json.dumps(
@@ -288,8 +314,8 @@ _json_values = st.recursive(
 # Summary CSV rows with at most one defect, each defect paired with the
 # message the row-by-row reader gives for it.
 _SUMMARY_DEFECTS = [
-    None, "bad int", "bad float", "nan i", "eta range", "P below 1", "field count",
-    "duplicate",
+    None, "bad int", "bad float", "digit separator", "nan i", "eta range", "P below 1",
+    "field count", "duplicate",
 ]
 _label_text = st.text(
     alphabet=st.characters(
@@ -330,6 +356,10 @@ def _summary_csvs(draw):
             elif defect == "bad float":
                 field = draw(st.sampled_from(names[2:]))
                 cells[names.index(field)] = draw(st.sampled_from(["x", "1.2.3", "--1", "0x1"]))
+                message = f"invalid {field} value {cells[names.index(field)]!r}"
+            elif defect == "digit separator":
+                field = draw(st.sampled_from(names[1:]))
+                cells[names.index(field)] = "1_000" if field == "P" else "2_5.0"
                 message = f"invalid {field} value {cells[names.index(field)]!r}"
             elif defect == "nan i":
                 cells[2] = "nan"
@@ -379,8 +409,11 @@ class TestParseProperties:
         form=st.sampled_from(["csv", "json"]),
     )
     def test_only_scindex_errors(self, data, form):
+        """Malformed input raises only scindex errors, and input errors name their line."""
         try:
             parse_input(data, form)
+        except (FormatError, NegativeCountError) as exc:
+            assert exc.line is not None, exc
         except ScindexError:
             pass
 
