@@ -11,20 +11,21 @@ and the second-order family X, E, S ([P^3]); the evenness ratio eta is
 dimensionless, the h-type indices h, g, z carry [P], and the Euclidean
 length of the citation list carries [P^3/2].  Every rung except the
 rank indices h and g is a closed form of P, C = sum(c) and E = sum(c^2),
-so one builder derives and dimensions all of them.  The sums and the
-rank indices have a second implementation on the (value, multiplicity)
-runs of a vector, which replicas (see :mod:`scindex.scaling`) are held as.
+so one builder derives and dimensions all of them.  A vector is held as
+the (value, multiplicity) runs of its counts, and the sums and the rank
+indices are read from the runs, so a replica (see :mod:`scindex.scaling`)
+costs O(distinct values) however many papers it stands for.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby, repeat, starmap
+from itertools import chain, repeat, starmap
 from typing import Callable, Iterable, Iterator, Union
 
 from .dimension import (
@@ -58,41 +59,37 @@ __all__ = [
 
 EUCLIDEAN_DIM = Dimension(Fraction(3, 2))
 
-# Most counts a run-form vector builds when its counts are asked for.  The
-# counts are a tuple of that many slots, about 8 MB at this limit, so an
-# oversized replica fails at once instead of exhausting memory.
+# Most counts a vector builds when its counts are asked for.  The counts are
+# a tuple of that many slots, about 8 MB at this limit, so an oversized
+# replica fails at once instead of exhausting memory.
 MAX_REPLICA_COUNTS = 10**6
 
 
 class CitationVector:
-    """Non-negative per-paper citation counts, held sorted non-increasing.
+    """Non-negative per-paper citation counts, as a multiset.
 
     Two vectors that are permutations of each other compare equal.  An
     empty vector may be constructed (it represents an empty portfolio)
     but every indicator rejects it.
 
-    A vector holds one of two forms.  The count form is the sorted
-    tuple of counts.  The run form, made by :meth:`from_runs`, is the
-    pairs (value v, multiplicity m) of that tuple, in strictly
-    decreasing v; it takes O(distinct values) however many papers it
-    stands for.  The indicators read whichever form the vector holds,
-    and equality and hashing compare runs.  A run-form vector builds its
-    counts only when they are asked for (``counts``, iteration,
-    ``repr``), and refuses to build more than ``MAX_REPLICA_COUNTS`` of
-    them.
+    The vector is held as the pairs (value v, multiplicity m) of its
+    counts, in strictly decreasing v, which take O(distinct values)
+    however many papers they stand for; :meth:`from_runs` builds a vector
+    from them directly.  The indicators, equality and hashing read the
+    runs.  The counts, largest first, are built only when asked for
+    (``counts``, iteration, ``repr``), and at most ``MAX_REPLICA_COUNTS``
+    of them.
     """
 
-    __slots__ = ("_counts", "_runs")
+    __slots__ = ("_runs",)
 
     def __init__(self, counts: Iterable[int]) -> None:
         values = list(counts)
-        # Exact non-negative ints are checked and ordered by builtins alone;
-        # anything else takes the per-item path.
+        # Exact non-negative ints are checked by builtins alone; anything
+        # else takes the per-item path.
         if not set(map(type, values)) <= {int} or (values and min(values) < 0):
             values = _checked_counts(values)
-        values.sort(reverse=True)
-        self._counts = tuple(values)
-        self._runs = None
+        self._runs = tuple(sorted(Counter(values).items(), reverse=True))
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
@@ -115,36 +112,30 @@ class CitationVector:
                 )
             previous = v
         vec = object.__new__(cls)
-        vec._counts = None
         vec._runs = runs
         return vec
 
     @property
     def counts(self) -> tuple[int, ...]:
-        if self._counts is None:
-            size = sum(m for _, m in self._runs)
-            if size > MAX_REPLICA_COUNTS:
-                raise DomainError(
-                    f"a vector of {size} counts is over the limit of "
-                    f"{MAX_REPLICA_COUNTS} that may be built"
-                )
-            self._counts = tuple(chain.from_iterable(starmap(repeat, self._runs)))
-        return self._counts
+        """The counts, largest first; :class:`DomainError` past ``MAX_REPLICA_COUNTS``."""
+        size = sum(m for _, m in self._runs)
+        if size > MAX_REPLICA_COUNTS:
+            raise DomainError(
+                f"a vector of {size} counts is over the limit of "
+                f"{MAX_REPLICA_COUNTS} that may be built"
+            )
+        return tuple(chain.from_iterable(starmap(repeat, self._runs)))
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """The (value, multiplicity) pairs of the counts, largest value first."""
-        if self._runs is not None:
-            return self._runs
-        return tuple((v, len(list(group))) for v, group in groupby(self._counts))
+        return self._runs
 
     def __len__(self) -> int:
-        if self._runs is not None:
-            return sum(m for _, m in self._runs)
-        return len(self._counts)
+        return sum(m for _, m in self._runs)
 
     def __bool__(self) -> bool:
-        return bool(self._counts if self._runs is None else self._runs)
+        return bool(self._runs)
 
     def __iter__(self):
         return iter(self.counts)
@@ -152,12 +143,10 @@ class CitationVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationVector):
             return NotImplemented
-        if self._runs is None and other._runs is None:
-            return self._counts == other._counts
-        return self.runs == other.runs
+        return self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self.runs)
+        return hash(self._runs)
 
     def __repr__(self) -> str:
         return f"CitationVector({list(self.counts)!r})"
@@ -195,12 +184,12 @@ def _nonempty(v: Counts) -> CitationVector:
 
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
-    return Quantity(_rank_magnitude(_h(_nonempty(v))), PAPERS)
+    return Quantity(_rank_magnitude(_h_runs(_nonempty(v).runs)), PAPERS)
 
 
 def g_index(v: Counts) -> Quantity:
     """g: largest rank whose top papers jointly have >= rank^2 citations."""
-    return Quantity(_rank_magnitude(_g(_nonempty(v))), PAPERS)
+    return Quantity(_rank_magnitude(_g_runs(_nonempty(v).runs)), PAPERS)
 
 
 def _rank_magnitude(rank: int) -> float:
@@ -210,46 +199,8 @@ def _rank_magnitude(rank: int) -> float:
         raise DomainError("rank index exceeds the floating-point range") from None
 
 
-def _h(vec: CitationVector) -> int:
-    runs = vec._runs
-    return _h_rank(vec._counts) if runs is None else _h_runs(runs)
-
-
-def _g(vec: CitationVector) -> int:
-    runs = vec._runs
-    return _g_rank(vec._counts) if runs is None else _g_runs(runs)
-
-
-def _h_rank(counts: tuple[int, ...]) -> int:
-    h = 0
-    for rank, c in enumerate(counts, start=1):
-        if c < rank:
-            break
-        h = rank
-    return h
-
-
-def _g_rank(counts: tuple[int, ...]) -> int:
-    """g on non-increasing counts, capped at P.
-
-    No fictitious zero-cited papers are appended.  The scan stops at the
-    first rank that misses the threshold, which is exact: on
-    non-increasing counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0
-    and has non-increasing steps c_r - (2r - 1), so once d(r) < 0 it
-    stays negative and the ranks meeting the threshold form a prefix.
-    """
-    g = 0
-    running = 0
-    for rank, c in enumerate(counts, start=1):
-        running += c
-        if running < rank * rank:
-            break
-        g = rank
-    return g
-
-
 def _h_runs(runs: tuple[tuple[int, int], ...]) -> int:
-    """h from (value, multiplicity) runs: ``_h_rank`` on the counts they stand for.
+    """h from (value, multiplicity) runs, largest value first.
 
     With R papers in earlier runs, a run of m papers at v citations
     holds ranks R+1..R+m, of which those up to v pass.  A run with
@@ -264,12 +215,17 @@ def _h_runs(runs: tuple[tuple[int, int], ...]) -> int:
 
 
 def _g_runs(runs: tuple[tuple[int, int], ...]) -> int:
-    """g from (value, multiplicity) runs: ``_g_rank`` on the counts they stand for.
+    """g from (value, multiplicity) runs, largest value first, capped at P.
+
+    No fictitious zero-cited papers are appended.  On non-increasing
+    counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0 and has
+    non-increasing steps c_r - (2r - 1), so once d(r) < 0 it stays
+    negative: the ranks meeting the threshold form a prefix, and the
+    scan may stop at the first run holding a rank that misses it.
 
     With R papers and S citations in earlier runs, rank R+k of a run at
     v citations passes when S + k*v >= (R+k)^2.  A run whose last rank
-    passes passes whole (the ranks meeting the threshold form a prefix,
-    see ``_g_rank``).  In the first run that fails, the passing k are
+    passes passes whole.  In the first run that fails, the passing k are
     those up to the larger root of k^2 + (2R - v)k + R^2 - S, which is
     (v - 2R + sqrt(D))/2 with D = v^2 - 4Rv + 4S; its floor is
     (v - 2R + isqrt(D)) // 2 exactly.  D >= 0 because k = 0 passes.
@@ -284,12 +240,8 @@ def _g_runs(runs: tuple[tuple[int, int], ...]) -> int:
     return ranked
 
 
-def _sums(vec: CitationVector) -> tuple[int, int, int]:
-    """The exact sums P, C = sum(c) and E = sum(c^2) of either form."""
-    runs = vec._runs
-    if runs is None:
-        counts = vec._counts
-        return len(counts), sum(counts), sum(map(operator.mul, counts, counts))
+def _sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """The exact sums P, C = sum(c) and E = sum(c^2) over the runs."""
     p = c = e = 0
     for v, m in runs:
         p += m
@@ -329,7 +281,7 @@ def _ladder(
 
 
 def _closed_forms(
-    vec: CitationVector, h: int | None = None, g: int | None = None
+    runs: tuple[tuple[int, int], ...], h: int | None = None, g: int | None = None
 ) -> IndicatorReport:
     """The ladder from the exact sums P, C = sum(c) and E = sum(c^2).
 
@@ -339,7 +291,7 @@ def _closed_forms(
     zero vector is perfectly even, and S = 0 agrees).  Sums beyond the
     float range raise :class:`DomainError`.
     """
-    p, c, e = _sums(vec)
+    p, c, e = _sums(runs)
     try:
         x = c * c / p
         return _ladder(
@@ -351,7 +303,7 @@ def _closed_forms(
 
 def _ladder_kernel(name: str) -> Callable[[Counts], Quantity]:
     """Kernel for one closed-form indicator: the ladder's value of ``name``."""
-    return lambda v: _closed_forms(_nonempty(v))[name]
+    return lambda v: _closed_forms(_nonempty(v).runs)[name]
 
 
 @dataclass(frozen=True)
@@ -436,5 +388,5 @@ def descriptor(name: str) -> IndicatorDescriptor:
 
 def compute_all(v: Counts) -> IndicatorReport:
     """Every registered indicator for one portfolio, in registry order."""
-    vec = _nonempty(v)
-    return _closed_forms(vec, _h(vec), _g(vec))
+    runs = _nonempty(v).runs
+    return _closed_forms(runs, _h_runs(runs), _g_runs(runs))

@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .errors import DegenerateSeriesError, DomainError
 from .indicators import (
-    MAX_REPLICA_COUNTS,
     REGISTRY,
     CitationVector,
     Counts,
@@ -31,7 +30,6 @@ __all__ = [
     "ExponentEstimate",
     "ProbeResult",
     "DEFAULT_LAMBDAS",
-    "MAX_REPLICA_COUNTS",
     "replicate_scale",
     "fit_loglog",
     "check_tolerance",
@@ -69,9 +67,8 @@ class ProbeResult:
 def replicate_scale(v: Counts, lam: int) -> CitationVector:
     """Scale a portfolio: each count appears ``lam`` times at ``lam`` times its value.
 
-    The replica is returned in run form: each run (v, m) of the base
-    becomes (lam*v, lam*m), which takes O(distinct values) whatever
-    ``lam`` is.  Its ``lam * P`` counts are built only if asked for.
+    Each run (v, m) of the base becomes the run (lam*v, lam*m) of the
+    replica, which takes O(distinct values) whatever ``lam`` is.
     """
     vec = as_citation_vector(v)
     if not vec:
@@ -128,7 +125,7 @@ def verify_dimension(
     factor whose replica leaves the float range raises
     :class:`DomainError` naming the indicator and the factor.
     """
-    vec = _run_form(base)
+    vec = as_citation_vector(base)
     lams = tuple(int(x) for x in lambdas)
     if tolerance is None:
         tolerance = desc.fit_tolerance
@@ -155,10 +152,6 @@ def verify_dimension(
     return ProbeResult(desc.name, declared, lams, values, estimate, passed)
 
 
-def _run_form(base: Counts) -> CitationVector:
-    return CitationVector.from_runs(as_citation_vector(base).runs)
-
-
 def probe_registry(
     base: Counts,
     lambdas: Sequence[int] = DEFAULT_LAMBDAS,
@@ -172,5 +165,5 @@ def probe_registry(
         descriptors = list(REGISTRY)
     else:
         descriptors = [descriptor(name) for name in names]
-    vec = _run_form(base)
+    vec = as_citation_vector(base)
     return [verify_dimension(d, vec, lambdas, tolerance) for d in descriptors]

@@ -81,11 +81,12 @@ def _add_record(
 
 
 def number(kind: type, text: str) -> float | int:
-    """``kind(text)``, refusing the digit separators (``1_000``) of Python literals.
+    """``kind(text)``, refusing the digit separators (``1_000``) of Python
+    literals and non-ASCII text (``int`` would read ``"١٠"`` as 10).
 
     Raises ``ValueError`` as ``int`` and ``float`` do.
     """
-    if "_" in text:
+    if "_" in text or not text.isascii():
         raise ValueError(f"invalid literal {text!r}")
     return kind(text)
 
@@ -95,7 +96,7 @@ def _parse_counts(label: str, cell: str, line: int) -> CitationVector:
     if not items:
         raise FormatError(f"portfolio {label!r} has no papers", line)
     try:
-        if "_" in cell:
+        if "_" in cell or not cell.isascii():
             raise ValueError(cell)
         return CitationVector(map(int, items))
     except ValueError:
@@ -146,7 +147,9 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
         if set(map(len, rows)) != {len(header)}:
             return None
         labels, *numbers = zip(*rows)
-        if len(set(labels)) != len(labels) or any("_" in "".join(c) for c in numbers):
+        if len(set(labels)) != len(labels) or any(
+            "_" in text or not text.isascii() for text in map("".join, numbers)
+        ):
             return None
         papers, impacts, etas, *published = numbers
         h = repeat(None)
@@ -222,9 +225,9 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
     records: list[PortfolioSummary] = []
     first_lines: dict[str, int] = {}
     form: str | None = None
-    for number, entry in enumerate(payload, start=1):
+    for index, entry in enumerate(payload, start=1):
         if not isinstance(entry, dict) or "author" not in entry:
-            raise FormatError("record must be an object with an 'author' key", number)
+            raise FormatError("record must be an object with an 'author' key", index)
         label = str(entry["author"])
         if "citations" in entry:
             record_form = "wide"
@@ -232,42 +235,50 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
             record_form = "summary"
         else:
             raise FormatError(
-                "record needs either 'citations' or the keys P, i, eta", number
+                "record needs either 'citations' or the keys P, i, eta", index
             )
         if form is None:
             form = record_form
         elif form != record_form:
-            raise FormatError("mixed wide and summary records in one file", number)
+            raise FormatError("mixed wide and summary records in one file", index)
         if record_form == "wide":
             counts = entry["citations"]
             if not isinstance(counts, list):
-                raise FormatError("'citations' must be an array of integers", number)
+                raise FormatError("'citations' must be an array of integers", index)
             if not counts:
-                raise FormatError(f"portfolio {label!r} has no papers", number)
+                raise FormatError(f"portfolio {label!r} has no papers", index)
             try:
                 record = PortfolioSummary.from_vector(label, counts)
             except NegativeCountError as exc:
-                raise NegativeCountError(str(exc), number) from None
+                raise NegativeCountError(str(exc), index) from None
             except TypeError as exc:
-                raise FormatError(str(exc), number) from None
+                raise FormatError(str(exc), index) from None
         else:
             h = entry.get("h")
             papers = entry["P"]
             if isinstance(papers, bool) or (
                 isinstance(papers, float) and not papers.is_integer()
             ):
-                raise FormatError(f"paper count must be an integer, got {papers!r}", number)
+                raise FormatError(f"paper count must be an integer, got {papers!r}", index)
             try:
                 record = PortfolioSummary.from_summary(
-                    label, int(papers), float(entry["i"]), float(entry["eta"]),
-                    h=None if h is None else float(h),
+                    label,
+                    _json_number(int, papers),
+                    _json_number(float, entry["i"]),
+                    _json_number(float, entry["eta"]),
+                    h=None if h is None else _json_number(float, h),
                 )
             except DomainError as exc:
-                raise FormatError(str(exc), number) from None
+                raise FormatError(str(exc), index) from None
             except (TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"invalid summary record: {exc}", number) from None
-        _add_record(records, first_lines, record, number)
+                raise FormatError(f"invalid summary record: {exc}", index) from None
+        _add_record(records, first_lines, record, index)
     return records
+
+
+def _json_number(kind: type, value: Any) -> float | int:
+    """``kind(value)``, reading a string through :func:`number`."""
+    return number(kind, value) if isinstance(value, str) else kind(value)
 
 
 def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary]:

@@ -1,8 +1,10 @@
 """Command-line contract: subcommands, exit codes, error rendering."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ SUMMARY_CSV = (
     "KREBS FC,96,73.05,0.24,41\n"
     "YANG Y,78,128.65,0.12,37\n"
 )
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -361,13 +364,16 @@ class TestTable1:
         assert out.splitlines()[0] == "author,P,i,eta,h,z,i_E,C"
 
 
+def _run_python(*args):
+    """A child interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "scindex", "dims", "C/P"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_python("-m", "scindex", "dims", "C/P")
         assert proc.returncode == 0
         assert proc.stdout == "[P]\n"
 
@@ -377,17 +383,11 @@ class TestEntryPoint:
             "scindex.cli.main(['dims', 'C/P'])\n"
             "print('numpy' in sys.modules)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
+        proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[P]\nFalse\n"
 
     def test_module_invocation_failure(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "scindex", "dims", "i_E + h"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_python("-m", "scindex", "dims", "i_E + h")
         assert proc.returncode == 1
         assert "cannot add" in proc.stderr

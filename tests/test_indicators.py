@@ -3,7 +3,7 @@
 import math
 import numbers
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from scindex import (
     h_index,
     registry_names,
 )
+from scindex import indicators
 from scindex.dimension import (
     DIMENSIONLESS,
     PAPERS,
@@ -115,6 +116,15 @@ class TestCitationVector:
             counts = got[1]
             assert counts == tuple(sorted(map(int, xs), reverse=True))
             assert all(type(c) is int for c in counts)
+            runs = tuple((v, len(list(group))) for v, group in groupby(expected[1]))
+            assert CitationVector(xs).runs == runs
+
+    def test_building_the_counts_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(indicators, "MAX_REPLICA_COUNTS", 2)
+        vec = CitationVector([3, 2, 1])
+        assert compute_all(vec)["h"].magnitude == 2.0  # indicators need no counts
+        with pytest.raises(DomainError, match="vector of 3 counts is over the limit of 2"):
+            vec.counts
 
     def test_empty_constructible_but_rejected_by_indicators(self):
         empty = CitationVector([])

@@ -18,8 +18,8 @@ from scindex import (
     verify_dimension,
 )
 from scindex import indicators
-from scindex.indicators import REGISTRY, CitationVector, compute_all
-from scindex.scaling import MAX_REPLICA_COUNTS, ZERO_SERIES_NOTE
+from scindex.indicators import MAX_REPLICA_COUNTS, REGISTRY, CitationVector, compute_all
+from scindex.scaling import ZERO_SERIES_NOTE
 
 # A base long and smooth enough that even g's rank thresholds replicate
 # cleanly (its probe slope is 1.0 to four decimals).
@@ -72,8 +72,23 @@ class TestReplicateScale:
 
 
 def _materialised(base, lam):
-    """The replica as counts: the oracle that ``replicate_scale``'s runs stand for."""
-    return CitationVector(chain.from_iterable(repeat(lam * c, lam) for c in base))
+    """The replica's counts, largest first: the list ``replicate_scale``'s runs stand for."""
+    return sorted(chain.from_iterable(repeat(lam * c, lam) for c in base), reverse=True)
+
+
+def _h_scan(counts):
+    """h by definition on non-increasing counts: ranks r with c_r >= r."""
+    return sum(1 for rank, c in enumerate(counts, start=1) if c >= rank)
+
+
+def _g_scan(counts):
+    """g by definition on non-increasing counts: the largest r with sum(c_1..c_r) >= r^2."""
+    best = cited = 0
+    for rank, c in enumerate(counts, start=1):
+        cited += c
+        if cited >= rank * rank:
+            best = rank
+    return best
 
 
 # Bases whose largest count ranges from 1 to 1000, so that g stops inside a
@@ -86,13 +101,19 @@ _oracle_bases = st.sampled_from([1, 3, 10, 30, 100, 1000]).flatmap(
 @given(base=_oracle_bases, lam=st.integers(1, 12))
 @settings(max_examples=500)
 def test_run_form_matches_materialised_oracle(base, lam):
-    runs = replicate_scale(base, lam)
+    replica = replicate_scale(base, lam)
     counts = _materialised(base, lam)
-    assert compute_all(runs).magnitudes == compute_all(counts).magnitudes
-    assert runs == counts and counts == runs
-    assert hash(runs) == hash(counts)
-    assert runs.runs == counts.runs
-    assert repr(runs) == repr(counts)
+    report = compute_all(replica).magnitudes
+    assert report["P"] == len(counts)
+    assert report["C"] == sum(counts)
+    assert report["E"] == sum(c * c for c in counts)
+    assert report["h"] == _h_scan(counts)
+    assert report["g"] == _g_scan(counts)
+    built = CitationVector(counts)
+    assert replica == built and built == replica
+    assert hash(replica) == hash(built)
+    assert replica.runs == built.runs
+    assert repr(replica) == repr(built) == f"CitationVector({counts!r})"
 
 
 class TestRunForm:

@@ -92,6 +92,21 @@ class TestParseCsv:
             parse_input(text, "csv")
         assert str(excinfo.value) == f"line 2: {message}"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('author,citations\nA,"٤;٢"\n', "invalid citation count '٤'"),
+            ("author,P,i,eta\nA,١٠,2.5,0.5\n", "invalid P value '١٠'"),
+            ("author,P,i,eta\nA,10,٢.٥,0.5\n", "invalid i value '٢.٥'"),
+            ("author,P,i,eta,h\nA,10,2.5,0.5,٣\n", "invalid h value '٣'"),
+        ],
+        ids=["counts", "P", "i", "h"],
+    )
+    def test_non_ascii_digits_are_refused(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == f"line 2: {message}"
+
     def test_wrong_field_count(self):
         with pytest.raises(FormatError) as excinfo:
             parse_input("author,P,i,eta\nA,10,5\n", "csv")
@@ -282,6 +297,18 @@ class TestParseJson:
         assert str(excinfo.value).startswith(f"line 1: {message}")
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("P", "1_000"), ("P", "١٠"), ("i", "2_5.0"), ("eta", "٠.٥"), ("h", "1_0")],
+    )
+    def test_summary_strings_are_read_as_numbers(self, field, value):
+        record = {"author": "A", "P": "10", "i": "2.5", "eta": "0.5", "h": "3"}
+        parsed = parse_input(json.dumps([record]), "json")[0]
+        assert (parsed.papers, parsed.impact, parsed.evenness, parsed.h) == (10, 2.5, 0.5, 3.0)
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(json.dumps([{**record, field: value}]), "json")
+        assert str(excinfo.value) == f"line 1: invalid summary record: invalid literal {value!r}"
+
+    @pytest.mark.parametrize(
         "text", ["[" * 100_000, f"[{'1' * 5000}]"], ids=["deep-nesting", "long-integer"]
     )
     def test_decoder_limits_are_format_errors(self, text):
@@ -300,7 +327,7 @@ _json_values = st.recursive(
     | st.booleans()
     | st.integers(-(10**400), 10**400)
     | st.floats()
-    | st.sampled_from(["A", "3", "1e400", "x"]),
+    | st.sampled_from(["A", "3", "1e400", "x", "1_0", "١٠"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(
         st.sampled_from(["author", "citations", "P", "i", "eta", "h", "x"]),
@@ -314,8 +341,8 @@ _json_values = st.recursive(
 # Summary CSV rows with at most one defect, each defect paired with the
 # message the row-by-row reader gives for it.
 _SUMMARY_DEFECTS = [
-    None, "bad int", "bad float", "digit separator", "nan i", "eta range", "P below 1",
-    "field count", "duplicate",
+    None, "bad int", "bad float", "digit separator", "non-ASCII digit", "nan i", "eta range",
+    "P below 1", "field count", "duplicate",
 ]
 _label_text = st.text(
     alphabet=st.characters(
@@ -360,6 +387,10 @@ def _summary_csvs(draw):
             elif defect == "digit separator":
                 field = draw(st.sampled_from(names[1:]))
                 cells[names.index(field)] = "1_000" if field == "P" else "2_5.0"
+                message = f"invalid {field} value {cells[names.index(field)]!r}"
+            elif defect == "non-ASCII digit":
+                field = draw(st.sampled_from(names[1:]))
+                cells[names.index(field)] = "١٠" if field == "P" else "٢.٥"
                 message = f"invalid {field} value {cells[names.index(field)]!r}"
             elif defect == "nan i":
                 cells[2] = "nan"
