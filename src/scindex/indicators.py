@@ -78,7 +78,7 @@ class CitationVector:
     from them directly.  The indicators, equality and hashing read the
     runs.  The counts, largest first, are built only when asked for
     (``counts``, iteration, ``repr``), and at most ``MAX_REPLICA_COUNTS``
-    of them.
+    of them; past that bound ``repr`` shows the runs instead.
     """
 
     __slots__ = ("_runs",)
@@ -149,7 +149,10 @@ class CitationVector:
         return hash(self._runs)
 
     def __repr__(self) -> str:
-        return f"CitationVector({list(self.counts)!r})"
+        try:
+            return f"CitationVector({list(self.counts)!r})"
+        except DomainError:
+            return f"CitationVector.from_runs({list(self._runs)!r})"
 
 
 def _checked_counts(values: list) -> list[int]:

@@ -80,13 +80,20 @@ def _add_record(
     records.append(record)
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is free of the digit separators (``1_000``) of Python
+    literals and of non-ASCII characters (``int`` would read ``"١٠"`` as 10).
+    """
+    return "_" not in text and text.isascii()
+
+
 def number(kind: type, text: str) -> float | int:
-    """``kind(text)``, refusing the digit separators (``1_000``) of Python
-    literals and non-ASCII text (``int`` would read ``"١٠"`` as 10).
+    """``kind(text)`` for a :func:`_plain` number; surrounding whitespace
+    is skipped, as ``int`` and ``float`` skip it.
 
     Raises ``ValueError`` as ``int`` and ``float`` do.
     """
-    if "_" in text or not text.isascii():
+    if not _plain(text.strip()):
         raise ValueError(f"invalid literal {text!r}")
     return kind(text)
 
@@ -96,7 +103,9 @@ def _parse_counts(label: str, cell: str, line: int) -> CitationVector:
     if not items:
         raise FormatError(f"portfolio {label!r} has no papers", line)
     try:
-        if "_" in cell or not cell.isascii():
+        # The items, not the cell: the whitespace they were stripped of may
+        # be non-ASCII.  A plain cell has plain items, and is checked faster.
+        if not (_plain(cell) or _plain("".join(items))):
             raise ValueError(cell)
         return CitationVector(map(int, items))
     except ValueError:
@@ -147,8 +156,8 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
         if set(map(len, rows)) != {len(header)}:
             return None
         labels, *numbers = zip(*rows)
-        if len(set(labels)) != len(labels) or any(
-            "_" in text or not text.isascii() for text in map("".join, numbers)
+        if len(set(labels)) != len(labels) or not all(
+            map(_plain, map("".join, numbers))
         ):
             return None
         papers, impacts, etas, *published = numbers

@@ -32,28 +32,12 @@ from scindex.dimension import (
 )
 from scindex.indicators import EUCLIDEAN_DIM, _ladder
 
+from oracles import g_brute, h_brute
+
 # Vectors kept within the published-data ranges; the rounding analysis
 # for the S = E - X comparison needs P*c^2 well under 2^53.
 vectors = st.lists(st.integers(0, 10_000), min_size=1, max_size=60)
 small_vectors = st.lists(st.integers(0, 100), min_size=1, max_size=30)
-
-
-def h_brute(counts):
-    """Counting definition: largest k with at least k papers cited >= k times."""
-    return max(
-        (k for k in range(len(counts) + 1) if sum(1 for c in counts if c >= k) >= k),
-        default=0,
-    )
-
-
-def g_brute(counts):
-    """Definitional scan: largest k whose top-k papers sum to >= k^2."""
-    ranked = sorted(counts, reverse=True)
-    best = 0
-    for k in range(1, len(ranked) + 1):
-        if sum(ranked[:k]) >= k * k:
-            best = k
-    return best
 
 
 def reference_counts(xs):
@@ -125,6 +109,7 @@ class TestCitationVector:
         assert compute_all(vec)["h"].magnitude == 2.0  # indicators need no counts
         with pytest.raises(DomainError, match="vector of 3 counts is over the limit of 2"):
             vec.counts
+        assert repr(vec) == "CitationVector.from_runs([(3, 1), (2, 1), (1, 1)])"
 
     def test_empty_constructible_but_rejected_by_indicators(self):
         empty = CitationVector([])

@@ -21,6 +21,8 @@ from scindex import indicators
 from scindex.indicators import MAX_REPLICA_COUNTS, REGISTRY, CitationVector, compute_all
 from scindex.scaling import ZERO_SERIES_NOTE
 
+from oracles import g_brute, h_brute
+
 # A base long and smooth enough that even g's rank thresholds replicate
 # cleanly (its probe slope is 1.0 to four decimals).
 SMOOTH_BASE = [30, 25, 20, 18, 16, 14, 12, 10, 8, 6, 5, 4, 3, 2, 1]
@@ -76,21 +78,6 @@ def _materialised(base, lam):
     return sorted(chain.from_iterable(repeat(lam * c, lam) for c in base), reverse=True)
 
 
-def _h_scan(counts):
-    """h by definition on non-increasing counts: ranks r with c_r >= r."""
-    return sum(1 for rank, c in enumerate(counts, start=1) if c >= rank)
-
-
-def _g_scan(counts):
-    """g by definition on non-increasing counts: the largest r with sum(c_1..c_r) >= r^2."""
-    best = cited = 0
-    for rank, c in enumerate(counts, start=1):
-        cited += c
-        if cited >= rank * rank:
-            best = rank
-    return best
-
-
 # Bases whose largest count ranges from 1 to 1000, so that g stops inside a
 # run as often as it reaches P.
 _oracle_bases = st.sampled_from([1, 3, 10, 30, 100, 1000]).flatmap(
@@ -107,8 +94,8 @@ def test_run_form_matches_materialised_oracle(base, lam):
     assert report["P"] == len(counts)
     assert report["C"] == sum(counts)
     assert report["E"] == sum(c * c for c in counts)
-    assert report["h"] == _h_scan(counts)
-    assert report["g"] == _g_scan(counts)
+    assert report["h"] == h_brute(counts)
+    assert report["g"] == g_brute(counts)
     built = CitationVector(counts)
     assert replica == built and built == replica
     assert hash(replica) == hash(built)

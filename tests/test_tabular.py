@@ -107,6 +107,12 @@ class TestParseCsv:
             parse_input(text, "csv")
         assert str(excinfo.value) == f"line 2: {message}"
 
+    def test_non_ascii_whitespace_around_numbers_is_skipped(self):
+        wide = parse_input('author,citations\nA,"4;\u00a02\u3000"\n', "csv")
+        assert wide[0].vector.counts == (4, 2)
+        summary = parse_input("author,P,i,eta\nA,\u00a010,2.5\u3000,0.5\n", "csv")
+        assert (summary[0].papers, summary[0].impact) == (10, 2.5)
+
     def test_wrong_field_count(self):
         with pytest.raises(FormatError) as excinfo:
             parse_input("author,P,i,eta\nA,10,5\n", "csv")
@@ -321,7 +327,7 @@ class TestParseJson:
 _csv_header = st.sampled_from(
     ["author,citations\n", "author,P,i,eta\n", "author,P,i,eta,h\n", ""]
 )
-_csv_body = st.text(alphabet=',;"\n\r \ufeff0123456789-.eEinfaA\x00_', max_size=80)
+_csv_body = st.text(alphabet=',;"\n\r \ufeff\u00a00123456789-.eEinfaA\x00_', max_size=80)
 _json_values = st.recursive(
     st.none()
     | st.booleans()
