@@ -29,18 +29,6 @@ from .errors import (
     UnknownSymbolError,
     ZeroVarianceError,
 )
-from .expressions import (
-    DimExpr,
-    Power,
-    Product,
-    Quotient,
-    Sum,
-    Symbol,
-    dimension_of,
-    eval_dim_expr,
-    format_dim_expr,
-    parse_dim_expr,
-)
 from .indicators import (
     EUCLIDEAN_DIM,
     REGISTRY,
@@ -140,3 +128,11 @@ __all__ = [
     "UnknownIndicatorError",
     "FormatError",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: the expression names of __all__ load on first use; the rest are imported above.
+    if name in __all__:
+        from . import expressions
+        return getattr(expressions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dimension import Dimension, Quantity
+from .dimension import Dimension, Quantity, Record
 from .errors import (
     DomainError,
     HeterogeneityError,
@@ -45,8 +44,7 @@ __all__ = [
 RECONSTRUCTED_COLUMNS = frozenset({"C", "X", "E", "S", "z", "i_E"})
 
 
-@dataclass(frozen=True)
-class PortfolioSummary:
+class PortfolioSummary(Record):
     """One author's portfolio: either a raw citation vector or a summary.
 
     Exactly one source form is present.  The summary form carries the
@@ -54,20 +52,16 @@ class PortfolioSummary:
     published h, which cannot be derived from the triple.
     """
 
-    label: str
-    vector: CitationVector | None = None
-    papers: int | None = None
-    impact: float | None = None
-    evenness: float | None = None
-    h: float | None = None
+    __slots__ = ("label", "vector", "papers", "impact", "evenness", "h")
 
-    def __post_init__(self) -> None:
-        if (self.vector is None) == (self.papers is None):
+    def __init__(self, label, vector=None, papers=None, impact=None, evenness=None, h=None) -> None:
+        if (vector is None) == (papers is None):
             raise DomainError(
-                f"portfolio {self.label!r} needs exactly one of: raw vector, summary triple"
+                f"portfolio {label!r} needs exactly one of: raw vector, summary triple"
             )
-        if self.papers is not None:
-            _check_summary(self.papers, self.impact, self.evenness, self.h)
+        if papers is not None:
+            _check_summary(papers, impact, evenness, h)
+        self._fill(label, vector, papers, impact, evenness, h)
 
     @classmethod
     def from_vector(cls, label: str, counts) -> "PortfolioSummary":
@@ -177,8 +171,7 @@ def _registry_dims(columns: Sequence[str]) -> tuple[Dimension | None, ...]:
     return tuple(map(symbols.get, columns))
 
 
-@dataclass(frozen=True)
-class AnalyticsTable:
+class AnalyticsTable(Record):
     """Labeled indicator values sharing one ordered column set.
 
     ``dims`` holds one dimension per column (``None`` only for a name
@@ -186,11 +179,10 @@ class AnalyticsTable:
     magnitudes, one tuple per label.
     """
 
-    columns: tuple[str, ...]
-    dims: tuple[Dimension | None, ...]
-    labels: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    reconstructed: tuple[frozenset[str], ...]
+    __slots__ = ("columns", "dims", "labels", "rows", "reconstructed")
+
+    def __init__(self, columns, dims, labels, rows, reconstructed) -> None:
+        self._fill(columns, dims, labels, rows, reconstructed)
 
     @classmethod
     def from_reports(

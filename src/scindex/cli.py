@@ -24,10 +24,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import datasets
 from .analytics import AnalyticsTable, pearson_matrix
 from .errors import FormatError, ScindexError
-from .expressions import dimension_of
 from .indicators import registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
@@ -168,6 +166,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
+    from .expressions import dimension_of
     try:
         dim = dimension_of(args.expression, registry_symbols())
     except ScindexError as exc:
@@ -178,6 +177,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from . import datasets
     precision = _resolve_precision(args.precision)
     reconstructed = datasets.reconstructed_table()
     published = datasets.published_table()

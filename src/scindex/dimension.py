@@ -20,7 +20,6 @@ meaning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -39,8 +38,48 @@ __all__ = [
 Rational = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Record:
+    """An immutable value over its ``__slots__``: equality, hash and repr by field.
+
+    A constructor sets the fields through :meth:`_fill` and takes them in
+    slot order, which is how copy and pickle rebuild a record.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fill(self, *values: object) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class Dimension(Record):
     """A rational power of the base publication unit.
 
     ``Dimension(2)`` is [P^2]; ``Dimension(Fraction(3, 2))`` is [P^3/2].
@@ -48,10 +87,10 @@ class Dimension:
     denominator, which makes equality exact.
     """
 
-    exponent: Fraction = Fraction(0)
+    __slots__ = ("exponent",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+    def __init__(self, exponent: Rational = 0) -> None:
+        self._fill(Fraction(exponent))
 
     @property
     def is_dimensionless(self) -> bool:
@@ -92,8 +131,7 @@ PAPERS_SQUARED = Dimension(2)
 PAPERS_CUBED = Dimension(3)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A finite real magnitude paired with a :class:`Dimension`.
 
     Addition, subtraction and ordered comparison require both operands
@@ -103,14 +141,13 @@ class Quantity:
     :func:`qty_compare` for the checked three-way comparison.
     """
 
-    magnitude: float
-    dim: Dimension = DIMENSIONLESS
+    __slots__ = ("magnitude", "dim")
 
-    def __post_init__(self) -> None:
-        value = float(self.magnitude)
+    def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS) -> None:
+        value = float(magnitude)
         if not math.isfinite(value):
             raise DomainError(f"quantity magnitude must be finite, got {value!r}")
-        object.__setattr__(self, "magnitude", value)
+        self._fill(value, dim)
 
     def _require_same_dim(self, other: "Quantity", operation: str) -> None:
         if self.dim != other.dim:

@@ -57,14 +57,20 @@ class EmptyPortfolioError(ScindexError):
     """An indicator was requested for a portfolio with zero papers."""
 
 
-class NegativeCountError(ScindexError):
-    """A citation count was negative."""
+class _LocatedError(ScindexError):
+    """An input error prefixed with its 1-based ``line`` or ``record``, if known."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, record: int | None = None) -> None:
+        self.line, self.record = line, record
         if line is not None:
             message = f"line {line}: {message}"
+        elif record is not None:
+            message = f"record {record}: {message}"
         super().__init__(message)
+
+
+class NegativeCountError(_LocatedError):
+    """A citation count was negative."""
 
 
 class DegenerateSeriesError(ScindexError):
@@ -87,17 +93,11 @@ class UnknownIndicatorError(ScindexError):
         super().__init__(f"unknown indicator {name!r}")
 
 
-class FormatError(ScindexError):
+class FormatError(_LocatedError):
     """Malformed tabular input.
 
-    ``line`` is the 1-based line number for CSV input, or the 1-based
-    record number for JSON input; a JSON document that does not decode
-    to an array gives its text line (1 when it decodes to something
-    else).
+    ``line`` is the 1-based text line: of a CSV row, or of a JSON
+    document that does not decode to an array (1 when it decodes to
+    something else).  A malformed record of a JSON array sets ``record``,
+    its 1-based position in the array, and leaves ``line`` None.
     """
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

@@ -19,11 +19,10 @@ whole point of carrying dimensions is that such sums are meaningless.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .dimension import Dimension
+from .dimension import Dimension, Record
 from .errors import HeterogeneityError, ParseError, UnknownSymbolError
 
 __all__ = [
@@ -40,43 +39,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
+class Symbol(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._fill(name)
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "DimExpr"
-    right: "DimExpr"
+def _pair(self: Record, left: DimExpr, right: DimExpr) -> None:
+    self._fill(left, right)
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "DimExpr"
-    right: "DimExpr"
+class Sum(Record):
+    __slots__ = ("left", "right")
+    __init__ = _pair
 
 
-@dataclass(frozen=True)
-class Quotient:
-    left: "DimExpr"
-    right: "DimExpr"
+class Product(Record):
+    __slots__ = ("left", "right")
+    __init__ = _pair
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "DimExpr"
-    exponent: Fraction
+class Quotient(Record):
+    __slots__ = ("left", "right")
+    __init__ = _pair
+
+
+class Power(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: DimExpr, exponent: Fraction) -> None:
+        self._fill(base, exponent)
 
 
 DimExpr = Union[Symbol, Sum, Product, Quotient, Power]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "int", "op", "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self._fill(kind, text, pos)  # kind: "name", "int", "op" or "end"
 
 
 _TOKEN_RE = re.compile(

@@ -23,7 +23,6 @@ import math
 import numbers
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from typing import Callable, Iterable, Iterator, Union
@@ -172,6 +171,7 @@ def _checked_counts(values: list) -> list[int]:
 
 
 Counts = Union[CitationVector, Iterable[int]]
+Kernel = Callable[[Counts], Quantity]
 
 
 def as_citation_vector(v: Counts) -> CitationVector:
@@ -304,24 +304,42 @@ def _closed_forms(
         raise DomainError("citation sums exceed the floating-point range") from None
 
 
-def _ladder_kernel(name: str) -> Callable[[Counts], Quantity]:
+def _ladder_kernel(name: str) -> Kernel:
     """Kernel for one closed-form indicator: the ladder's value of ``name``."""
     return lambda v: _closed_forms(_nonempty(v).runs)[name]
 
 
-@dataclass(frozen=True)
 class IndicatorDescriptor:
     """A registered indicator: name, declared dimension, computation.
 
     ``fit_tolerance`` is the slope gate used by the scaling probe; the
     indices with exact replication scaling sit at 1e-6, g (whose rank
-    thresholds interact with replication) at 0.05.
+    thresholds interact with replication) at 0.05.  Equality and hashing
+    ignore ``compute``, which may be rebound (to wrap a kernel, say).
     """
 
-    name: str
-    declared_dim: Dimension
-    compute: Callable[[Counts], Quantity] = field(compare=False)
-    fit_tolerance: float = 1e-6
+    def __init__(
+        self, name: str, declared_dim: Dimension, compute: Kernel, fit_tolerance: float = 1e-6
+    ) -> None:
+        self.name = name
+        self.declared_dim = declared_dim
+        self.compute = compute
+        self.fit_tolerance = fit_tolerance
+
+    def _key(self) -> tuple:
+        return self.name, self.declared_dim, self.fit_tolerance
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"IndicatorDescriptor({fields})"
 
 
 class IndicatorReport(Mapping[str, Quantity]):

@@ -11,11 +11,11 @@ gates the fitted slope against the declared exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 from typing import Sequence
 
+from .dimension import Record
 from .errors import DegenerateSeriesError, DomainError
 from .indicators import (
     REGISTRY,
@@ -42,26 +42,24 @@ DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(Record):
     """OLS fit of log(value) on log(lambda); residual is never discarded."""
 
-    slope: float
-    intercept: float
-    max_residual: float
+    __slots__ = ("slope", "intercept", "max_residual")
+
+    def __init__(self, slope: float, intercept: float, max_residual: float) -> None:
+        self._fill(slope, intercept, max_residual)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     """Outcome of one indicator's scaling probe."""
 
-    indicator: str
-    declared_exponent: Fraction
-    lambdas: tuple[int, ...]
-    values: tuple[float, ...]
-    estimate: ExponentEstimate | None
-    passed: bool
-    note: str = ""
+    __slots__ = ("indicator", "declared_exponent", "lambdas", "values", "estimate", "passed", "note")
+
+    def __init__(
+        self, indicator, declared_exponent, lambdas, values, estimate, passed, note=""
+    ) -> None:
+        self._fill(indicator, declared_exponent, lambdas, values, estimate, passed, note)
 
 
 def replicate_scale(v: Counts, lam: int) -> CitationVector:

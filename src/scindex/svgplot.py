@@ -10,9 +10,9 @@ data re-plottable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from .dimension import Record
 from .errors import DegenerateSeriesError, DomainError
 from .scaling import fit_loglog
 
@@ -22,18 +22,13 @@ _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-@dataclass(frozen=True)
-class PlotSeries:
+class PlotSeries(Record):
     """A named point set destined for log-log axes."""
 
-    name: str
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("name", "points")
 
     def __init__(self, name: str, points: Sequence[Sequence[float]]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self, "points", tuple((float(x), float(y)) for x, y in points)
-        )
+        self._fill(name, tuple((float(x), float(y)) for x, y in points))
 
 
 def _marker_svg(shape: str, x: float, y: float, color: str) -> str:

@@ -67,15 +67,17 @@ def _decode(data: str | bytes) -> str:
 
 def _add_record(
     records: list[PortfolioSummary],
-    first_lines: dict[str, int],
+    first_seen: dict[str, int],
     record: PortfolioSummary,
-    line: int,
+    position: int,
+    unit: str = "line",
 ) -> None:
-    """Append ``record`` unless its label was already given."""
-    first = first_lines.setdefault(record.label, line)
-    if first != line:
+    """Append ``record``, at ``position`` in ``unit``s, unless its label was given."""
+    first = first_seen.setdefault(record.label, position)
+    if first != position:
         raise FormatError(
-            f"duplicate author {record.label!r}, first given at line {first}", line
+            f"duplicate author {record.label!r}, first given at {unit} {first}",
+            **{unit: position},
         )
     records.append(record)
 
@@ -177,7 +179,7 @@ def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
         raise FormatError("empty input", 1) from None
     header = tuple(h.strip() for h in header)
     records: list[PortfolioSummary] = []
-    first_lines: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
     if header == WIDE_HEADER:
         for line, row in enumerate(reader, start=2):
             if not row:
@@ -187,7 +189,7 @@ def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
             label = row[0]
             vector = _parse_counts(label, row[1], line)
             _add_record(
-                records, first_lines, PortfolioSummary.from_vector(label, vector), line
+                records, first_seen, PortfolioSummary.from_vector(label, vector), line
             )
         return records
     if header in (SUMMARY_HEADER, SUMMARY_HEADER_H):
@@ -207,7 +209,7 @@ def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
                 record = PortfolioSummary.from_summary(row[0], p, i, eta, h=h)
             except DomainError as exc:
                 raise FormatError(str(exc), line) from None
-            _add_record(records, first_lines, record, line)
+            _add_record(records, first_seen, record, line)
         return records
     raise FormatError(
         "header must be 'author,citations' or 'author,P,i,eta[,h]', "
@@ -232,43 +234,41 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records", 1)
     records: list[PortfolioSummary] = []
-    first_lines: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
     form: str | None = None
-    for index, entry in enumerate(payload, start=1):
+    for n, entry in enumerate(payload, start=1):
         if not isinstance(entry, dict) or "author" not in entry:
-            raise FormatError("record must be an object with an 'author' key", index)
+            raise FormatError("record must be an object with an 'author' key", record=n)
         label = str(entry["author"])
         if "citations" in entry:
             record_form = "wide"
         elif {"P", "i", "eta"} <= set(entry):
             record_form = "summary"
         else:
-            raise FormatError(
-                "record needs either 'citations' or the keys P, i, eta", index
-            )
+            raise FormatError("record needs either 'citations' or the keys P, i, eta", record=n)
         if form is None:
             form = record_form
         elif form != record_form:
-            raise FormatError("mixed wide and summary records in one file", index)
+            raise FormatError("mixed wide and summary records in one file", record=n)
         if record_form == "wide":
             counts = entry["citations"]
             if not isinstance(counts, list):
-                raise FormatError("'citations' must be an array of integers", index)
+                raise FormatError("'citations' must be an array of integers", record=n)
             if not counts:
-                raise FormatError(f"portfolio {label!r} has no papers", index)
+                raise FormatError(f"portfolio {label!r} has no papers", record=n)
             try:
                 record = PortfolioSummary.from_vector(label, counts)
             except NegativeCountError as exc:
-                raise NegativeCountError(str(exc), index) from None
+                raise NegativeCountError(str(exc), record=n) from None
             except TypeError as exc:
-                raise FormatError(str(exc), index) from None
+                raise FormatError(str(exc), record=n) from None
         else:
             h = entry.get("h")
             papers = entry["P"]
             if isinstance(papers, bool) or (
                 isinstance(papers, float) and not papers.is_integer()
             ):
-                raise FormatError(f"paper count must be an integer, got {papers!r}", index)
+                raise FormatError(f"paper count must be an integer, got {papers!r}", record=n)
             try:
                 record = PortfolioSummary.from_summary(
                     label,
@@ -278,10 +278,10 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
                     h=None if h is None else _json_number(float, h),
                 )
             except DomainError as exc:
-                raise FormatError(str(exc), index) from None
+                raise FormatError(str(exc), record=n) from None
             except (TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"invalid summary record: {exc}", index) from None
-        _add_record(records, first_lines, record, index)
+                raise FormatError(f"invalid summary record: {exc}", record=n) from None
+        _add_record(records, first_seen, record, n, "record")
     return records
 
 

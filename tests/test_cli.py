@@ -250,7 +250,7 @@ class TestCompute:
         "data, message",
         [
             (b'author,citations\nA,"4"\nB,\n', "error: line 3: portfolio 'B' has no papers"),
-            (b'[{"author": "B", "citations": []}]', "error: line 1: portfolio 'B' has no papers"),
+            (b'[{"author": "B", "citations": []}]', "error: record 1: portfolio 'B' has no papers"),
             (b'author,citations\nA,"4"\nA,"1"\n', "error: line 3: duplicate author 'A'"),
             (b'author,citations\nA,"\xff"\n', "error: line 2: input is not UTF-8"),
             (
@@ -391,3 +391,57 @@ class TestEntryPoint:
         proc = _run_python("-m", "scindex", "dims", "i_E + h")
         assert proc.returncode == 1
         assert "cannot add" in proc.stderr
+
+    def test_compute_loads_only_what_it_needs(self, wide_file):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import scindex.cli\n"
+            f"status = scindex.cli.main(['compute', {wide_file!r}])\n"
+            "unwanted = ('dataclasses', 'inspect', 'scindex.expressions', 'scindex.datasets')\n"
+            "print(status, [name for name in unwanted if name in set(sys.modules) - before])\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [(["dims", "C/P"], "[P]"), (["table1"], "author\tP\ti\teta\th\tz\ti_E\tC")],
+    )
+    def test_subcommands_load_their_modules(self, argv, first_line):
+        code = f"import scindex.cli\nraise SystemExit(scindex.cli.main({argv!r}))\n"
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == first_line
+
+
+class TestPackageNames:
+    def test_every_exported_name_resolves(self):
+        import scindex
+
+        for name in scindex.__all__:
+            assert getattr(scindex, name) is not None, name
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            scindex.missing  # noqa: B018
+
+    def test_star_import_binds_every_name(self):
+        import scindex
+        from scindex import expressions
+
+        namespace: dict = {}
+        exec("from scindex import *", namespace)
+        assert set(scindex.__all__) <= set(namespace)
+        assert namespace["parse_dim_expr"] is expressions.parse_dim_expr
+        assert namespace["Symbol"] is expressions.Symbol
+
+    def test_import_leaves_expressions_unloaded_until_used(self):
+        code = (
+            "import sys, scindex\n"
+            "print('scindex.expressions' in sys.modules)\n"
+            "print(scindex.dimension_of('C/P', scindex.registry_symbols()))\n"
+            "print('scindex.expressions' in sys.modules)\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n[P]\nTrue\n"

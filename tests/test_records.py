@@ -1,0 +1,203 @@
+"""Value semantics of the package's immutable records.
+
+Each record compares and hashes by its fields, refuses assignment and
+deletion, prints as ``Name(field=value, ...)`` and survives ``copy`` and
+``pickle``.  ``IndicatorDescriptor`` is the one mutable-attribute class:
+its equality ignores ``compute``.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from scindex import (
+    PAPERS,
+    AnalyticsTable,
+    Dimension,
+    ExponentEstimate,
+    IndicatorDescriptor,
+    PlotSeries,
+    PortfolioSummary,
+    Power,
+    Product,
+    ProbeResult,
+    Quantity,
+    Quotient,
+    Sum,
+    Symbol,
+    g_index,
+    h_index,
+)
+from scindex.expressions import _Token
+
+_P = "Dimension(Fraction(1, 1))"
+_ESTIMATE = "ExponentEstimate(slope=1.0, intercept=0.5, max_residual=0.0)"
+
+# (make one record, make one with another field, its repr)
+RECORDS = {
+    "Dimension": (
+        lambda: Dimension(Fraction(3, 2)),
+        lambda: Dimension(2),
+        "Dimension(Fraction(3, 2))",
+    ),
+    "Quantity": (
+        lambda: Quantity(2, PAPERS),
+        lambda: Quantity(2, Dimension(2)),
+        f"Quantity(magnitude=2.0, dim={_P})",
+    ),
+    "PortfolioSummary.raw": (
+        lambda: PortfolioSummary.from_vector("A", [3, 1]),
+        lambda: PortfolioSummary.from_vector("A", [3, 2]),
+        "PortfolioSummary(label='A', vector=CitationVector([3, 1]), papers=None, "
+        "impact=None, evenness=None, h=None)",
+    ),
+    "PortfolioSummary.summary": (
+        lambda: PortfolioSummary.from_summary("B", 10, 2.5, 0.5, h=3),
+        lambda: PortfolioSummary.from_summary("B", 10, 2.5, 0.5),
+        "PortfolioSummary(label='B', vector=None, papers=10, impact=2.5, "
+        "evenness=0.5, h=3.0)",
+    ),
+    "AnalyticsTable": (
+        lambda: AnalyticsTable.from_reports([("A", {"h": Quantity(2.0, PAPERS)})]),
+        lambda: AnalyticsTable.from_reports([("B", {"h": Quantity(2.0, PAPERS)})]),
+        f"AnalyticsTable(columns=('h',), dims=({_P},), labels=('A',), rows=((2.0,),), "
+        "reconstructed=(frozenset(),))",
+    ),
+    "ExponentEstimate": (
+        lambda: ExponentEstimate(1.0, 0.5, 0.0),
+        lambda: ExponentEstimate(slope=1.0, intercept=0.5, max_residual=1e-9),
+        _ESTIMATE,
+    ),
+    "ProbeResult": (
+        lambda: ProbeResult(
+            "h", Fraction(1), (1, 2), (2.0, 4.0), ExponentEstimate(1.0, 0.5, 0.0), True, "ok"
+        ),
+        lambda: ProbeResult("h", Fraction(1), (1, 2), (2.0, 4.0), None, False),
+        "ProbeResult(indicator='h', declared_exponent=Fraction(1, 1), lambdas=(1, 2), "
+        f"values=(2.0, 4.0), estimate={_ESTIMATE}, passed=True, note='ok')",
+    ),
+    "PlotSeries": (
+        lambda: PlotSeries("h", [(1, 2), (2, 4)]),
+        lambda: PlotSeries("g", [(1, 2), (2, 4)]),
+        "PlotSeries(name='h', points=((1.0, 2.0), (2.0, 4.0)))",
+    ),
+    "Symbol": (lambda: Symbol("C"), lambda: Symbol("P"), "Symbol(name='C')"),
+    "Sum": (
+        lambda: Sum(Symbol("C"), Symbol("P")),
+        lambda: Sum(Symbol("P"), Symbol("C")),
+        "Sum(left=Symbol(name='C'), right=Symbol(name='P'))",
+    ),
+    "Product": (
+        lambda: Product(Symbol("C"), Symbol("P")),
+        lambda: Product(Symbol("C"), Symbol("h")),
+        "Product(left=Symbol(name='C'), right=Symbol(name='P'))",
+    ),
+    "Quotient": (
+        lambda: Quotient(left=Symbol("C"), right=Symbol("P")),
+        lambda: Quotient(Symbol("C"), Symbol("C")),
+        "Quotient(left=Symbol(name='C'), right=Symbol(name='P'))",
+    ),
+    "Power": (
+        lambda: Power(Symbol("i"), Fraction(1, 2)),
+        lambda: Power(Symbol("i"), Fraction(1, 3)),
+        "Power(base=Symbol(name='i'), exponent=Fraction(1, 2))",
+    ),
+    "_Token": (
+        lambda: _Token("name", "P", 0),
+        lambda: _Token("name", "P", 1),
+        "_Token(kind='name', text='P', pos=0)",
+    ),
+}
+CASES = pytest.mark.parametrize("case", list(RECORDS), ids=list(RECORDS))
+
+
+@CASES
+def test_equal_fields_mean_equal_records_with_equal_hashes(case):
+    make, other, _ = RECORDS[case]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other() and other() != a
+
+
+@CASES
+def test_another_class_compares_unequal(case):
+    make, _, _ = RECORDS[case]
+    record = make()
+
+    class Lookalike:
+        __slots__ = ()
+
+    assert record != Lookalike() and Lookalike() != record
+    assert record != object()
+    assert record != None  # noqa: E711
+
+
+def test_records_of_like_shape_but_another_class_differ():
+    assert Sum(Symbol("C"), Symbol("P")) != Product(Symbol("C"), Symbol("P"))
+    assert Quotient(Symbol("C"), Symbol("P")) != Product(Symbol("C"), Symbol("P"))
+
+
+@CASES
+def test_assignment_and_deletion_raise(case):
+    make, _, text = RECORDS[case]
+    record = make()
+    # The first field: Dimension prints its one field without a name.
+    field = text[text.index("(") + 1 :].split("=", 1)[0] if "=" in text else "exponent"
+    for change in (
+        lambda: setattr(record, field, 0),
+        lambda: delattr(record, field),
+        lambda: setattr(record, "extra", 0),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert record == make()
+
+
+@CASES
+def test_repr_is_unchanged(case):
+    make, _, text = RECORDS[case]
+    assert repr(make()) == text
+
+
+@CASES
+def test_copy_deepcopy_and_pickle_give_an_equal_record(case):
+    make, _, text = RECORDS[case]
+    record = make()
+    # Protocols 0 and 1 cannot hold the slotted CitationVector of a raw summary.
+    pickled = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    for clone in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        *(pickle.loads(pickle.dumps(record, protocol)) for protocol in pickled),
+    ):
+        assert type(clone) is type(record)
+        assert clone == record
+        assert hash(clone) == hash(record)
+        assert repr(clone) == text
+
+
+class TestIndicatorDescriptor:
+    def test_equality_and_hash_ignore_compute(self):
+        a = IndicatorDescriptor("h", PAPERS, h_index)
+        b = IndicatorDescriptor("h", PAPERS, g_index)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != IndicatorDescriptor("h", PAPERS, h_index, fit_tolerance=0.05)
+        assert a != IndicatorDescriptor("g", PAPERS, h_index)
+
+    def test_repr_shows_every_field(self):
+        desc = IndicatorDescriptor("h", PAPERS, h_index)
+        assert repr(desc) == (
+            f"IndicatorDescriptor(name='h', declared_dim={_P}, "
+            f"compute={h_index!r}, fit_tolerance=1e-06)"
+        )
+
+    def test_copies_keep_compute(self):
+        desc = IndicatorDescriptor("h", PAPERS, h_index)
+        for clone in (copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc))):
+            assert clone == desc
+            assert clone.compute is h_index

@@ -213,7 +213,7 @@ class TestParseJson:
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "json")
         assert "mixed" in str(excinfo.value)
-        assert excinfo.value.line == 2
+        assert excinfo.value.record == 2
 
     def test_negative_count_reports_record(self):
         text = json.dumps(
@@ -224,7 +224,16 @@ class TestParseJson:
         )
         with pytest.raises(NegativeCountError) as excinfo:
             parse_input(text, "json")
-        assert excinfo.value.line == 2
+        assert excinfo.value.record == 2
+
+    def test_record_errors_name_the_record_not_a_line(self):
+        records = [{"author": "A", "citations": [1]}, {"author": "B", "citations": [-2]}]
+        text = json.dumps(records, indent=2)
+        assert text.splitlines()[10].strip() == "-2"
+        with pytest.raises(NegativeCountError) as excinfo:
+            parse_input(text, "json")
+        assert str(excinfo.value) == "record 2: negative citation count -2"
+        assert (excinfo.value.record, excinfo.value.line) == (2, None)
 
     def test_boolean_count_reports_record(self):
         text = json.dumps(
@@ -235,13 +244,13 @@ class TestParseJson:
         )
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "json")
-        assert str(excinfo.value) == "line 2: citation counts must be integers, got True"
+        assert str(excinfo.value) == "record 2: citation counts must be integers, got True"
 
     def test_non_integral_paper_count_reports_record(self):
         text = json.dumps([{"author": "A", "P": 2.7, "i": 1.0, "eta": 0.5}])
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "json")
-        assert str(excinfo.value) == "line 1: paper count must be an integer, got 2.7"
+        assert str(excinfo.value) == "record 1: paper count must be an integer, got 2.7"
         text = json.dumps([{"author": "A", "P": 3.0, "i": 1.0, "eta": 0.5}])
         assert parse_input(text, "json")[0].papers == 3
 
@@ -271,7 +280,7 @@ class TestParseJson:
         )
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "json")
-        assert str(excinfo.value) == "line 2: portfolio 'B' has no papers"
+        assert str(excinfo.value) == "record 2: portfolio 'B' has no papers"
 
     def test_byte_order_mark_ignored(self):
         text = json.dumps([{"author": "A", "citations": [4, 2, 1]}])
@@ -288,7 +297,9 @@ class TestParseJson:
         )
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "json")
-        assert str(excinfo.value) == "line 3: duplicate author 'A', first given at line 1"
+        assert str(excinfo.value) == (
+            "record 3: duplicate author 'A', first given at record 1"
+        )
 
     @pytest.mark.parametrize(
         "record, message",
@@ -300,7 +311,7 @@ class TestParseJson:
     def test_huge_summary_numbers_report_record(self, record, message):
         with pytest.raises(FormatError) as excinfo:
             parse_input(json.dumps([{"author": "A", **record}]), "json")
-        assert str(excinfo.value).startswith(f"line 1: {message}")
+        assert str(excinfo.value).startswith(f"record 1: {message}")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -312,7 +323,7 @@ class TestParseJson:
         assert (parsed.papers, parsed.impact, parsed.evenness, parsed.h) == (10, 2.5, 0.5, 3.0)
         with pytest.raises(FormatError) as excinfo:
             parse_input(json.dumps([{**record, field: value}]), "json")
-        assert str(excinfo.value) == f"line 1: invalid summary record: invalid literal {value!r}"
+        assert str(excinfo.value) == f"record 1: invalid summary record: invalid literal {value!r}"
 
     @pytest.mark.parametrize(
         "text", ["[" * 100_000, f"[{'1' * 5000}]"], ids=["deep-nesting", "long-integer"]
@@ -446,11 +457,13 @@ class TestParseProperties:
         form=st.sampled_from(["csv", "json"]),
     )
     def test_only_scindex_errors(self, data, form):
-        """Malformed input raises only scindex errors, and input errors name their line."""
+        """Malformed input raises only scindex errors, and input errors name
+        their line, or the JSON record they are in."""
         try:
             parse_input(data, form)
         except (FormatError, NegativeCountError) as exc:
-            assert exc.line is not None, exc
+            assert (exc.line is None) != (exc.record is None), exc
+            assert form == "json" or exc.line is not None, exc
         except ScindexError:
             pass
 
