@@ -29,7 +29,7 @@ from .errors import FormatError, ScindexError
 from .indicators import registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
-from .tabular import emit_matrix, emit_table, number, parse_input, table_rows
+from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input, table_rows
 
 __all__ = ["main", "run"]
 
@@ -82,15 +82,10 @@ def _split_csv_list(text: str) -> list[str]:
 
 
 def _parse_counts_arg(text: str) -> list[int]:
-    counts = []
-    for item in text.split(";"):
-        item = item.strip()
-        if item == "":
-            continue
-        try:
-            counts.append(number(int, item))
-        except ValueError:
-            raise FormatError(f"invalid citation count {item!r} in --base") from None
+    try:
+        counts = parse_counts(text)
+    except FormatError as exc:
+        raise FormatError(f"{exc} in --base") from None
     if not counts:
         raise FormatError("--base needs at least one citation count")
     return counts

@@ -96,8 +96,8 @@ class UnknownIndicatorError(ScindexError):
 class FormatError(_LocatedError):
     """Malformed tabular input.
 
-    ``line`` is the 1-based text line: of a CSV row, or of a JSON
-    document that does not decode to an array (1 when it decodes to
-    something else).  A malformed record of a JSON array sets ``record``,
+    ``line`` is the 1-based text line: the one a CSV row starts on, or that
+    of a JSON document that does not decode to an array (1 when it decodes
+    to something else).  A malformed record of a JSON array sets ``record``,
     its 1-based position in the array, and leaves ``line`` None.
     """

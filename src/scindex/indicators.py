@@ -147,6 +147,9 @@ class CitationVector:
     def __hash__(self) -> int:
         return hash(self._runs)
 
+    def __reduce__(self) -> tuple:
+        return CitationVector.from_runs, (self._runs,)
+
     def __repr__(self) -> str:
         try:
             return f"CitationVector({list(self.counts)!r})"

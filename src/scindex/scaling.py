@@ -119,12 +119,20 @@ def verify_dimension(
     ``tolerance`` of the declared exponent (the descriptor's own gate
     when ``tolerance`` is None).  A series that is exactly zero at all
     scales (e.g. the dispersion term on a uniform portfolio) is
-    consistent with any power law and passes without a fit.  A scale
-    factor whose replica leaves the float range raises
+    consistent with any power law and passes without a fit.  The scale
+    factors, strictly increasing ints, are checked before any replica.  A
+    scale factor whose replica leaves the float range raises
     :class:`DomainError` naming the indicator and the factor.
     """
     vec = as_citation_vector(base)
-    lams = tuple(int(x) for x in lambdas)
+    lams = tuple(lambdas)
+    for lam in lams:
+        if type(lam) is not int:
+            raise DomainError(f"indicator {desc.name}: scale factors must be ints, got {lam!r}")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise DegenerateSeriesError(
+            f"indicator {desc.name}: scale factors must be strictly increasing"
+        )
     if tolerance is None:
         tolerance = desc.fit_tolerance
     check_tolerance(tolerance)
@@ -138,10 +146,6 @@ def verify_dimension(
     declared = desc.declared_dim.exponent
     if all(value == 0.0 for value in values):
         return ProbeResult(desc.name, declared, lams, values, None, True, ZERO_SERIES_NOTE)
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise DegenerateSeriesError(
-            f"indicator {desc.name}: scale factors must be strictly increasing"
-        )
     try:
         estimate = fit_loglog(lams, values)
     except DegenerateSeriesError as exc:

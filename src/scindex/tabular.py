@@ -32,10 +32,10 @@ import json
 import re
 import sys
 from itertools import repeat
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary
-from .errors import DomainError, FormatError, NegativeCountError
+from .errors import DomainError, FormatError, NegativeCountError, ScindexError
 from .indicators import CitationVector
 
 __all__ = [
@@ -70,16 +70,19 @@ def _add_record(
     first_seen: dict[str, int],
     record: PortfolioSummary,
     position: int,
-    unit: str = "line",
+    unit: str,
 ) -> None:
     """Append ``record``, at ``position`` in ``unit``s, unless its label was given."""
     first = first_seen.setdefault(record.label, position)
     if first != position:
-        raise FormatError(
-            f"duplicate author {record.label!r}, first given at {unit} {first}",
-            **{unit: position},
-        )
+        raise FormatError(f"duplicate author {record.label!r}, first given at {unit} {first}")
     records.append(record)
+
+
+def _located(exc: ScindexError, **where: int) -> ScindexError:
+    """``exc`` at ``line=`` or ``record=``, a FormatError unless a negative count."""
+    located = NegativeCountError if isinstance(exc, NegativeCountError) else FormatError
+    return located(str(exc), **where)
 
 
 def _plain(text: str) -> bool:
@@ -100,21 +103,18 @@ def number(kind: type, text: str) -> float | int:
     return kind(text)
 
 
-def _parse_counts(label: str, cell: str, line: int) -> CitationVector:
+def parse_counts(cell: str) -> list[int]:
+    """The counts of a ``"4;2;1"`` list; blank items are skipped, a bad one is a FormatError."""
     items = list(filter(None, map(str.strip, cell.split(";"))))
-    if not items:
-        raise FormatError(f"portfolio {label!r} has no papers", line)
     try:
         # The items, not the cell: the whitespace they were stripped of may
         # be non-ASCII.  A plain cell has plain items, and is checked faster.
-        if not (_plain(cell) or _plain("".join(items))):
-            raise ValueError(cell)
-        return CitationVector(map(int, items))
+        if _plain(cell) or _plain("".join(items)):
+            return list(map(int, items))
     except ValueError:
-        bad = next(item for item in items if not _is_int_literal(item))
-        raise FormatError(f"invalid citation count {bad!r}", line) from None
-    except NegativeCountError as exc:
-        raise NegativeCountError(str(exc), line) from None
+        pass
+    bad = next(item for item in items if not _is_int_literal(item))
+    raise FormatError(f"invalid citation count {bad!r}")
 
 
 def _is_int_literal(text: str) -> bool:
@@ -125,11 +125,41 @@ def _is_int_literal(text: str) -> bool:
     return True
 
 
-def _parse_number(kind: type, cell: str, name: str, line: int) -> float | int:
+def _wide(label: str, counts: list) -> PortfolioSummary:
+    """The portfolio of a wide record, which needs at least one paper."""
+    if not counts:
+        raise FormatError(f"portfolio {label!r} has no papers")
     try:
-        return number(kind, cell)
+        return PortfolioSummary(label, CitationVector(counts))
+    except TypeError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _summary(label: str, papers: Any, impact: Any, evenness: Any, h: Any) -> PortfolioSummary:
+    """The portfolio of a summary record; ``h`` is None when none was published."""
+    return PortfolioSummary.from_summary(
+        label,
+        _field(int, papers, "P"),
+        _field(float, impact, "i"),
+        _field(float, evenness, "eta"),
+        h=None if h is None else _field(float, h, "h"),
+    )
+
+
+def _field(kind: type, value: Any, name: str) -> float | int:
+    """Summary field ``name`` as ``kind``: text goes through :func:`number`; any
+    other value must be an int or a float (not a bool), integral for an int field.
+    """
+    try:
+        if isinstance(value, str):
+            return number(kind, value)
+        if type(value) is int or (type(value) is float and (kind is float or value.is_integer())):
+            return kind(value)
     except ValueError:
-        raise FormatError(f"invalid {name} value {cell!r}", line) from None
+        pass
+    except OverflowError:  # an integer too large for a float; its digits are not shown
+        raise FormatError(f"{name} value exceeds the floating-point range") from None
+    raise FormatError(f"invalid {name} value {value!r}")
 
 
 def _parse_csv(text: str) -> list[PortfolioSummary]:
@@ -172,50 +202,37 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
         return None
 
 
-def _csv_records(reader: Iterator[list[str]]) -> list[PortfolioSummary]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty input", 1) from None
-    header = tuple(h.strip() for h in header)
+def _csv_records(reader: Any) -> list[PortfolioSummary]:
+    """The records of a :func:`csv.reader`; an error names the line its row starts on."""
     records: list[PortfolioSummary] = []
     first_seen: dict[str, int] = {}
-    if header == WIDE_HEADER:
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"expected 2 fields, got {len(row)}", line)
-            label = row[0]
-            vector = _parse_counts(label, row[1], line)
-            _add_record(
-                records, first_seen, PortfolioSummary.from_vector(label, vector), line
+    line = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("empty input")
+        header = tuple(h.strip() for h in header)
+        if header not in (WIDE_HEADER, SUMMARY_HEADER, SUMMARY_HEADER_H):
+            raise FormatError(
+                "header must be 'author,citations' or 'author,P,i,eta[,h]', "
+                f"got {','.join(header)!r}"
             )
-        return records
-    if header in (SUMMARY_HEADER, SUMMARY_HEADER_H):
-        expected = len(header)
-        for line, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            line, end = end + 1, reader.line_num
             if not row:
                 continue
-            if len(row) != expected:
-                raise FormatError(f"expected {expected} fields, got {len(row)}", line)
-            p = _parse_number(int, row[1], "P", line)
-            i = _parse_number(float, row[2], "i", line)
-            eta = _parse_number(float, row[3], "eta", line)
-            h: float | None = None
-            if expected == 5 and row[4].strip() != "":
-                h = _parse_number(float, row[4], "h", line)
-            try:
-                record = PortfolioSummary.from_summary(row[0], p, i, eta, h=h)
-            except DomainError as exc:
-                raise FormatError(str(exc), line) from None
-            _add_record(records, first_seen, record, line)
-        return records
-    raise FormatError(
-        "header must be 'author,citations' or 'author,P,i,eta[,h]', "
-        f"got {','.join(header)!r}",
-        1,
-    )
+            if len(row) != len(header):
+                raise FormatError(f"expected {len(header)} fields, got {len(row)}")
+            if header == WIDE_HEADER:
+                record = _wide(row[0], parse_counts(row[1]))
+            else:
+                h = row[4] if len(row) == 5 and row[4].strip() else None
+                record = _summary(*row[:4], h)
+            _add_record(records, first_seen, record, line, "line")
+    except ScindexError as exc:
+        raise _located(exc, line=line) from None
+    return records
 
 
 def _parse_json(text: str) -> list[PortfolioSummary]:
@@ -235,59 +252,26 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
         raise FormatError("expected a JSON array of records", 1)
     records: list[PortfolioSummary] = []
     first_seen: dict[str, int] = {}
-    form: str | None = None
-    for n, entry in enumerate(payload, start=1):
-        if not isinstance(entry, dict) or "author" not in entry:
-            raise FormatError("record must be an object with an 'author' key", record=n)
-        label = str(entry["author"])
-        if "citations" in entry:
-            record_form = "wide"
-        elif {"P", "i", "eta"} <= set(entry):
-            record_form = "summary"
-        else:
-            raise FormatError("record needs either 'citations' or the keys P, i, eta", record=n)
-        if form is None:
-            form = record_form
-        elif form != record_form:
-            raise FormatError("mixed wide and summary records in one file", record=n)
-        if record_form == "wide":
-            counts = entry["citations"]
-            if not isinstance(counts, list):
-                raise FormatError("'citations' must be an array of integers", record=n)
-            if not counts:
-                raise FormatError(f"portfolio {label!r} has no papers", record=n)
-            try:
-                record = PortfolioSummary.from_vector(label, counts)
-            except NegativeCountError as exc:
-                raise NegativeCountError(str(exc), record=n) from None
-            except TypeError as exc:
-                raise FormatError(str(exc), record=n) from None
-        else:
-            h = entry.get("h")
-            papers = entry["P"]
-            if isinstance(papers, bool) or (
-                isinstance(papers, float) and not papers.is_integer()
-            ):
-                raise FormatError(f"paper count must be an integer, got {papers!r}", record=n)
-            try:
-                record = PortfolioSummary.from_summary(
-                    label,
-                    _json_number(int, papers),
-                    _json_number(float, entry["i"]),
-                    _json_number(float, entry["eta"]),
-                    h=None if h is None else _json_number(float, h),
-                )
-            except DomainError as exc:
-                raise FormatError(str(exc), record=n) from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"invalid summary record: {exc}", record=n) from None
-        _add_record(records, first_seen, record, n, "record")
+    try:
+        for n, entry in enumerate(payload, start=1):
+            if not (isinstance(entry, dict) and isinstance(entry.get("author"), str)):
+                raise FormatError("record must be an object with an 'author' string")
+            wide = "citations" in entry
+            if not (wide or {"P", "i", "eta"} <= entry.keys()):
+                raise FormatError("record needs either 'citations' or the keys P, i, eta")
+            if records and wide != records[0].is_raw:
+                raise FormatError("mixed wide and summary records in one file")
+            label = entry["author"]
+            if not wide:
+                record = _summary(label, entry["P"], entry["i"], entry["eta"], entry.get("h"))
+            elif isinstance(entry["citations"], list):
+                record = _wide(label, entry["citations"])
+            else:
+                raise FormatError("'citations' must be an array of integers")
+            _add_record(records, first_seen, record, n, "record")
+    except ScindexError as exc:
+        raise _located(exc, record=n) from None
     return records
-
-
-def _json_number(kind: type, value: Any) -> float | int:
-    """``kind(value)``, reading a string through :func:`number`."""
-    return number(kind, value) if isinstance(value, str) else kind(value)
 
 
 def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary]:
@@ -309,48 +293,24 @@ def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> st
     forms = {record.is_raw for record in records}
     if len(forms) > 1:
         raise FormatError("cannot emit a mix of wide and summary records")
-    wide = forms == {True}
-    if format == "csv":
-        if wide:
-            lines: list[Sequence[str]] = [WIDE_HEADER]
-            for record in records:
-                assert record.vector is not None
-                lines.append(
-                    [record.label, ";".join(str(c) for c in record.vector.counts)]
-                )
-        else:
-            lines = [SUMMARY_HEADER_H]
-            for record in records:
-                lines.append(
-                    [
-                        record.label,
-                        str(record.papers),
-                        repr(record.impact),
-                        repr(record.evenness),
-                        "" if record.h is None else repr(record.h),
-                    ]
-                )
-        return _csv_text(lines)
+    if format not in ("csv", "json"):
+        raise FormatError(f"unknown record format {format!r}")
+    header = WIDE_HEADER if forms == {True} else SUMMARY_HEADER_H
+    rows = [
+        (r.label, r.vector.counts) if r.is_raw else (r.label, r.papers, r.impact, r.evenness, r.h)
+        for r in records
+    ]
     if format == "json":
-        rows: list[dict[str, Any]] = []
-        for record in records:
-            if wide:
-                assert record.vector is not None
-                rows.append(
-                    {"author": record.label, "citations": list(record.vector.counts)}
-                )
-            else:
-                row: dict[str, Any] = {
-                    "author": record.label,
-                    "P": record.papers,
-                    "i": record.impact,
-                    "eta": record.evenness,
-                }
-                if record.h is not None:
-                    row["h"] = record.h
-                rows.append(row)
-        return json.dumps(rows, indent=2) + "\n"
-    raise FormatError(f"unknown record format {format!r}")
+        objects = [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
+        return json.dumps(objects, indent=2) + "\n"
+    return _csv_text([header, *([label, *map(_csv_cell, values)] for label, *values in rows)])
+
+
+def _csv_cell(value: Any) -> str:
+    """A record value as CSV text: counts joined by semicolons, None blank."""
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    return "" if value is None else repr(value)
 
 
 def _csv_text(lines: Sequence[Sequence[str]]) -> str:

@@ -96,6 +96,12 @@ class TestProbe:
         assert main(["probe", "--base", "4;2;1", "--lambdas", "3,2,1"]) == 1
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_unordered_lambdas_exit_one_on_an_all_zero_series(self, capsys):
+        assert main(["probe", "--base", "5;5;5", "--index", "S", "--lambdas", "3,2,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: indicator S: scale factors must be strictly increasing\n"
+
     def test_huge_lambda_probes_without_building_the_replica(self, capsys, monkeypatch):
         # The replica at lambda 1e9 stands for 3e9 papers.  With the build
         # limit at zero, any replica whose counts were built would fail.
@@ -129,6 +135,17 @@ class TestProbe:
     def test_bad_base_exit_one(self, capsys):
         assert main(["probe", "--base", "4;x;1"]) == 1
         assert "'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            (" ; ;", "--base needs at least one citation count"),
+            ("4;-1", "negative citation count -1"),
+        ],
+    )
+    def test_base_errors_name_the_option(self, capsys, base, message):
+        assert main(["probe", "--base", base]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "options, message",

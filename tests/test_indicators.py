@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 
@@ -16,6 +17,7 @@ from scindex import (
     DomainError,
     EmptyPortfolioError,
     NegativeCountError,
+    PortfolioSummary,
     compute_all,
     descriptor,
     g_index,
@@ -110,6 +112,13 @@ class TestCitationVector:
         with pytest.raises(DomainError, match="vector of 3 counts is over the limit of 2"):
             vec.counts
         assert repr(vec) == "CitationVector.from_runs([(3, 1), (2, 1), (1, 1)])"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_at_every_protocol(self, protocol):
+        vec = CitationVector([3, 1, 1])
+        summary = PortfolioSummary.from_vector("A", vec)
+        assert pickle.loads(pickle.dumps(vec, protocol)).runs == ((3, 1), (1, 2))
+        assert pickle.loads(pickle.dumps(summary, protocol)) == summary
 
     def test_empty_constructible_but_rejected_by_indicators(self):
         empty = CitationVector([])

@@ -167,8 +167,7 @@ def test_repr_is_unchanged(case):
 def test_copy_deepcopy_and_pickle_give_an_equal_record(case):
     make, _, text = RECORDS[case]
     record = make()
-    # Protocols 0 and 1 cannot hold the slotted CitationVector of a raw summary.
-    pickled = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    pickled = range(pickle.HIGHEST_PROTOCOL + 1)
     for clone in (
         copy.copy(record),
         copy.deepcopy(record),

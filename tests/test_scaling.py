@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from scindex import (
     DegenerateSeriesError,
+    PAPERS_CUBED,
     DomainError,
+    IndicatorDescriptor,
     descriptor,
     fit_loglog,
     probe_registry,
@@ -246,6 +248,25 @@ class TestVerifyDimension:
             assert str(excinfo.value) == (
                 "indicator C: scale factors must be strictly increasing"
             )
+
+    @pytest.mark.parametrize(
+        "lambdas, shown", [((1, 2.5, 3.9), "2.5"), ((True, 2, 3), "True"), ((1, 2, "3"), "'3'")]
+    )
+    def test_scale_factors_must_be_ints(self, lambdas, shown):
+        with pytest.raises(DomainError) as excinfo:
+            verify_dimension(descriptor("C"), [4, 2, 1], lambdas=lambdas)
+        assert str(excinfo.value) == f"indicator C: scale factors must be ints, got {shown}"
+
+    @pytest.mark.parametrize("lambdas", [(3, 2, 1), (1, 2.0, 3)])
+    def test_scale_factors_are_checked_before_any_replica(self, lambdas):
+        replicas = []
+        spy = IndicatorDescriptor("S", PAPERS_CUBED, replicas.append)
+        with pytest.raises((DegenerateSeriesError, DomainError)):
+            verify_dimension(spy, [5, 5, 5], lambdas=lambdas)
+        assert replicas == []
+        # An all-zero series is no exception to the order check.
+        with pytest.raises(DegenerateSeriesError):
+            verify_dimension(descriptor("S"), [5, 5, 5], lambdas=(3, 2, 1))
 
     def test_degenerate_series_names_the_indicator(self):
         with pytest.raises(DegenerateSeriesError) as excinfo:

@@ -30,6 +30,7 @@ from scindex.tabular import (
     SUMMARY_HEADER_H,
     emit_matrix,
     format_magnitude,
+    parse_counts,
     table_rows,
 )
 
@@ -190,6 +191,38 @@ class TestParseCsv:
         assert excinfo.value.line == 3
         assert "not UTF-8" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('author,citations\n"A\nB",1\nC,x\n', "line 4: invalid citation count 'x'"),
+            ('author,P,i,eta\n"A\nB",10,5,0.5\nC,x,5,0.5\n', "line 4: invalid P value 'x'"),
+            (
+                'author,citations\n"A\nB",1\nC,2\n\nC,3\n',
+                "line 6: duplicate author 'C', first given at line 4",
+            ),
+        ],
+        ids=["wide", "summary", "duplicate"],
+    )
+    def test_rows_after_a_multi_line_label_name_their_first_line(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == message
+
+
+class TestParseCounts:
+    def test_blank_items_are_skipped(self):
+        assert parse_counts(" 4; ;2;1;") == [4, 2, 1]
+        assert parse_counts(" ; ") == []
+
+    @pytest.mark.parametrize(
+        "cell, bad", [("4;x;1", "x"), ("4; 1_0", "1_0"), ("\u0664;2", "\u0664"), ("4;-", "-")]
+    )
+    def test_the_first_bad_item_is_named_without_a_location(self, cell, bad):
+        with pytest.raises(FormatError) as excinfo:
+            parse_counts(cell)
+        assert str(excinfo.value) == f"invalid citation count {bad!r}"
+        assert (excinfo.value.line, excinfo.value.record) == (None, None)
+
 
 class TestParseJson:
     def test_wide_records(self):
@@ -250,7 +283,7 @@ class TestParseJson:
         text = json.dumps([{"author": "A", "P": 2.7, "i": 1.0, "eta": 0.5}])
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "json")
-        assert str(excinfo.value) == "record 1: paper count must be an integer, got 2.7"
+        assert str(excinfo.value) == "record 1: invalid P value 2.7"
         text = json.dumps([{"author": "A", "P": 3.0, "i": 1.0, "eta": 0.5}])
         assert parse_input(text, "json")[0].papers == 3
 
@@ -305,13 +338,18 @@ class TestParseJson:
         "record, message",
         [
             ({"P": 10**400, "i": 2.0, "eta": 0.5}, "paper count exceeds the floating-point range"),
-            ({"P": 3, "i": 10**400, "eta": 0.5}, "invalid summary record: "),
+            ({"P": 3, "i": 10**400, "eta": 0.5}, "i value exceeds the floating-point range"),
+            ({"P": 3, "i": 2.0, "eta": 10**400}, "eta value exceeds the floating-point range"),
+            (
+                {"P": 3, "i": 2.0, "eta": 0.5, "h": 10**400},
+                "h value exceeds the floating-point range",
+            ),
         ],
     )
     def test_huge_summary_numbers_report_record(self, record, message):
         with pytest.raises(FormatError) as excinfo:
             parse_input(json.dumps([{"author": "A", **record}]), "json")
-        assert str(excinfo.value).startswith(f"record 1: {message}")
+        assert str(excinfo.value) == f"record 1: {message}"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -323,7 +361,48 @@ class TestParseJson:
         assert (parsed.papers, parsed.impact, parsed.evenness, parsed.h) == (10, 2.5, 0.5, 3.0)
         with pytest.raises(FormatError) as excinfo:
             parse_input(json.dumps([{**record, field: value}]), "json")
-        assert str(excinfo.value) == f"record 1: invalid summary record: invalid literal {value!r}"
+        assert str(excinfo.value) == f"record 1: invalid {field} value {value!r}"
+
+    @pytest.mark.parametrize(
+        "author", [None, 5, ["A"], {"name": "A"}, True], ids=["null", "number", "array", "object", "bool"]
+    )
+    def test_author_must_be_a_string(self, author):
+        for record in ({"author": author, "citations": [1]}, {"citations": [1]}):
+            text = json.dumps([{"author": "A", "citations": [1]}, record])
+            with pytest.raises(FormatError) as excinfo:
+                parse_input(text, "json")
+            assert str(excinfo.value) == (
+                "record 2: record must be an object with an 'author' string"
+            )
+
+    @pytest.mark.parametrize("field", ["P", "i", "eta", "h"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_numbers(self, field, value):
+        record = {"author": "A", "P": 10, "i": 2.5, "eta": 0.5, "h": 3, field: value}
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(json.dumps([record]), "json")
+        assert str(excinfo.value) == f"record 1: invalid {field} value {value!r}"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("P", "1_000", "invalid P value '1_000'"),
+            ("P", "2.5", "invalid P value '2.5'"),
+            ("i", "x", "invalid i value 'x'"),
+            ("h", "\u0663", "invalid h value '\u0663'"),
+            ("P", "0", "paper count must be >= 1, got 0"),
+            ("eta", "1.5", "evenness must lie in (0, 1], got 1.5"),
+            ("i", "nan", "mean impact must be finite, got nan"),
+        ],
+    )
+    def test_a_defect_reads_the_same_in_csv_and_json(self, field, value, message):
+        fields = {"P": "10", "i": "2.5", "eta": "0.5", "h": "3", field: value}
+        csv_text = "author,P,i,eta,h\nA," + ",".join(fields.values()) + "\n"
+        json_text = json.dumps([{"author": "A", **fields}])
+        for text, form, where in ((csv_text, "csv", "line 2"), (json_text, "json", "record 1")):
+            with pytest.raises(FormatError) as excinfo:
+                parse_input(text, form)
+            assert str(excinfo.value) == f"{where}: {message}"
 
     @pytest.mark.parametrize(
         "text", ["[" * 100_000, f"[{'1' * 5000}]"], ids=["deep-nesting", "long-integer"]
@@ -506,6 +585,53 @@ class TestRoundTrips:
                 for label in labels
             ]
         assert parse_input(emit_records(records, form), form) == records
+
+    @pytest.mark.parametrize(
+        "records, form, text",
+        [
+            (
+                [
+                    PortfolioSummary.from_vector("A", [4, 2, 1]),
+                    PortfolioSummary.from_vector("B, Jr.\r", [10, 0]),
+                ],
+                "csv",
+                'author,citations\nA,4;2;1\n"B, Jr.\r","10;0"\n',
+            ),
+            (
+                [
+                    PortfolioSummary.from_summary("A", 45, 48.71, 0.42, h=23),
+                    PortfolioSummary.from_summary("B", 3, 0.1, 1.0),
+                ],
+                "csv",
+                "author,P,i,eta,h\nA,45,48.71,0.42,23.0\nB,3,0.1,1.0,\n",
+            ),
+            (
+                [PortfolioSummary.from_vector("A", [4, 2, 1])],
+                "json",
+                json.dumps([{"author": "A", "citations": [4, 2, 1]}], indent=2) + "\n",
+            ),
+            (
+                [
+                    PortfolioSummary.from_summary("A", 45, 48.71, 0.42, h=23),
+                    PortfolioSummary.from_summary("B", 3, 0.1, 1.0),
+                ],
+                "json",
+                json.dumps(
+                    [
+                        {"author": "A", "P": 45, "i": 48.71, "eta": 0.42, "h": 23.0},
+                        {"author": "B", "P": 3, "i": 0.1, "eta": 1.0},
+                    ],
+                    indent=2,
+                )
+                + "\n",
+            ),
+            ([], "csv", "author,P,i,eta,h\n"),
+            ([], "json", "[]\n"),
+        ],
+        ids=["wide-csv", "summary-csv", "wide-json", "summary-json", "empty-csv", "empty-json"],
+    )
+    def test_emitted_text(self, records, form, text):
+        assert emit_records(records, form) == text
 
     def test_mixed_records_cannot_be_emitted(self):
         records = [
