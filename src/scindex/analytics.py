@@ -20,6 +20,7 @@ from .errors import (
     HeterogeneityError,
     UnknownIndicatorError,
     ZeroVarianceError,
+    shown,
 )
 from .indicators import (
     CitationVector,
@@ -57,7 +58,7 @@ class PortfolioSummary(Record):
     def __init__(self, label, vector=None, papers=None, impact=None, evenness=None, h=None) -> None:
         if (vector is None) == (papers is None):
             raise DomainError(
-                f"portfolio {label!r} needs exactly one of: raw vector, summary triple"
+                f"portfolio {shown(label)} needs exactly one of: raw vector, summary triple"
             )
         if papers is not None:
             _check_summary(papers, impact, evenness, h)
@@ -79,7 +80,7 @@ class PortfolioSummary(Record):
     ) -> "PortfolioSummary":
         return cls(
             label,
-            papers=int(papers),
+            papers=_integral(papers),
             impact=float(impact),
             evenness=float(evenness),
             h=None if h is None else float(h),
@@ -98,10 +99,22 @@ class PortfolioSummary(Record):
             assert self.evenness is not None
             report = reconstruct_from_summary(self.papers, self.impact, self.evenness)
         except DomainError as exc:
-            raise DomainError(f"portfolio {self.label!r}: {exc}") from None
+            raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
         if self.h is not None:
             report.magnitudes["h"] = float(self.h)
         return report, RECONSTRUCTED_COLUMNS
+
+
+def _integral(value: object) -> object:
+    """``value`` as an ``int`` if it is an integer (not a bool) or an integral
+    float; any other value unchanged, for :func:`_check_summary` to refuse.
+    """
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    try:
+        return value if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return value
 
 
 def _check_summary(
@@ -112,6 +125,8 @@ def _check_summary(
 ) -> None:
     if papers is None or impact is None or evenness is None:
         raise DomainError("summary form needs papers, impact and evenness")
+    if type(papers) is not int:
+        raise DomainError(f"paper count must be an integer, got {shown(papers)}")
     if papers < 1:
         raise DomainError(f"paper count must be >= 1, got {papers}")
     if papers > sys.float_info.max:
@@ -122,8 +137,10 @@ def _check_summary(
         raise DomainError(f"mean impact must be finite, got {impact}")
     if not 0 < evenness <= 1:
         raise DomainError(f"evenness must lie in (0, 1], got {evenness}")
-    if h is not None and not math.isfinite(h):
-        raise DomainError(f"h must be finite, got {h}")
+    if h is not None and not 0.0 <= h <= papers:  # nan and ±inf fail it too
+        if not math.isfinite(h):
+            raise DomainError(f"h must be finite, got {h}")
+        raise DomainError(f"h must lie in [0, P], got {h} with P = {papers}")
 
 
 def reconstruct_from_summary(papers: int, impact: float, evenness: float) -> IndicatorReport:

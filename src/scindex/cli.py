@@ -101,6 +101,15 @@ def _parse_lambdas_arg(text: str) -> list[int]:
     return lams
 
 
+def _parse_tolerance_arg(text: str) -> float:
+    try:
+        tolerance = number(float, text)
+    except ValueError:
+        raise FormatError(f"invalid --tolerance value {text!r}") from None
+    check_tolerance(tolerance, "--tolerance")
+    return tolerance
+
+
 def _format_probe_lines(results: Sequence[ProbeResult]) -> str:
     lines = ["index\tdeclared\tslope\tmax_residual\tverdict\tnote"]
     for result in results:
@@ -140,9 +149,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
     names = None if args.index == "all" else _split_csv_list(args.index)
-    if args.tolerance is not None:
-        check_tolerance(args.tolerance, "--tolerance")
-    results = probe_registry(base, lambdas, names=names, tolerance=args.tolerance)
+    tolerance = None if args.tolerance is None else _parse_tolerance_arg(args.tolerance)
+    results = probe_registry(base, lambdas, names=names, tolerance=tolerance)
     _write_output(_format_probe_lines(results), args.output)
     if args.svg:
         plottable = [
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"indicator name(s) or 'all' ({', '.join(registry_names())})",
     )
-    probe.add_argument("--tolerance", type=float, default=None, help="slope gate override")
+    probe.add_argument("--tolerance", default=None, help="slope gate override")
     probe.add_argument("--svg", default=None, metavar="PATH", help="write an SVG plot (+ .csv points)")
     probe.add_argument("-o", "--output", default=None, metavar="PATH")
     probe.set_defaults(func=_cmd_probe)

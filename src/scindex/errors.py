@@ -7,6 +7,20 @@ specific failure.
 
 from __future__ import annotations
 
+_SHOWN_LENGTH = 40  # characters of an input value that an error message echoes
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` as an error message echoes it: one longer than
+    ``_SHOWN_LENGTH`` characters is cut there, and the length of the value
+    (of its repr, if it is not a string) is stated.
+    """
+    text = repr(value)
+    if len(text) <= _SHOWN_LENGTH:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:_SHOWN_LENGTH]}... ({size} characters)"
+
 
 class ScindexError(Exception):
     """Base class for all scindex errors."""

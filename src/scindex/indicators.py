@@ -40,6 +40,7 @@ from .errors import (
     EmptyPortfolioError,
     NegativeCountError,
     UnknownIndicatorError,
+    shown,
 )
 
 __all__ = [
@@ -165,10 +166,10 @@ def _checked_counts(values: list) -> list[int]:
     checked = []
     for c in values:
         if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise TypeError(f"citation counts must be integers, got {c!r}")
+            raise TypeError(f"citation counts must be integers, got {shown(c)}")
         c = int(c)
         if c < 0:
-            raise NegativeCountError(f"negative citation count {c}")
+            raise NegativeCountError(f"negative citation count {shown(c)}")
         checked.append(c)
     return checked
 

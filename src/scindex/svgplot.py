@@ -15,11 +15,13 @@ from typing import Sequence
 from .dimension import Record
 from .errors import DegenerateSeriesError, DomainError
 from .scaling import fit_loglog
+from .tabular import _csv_text
 
 __all__ = ["PlotSeries", "emit_loglog_svg"]
 
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 class PlotSeries(Record):
@@ -107,7 +109,7 @@ def emit_loglog_svg(
     if title:
         parts.append(
             f'<text x="{width / 2:.0f}" y="{mt - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
+            f'font-family="sans-serif" font-size="13">{title.translate(_XML_ESCAPES)}</text>'
         )
 
     # Decade gridlines and labels on both log axes.
@@ -145,6 +147,7 @@ def emit_loglog_svg(
     for idx, (s, fit) in enumerate(zip(series, fits)):
         color = _COLORS[idx % len(_COLORS)]
         marker = _MARKERS[idx % len(_MARKERS)]
+        name_cell = _csv_text([[s.name]])[:-1]  # the name as a CSV field
         x1, x2 = min(p[0] for p in s.points), max(p[0] for p in s.points)
         lx1, lx2 = math.log10(x1), math.log10(x2)
         # fit is in natural log; the log10 line shares slope and maps intercept.
@@ -159,12 +162,13 @@ def emit_loglog_svg(
             parts.append(
                 _marker_svg(marker, sx(math.log10(x)), sy(math.log10(y)), color)
             )
-            csv_lines.append(f"{s.name},{x!r},{y!r}")
+            csv_lines.append(f"{name_cell},{x!r},{y!r}")
         label_y = mt + 16 + 15 * idx
         parts.append(_marker_svg(marker, ml + 12, label_y - 4, color))
         parts.append(
             f'<text x="{ml + 22}" y="{label_y}" font-family="sans-serif" '
-            f'font-size="12" fill="{color}">{s.name}: slope {fit.slope:.2f}</text>'
+            f'font-size="12" fill="{color}">{s.name.translate(_XML_ESCAPES)}: '
+            f"slope {fit.slope:.2f}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n", "\n".join(csv_lines) + "\n"

@@ -35,7 +35,7 @@ from itertools import repeat
 from typing import Any, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary
-from .errors import DomainError, FormatError, NegativeCountError, ScindexError
+from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector
 
 __all__ = [
@@ -75,7 +75,7 @@ def _add_record(
     """Append ``record``, at ``position`` in ``unit``s, unless its label was given."""
     first = first_seen.setdefault(record.label, position)
     if first != position:
-        raise FormatError(f"duplicate author {record.label!r}, first given at {unit} {first}")
+        raise FormatError(f"duplicate author {shown(record.label)}, first given at {unit} {first}")
     records.append(record)
 
 
@@ -114,7 +114,7 @@ def parse_counts(cell: str) -> list[int]:
     except ValueError:
         pass
     bad = next(item for item in items if not _is_int_literal(item))
-    raise FormatError(f"invalid citation count {bad!r}")
+    raise FormatError(f"invalid citation count {shown(bad)}")
 
 
 def _is_int_literal(text: str) -> bool:
@@ -128,7 +128,7 @@ def _is_int_literal(text: str) -> bool:
 def _wide(label: str, counts: list) -> PortfolioSummary:
     """The portfolio of a wide record, which needs at least one paper."""
     if not counts:
-        raise FormatError(f"portfolio {label!r} has no papers")
+        raise FormatError(f"portfolio {shown(label)} has no papers")
     try:
         return PortfolioSummary(label, CitationVector(counts))
     except TypeError as exc:
@@ -155,11 +155,14 @@ def _field(kind: type, value: Any, name: str) -> float | int:
             return number(kind, value)
         if type(value) is int or (type(value) is float and (kind is float or value.is_integer())):
             return kind(value)
-    except ValueError:
-        pass
-    except OverflowError:  # an integer too large for a float; its digits are not shown
-        raise FormatError(f"{name} value exceeds the floating-point range") from None
-    raise FormatError(f"invalid {name} value {value!r}")
+    except (ValueError, OverflowError) as exc:
+        # float() overflows only on an integer past its range, and int()
+        # refuses a run of ASCII digits only past its digit limit, which is
+        # past that range too.  The digits are not shown.
+        digit_run = isinstance(value, str) and value.strip().isdigit() and value.isascii()
+        if isinstance(exc, OverflowError) or digit_run:
+            raise FormatError(f"{name} value exceeds the floating-point range") from None
+    raise FormatError(f"invalid {name} value {shown(value)}")
 
 
 def _parse_csv(text: str) -> list[PortfolioSummary]:
@@ -215,7 +218,7 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
         if header not in (WIDE_HEADER, SUMMARY_HEADER, SUMMARY_HEADER_H):
             raise FormatError(
                 "header must be 'author,citations' or 'author,P,i,eta[,h]', "
-                f"got {','.join(header)!r}"
+                f"got {shown(','.join(header))}"
             )
         end = reader.line_num
         for row in reader:

@@ -160,6 +160,41 @@ class TestPortfolioSummary:
             PortfolioSummary.from_summary("a", 10**400, 2.0, 0.5)
         assert str(excinfo.value) == "paper count exceeds the floating-point range"
 
+    @pytest.mark.parametrize("papers", [3.7, True, float("inf"), float("nan"), "3", Fraction(3)])
+    def test_paper_count_must_be_an_integer(self, papers):
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary.from_summary("A", papers, 2.0, 0.5)
+        assert str(excinfo.value) == f"paper count must be an integer, got {papers!r}"
+
+    @pytest.mark.parametrize("papers", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_paper_counts_are_ints(self, papers):
+        record = PortfolioSummary.from_summary("A", papers, 2.0, 0.5)
+        assert type(record.papers) is int and record.papers == 3
+
+    def test_constructor_and_reconstruction_refuse_a_fractional_p(self):
+        with pytest.raises(DomainError, match="paper count must be an integer, got 3.7"):
+            PortfolioSummary("A", papers=3.7, impact=2.0, evenness=0.5)
+        with pytest.raises(DomainError, match="paper count must be an integer, got 2.5"):
+            reconstruct_from_summary(2.5, 1.0, 0.5)
+
+    @pytest.mark.parametrize("h", [-4, -1e-300, 3.5, 10])
+    def test_h_must_lie_in_zero_to_p(self, h):
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary.from_summary("A", 3, 2.0, 0.5, h=h)
+        assert str(excinfo.value) == f"h must lie in [0, P], got {float(h)} with P = 3"
+
+    def test_non_finite_h_reads_as_before(self):
+        with pytest.raises(DomainError, match="^h must be finite, got nan$"):
+            PortfolioSummary.from_summary("A", 3, 2.0, 0.5, h=float("nan"))
+
+    def test_long_label_is_cut(self):
+        record = PortfolioSummary.from_summary("A" * 100, 10**300, 1e10, 0.5)
+        with pytest.raises(DomainError) as excinfo:
+            record.report()
+        assert str(excinfo.value) == (
+            f"portfolio '{'A' * 39}... (100 characters): quantity magnitude must be finite, got inf"
+        )
+
     def test_overflowing_summary_names_portfolio(self):
         record = PortfolioSummary.from_summary("A", 10**300, 1e10, 0.5)
         with pytest.raises(DomainError) as excinfo:

@@ -59,6 +59,29 @@ class TestDims:
         assert main(["dims", "Q/P"]) == 1
         assert "Q" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "P^(2^2^2^2^2^2)",
+            "P^(2^2^2^2^2)",
+            "P^(3^9999999)",
+            "P^1" + "0" * 5000,
+            "(" * 600 + "P" + ")" * 600,
+            "+".join(["P"] * 5000),
+            "P^\u0662",
+            "P^(1/\uff13)",
+            "P^0^-1",
+        ],
+        ids=["tower-6", "tower-5", "3^9999999", "5001-digits", "600-parens", "5000-terms",
+             "arabic-indic-digit", "fullwidth-digit", "zero-to-minus-one"],
+    )
+    def test_unbounded_expression_exits_one(self, capsys, expression):
+        assert main(["dims", expression]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: in expression {expression!r}: expected ")
+        assert captured.err.count("\n") == 1
+
 
 class TestProbe:
     def test_single_index_passes(self, capsys):
@@ -126,6 +149,14 @@ class TestProbe:
         assert captured.err == (
             f"error: --tolerance must be a finite number >= 0, got {shown}\n"
         )
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0660", "0x1", ""])
+    def test_tolerance_follows_the_number_rule(self, capsys, value):
+        code = main(["probe", "--base", "4;2;1", "--index", "C", "--tolerance", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: invalid --tolerance value {value!r}\n"
 
     def test_zero_tolerance_accepted(self, capsys):
         code = main(["probe", "--base", "4;2;1", "--index", "C", "--tolerance", "0"])

@@ -109,6 +109,65 @@ class TestPrinting:
         assert format_dim_expr(tree) == "E/(P*P)"
 
 
+def _short(value):
+    return f"{value[:12]}..{len(value)}" if isinstance(value, str) and len(value) > 20 else None
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("P^(2^2^2^2^2^2)", 6),  # 2^65536 is refused before it is computed
+            ("P^(2^2^2^2^2)", 4),
+            ("P^(3^9999999)", 4),
+            ("P^(2^30)", 4),
+            ("P^(-3)^19", 6),
+            ("P^(1/2)^30", 7),
+            ("P^1000000000", 2),
+            ("P^(1/1000000000)", 5),
+            ("P^0^-1", 3),
+            ("P^1" + "0" * 5000, 1000),
+            ("P" + "+P" * 499 + "  ", 1000),
+            ("(" * 51 + "P" + ")" * 51, 50),
+            ("P^(" + "(" * 50 + "1" + ")" * 51, 52),
+            ("(" * 600 + "P" + ")" * 600, 1000),
+            ("(" * 300 + "P" + ")" * 300, 50),
+            ("+".join(["P"] * 5000), 1000),
+            ("P^\u0662", 2),  # ARABIC-INDIC DIGIT TWO
+            ("P^(1/\uff13)", 5),  # FULLWIDTH DIGIT THREE
+        ],
+        ids=_short,
+    )
+    def test_breach_is_a_parse_error_with_a_position(self, text, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_dim_expr(text)
+        assert excinfo.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, dimension",
+        [
+            ("P" + "+P" * 499 + " ", "[P]"),  # 1,000 characters
+            ("P^" + "^".join(["1"] * 499), "[P]"),  # a 499-level tower
+            ("(" * 50 + "P" + ")" * 50, "[P]"),
+            ("P^(" + "(" * 49 + "1" + ")" * 50, "[P]"),
+            ("P^999999999", "[P^999999999]"),
+            ("P^(-1/999999999)", "[P^-1/999999999]"),
+            ("P^(2^29)", "[P^536870912]"),
+            ("P^(-3)^18", "[P^387420489]"),
+            ("P^(1/2)^-29", "[P^536870912]"),
+            ("P^(1^99999999)", "[P]"),
+            ("(" * 50 + "P" + ")^999999999" * 50, "[P^" + str(999999999**50) + "]"),
+        ],
+        ids=_short,
+    )
+    def test_expression_at_a_bound_evaluates_and_prints(self, text, dimension):
+        assert len(text) <= 1000
+        assert str(dimension_of(text, SYMBOLS)) == dimension
+        assert dimension_of(format_dim_expr(parse_dim_expr(text)), SYMBOLS) == dimension_of(
+            text, SYMBOLS
+        )
+
+
 names = st.sampled_from(["P", "C", "i", "h", "eta", "i_E", "z", "S", "x1", "y_2"])
 leaves = st.builds(Symbol, names)
 powers = st.fractions(min_value=-9, max_value=9, max_denominator=9)

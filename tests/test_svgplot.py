@@ -1,6 +1,9 @@
 """SVG scatter output for log-log scaling plots."""
 
+import csv
+import io
 import math
+import xml.dom.minidom
 
 import pytest
 
@@ -60,3 +63,20 @@ class TestEmitLogLogSvg:
         )
         assert "10^1" in svg
         assert "10^4" in svg
+
+    def test_names_and_title_are_escaped(self):
+        series = [
+            PlotSeries("a,b", [(1, 7), (2, 28), (4, 112)]),
+            PlotSeries('x<y&z"', [(1, 2), (2, 4), (4, 8)]),
+        ]
+        svg, points_csv = emit_loglog_svg(series, title="C < E & co")
+        texts = [
+            node.firstChild.data
+            for node in xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+        ]
+        assert "C < E & co" in texts
+        assert 'x<y&z": slope 1.00' in texts
+        rows = list(csv.reader(io.StringIO(points_csv)))
+        assert rows[0] == ["series", "x", "y"]
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["a,b"] * 3 + ['x<y&z"'] * 3

@@ -405,6 +405,69 @@ class TestParseJson:
             assert str(excinfo.value) == f"{where}: {message}"
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,3,2,0.5,-4", "h must lie in [0, P], got -4.0 with P = 3"),
+            ("A,5,1,1,9", "h must lie in [0, P], got 9.0 with P = 5"),
+            ("A,5,1,1,5.000001", "h must lie in [0, P], got 5.000001 with P = 5"),
+        ],
+    )
+    def test_h_outside_zero_to_p_reads_the_same_in_csv_and_json(self, row, message):
+        fields = dict(zip(SUMMARY_HEADER_H, row.split(",")))
+        csv_text = "author,P,i,eta,h\nB,3,2,0.5,1\n" + row + "\n"
+        json_text = json.dumps([{"author": "B", "P": 3, "i": 2, "eta": 0.5, "h": 1}, fields])
+        for text, form, where in ((csv_text, "csv", "line 3"), (json_text, "json", "record 2")):
+            with pytest.raises(FormatError) as excinfo:
+                parse_input(text, form)
+            assert str(excinfo.value) == f"{where}: {message}"
+
+    def test_h_at_zero_and_at_p_is_accepted(self):
+        records = parse_input("author,P,i,eta,h\nA,3,2,0.5,0\nB,5,1,1,5\n", "csv")
+        assert [record.h for record in records] == [0.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "text, form, message",
+        [
+            (
+                f"author,P,i,eta\nA,1{'0' * 5000},2,0.5\n",
+                "csv",
+                "line 2: P value exceeds the floating-point range",
+            ),
+            (
+                json.dumps([{"author": "A", "P": "1" + "0" * 5000, "i": 2, "eta": 0.5}]),
+                "json",
+                "record 1: P value exceeds the floating-point range",
+            ),
+            (
+                f'author,citations\nA,"4;1{"0" * 5000}"\n',
+                "csv",
+                f"line 2: invalid citation count '1{'0' * 38}... (5001 characters)",
+            ),
+            (
+                f"author,P,i,eta\nA,10,{'x' * 5000},0.5\n",
+                "csv",
+                f"line 2: invalid i value '{'x' * 39}... (5000 characters)",
+            ),
+            (
+                f"author,P,i,eta\n{'A' * 5000},10,2,0.5\n{'A' * 5000},10,2,0.5\n",
+                "csv",
+                f"line 3: duplicate author '{'A' * 39}... (5000 characters), "
+                "first given at line 2",
+            ),
+            (
+                json.dumps([{"author": "A", "citations": ["1" * 5000]}]),
+                "json",
+                f"record 1: citation counts must be integers, got '{'1' * 39}... (5000 characters)",
+            ),
+        ],
+        ids=["csv-P", "json-P", "wide-count", "long-i", "long-label", "json-string-count"],
+    )
+    def test_long_values_are_cut_in_messages(self, text, form, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, form)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "text", ["[" * 100_000, f"[{'1' * 5000}]"], ids=["deep-nesting", "long-integer"]
     )
     def test_decoder_limits_are_format_errors(self, text):
@@ -438,7 +501,7 @@ _json_values = st.recursive(
 # message the row-by-row reader gives for it.
 _SUMMARY_DEFECTS = [
     None, "bad int", "bad float", "digit separator", "non-ASCII digit", "nan i", "eta range",
-    "P below 1", "field count", "duplicate",
+    "P below 1", "field count", "duplicate", "h below 0", "h above P",
 ]
 _label_text = st.text(
     alphabet=st.characters(
@@ -457,7 +520,9 @@ def _summary_csvs(draw):
     lines = [",".join(padded)]
     labels = draw(st.lists(_label_text, unique=True, max_size=12))
     defect = draw(st.sampled_from(_SUMMARY_DEFECTS)) if labels else None
-    if defect == "duplicate" and len(labels) < 2:
+    if (defect == "duplicate" and len(labels) < 2) or (
+        defect in ("h below 0", "h above P") and not with_h
+    ):
         defect = None
     at = draw(st.integers(1 if defect == "duplicate" else 0, len(labels) - 1)) if defect else -1
     records, line_of, failure = [], [], None
@@ -468,7 +533,7 @@ def _summary_csvs(draw):
         p = draw(st.integers(1, 10**6))
         i = draw(st.floats(0, 1e6))
         eta = draw(st.floats(0, 1, exclude_min=True))
-        h = draw(st.none() | st.floats(0, 1e3)) if with_h else None
+        h = draw(st.none() | st.floats(0, min(p, 1e3))) if with_h else None
         records.append(PortfolioSummary.from_summary(label, p, i, eta, h=h))
         cells = [label, str(p), repr(i), repr(eta)] + (["" if h is None else repr(h)] if with_h else [])
         if r == at:
@@ -498,6 +563,14 @@ def _summary_csvs(draw):
             elif defect == "P below 1":
                 cells[1] = draw(st.sampled_from(["0", "-3"]))
                 message = f"paper count must be >= 1, got {int(cells[1])}"
+            elif defect == "h below 0":
+                bad = draw(st.sampled_from([-1.0, -0.5, -5e-324]))
+                cells[4] = repr(bad)
+                message = f"h must lie in [0, P], got {bad} with P = {p}"
+            elif defect == "h above P":
+                bad = p + draw(st.sampled_from([0.5, 1.0, 1e3]))
+                cells[4] = repr(bad)
+                message = f"h must lie in [0, P], got {bad} with P = {p}"
             elif defect == "field count":
                 cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
                 message = f"expected {len(names)} fields, got {len(cells)}"
@@ -577,10 +650,10 @@ class TestRoundTrips:
             records = [
                 PortfolioSummary.from_summary(
                     label,
-                    data.draw(st.integers(1, 10**6)),
+                    (papers := data.draw(st.integers(1, 10**6))),
                     data.draw(st.floats(0, 1e6)),
                     data.draw(st.floats(0, 1, exclude_min=True)),
-                    h=data.draw(st.none() | st.floats(0, 1e3)),
+                    h=data.draw(st.none() | st.floats(0, min(papers, 1e3))),
                 )
                 for label in labels
             ]
