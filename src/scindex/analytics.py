@@ -81,9 +81,9 @@ class PortfolioSummary(Record):
         return cls(
             label,
             papers=_integral(papers),
-            impact=float(impact),
-            evenness=float(evenness),
-            h=None if h is None else float(h),
+            impact=_real(impact, "mean impact"),
+            evenness=_real(evenness, "evenness"),
+            h=None if h is None else _real(h, "h"),
         )
 
     @property
@@ -117,6 +117,14 @@ def _integral(value: object) -> object:
         return value
 
 
+def _real(value: object, name: str) -> float:
+    """``float(value)``; an int past the float range is a :class:`DomainError`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} exceeds the floating-point range") from None
+
+
 def _check_summary(
     papers: int | None,
     impact: float | None,
@@ -133,13 +141,19 @@ def _check_summary(
         raise DomainError("paper count exceeds the floating-point range")
     if impact < 0:
         raise DomainError(f"mean impact must be >= 0, got {impact}")
-    if not math.isfinite(impact):
-        raise DomainError(f"mean impact must be finite, got {impact}")
+    try:
+        if not math.isfinite(impact):
+            raise DomainError(f"mean impact must be finite, got {impact}")
+    except OverflowError:  # an int past the float range
+        raise DomainError("mean impact exceeds the floating-point range") from None
     if not 0 < evenness <= 1:
         raise DomainError(f"evenness must lie in (0, 1], got {evenness}")
     if h is not None and not 0.0 <= h <= papers:  # nan and ±inf fail it too
-        if not math.isfinite(h):
-            raise DomainError(f"h must be finite, got {h}")
+        try:
+            if not math.isfinite(h):
+                raise DomainError(f"h must be finite, got {h}")
+        except OverflowError:
+            raise DomainError("h exceeds the floating-point range") from None
         raise DomainError(f"h must lie in [0, P], got {h} with P = {papers}")
 
 

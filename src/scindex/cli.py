@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analytics import AnalyticsTable, pearson_matrix
-from .errors import FormatError, ScindexError
+from .errors import FormatError, ScindexError, shown
 from .indicators import registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
@@ -173,7 +173,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     try:
         dim = dimension_of(args.expression, registry_symbols())
     except ScindexError as exc:
-        print(f"error: in expression {args.expression!r}: {exc}", file=sys.stderr)
+        print(f"error: in expression {shown(args.expression)}: {exc}", file=sys.stderr)
         return 1
     print(dim)
     return 0

@@ -8,18 +8,42 @@ specific failure.
 from __future__ import annotations
 
 _SHOWN_LENGTH = 40  # characters of an input value that an error message echoes
+_LOG10_2 = 30102999566398119521  # floor(log10(2) * 10^20)
 
 
 def shown(value: object) -> str:
     """``repr(value)`` as an error message echoes it: one longer than
     ``_SHOWN_LENGTH`` characters is cut there, and the length of the value
-    (of its repr, if it is not a string) is stated.
+    (of its repr, if it is not a string) is stated.  An int too long for
+    ``repr`` (past ``sys.get_int_max_str_digits()``) is not converted: only
+    its number of digits is stated.
     """
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}integer of {_digits(abs(value))} digits>"
     if len(text) <= _SHOWN_LENGTH:
         return text
     size = len(value) if isinstance(value, str) else len(text)
     return f"{text[:_SHOWN_LENGTH]}... ({size} characters)"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of ``n > 0``, without converting it.
+
+    With b = n.bit_length() and k = floor((b-1)*log10(2)),
+    10^k <= 2^(b-1) <= n < 2^b < 10^(k+2): n has k+1 digits, or k+2 when
+    n >= 10^(k+1).  ``_LOG10_2`` is short of log10(2) by less than
+    10^-20, so k may come out one less, but only when (b-1)*log10(2)
+    lies less than (b-1)*10^-20 above an integer.  For b up to 6.9*10^19
+    that is under 1 - log10(2), so 2^b < 10^(k+1): n has k+1 digits, and
+    the comparison made with the smaller k still counts them.
+    """
+    k = (n.bit_length() - 1) * _LOG10_2 // 10**20
+    return k + 1 + (n >= 10 ** (k + 1))
 
 
 class ScindexError(Exception):
@@ -55,8 +79,8 @@ class ParseError(ScindexError):
         self.expected = expected
         self.position = position
         self.found = found
-        shown = f", found {found!r}" if found else ""
-        super().__init__(f"expected {expected} at position {position}{shown}")
+        where = f", found {shown(found)}" if found else ""
+        super().__init__(f"expected {expected} at position {position}{where}")
 
 
 class UnknownSymbolError(ScindexError):
@@ -64,7 +88,7 @@ class UnknownSymbolError(ScindexError):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        super().__init__(f"unknown symbol {name!r}")
+        super().__init__(f"unknown symbol {shown(name)}")
 
 
 class EmptyPortfolioError(ScindexError):

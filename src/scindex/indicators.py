@@ -84,12 +84,17 @@ class CitationVector:
     __slots__ = ("_runs",)
 
     def __init__(self, counts: Iterable[int]) -> None:
-        values = list(counts)
-        # Exact non-negative ints are checked by builtins alone; anything
-        # else takes the per-item path.
-        if not set(map(type, values)) <= {int} or (values and min(values) < 0):
+        # A list is only read, so it is not copied.
+        values = counts if isinstance(counts, list) else list(counts)
+        # Exact ints are checked by builtins alone, and their sign on the
+        # distinct values; anything else, or a negative, takes the per-item
+        # path, which names the first offending item.
+        if not set(map(type, values)) <= {int}:
             values = _checked_counts(values)
-        self._runs = tuple(sorted(Counter(values).items(), reverse=True))
+        runs = Counter(values)
+        if min(runs, default=0) < 0:
+            _checked_counts(values)
+        self._runs = tuple(sorted(runs.items(), reverse=True))
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
@@ -276,15 +281,19 @@ def _ladder(
     """
     z = (eta * i * i * p) ** (1.0 / 3.0)
     i_e = math.sqrt(e)
+    p, c, i, x, e, s, eta = float(p), float(c), float(i), float(x), float(e), float(s), float(eta)
+    z, i_e = float(z), float(i_e)
     if h is None:
         names, values = _SUMMARY_LADDER, (p, c, i, x, e, s, eta, z, i_e)
     else:
-        names, values = _FULL_LADDER, (p, c, i, h, g, x, e, s, eta, z, i_e)
-    magnitudes = dict(zip(names, map(float, values)))
-    if not all(map(math.isfinite, magnitudes.values())):
-        bad = next(v for v in magnitudes.values() if not math.isfinite(v))
-        raise DomainError(f"quantity magnitude must be finite, got {bad!r}")
-    return IndicatorReport(magnitudes)
+        names, values = _FULL_LADDER, (p, c, i, float(h), float(g), x, e, s, eta, z, i_e)
+    # A finite sum proves every value finite; a sum that overflows from
+    # finite values has no offender and is accepted.
+    if not math.isfinite(sum(values)):
+        bad = next((v for v in values if not math.isfinite(v)), None)
+        if bad is not None:
+            raise DomainError(f"quantity magnitude must be finite, got {bad!r}")
+    return IndicatorReport(dict(zip(names, values)))
 
 
 def _closed_forms(

@@ -105,6 +105,14 @@ def number(kind: type, text: str) -> float | int:
 
 def parse_counts(cell: str) -> list[int]:
     """The counts of a ``"4;2;1"`` list; blank items are skipped, a bad one is a FormatError."""
+    if _plain(cell):
+        # int skips the ASCII whitespace around an item.  A cell it refuses
+        # (a blank or bad item, or whitespace that str.strip skips and int
+        # does not) is read again below.
+        try:
+            return list(map(int, cell.split(";")))
+        except ValueError:
+            pass
     items = list(filter(None, map(str.strip, cell.split(";"))))
     try:
         # The items, not the cell: the whitespace they were stripped of may

@@ -203,6 +203,25 @@ class TestPortfolioSummary:
             "portfolio 'A': quantity magnitude must be finite, got inf"
         )
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PortfolioSummary.from_summary("a", 10, 10**400, 0.5), "mean impact"),
+            (lambda: PortfolioSummary.from_summary("a", 10, 2.0, 10**400), "evenness"),
+            (lambda: PortfolioSummary.from_summary("a", 10, 2.0, 0.5, h=10**400), "h"),
+            (lambda: PortfolioSummary("a", papers=10, impact=10**400, evenness=0.5), "mean impact"),
+            (lambda: PortfolioSummary("a", papers=10, impact=2.0, evenness=0.5, h=10**400), "h"),
+            (lambda: PortfolioSummary("a", papers=10, impact=2.0, evenness=0.5, h=-10**400), "h"),
+            (lambda: reconstruct_from_summary(10, 10**400, 0.5), "mean impact"),
+        ],
+        ids=["from_summary-i", "from_summary-eta", "from_summary-h", "constructor-i",
+             "constructor-h", "constructor-negative-h", "reconstruct-i"],
+    )
+    def test_a_value_past_the_float_range_is_a_domain_error(self, build, message):
+        with pytest.raises(DomainError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"{message} exceeds the floating-point range"
+
 
 class TestPearson:
     def test_perfect_linearity(self):

@@ -10,6 +10,7 @@ import pytest
 
 from scindex import indicators
 from scindex.cli import main
+from scindex.errors import shown
 
 WIDE_CSV = 'author,citations\nA,"4;2;1"\nB,"10;5;3;2;1"\nC,"7;7;7"\n'
 SUMMARY_CSV = (
@@ -79,8 +80,27 @@ class TestDims:
         assert main(["dims", expression]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: in expression {expression!r}: expected ")
+        assert captured.err.startswith(f"error: in expression {shown(expression)}: expected ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "expression, limit",
+        [("P+" * 2999 + "P", 200), ("Q" * 999, 200), ("P^" + "9" * 998, 250)],
+        ids=["sum", "symbol", "literal"],
+    )
+    def test_a_long_refused_expression_is_echoed_cut(self, capsys, expression, limit):
+        # The expression and any symbol or literal its error names are cut
+        # at 40 characters, so the line stays short.
+        assert main(["dims", expression]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < limit
+        assert err.startswith(f"error: in expression '{expression[:39]}... ({len(expression)} characters): ")
+
+    def test_a_short_refused_expression_reads_as_before(self, capsys):
+        assert main(["dims", "P +* C"]) == 1
+        assert capsys.readouterr().err == (
+            "error: in expression 'P +* C': expected a symbol or '(' at position 3, found '*'\n"
+        )
 
 
 class TestProbe:

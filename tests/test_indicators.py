@@ -3,6 +3,7 @@
 import math
 import numbers
 import pickle
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 
@@ -104,6 +105,52 @@ class TestCitationVector:
             assert all(type(c) is int for c in counts)
             runs = tuple((v, len(list(group))) for v, group in groupby(expected[1]))
             assert CitationVector(xs).runs == runs
+
+    @given(xs=st.lists(st.integers(0, 50), max_size=40), form=st.sampled_from([list, tuple, iter]))
+    def test_runs_are_the_sorted_tally(self, xs, form):
+        given_counts = form(xs)
+        kept = list(given_counts) if form is list else None
+        assert CitationVector(given_counts).runs == tuple(sorted(Counter(xs).items(), reverse=True))
+        if form is list:
+            assert given_counts == kept  # the caller's list is read, not changed
+
+    @pytest.mark.parametrize(
+        "bad, shown", [(True, "True"), (1.5, "1.5"), ("3", "'3'"), (None, "None")]
+    )
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_a_non_integer_is_named(self, bad, shown, at):
+        counts = [5, 3, 1, 0]
+        counts.insert(at, bad)
+        with pytest.raises(TypeError) as excinfo:
+            CitationVector(counts)
+        assert type(excinfo.value) is TypeError
+        assert str(excinfo.value) == f"citation counts must be integers, got {shown}"
+
+    @pytest.mark.parametrize(
+        "counts, first",
+        [
+            ([-1, 5, -2], -1),
+            ([5, -2, -1], -2),
+            ([3, 3, 0, -7], -7),
+            ([-3, -30], -3),
+            ([np.int64(4), -6, np.int64(-2)], -6),
+            ([2, np.int64(-9), -1], -9),
+        ],
+    )
+    def test_the_first_negative_in_input_order_is_named(self, counts, first):
+        with pytest.raises(NegativeCountError) as excinfo:
+            CitationVector(counts)
+        assert str(excinfo.value) == f"negative citation count {first}"
+
+    def test_a_negative_past_the_digit_limit_is_named_by_its_length(self):
+        with pytest.raises(NegativeCountError) as excinfo:
+            CitationVector([3, -10**5000])
+        assert str(excinfo.value) == "negative citation count <negative integer of 5001 digits>"
+
+    def test_numpy_integers_are_read_as_ints(self):
+        vec = CitationVector(np.array([3, 1, 3], dtype=np.int32))
+        assert vec.runs == ((3, 2), (1, 1))
+        assert all(type(v) is int for run in vec.runs for v in run)
 
     def test_building_the_counts_is_bounded(self, monkeypatch):
         monkeypatch.setattr(indicators, "MAX_REPLICA_COUNTS", 2)
@@ -304,6 +351,48 @@ class TestIndicatorReport:
     def test_non_finite_value_is_rejected(self):
         with pytest.raises(DomainError, match="quantity magnitude must be finite, got inf"):
             _ladder(1, math.inf, math.inf, math.inf, math.inf, 0.0, 1.0)
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        big = 1.5e308
+        report = _ladder(1, big, 1.0, big, big, 0.0, 1.0, 1, 1)
+        assert report.magnitudes == {
+            "P": 1.0, "C": big, "i": 1.0, "h": 1.0, "g": 1.0, "X": big, "E": big,
+            "S": 0.0, "eta": 1.0, "z": 1.0, "i_E": math.sqrt(big),
+        }
+        assert list(_ladder(1, big, 1.0, big, big, 0.0, 1.0).magnitudes) == [
+            name for name in registry_names() if name not in ("h", "g")
+        ]
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"p": math.inf}, "inf"),
+            ({"c": -math.inf}, "-inf"),
+            ({"i": math.nan}, "nan"),
+            ({"i": -math.inf}, "-inf"),
+            ({"h": math.nan}, "nan"),
+            ({"g": -math.inf}, "-inf"),
+            ({"x": math.inf}, "inf"),
+            ({"e": math.nan}, "nan"),
+            ({"s": -math.inf}, "-inf"),
+            ({"eta": math.inf}, "inf"),
+            ({"i": 1e200}, "inf"),  # only z, derived from i, is not finite
+            ({"c": math.nan, "e": math.inf}, "nan"),
+            ({"s": -math.inf, "p": math.inf}, "inf"),
+            ({"x": math.nan, "g": math.inf}, "inf"),
+            ({"e": math.inf, "h": -math.inf}, "-inf"),
+        ],
+    )
+    def test_the_first_non_finite_value_in_ladder_order_is_named(self, bad, named):
+        args = dict(p=4, c=10, i=2.5, x=25.0, e=40, s=15.0, eta=0.625, h=2, g=3)
+        args.update(bad)
+        with pytest.raises(DomainError) as excinfo:
+            _ladder(**args)
+        assert str(excinfo.value) == f"quantity magnitude must be finite, got {named}"
+
+    def test_the_summary_ladder_names_its_first_non_finite_value(self):
+        with pytest.raises(DomainError, match="finite, got -inf$"):
+            _ladder(4, 10, 2.5, -math.inf, math.inf, math.nan, 0.625)
 
 
 class TestOracles:

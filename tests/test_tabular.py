@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,57 @@ class TestParseCounts:
             parse_counts(cell)
         assert str(excinfo.value) == f"invalid citation count {bad!r}"
         assert (excinfo.value.line, excinfo.value.record) == (None, None)
+
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ("4;2;1", [4, 2, 1]),
+            (" 4 ; 2 ;1 ", [4, 2, 1]),
+            ("\t4\t;\t2", [4, 2]),
+            ("4;;2", [4, 2]),
+            (";", []),
+            ("", []),
+            ("  ", []),
+            ("4; ;2;", [4, 2]),
+            ("+4;-0;-3", [4, 0, -3]),
+            ("007;0", [7, 0]),
+            ("4;\u00a02", [4, 2]),
+            ("\u00a04\u00a0;\u00a0", [4]),
+            ("4;\x1c2\x1f", [4, 2]),
+            ("4;x", "'x'"),
+            ("4;1_0", "'1_0'"),
+            ("x;1_0", "'x'"),
+            ("\u0664;2", "'\u0664'"),
+            ("4;\u00a0x", "'x'"),
+            ("4 2", "'4 2'"),
+            ("4;+", "'+'"),
+            ("--4", "'--4'"),
+            ("4;-", "'-'"),
+            ("4;2\u00a03", "'2\\xa03'"),
+            (" ; ;x", "'x'"),
+            ("a;\u00a0;_", "'a'"),
+        ],
+    )
+    def test_reads_every_cell_as_before(self, cell, expected):
+        # A list is the counts; a string is the bad item the error names.
+        if isinstance(expected, list):
+            assert parse_counts(cell) == expected
+        else:
+            with pytest.raises(FormatError) as excinfo:
+                parse_counts(cell)
+            assert str(excinfo.value) == f"invalid citation count {expected}"
+
+    @given(cell=st.text(alphabet="0123456789;;  \t+-_\u00a0ab\u0664", max_size=24))
+    @settings(max_examples=500)
+    def test_a_cell_of_int_items_is_read_as_int_reads_them(self, cell):
+        items = [item.strip() for item in cell.split(";") if item.strip()]
+        bad = next((item for item in items if not re.fullmatch("[+-]?[0-9]+", item)), None)
+        if bad is None:
+            assert parse_counts(cell) == [int(s) for s in cell.split(";") if s.strip()]
+        else:
+            with pytest.raises(FormatError) as excinfo:
+                parse_counts(cell)
+            assert str(excinfo.value) == f"invalid citation count {bad!r}"
 
 
 class TestParseJson:
