@@ -86,6 +86,13 @@ class PortfolioSummary(Record):
             h=None if h is None else _real(h, "h"),
         )
 
+    @classmethod
+    def _checked(cls, label, papers, impact, evenness, h) -> "PortfolioSummary":
+        """The summary record of values that already pass :func:`_check_summary`."""
+        record = object.__new__(cls)
+        record._fill(label, None, papers, impact, evenness, h)
+        return record
+
     @property
     def is_raw(self) -> bool:
         return self.vector is not None
@@ -95,8 +102,6 @@ class PortfolioSummary(Record):
         try:
             if self.vector is not None:
                 return compute_all(self.vector), frozenset()
-            assert self.papers is not None and self.impact is not None
-            assert self.evenness is not None
             report = reconstruct_from_summary(self.papers, self.impact, self.evenness)
         except DomainError as exc:
             raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
@@ -125,6 +130,11 @@ def _real(value: object, name: str) -> float:
         raise DomainError(f"{name} exceeds the floating-point range") from None
 
 
+def _echo(value: object) -> str:
+    """A refused value as a message shows it: an int by :func:`shown`, else by ``str``."""
+    return shown(value) if isinstance(value, int) else str(value)
+
+
 def _check_summary(
     papers: int | None,
     impact: float | None,
@@ -136,25 +146,25 @@ def _check_summary(
     if type(papers) is not int:
         raise DomainError(f"paper count must be an integer, got {shown(papers)}")
     if papers < 1:
-        raise DomainError(f"paper count must be >= 1, got {papers}")
+        raise DomainError(f"paper count must be >= 1, got {shown(papers)}")
     if papers > sys.float_info.max:
         raise DomainError("paper count exceeds the floating-point range")
     if impact < 0:
-        raise DomainError(f"mean impact must be >= 0, got {impact}")
+        raise DomainError(f"mean impact must be >= 0, got {_echo(impact)}")
     try:
         if not math.isfinite(impact):
-            raise DomainError(f"mean impact must be finite, got {impact}")
+            raise DomainError(f"mean impact must be finite, got {_echo(impact)}")
     except OverflowError:  # an int past the float range
         raise DomainError("mean impact exceeds the floating-point range") from None
     if not 0 < evenness <= 1:
-        raise DomainError(f"evenness must lie in (0, 1], got {evenness}")
+        raise DomainError(f"evenness must lie in (0, 1], got {_echo(evenness)}")
     if h is not None and not 0.0 <= h <= papers:  # nan and ±inf fail it too
         try:
             if not math.isfinite(h):
-                raise DomainError(f"h must be finite, got {h}")
+                raise DomainError(f"h must be finite, got {_echo(h)}")
         except OverflowError:
             raise DomainError("h exceeds the floating-point range") from None
-        raise DomainError(f"h must lie in [0, P], got {h} with P = {papers}")
+        raise DomainError(f"h must lie in [0, P], got {_echo(h)} with P = {shown(papers)}")
 
 
 def reconstruct_from_summary(papers: int, impact: float, evenness: float) -> IndicatorReport:

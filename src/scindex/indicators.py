@@ -279,21 +279,26 @@ def _ladder(
     are placed when given; a summary triple cannot supply them.  Every
     magnitude is a float and must be finite.
     """
-    z = (eta * i * i * p) ** (1.0 / 3.0)
+    z = float((eta * i * i * p) ** (1.0 / 3.0))
     i_e = math.sqrt(e)
-    p, c, i, x, e, s, eta = float(p), float(c), float(i), float(x), float(e), float(s), float(eta)
-    z, i_e = float(z), float(i_e)
+    # The keys are in registry order.
     if h is None:
-        names, values = _SUMMARY_LADDER, (p, c, i, x, e, s, eta, z, i_e)
+        magnitudes = {
+            "P": float(p), "C": float(c), "i": float(i), "X": float(x), "E": float(e),
+            "S": float(s), "eta": float(eta), "z": z, "i_E": i_e,
+        }
     else:
-        names, values = _FULL_LADDER, (p, c, i, float(h), float(g), x, e, s, eta, z, i_e)
+        magnitudes = {
+            "P": float(p), "C": float(c), "i": float(i), "h": float(h), "g": float(g),
+            "X": float(x), "E": float(e), "S": float(s), "eta": float(eta), "z": z, "i_E": i_e,
+        }
     # A finite sum proves every value finite; a sum that overflows from
     # finite values has no offender and is accepted.
-    if not math.isfinite(sum(values)):
-        bad = next((v for v in values if not math.isfinite(v)), None)
+    if not math.isfinite(sum(magnitudes.values())):
+        bad = next((v for v in magnitudes.values() if not math.isfinite(v)), None)
         if bad is not None:
             raise DomainError(f"quantity magnitude must be finite, got {bad!r}")
-    return IndicatorReport(dict(zip(names, values)))
+    return IndicatorReport(magnitudes)
 
 
 def _closed_forms(
@@ -400,8 +405,6 @@ REGISTRY: tuple[IndicatorDescriptor, ...] = (
 )
 
 _BY_NAME = {d.name: d for d in REGISTRY}
-_FULL_LADDER = tuple(_BY_NAME)
-_SUMMARY_LADDER = tuple(name for name in _BY_NAME if name not in ("h", "g"))
 
 
 def registry_names() -> tuple[str, ...]:

@@ -14,11 +14,10 @@ with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
 ``[P^2]``).  Reals print with ``precision`` decimals (default 2,
 matching the usual published presentation); integral values print bare;
 ``precision=None`` prints shortest round-trip representations.  That
-rule is :func:`format_magnitude`'s, per cell, but a table is formatted a
-column at a time: a column of integral values prints as integers, a
-column with none as fixed decimals, and only a mixed column goes cell by
-cell.  JSON cells always carry exact float values plus the rendered
-dimension.
+rule is :func:`format_magnitude`'s, per cell, but a table takes one ``%``
+directive per column (see :func:`_format_column`), and a TSV body is one
+``%`` format of a row template repeated for every row.  JSON cells always
+carry exact float values plus the rendered dimension.
 TSV fields escape backslash, tab, line feed and carriage return as
 ``\\\\``, ``\\t``, ``\\n`` and ``\\r`` (the Linear TSV convention); CSV
 quotes them instead.
@@ -29,13 +28,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary
-from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
+from .errors import FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector
 
 __all__ = [
@@ -185,7 +185,9 @@ def _parse_csv(text: str) -> list[PortfolioSummary]:
 
 
 def _summary_columns(text: str) -> list[PortfolioSummary] | None:
-    """The records of a well-formed summary CSV, converted column by column.
+    """The records of a well-formed summary CSV, each column converted and
+    checked once by the rules of ``_check_summary``: P an int from 1 to the
+    float range, i finite and >= 0, eta in (0, 1] and a published h in [0, P].
 
     Any other input gives None and is read again row by row by
     :func:`_csv_records`, the one place that raises located errors.
@@ -204,13 +206,22 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
         ):
             return None
         papers, impacts, etas, *published = numbers
+        papers = list(map(int, papers))
+        impacts, etas = list(map(float, impacts)), list(map(float, etas))
         h = repeat(None)
         if published:
             h = [float(c) if c.strip() else None for c in published[0]]
-        papers, impacts, etas = map(int, papers), map(float, impacts), map(float, etas)
-        return list(map(PortfolioSummary, labels, repeat(None), papers, impacts, etas, h))
-    except (StopIteration, csv.Error, ValueError, DomainError):
+    except (StopIteration, csv.Error, ValueError):
         return None
+    # A finite sum holds no nan or infinity, so min and max bound every value.
+    if (
+        1 <= min(papers) and max(papers) <= sys.float_info.max
+        and math.isfinite(sum(impacts)) and min(impacts) >= 0
+        and math.isfinite(sum(etas)) and 0 < min(etas) and max(etas) <= 1
+        and all(v is None or 0.0 <= v <= p for v, p in zip(h, papers))
+    ):
+        return list(map(PortfolioSummary._checked, labels, papers, impacts, etas, h))
+    return None
 
 
 def _csv_records(reader: Any) -> list[PortfolioSummary]:
@@ -447,30 +458,36 @@ def emit_table(
         ["author", *table.columns],
         ["dimensions", *("" if dim is None else str(dim) for dim in table.dims)],
     ]
-    cells = [_format_column(column, precision) for column in zip(*table.rows)]
+    formats = [_format_column(column, precision) for column in zip(*table.rows)]
     if format == "csv":
+        cells = [v if d == "%s" else list(map(d.__mod__, v)) for d, v in formats]
         return _csv_text(head + list(zip(table.labels, *cells)))
     labels = table.labels
     if any(map("".join(labels).__contains__, _TSV_SPECIALS)):
         labels = [label.translate(_TSV_ESCAPES) for label in labels]
-    body = "\n".join(map("\t".join, zip(labels, *cells)))
-    return _tsv_text(head) + (body + "\n" if labels else "")
+    directives = [directive for directive, _ in formats]
+    rows = zip(labels, *(values for _, values in formats))
+    if set(directives) <= {"%s"}:  # text cells only, which join faster
+        body = "\n".join(map("\t".join, rows)) + "\n" if labels else ""
+    else:  # one template line per row, with labels and cells as its arguments
+        line = "\t".join(["%s", *directives]) + "\n"
+        body = (line * len(labels)) % tuple(chain.from_iterable(rows))
+    return _tsv_text(head) + body
 
 
-def _format_column(values: Sequence[float], precision: int | None) -> Sequence[str]:
-    """One column's floats as text, by the rule of :func:`format_magnitude`.
-
-    A column whose values are all integral, or all not, is formatted in
-    one pass; only a mixed column is formatted cell by cell.
+def _format_column(values: Sequence[float], precision: int | None) -> tuple[str, Sequence]:
+    """A ``%`` directive for one column and the values it formats, by the rule
+    of :func:`format_magnitude`: ``%d`` if all are integral, ``%.Nf`` if none
+    are, else (or at full precision) ``%s`` of text made cell by cell.
     """
     if precision is None:
-        return list(map(repr, values))
+        return "%s", list(map(repr, values))
     integral = list(map(float.is_integer, values))
     if all(integral):
-        return list(map(str, map(int, values)))
+        return "%d", values
     if not any(integral):
-        return list(map(format, values, repeat(f".{precision}f")))
-    return list(map(format_magnitude, values, repeat(precision)))
+        return f"%.{precision}f", values
+    return "%s", list(map(format_magnitude, values, repeat(precision)))
 
 
 def emit_matrix(

@@ -24,6 +24,11 @@ from scindex import (
 from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, reconstructed_table
 from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
 
+# What follows the first digit of an int echoed cut to 40 characters, and
+# an int past the 4,300-digit limit of its repr.
+_ZEROS = "0" * 39
+_HUGE = 10**5000
+
 
 def _toy_table(columns, rows):
     labeled = [
@@ -221,6 +226,64 @@ class TestPortfolioSummary:
         with pytest.raises(DomainError) as excinfo:
             build()
         assert str(excinfo.value) == f"{message} exceeds the floating-point range"
+
+    @pytest.mark.parametrize(
+        "summary, message",
+        [
+            ((-_HUGE, 2.0, 0.5), "paper count must be >= 1, got <negative integer of 5001 digits>"),
+            ((10, -_HUGE, 0.5), "mean impact must be >= 0, got <negative integer of 5001 digits>"),
+            ((10, 2.0, _HUGE), "evenness must lie in (0, 1], got <integer of 5001 digits>"),
+            ((10, 2.0, 10**401), f"evenness must lie in (0, 1], got 1{_ZEROS}... (402 characters)"),
+            ((10, -10**50, 0.5), f"mean impact must be >= 0, got -1{_ZEROS[1:]}... (52 characters)"),
+            ((10, -3, 0.5), "mean impact must be >= 0, got -3"),
+            ((10, 2.0, 2), "evenness must lie in (0, 1], got 2"),
+        ],
+        ids=["P-past-digit-limit", "i-past-digit-limit", "eta-past-digit-limit", "eta-402-digits",
+             "i-52-characters", "i-short-int", "eta-short-int"],
+    )
+    def test_a_refused_int_is_echoed_cut(self, summary, message):
+        papers, impact, evenness = summary
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary("a", papers=papers, impact=impact, evenness=evenness)
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            reconstruct_from_summary(papers, impact, evenness)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "h, papers, message",
+        [
+            (10**50, 10, f"h must lie in [0, P], got 1{_ZEROS}... (51 characters) with P = 10"),
+            (-1, 10**60, f"h must lie in [0, P], got -1 with P = 1{_ZEROS}... (61 characters)"),
+            (-1.5, 10, "h must lie in [0, P], got -1.5 with P = 10"),
+        ],
+        ids=["h-51-digits", "P-61-digits", "h-float"],
+    )
+    def test_a_refused_h_and_its_p_are_echoed_cut(self, h, papers, message):
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary("a", papers=papers, impact=2.0, evenness=0.5, h=h)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "summary, message",
+        [
+            ((10, -1.5, 0.5), "mean impact must be >= 0, got -1.5"),
+            ((10, np.float64(-1.5), 0.5), "mean impact must be >= 0, got -1.5"),
+            ((10, np.float64("inf"), 0.5), "mean impact must be finite, got inf"),
+            ((10, 2.0, np.float64(1.5)), "evenness must lie in (0, 1], got 1.5"),
+            ((10, 2.0, np.float32(0.0)), "evenness must lie in (0, 1], got 0.0"),
+            ((10, np.int64(-3), 0.5), "mean impact must be >= 0, got -3"),
+            ((np.int64(-3), 2.0, 0.5), "paper count must be an integer, got np.int64(-3)"),
+        ],
+    )
+    def test_refused_floats_and_numpy_scalars_read_as_before(self, summary, message):
+        papers, impact, evenness = summary
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary("a", papers=papers, impact=impact, evenness=evenness)
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            reconstruct_from_summary(papers, impact, evenness)
+        assert str(excinfo.value) == message
 
 
 class TestPearson:

@@ -29,6 +29,8 @@ from scindex.dimension import Dimension
 from scindex.tabular import (
     SUMMARY_HEADER,
     SUMMARY_HEADER_H,
+    _csv_records,
+    _summary_columns,
     emit_matrix,
     format_magnitude,
     parse_counts,
@@ -554,6 +556,7 @@ _json_values = st.recursive(
 _SUMMARY_DEFECTS = [
     None, "bad int", "bad float", "digit separator", "non-ASCII digit", "nan i", "eta range",
     "P below 1", "field count", "duplicate", "h below 0", "h above P",
+    "negative i", "inf i", "nan h", "inf h", "P past the float range",
 ]
 _label_text = st.text(
     alphabet=st.characters(
@@ -564,28 +567,31 @@ _label_text = st.text(
 
 
 @st.composite
-def _summary_csvs(draw):
+def _summary_csvs(draw, defects=_SUMMARY_DEFECTS, min_rows=0):
     """(text, reference records, None) or (text, None, (line, message))."""
     with_h = draw(st.booleans())
     names = SUMMARY_HEADER_H if with_h else SUMMARY_HEADER
     padded = [f" {n} " if draw(st.booleans()) else n for n in names]
     lines = [",".join(padded)]
-    labels = draw(st.lists(_label_text, unique=True, max_size=12))
-    defect = draw(st.sampled_from(_SUMMARY_DEFECTS)) if labels else None
+    labels = draw(st.lists(_label_text, unique=True, min_size=min_rows, max_size=12))
+    defect = draw(st.sampled_from(defects)) if labels else None
     if (defect == "duplicate" and len(labels) < 2) or (
-        defect in ("h below 0", "h above P") and not with_h
+        defect in ("h below 0", "h above P", "nan h", "inf h") and not with_h
     ):
         defect = None
     at = draw(st.integers(1 if defect == "duplicate" else 0, len(labels) - 1)) if defect else -1
     records, line_of, failure = [], [], None
     for r, label in enumerate(labels):
-        while draw(st.integers(0, 3)) == 0:
+        while draw(st.integers(0, 3)) == 3:  # a quarter of the time, and never when shrunk
             lines.append("")
         line_of.append(len(lines) + 1)
+        # The edge values each column check accepts are drawn as well.
         p = draw(st.integers(1, 10**6))
-        i = draw(st.floats(0, 1e6))
-        eta = draw(st.floats(0, 1, exclude_min=True))
-        h = draw(st.none() | st.floats(0, min(p, 1e3))) if with_h else None
+        i = draw(st.floats(0, 1e6) | st.sampled_from([0.0, -0.0]))
+        eta = draw(st.floats(0, 1, exclude_min=True) | st.just(1.0))
+        h = None
+        if with_h:
+            h = draw(st.none() | st.floats(0, min(p, 1e3)) | st.sampled_from([0.0, float(p)]))
         records.append(PortfolioSummary.from_summary(label, p, i, eta, h=h))
         cells = [label, str(p), repr(i), repr(eta)] + (["" if h is None else repr(h)] if with_h else [])
         if r == at:
@@ -623,6 +629,23 @@ def _summary_csvs(draw):
                 bad = p + draw(st.sampled_from([0.5, 1.0, 1e3]))
                 cells[4] = repr(bad)
                 message = f"h must lie in [0, P], got {bad} with P = {p}"
+            elif defect == "negative i":
+                bad = draw(st.sampled_from([-1.5, -5e-324, -1e300, float("-inf")]))
+                cells[2] = repr(bad)
+                message = f"mean impact must be >= 0, got {bad}"
+            elif defect == "inf i":
+                cells[2] = draw(st.sampled_from(["inf", "Infinity", "1e400"]))
+                message = "mean impact must be finite, got inf"
+            elif defect == "nan h":
+                cells[4] = draw(st.sampled_from(["nan", "NaN", "-nan"]))
+                message = "h must be finite, got nan"
+            elif defect == "inf h":
+                bad = draw(st.sampled_from(["inf", "-inf", "1e400"]))
+                cells[4] = bad
+                message = f"h must be finite, got {float(bad)}"
+            elif defect == "P past the float range":
+                cells[1] = "1" + "0" * 399
+                message = "paper count exceeds the floating-point range"
             elif defect == "field count":
                 cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
                 message = f"expected {len(names)} fields, got {len(cells)}"
@@ -649,6 +672,28 @@ class TestParseProperties:
             parse_input(text, "csv")
         assert excinfo.value.line == line
         assert str(excinfo.value) == f"line {line}: {message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_summary_csvs(defects=[None], min_rows=1))
+    def test_well_formed_summaries_are_read_by_columns(self, drawn):
+        """A well-formed summary file with rows never falls back to the row reader."""
+        text, records, _ = drawn
+        assert _summary_columns(text) == records
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "author,P,i,eta\nA,10,5,0.5\nB,3,0,1\n",
+            "author,P,i,eta,h\nA,10,5,0.5,4\nB,3,-0.0,1.0,3\nC,1,2,1e-300,0\n",
+            "author,P,i,eta,h\nA,10,5,0.5,\nB,3,2.5,0.25,  \nC,4,1,1,4.0\n",
+            'author, P ,i,eta,h\n"Smith, J.",10,5,0.5,4\n\n"Q ""R""\nS",3,1,1,\n',
+        ],
+        ids=["without-h", "with-h", "blank-h", "quoted-labels"],
+    )
+    def test_summary_files_are_read_by_columns(self, text):
+        records = _summary_columns(text)
+        assert records is not None
+        assert records == _csv_records(csv.reader(io.StringIO(text)))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -779,6 +824,15 @@ class TestEmitTable:
             "\tdimensionless\t[P]\t[P^3/2]"
         )
 
+    def test_percent_signs_in_labels_are_text(self):
+        records = [
+            PortfolioSummary.from_summary(label, 4, 2.5, 1.0)
+            for label in ("%s", "%%", "100%", "%d%(x)s")
+        ]
+        table = AnalyticsTable.from_portfolios(records, columns=("P", "i"))
+        lines = emit_table(table, "tsv").splitlines()[2:]
+        assert lines == ["%s\t4\t2.50", "%%\t4\t2.50", "100%\t4\t2.50", "%d%(x)s\t4\t2.50"]
+
     def test_reference_dimension_row(self):
         lines = emit_table(reconstructed_table(), "tsv").splitlines()
         assert lines[1] == "dimensions\t[P]\t[P]\tdimensionless\t[P]\t[P]\t[P^3/2]\t[P^2]"
@@ -852,7 +906,8 @@ def _tables(draw):
     dims = {name: draw(_DIMS) for name in columns}
     labeled = []
     for _ in range(draw(st.integers(0, 4))):
-        label = draw(st.text(max_size=6))
+        # Labels hold "%" and "s", which a %-template must not read as a directive.
+        label = draw(st.text(st.characters() | st.sampled_from("%s"), max_size=6))
         labeled.append((label, {n: Quantity(draw(_MAGNITUDES), d) for n, d in dims.items()}))
     flags = [draw(st.frozensets(st.sampled_from(_NAMES))) for _ in labeled]
     table = AnalyticsTable.from_reports(labeled, columns=columns, reconstructed=flags)
@@ -897,7 +952,7 @@ def _column_kind_tables(draw):
     columns = tuple(draw(st.lists(st.sampled_from(registry_names()), max_size=6)))
     count = draw(st.integers(0, 20))
     special = draw(st.sampled_from(["", "\\", "\t", "\n", "\r", "\\\t\n\r"]))
-    alphabet = "ab\u00e9,\"" + special
+    alphabet = "ab\u00e9,\"%s" + special
     labels = draw(st.lists(st.text(alphabet, max_size=6), min_size=count, max_size=count))
     values = {}
     for name in columns:
