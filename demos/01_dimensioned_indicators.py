@@ -6,7 +6,7 @@ unit [P] (one publication) around matters: indices that look comparable
 as bare numbers may live on different powers of [P].
 """
 
-from scindex import compute_all, qty_compare
+from scindex import compute_all
 
 counts = [12, 7, 5, 3, 1, 1, 0]
 report = compute_all(counts)
@@ -17,7 +17,7 @@ for name, quantity in report.items():
 
 # h and g share the dimension [P], so they may be compared directly.
 h = report["h"]
-print("\nh compared with g:", qty_compare(h, report["g"]))
+print("\nh < g:", h < report["g"])
 
 # The Euclidean length lives on [P^3/2]; adding it to h is meaningless
 # and the algebra refuses to do it.

@@ -14,7 +14,6 @@ from .dimension import (
     PAPERS_SQUARED,
     Dimension,
     Quantity,
-    qty_compare,
 )
 from .errors import (
     DegenerateSeriesError,
@@ -72,7 +71,6 @@ __all__ = [
     "PAPERS_SQUARED",
     "PAPERS_CUBED",
     "EUCLIDEAN_DIM",
-    "qty_compare",
     # expressions
     "DimExpr",
     "Symbol",

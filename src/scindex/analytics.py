@@ -31,15 +31,6 @@ from .indicators import (
     registry_symbols,
 )
 
-__all__ = [
-    "PortfolioSummary",
-    "AnalyticsTable",
-    "RECONSTRUCTED_COLUMNS",
-    "reconstruct_from_summary",
-    "pearson_matrix",
-    "rank_by",
-]
-
 # Columns a summary triple determines (everything but P, i, eta themselves
 # and the non-derivable h and g).
 RECONSTRUCTED_COLUMNS = frozenset({"C", "X", "E", "S", "z", "i_E"})
@@ -221,9 +212,6 @@ class AnalyticsTable(Record):
     """
 
     __slots__ = ("columns", "dims", "labels", "rows", "reconstructed")
-
-    def __init__(self, columns, dims, labels, rows, reconstructed) -> None:
-        self._fill(columns, dims, labels, rows, reconstructed)
 
     @classmethod
     def from_reports(

@@ -31,8 +31,6 @@ from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_regist
 from .svgplot import PlotSeries, emit_loglog_svg
 from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input, table_rows
 
-__all__ = ["main", "run"]
-
 
 def _parse_precision(text: str) -> int | None:
     if text == "full":
@@ -53,7 +51,10 @@ def _resolve_precision(arg: str | None) -> int | None:
         return _parse_precision(arg)
     env = os.environ.get("SCINDEX_PRECISION")
     if env:
-        return _parse_precision(env)
+        try:
+            return _parse_precision(env)
+        except FormatError as exc:
+            raise FormatError(f"in SCINDEX_PRECISION: {exc}") from None
     return 2
 
 

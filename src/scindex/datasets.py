@@ -15,15 +15,6 @@ from .analytics import AnalyticsTable, PortfolioSummary
 from .dimension import Quantity
 from .indicators import registry_symbols
 
-__all__ = [
-    "AuthorRow",
-    "AUTHOR_ROWS",
-    "AUTHOR_COLUMNS",
-    "author_portfolios",
-    "published_table",
-    "reconstructed_table",
-]
-
 
 class AuthorRow(NamedTuple):
     author: str

@@ -6,10 +6,11 @@ publication: a paper count has dimension [P], a total citation count
 powers such as [P^3/2].  Exponents are stored as exact
 :class:`fractions.Fraction` values, so [P^3/2] never drifts to 1.4999.
 
-Arithmetic between :class:`Quantity` values is homogeneity-checked:
-adding or ordering values of different dimension raises
-:class:`HeterogeneityError` instead of producing a number with no
-meaning.
+The homogeneity rule is the ``+`` and ``-`` of :class:`Dimension`: two
+different dimensions raise :class:`HeterogeneityError` instead of giving
+a number with no meaning.  :class:`Quantity` applies it to ``+``, ``-``,
+``<``, ``<=``, ``>`` and ``>=``, so ``eval_dim_expr`` evaluates a formula
+over a dimension table or over a report of quantities alike.
 
 >>> total = Quantity(7013, PAPERS_SQUARED)
 >>> papers = Quantity(96, PAPERS)
@@ -20,20 +21,11 @@ meaning.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
-from .errors import DomainError, HeterogeneityError
-
-__all__ = [
-    "Dimension",
-    "Quantity",
-    "DIMENSIONLESS",
-    "PAPERS",
-    "PAPERS_SQUARED",
-    "PAPERS_CUBED",
-    "qty_compare",
-]
+from .errors import DomainError, HeterogeneityError, shown
 
 Rational = Union[Fraction, int]
 
@@ -41,14 +33,28 @@ Rational = Union[Fraction, int]
 class Record:
     """An immutable value over its ``__slots__``: equality, hash and repr by field.
 
-    A constructor sets the fields through :meth:`_fill` and takes them in
-    slot order, which is how copy and pickle rebuild a record.
+    The constructor takes every field, by position in slot order or by
+    name; a wrong number of fields or an unknown name is a ``TypeError``.
+    A subclass that converts or checks its fields has its own, which sets
+    them through :meth:`_fill`; copy and pickle pass them in slot order.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        slots, name = self.__slots__, type(self).__qualname__
+        try:
+            values += tuple(map(named.pop, slots[len(values) :]))
+        except KeyError as exc:
+            raise TypeError(f"{name}() missing field {exc}") from None
+        if named:
+            raise TypeError(f"{name}() got an unexpected field {next(iter(named))!r}")
+        if len(values) != len(slots):
+            raise TypeError(f"{name}() takes {len(slots)} fields, got {len(values)}")
+        self._fill(*values)
 
     def _fill(self, *values: object) -> None:
         for set_field, value in zip(self._setters, values):
@@ -96,6 +102,18 @@ class Dimension(Record):
     def is_dimensionless(self) -> bool:
         return self.exponent == 0
 
+    def __add__(self, other: "Dimension", operation: str = "add") -> "Dimension":
+        """The homogeneity rule: ``self`` if ``other`` is the same dimension,
+        else :class:`HeterogeneityError` naming ``operation``."""
+        if not isinstance(other, Dimension):
+            return NotImplemented
+        if other != self:
+            raise HeterogeneityError(self, other, operation)
+        return self
+
+    def __sub__(self, other: "Dimension") -> "Dimension":
+        return self.__add__(other, "subtract")
+
     def __mul__(self, other: "Dimension") -> "Dimension":
         if not isinstance(other, Dimension):
             return NotImplemented
@@ -131,39 +149,47 @@ PAPERS_SQUARED = Dimension(2)
 PAPERS_CUBED = Dimension(3)
 
 
+def _ordered(compare: Callable[[float, float], bool]) -> Callable:
+    """An ordered comparison of two quantities of one dimension."""
+
+    def method(self: "Quantity", other: "Quantity") -> bool:
+        if not isinstance(other, Quantity):
+            return NotImplemented
+        self.dim.__add__(other.dim, "compare")
+        return compare(self.magnitude, other.magnitude)
+
+    return method
+
+
 class Quantity(Record):
     """A finite real magnitude paired with a :class:`Dimension`.
 
-    Addition, subtraction and ordered comparison require both operands
-    to share a dimension; multiplication and division combine
-    dimensions.  Equality (``==``) never raises: quantities of
-    different dimension simply compare unequal.  Use
-    :func:`qty_compare` for the checked three-way comparison.
+    Addition, subtraction and ordered comparison (``<``, ``<=``, ``>``,
+    ``>=``) require both operands to share a dimension; multiplication
+    and division combine dimensions.  Ordering against a non-quantity,
+    such as a bare number, is a ``TypeError``.  Equality (``==``) never
+    raises: quantities of different dimension simply compare unequal.
     """
 
     __slots__ = ("magnitude", "dim")
 
     def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS) -> None:
+        if not isinstance(dim, Dimension):
+            raise TypeError(f"quantity dimension must be a Dimension, got {shown(dim)}")
         value = float(magnitude)
         if not math.isfinite(value):
             raise DomainError(f"quantity magnitude must be finite, got {value!r}")
         self._fill(value, dim)
 
-    def _require_same_dim(self, other: "Quantity", operation: str) -> None:
-        if self.dim != other.dim:
-            raise HeterogeneityError(self.dim, other.dim, operation)
-
     def __add__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):
             return NotImplemented
-        self._require_same_dim(other, "add")
-        return Quantity(self.magnitude + other.magnitude, self.dim)
+        return Quantity(self.magnitude + other.magnitude, self.dim + other.dim)
 
     def __sub__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):
             return NotImplemented
-        self._require_same_dim(other, "subtract")
-        return Quantity(self.magnitude - other.magnitude, self.dim)
+        return Quantity(self.magnitude - other.magnitude, self.dim - other.dim)
 
     def __mul__(self, other: "Quantity | float | int") -> "Quantity":
         if isinstance(other, Quantity):
@@ -195,37 +221,11 @@ class Quantity(Record):
             raise DomainError(f"cannot raise {self.magnitude} to power {exponent}")
         return Quantity(value, self.dim**exponent)
 
-    def __lt__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.magnitude < other.magnitude
-
-    def __le__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.magnitude <= other.magnitude
-
-    def __gt__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.magnitude > other.magnitude
-
-    def __ge__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.magnitude >= other.magnitude
+    __lt__ = _ordered(operator.lt)
+    __le__ = _ordered(operator.le)
+    __gt__ = _ordered(operator.gt)
+    __ge__ = _ordered(operator.ge)
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.dim}"
 
-
-def qty_compare(a: Quantity, b: Quantity) -> int:
-    """Three-way ordering of like-dimensioned quantities.
-
-    Returns -1, 0 or 1.  Raises :class:`HeterogeneityError` when the
-    dimensions differ, because incommensurable quantities admit no
-    order at all.
-    """
-    if a.dim != b.dim:
-        raise HeterogeneityError(a.dim, b.dim, "compare")
-    if a.magnitude < b.magnitude:
-        return -1
-    if a.magnitude > b.magnitude:
-        return 1
-    return 0

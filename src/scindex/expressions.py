@@ -31,54 +31,28 @@ import re
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .dimension import Dimension, Record
-from .errors import HeterogeneityError, ParseError, UnknownSymbolError
-
-__all__ = [
-    "Symbol",
-    "Sum",
-    "Product",
-    "Quotient",
-    "Power",
-    "DimExpr",
-    "parse_dim_expr",
-    "format_dim_expr",
-    "eval_dim_expr",
-    "dimension_of",
-]
+from .dimension import Dimension, Quantity, Record
+from .errors import ParseError, UnknownSymbolError
 
 
 class Symbol(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self._fill(name)
-
-
-def _pair(self: Record, left: DimExpr, right: DimExpr) -> None:
-    self._fill(left, right)
-
 
 class Sum(Record):
     __slots__ = ("left", "right")
-    __init__ = _pair
 
 
 class Product(Record):
     __slots__ = ("left", "right")
-    __init__ = _pair
 
 
 class Quotient(Record):
     __slots__ = ("left", "right")
-    __init__ = _pair
 
 
 class Power(Record):
     __slots__ = ("base", "exponent")
-
-    def __init__(self, base: DimExpr, exponent: Fraction) -> None:
-        self._fill(base, exponent)
 
 
 DimExpr = Union[Symbol, Sum, Product, Quotient, Power]
@@ -89,17 +63,11 @@ _MAX_TERM = 10**9  # an exponent's numerator and denominator lie below it
 _TERM_BOUND = "a numerator and denominator below 10^9"
 
 
-def _homogeneous(left: Dimension, right: Dimension) -> Dimension:
-    if left != right:
-        raise HeterogeneityError(left, right, "add")
-    return left
-
-
 # The only definition of the binary operators, read by the parser, the
 # printer and the evaluator: node class -> (text, precedence, dimension rule).
 # Each precedence level is left-associative.
 _BINARY = {
-    Sum: ("+", 1, _homogeneous),
+    Sum: ("+", 1, operator.add),
     Product: ("*", 2, operator.mul),
     Quotient: ("/", 2, operator.truediv),
 }
@@ -112,10 +80,7 @@ _POWER = max(prec for _, prec, _ in _BINARY.values()) + 1
 
 
 class _Token(Record):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        self._fill(kind, text, pos)  # kind: "name", "int", "op" or "end"
+    __slots__ = ("kind", "text", "pos")  # kind: "name", "int", "op" or "end"
 
 
 _TOKEN_RE = re.compile(
@@ -288,11 +253,13 @@ def format_dim_expr(expr: DimExpr) -> str:
     return _render(expr, 0)
 
 
-def eval_dim_expr(expr: DimExpr, symbols: Mapping[str, Dimension]) -> Dimension:
-    """Dimension of an expression under a name -> Dimension table.
-
-    Sums require all addends homogeneous; products, quotients and
-    rational powers follow the exponent algebra.
+def eval_dim_expr(
+    expr: DimExpr, symbols: Mapping[str, Dimension | Quantity]
+) -> Dimension | Quantity:
+    """Value of an expression over a name -> ``Dimension`` table (such as
+    ``registry_symbols()``), its dimension, or over an ``IndicatorReport``,
+    its ``Quantity``.  Either way a sum of different dimensions raises the
+    same ``HeterogeneityError``; the rest follows the exponent algebra.
     """
     if isinstance(expr, Symbol):
         try:

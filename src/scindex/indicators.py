@@ -43,20 +43,6 @@ from .errors import (
     shown,
 )
 
-__all__ = [
-    "CitationVector",
-    "Counts",
-    "IndicatorDescriptor",
-    "IndicatorReport",
-    "REGISTRY",
-    "registry_names",
-    "registry_symbols",
-    "descriptor",
-    "h_index",
-    "g_index",
-    "compute_all",
-]
-
 EUCLIDEAN_DIM = Dimension(Fraction(3, 2))
 
 # Most counts a vector builds when its counts are asked for.  The counts are

@@ -26,17 +26,6 @@ from .indicators import (
     descriptor,
 )
 
-__all__ = [
-    "ExponentEstimate",
-    "ProbeResult",
-    "DEFAULT_LAMBDAS",
-    "replicate_scale",
-    "fit_loglog",
-    "check_tolerance",
-    "verify_dimension",
-    "probe_registry",
-]
-
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
@@ -46,9 +35,6 @@ class ExponentEstimate(Record):
     """OLS fit of log(value) on log(lambda); residual is never discarded."""
 
     __slots__ = ("slope", "intercept", "max_residual")
-
-    def __init__(self, slope: float, intercept: float, max_residual: float) -> None:
-        self._fill(slope, intercept, max_residual)
 
 
 class ProbeResult(Record):
@@ -120,12 +106,14 @@ def verify_dimension(
     when ``tolerance`` is None).  A series that is exactly zero at all
     scales (e.g. the dispersion term on a uniform portfolio) is
     consistent with any power law and passes without a fit.  The scale
-    factors, strictly increasing ints, are checked before any replica.  A
-    scale factor whose replica leaves the float range raises
-    :class:`DomainError` naming the indicator and the factor.
+    factors, at least one and strictly increasing ints, are checked
+    before any replica.  A scale factor whose replica leaves the float
+    range raises :class:`DomainError` naming the indicator and the factor.
     """
     vec = as_citation_vector(base)
     lams = tuple(lambdas)
+    if not lams:
+        raise DegenerateSeriesError(f"indicator {desc.name}: scale factors must not be empty")
     for lam in lams:
         if type(lam) is not int:
             raise DomainError(f"indicator {desc.name}: scale factors must be ints, got {lam!r}")

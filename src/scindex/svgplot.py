@@ -17,8 +17,6 @@ from .errors import DegenerateSeriesError, DomainError
 from .scaling import fit_loglog
 from .tabular import _csv_text
 
-__all__ = ["PlotSeries", "emit_loglog_svg"]
-
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})

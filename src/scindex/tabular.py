@@ -38,17 +38,6 @@ from .analytics import AnalyticsTable, PortfolioSummary
 from .errors import FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector
 
-__all__ = [
-    "WIDE_HEADER",
-    "SUMMARY_HEADER",
-    "parse_input",
-    "emit_records",
-    "emit_table",
-    "emit_matrix",
-    "table_rows",
-    "format_magnitude",
-]
-
 WIDE_HEADER: tuple[str, ...] = ("author", "citations")
 SUMMARY_HEADER: tuple[str, ...] = ("author", "P", "i", "eta")
 SUMMARY_HEADER_H: tuple[str, ...] = SUMMARY_HEADER + ("h",)

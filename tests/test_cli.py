@@ -274,10 +274,21 @@ class TestCompute:
         assert main(["table1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: precision must be <= 17, got 400\n"
+        assert captured.err == "error: in SCINDEX_PRECISION: precision must be <= 17, got 400\n"
         monkeypatch.setenv("SCINDEX_PRECISION", "full")
         assert main(["table1"]) == 0
         assert "\t885.9736875325361\t" in capsys.readouterr().out
+
+    def test_precision_env_errors_name_the_variable(self, wide_file, capsys, monkeypatch):
+        monkeypatch.setenv("SCINDEX_PRECISION", "abc")
+        assert main(["compute", wide_file]) == 1
+        assert capsys.readouterr().err == (
+            "error: in SCINDEX_PRECISION: invalid precision 'abc' (expected an integer or 'full')\n"
+        )
+        assert main(["compute", wide_file, "--precision", "abc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid precision 'abc' (expected an integer or 'full')\n"
+        )
 
     def test_flag_overrides_env(self, wide_file, capsys, monkeypatch):
         monkeypatch.setenv("SCINDEX_PRECISION", "5")
@@ -492,6 +503,18 @@ class TestPackageNames:
             assert getattr(scindex, name) is not None, name
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             scindex.missing  # noqa: B018
+
+    def test_only_the_package_root_lists_exports(self):
+        import importlib
+        import pkgutil
+
+        import scindex
+
+        names = [m.name for m in pkgutil.iter_modules(scindex.__path__) if m.name != "__main__"]
+        assert "dimension" in names and "cli" in names
+        for name in names:
+            module = importlib.import_module(f"scindex.{name}")
+            assert "__all__" not in vars(module), name
 
     def test_star_import_binds_every_name(self):
         import scindex

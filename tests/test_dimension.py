@@ -1,5 +1,6 @@
 """Dimension and Quantity algebra: exact exponents, checked arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,12 @@ from scindex import (
     DomainError,
     HeterogeneityError,
     Quantity,
-    qty_compare,
 )
 from scindex.indicators import EUCLIDEAN_DIM
 
 exponents = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 dimensions = st.builds(Dimension, exponents)
+ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
 
 
 class TestDimensionAlgebra:
@@ -67,6 +68,31 @@ class TestDimensionAlgebra:
     def test_pow_round_trips(self, a, r):
         assert (a**r) ** (1 / r) == a
 
+    @given(
+        a=dimensions,
+        b=st.none() | dimensions,
+        x=st.floats(-1e9, 1e9),
+        y=st.floats(-1e9, 1e9),
+    )
+    def test_sum_and_difference_are_the_homogeneity_rule(self, a, b, x, y):
+        b = a if b is None else b
+        for operation, verb in ((operator.add, "add"), (operator.sub, "subtract")):
+            if a == b:
+                assert operation(a, b) == a
+                assert operation(Quantity(x, a), Quantity(y, b)) == Quantity(operation(x, y), a)
+                continue
+            message = f"cannot {verb} quantities of dimension {a} and {b}"
+            for left, right in ((a, b), (Quantity(x, a), Quantity(y, b))):
+                with pytest.raises(HeterogeneityError) as excinfo:
+                    operation(left, right)
+                assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("operation", [operator.add, operator.sub])
+    def test_sum_with_a_number_is_a_type_error(self, operation):
+        for left, right in ((PAPERS, 1), (1, PAPERS), (PAPERS, Quantity(1, PAPERS))):
+            with pytest.raises(TypeError):
+                operation(left, right)
+
 
 class TestRendering:
     @pytest.mark.parametrize(
@@ -103,21 +129,36 @@ class TestQuantity:
         assert "[P]" in str(excinfo.value)
 
     def test_compare_less(self):
-        assert qty_compare(Quantity(34, PAPERS), Quantity(41, PAPERS)) == -1
+        assert Quantity(34, PAPERS) < Quantity(41, PAPERS)
+        assert not Quantity(41, PAPERS) < Quantity(34, PAPERS)
 
     def test_compare_equal(self):
-        assert qty_compare(Quantity(5, PAPERS), Quantity(5, PAPERS)) == 0
+        assert Quantity(5, PAPERS) <= Quantity(5, PAPERS)
+        assert Quantity(5, PAPERS) >= Quantity(5, PAPERS)
+        assert not Quantity(5, PAPERS) < Quantity(5, PAPERS)
+        assert not Quantity(5, PAPERS) > Quantity(5, PAPERS)
 
     def test_compare_greater(self):
-        assert qty_compare(Quantity(41, PAPERS), Quantity(34, PAPERS)) == 1
+        assert Quantity(41, PAPERS) > Quantity(34, PAPERS)
+        assert not Quantity(34, PAPERS) > Quantity(41, PAPERS)
 
     def test_compare_heterogeneous_raises(self):
         with pytest.raises(HeterogeneityError):
-            qty_compare(Quantity(1462.71, EUCLIDEAN_DIM), Quantity(7013, PAPERS_SQUARED))
+            Quantity(1462.71, EUCLIDEAN_DIM) < Quantity(7013, PAPERS_SQUARED)
 
     def test_ordering_operators_checked(self):
-        with pytest.raises(HeterogeneityError):
-            Quantity(1, PAPERS) < Quantity(2, PAPERS_SQUARED)
+        for compare in ORDERINGS:
+            with pytest.raises(HeterogeneityError) as excinfo:
+                compare(Quantity(1, PAPERS), Quantity(2, PAPERS_SQUARED))
+            assert str(excinfo.value) == "cannot compare quantities of dimension [P] and [P^2]"
+
+    @pytest.mark.parametrize("compare", ORDERINGS)
+    def test_ordering_against_a_non_quantity_is_a_type_error(self, compare):
+        for other in (5, 5.0, None, "5", PAPERS):
+            with pytest.raises(TypeError):
+                compare(Quantity(1, PAPERS), other)
+            with pytest.raises(TypeError):
+                compare(other, Quantity(1, PAPERS))
 
     def test_equality_never_raises(self):
         assert Quantity(1, PAPERS) != Quantity(1, PAPERS_SQUARED)
@@ -137,6 +178,12 @@ class TestQuantity:
         q = Quantity(27, PAPERS_CUBED) ** Fraction(1, 3)
         assert q.dim == PAPERS
         assert q.magnitude == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("dim", [2, Fraction(3, 2), "[P]", None])
+    def test_dimension_must_be_a_dimension(self, dim):
+        # A bare exponent would otherwise add as a number: [P^2] + [P^2] -> 4.
+        with pytest.raises(TypeError, match="quantity dimension must be a Dimension"):
+            Quantity(3, dim)
 
     def test_magnitude_must_be_finite(self):
         with pytest.raises(DomainError):
@@ -170,4 +217,4 @@ class TestQuantity:
             with pytest.raises(HeterogeneityError):
                 qa + qb
             with pytest.raises(HeterogeneityError):
-                qty_compare(qa, qb)
+                operator.lt(qa, qb)

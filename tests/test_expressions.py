@@ -1,5 +1,6 @@
 """Dimension-expression parsing, printing and evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from scindex import (
     Sum,
     Symbol,
     UnknownSymbolError,
+    compute_all,
     dimension_of,
     eval_dim_expr,
     format_dim_expr,
@@ -207,6 +209,24 @@ class TestEvaluation:
 
     def test_homogeneous_sum_allowed(self):
         assert dimension_of("h + z + i", SYMBOLS) == PAPERS
+
+    @given(counts=st.lists(st.integers(0, 10**4), min_size=1, max_size=60).filter(any))
+    def test_formulas_evaluate_over_a_report(self, counts):
+        report = compute_all(counts)
+        for formula, name in (("C/P", "i"), ("(eta*i^2*P)^(1/3)", "z"), ("E^(1/2)", "i_E")):
+            value = eval_dim_expr(parse_dim_expr(formula), report)
+            expected = report[name]
+            assert value.dim == expected.dim == SYMBOLS[name]
+            assert abs(value.magnitude - expected.magnitude) <= 4 * math.ulp(expected.magnitude)
+
+    def test_heterogeneous_sum_reads_alike_over_values_and_dimensions(self):
+        tree = parse_dim_expr("h+i_E")
+        messages = []
+        for symbols in (SYMBOLS, compute_all([4, 2, 1])):
+            with pytest.raises(HeterogeneityError) as excinfo:
+                eval_dim_expr(tree, symbols)
+            messages.append(str(excinfo.value))
+        assert messages == ["cannot add quantities of dimension [P] and [P^3/2]"] * 2
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError) as excinfo:

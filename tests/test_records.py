@@ -179,6 +179,52 @@ def test_copy_deepcopy_and_pickle_give_an_equal_record(case):
         assert repr(clone) == text
 
 
+# The records that take their fields through Record's own constructor:
+# (class, the fields in slot order).
+PLAIN = {
+    "AnalyticsTable": (
+        AnalyticsTable,
+        (("h",), (PAPERS,), ("A",), ((2.0,),), (frozenset(),)),
+    ),
+    "ExponentEstimate": (ExponentEstimate, (1.0, 0.5, 0.0)),
+    "Symbol": (Symbol, ("C",)),
+    "Sum": (Sum, (Symbol("C"), Symbol("P"))),
+    "Product": (Product, (Symbol("C"), Symbol("P"))),
+    "Quotient": (Quotient, (Symbol("C"), Symbol("P"))),
+    "Power": (Power, (Symbol("i"), Fraction(1, 2))),
+    "_Token": (_Token, ("name", "P", 0)),
+}
+PLAIN_CASES = pytest.mark.parametrize("case", list(PLAIN), ids=list(PLAIN))
+
+
+@PLAIN_CASES
+def test_fields_are_taken_by_position_or_by_name(case):
+    cls, values = PLAIN[case]
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in cls.__slots__) == values
+    named = dict(zip(cls.__slots__, values))
+    assert cls(**named) == record
+    assert cls(values[0], **dict(list(named.items())[1:])) == record
+    assert cls(**dict(reversed(named.items()))) == record
+
+
+@PLAIN_CASES
+def test_a_wrong_arity_or_an_unknown_field_is_a_type_error(case):
+    cls, values = PLAIN[case]
+    name, first, last = cls.__qualname__, cls.__slots__[0], cls.__slots__[-1]
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing field '{last}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing field '{first}'$"):
+        cls()
+    arity = rf"^{name}\(\) takes {len(values)} fields, got {len(values) + 1}$"
+    with pytest.raises(TypeError, match=arity):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected field 'extra'$"):
+        cls(*values, extra=0)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected field '{first}'$"):
+        cls(*values, **{first: values[0]})
+
+
 class TestIndicatorDescriptor:
     def test_equality_and_hash_ignore_compute(self):
         a = IndicatorDescriptor("h", PAPERS, h_index)

@@ -257,7 +257,7 @@ class TestVerifyDimension:
             verify_dimension(descriptor("C"), [4, 2, 1], lambdas=lambdas)
         assert str(excinfo.value) == f"indicator C: scale factors must be ints, got {shown}"
 
-    @pytest.mark.parametrize("lambdas", [(3, 2, 1), (1, 2.0, 3)])
+    @pytest.mark.parametrize("lambdas", [(3, 2, 1), (1, 2.0, 3), ()])
     def test_scale_factors_are_checked_before_any_replica(self, lambdas):
         replicas = []
         spy = IndicatorDescriptor("S", PAPERS_CUBED, replicas.append)
@@ -267,6 +267,15 @@ class TestVerifyDimension:
         # An all-zero series is no exception to the order check.
         with pytest.raises(DegenerateSeriesError):
             verify_dimension(descriptor("S"), [5, 5, 5], lambdas=(3, 2, 1))
+
+    @pytest.mark.parametrize("base", [[4, 2, 1], [5, 5, 5]])
+    def test_no_scale_factors_is_refused(self, base):
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            probe_registry(base, lambdas=[])
+        assert str(excinfo.value) == "indicator P: scale factors must not be empty"
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            verify_dimension(descriptor("S"), base, lambdas=())
+        assert str(excinfo.value) == "indicator S: scale factors must not be empty"
 
     def test_degenerate_series_names_the_indicator(self):
         with pytest.raises(DegenerateSeriesError) as excinfo:
