@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .analytics import AnalyticsTable, pearson_matrix
 from .errors import FormatError, ScindexError, shown
-from .indicators import registry_names, registry_symbols
+from .indicators import CitationVector, registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
 from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input, table_rows
@@ -82,14 +82,14 @@ def _split_csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _parse_counts_arg(text: str) -> list[int]:
+def _parse_counts_arg(text: str) -> CitationVector:
     try:
-        counts = parse_counts(text)
+        vector = parse_counts(text)
     except FormatError as exc:
         raise FormatError(f"{exc} in --base") from None
-    if not counts:
+    if not vector:
         raise FormatError("--base needs at least one citation count")
-    return counts
+    return vector
 
 
 def _parse_lambdas_arg(text: str) -> list[int]:

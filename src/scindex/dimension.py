@@ -21,6 +21,7 @@ over a dimension table or over a report of quantities alike.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Callable, Union
@@ -28,6 +29,16 @@ from typing import Callable, Union
 from .errors import DomainError, HeterogeneityError, shown
 
 Rational = Union[Fraction, int]
+
+
+def _exponent(value: object) -> Fraction:
+    """``value`` as an exact exponent of Python ints.  Only a rational number
+    is one: a float such as ``1/3`` is a binary fraction near the one meant,
+    and a NumPy int would keep its fixed width inside a ``Fraction``.
+    """
+    if not isinstance(value, numbers.Rational):
+        raise DomainError(f"exponent must be a rational number, got {shown(value)}")
+    return Fraction(int(value.numerator), int(value.denominator))
 
 
 class Record:
@@ -90,13 +101,15 @@ class Dimension(Record):
 
     ``Dimension(2)`` is [P^2]; ``Dimension(Fraction(3, 2))`` is [P^3/2].
     ``Fraction`` keeps the exponent in lowest terms with a positive
-    denominator, which makes equality exact.
+    denominator, which makes equality exact.  An exponent, here or in
+    ``**``, must be a rational number (an int or a ``Fraction``); any
+    other, a float included, is a :class:`DomainError`.
     """
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Rational = 0) -> None:
-        self._fill(Fraction(exponent))
+        self._fill(_exponent(exponent))
 
     @property
     def is_dimensionless(self) -> bool:
@@ -125,7 +138,7 @@ class Dimension(Record):
         return Dimension(self.exponent - other.exponent)
 
     def __pow__(self, power: Rational) -> "Dimension":
-        return Dimension(self.exponent * Fraction(power))
+        return Dimension(self.exponent * _exponent(power))
 
     def __str__(self) -> str:
         # Rendering contract: lowest terms, "[P]" for exponent 1, the
@@ -212,7 +225,7 @@ class Quantity(Record):
         return NotImplemented
 
     def __pow__(self, power: Rational) -> "Quantity":
-        exponent = Fraction(power)
+        exponent = _exponent(power)
         try:
             value = self.magnitude ** float(exponent)
         except (OverflowError, ZeroDivisionError) as exc:

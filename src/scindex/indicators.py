@@ -73,14 +73,19 @@ class CitationVector:
         # A list is only read, so it is not copied.
         values = counts if isinstance(counts, list) else list(counts)
         # Exact ints are checked by builtins alone, and their sign on the
-        # distinct values; anything else, or a negative, takes the per-item
-        # path, which names the first offending item.
+        # distinct values; anything else takes the per-item path, which
+        # names the first offending item.
         if not set(map(type, values)) <= {int}:
             values = _checked_counts(values)
-        runs = Counter(values)
-        if min(runs, default=0) < 0:
-            _checked_counts(values)
-        self._runs = tuple(sorted(runs.items(), reverse=True))
+        self._runs = _sorted_runs(Counter(values))
+
+    @classmethod
+    def _from_tally(cls, tally: dict[int, int]) -> CitationVector:
+        """The vector of a ``{count: multiplicity}`` dict of ints, as
+        ``CitationVector`` builds one from its ``Counter``."""
+        vec = object.__new__(cls)
+        vec._runs = _sorted_runs(tally)
+        return vec
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
@@ -147,6 +152,16 @@ class CitationVector:
             return f"CitationVector({list(self.counts)!r})"
         except DomainError:
             return f"CitationVector.from_runs({list(self._runs)!r})"
+
+
+def _sorted_runs(tally: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The runs of a tally of int counts, largest first.  A tally keeps its
+    counts in first-seen order, so the first negative one is named.
+    """
+    if min(tally, default=0) < 0:
+        bad = next(c for c in tally if c < 0)
+        raise NegativeCountError(f"negative citation count {shown(bad)}")
+    return tuple(sorted(tally.items(), reverse=True))
 
 
 def _checked_counts(values: list) -> list[int]:

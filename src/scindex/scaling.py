@@ -28,6 +28,10 @@ from .indicators import (
 
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
+# Most scale factors one probe takes.  Each builds a replica per indicator
+# and a point of the plot, so a longer list is refused before any replica.
+MAX_LAMBDAS = 1000
+
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
 
 
@@ -106,7 +110,7 @@ def verify_dimension(
     when ``tolerance`` is None).  A series that is exactly zero at all
     scales (e.g. the dispersion term on a uniform portfolio) is
     consistent with any power law and passes without a fit.  The scale
-    factors, at least one and strictly increasing ints, are checked
+    factors, 3 to ``MAX_LAMBDAS`` strictly increasing ints, are checked
     before any replica.  A scale factor whose replica leaves the float
     range raises :class:`DomainError` naming the indicator and the factor.
     """
@@ -114,6 +118,15 @@ def verify_dimension(
     lams = tuple(lambdas)
     if not lams:
         raise DegenerateSeriesError(f"indicator {desc.name}: scale factors must not be empty")
+    if len(lams) > MAX_LAMBDAS:
+        raise DomainError(
+            f"indicator {desc.name}: at most {MAX_LAMBDAS} scale factors may be given, "
+            f"got {len(lams)}"
+        )
+    if len(lams) < 3:
+        raise DegenerateSeriesError(
+            f"indicator {desc.name}: log-log fit needs at least 3 points, got {len(lams)}"
+        )
     for lam in lams:
         if type(lam) is not int:
             raise DomainError(f"indicator {desc.name}: scale factors must be ints, got {lam!r}")

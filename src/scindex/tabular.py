@@ -9,6 +9,12 @@ Input formats (form auto-detected from the header / record keys):
                 [4, 2, 1]}`` or ``{"author": ..., "P": ..., "i": ...,
                 "eta": ..., "h": ...}`` -- one form per file
 
+A wide cell is read tally first: its item texts are counted, ``int``
+reads each distinct text once, and texts that spell one integer (``4``,
+``04``, ``+4``) add up to one run of the :class:`CitationVector`.  A
+cell with a blank or bad item is read again item by item, so an error
+names the first bad item, and a negative count its first occurrence.
+
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
 ``[P^2]``).  Reals print with ``precision`` decimals (default 2,
@@ -31,6 +37,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from itertools import chain, repeat
 from typing import Any, Sequence
 
@@ -92,22 +99,31 @@ def number(kind: type, text: str) -> float | int:
     return kind(text)
 
 
-def parse_counts(cell: str) -> list[int]:
-    """The counts of a ``"4;2;1"`` list; blank items are skipped, a bad one is a FormatError."""
+def parse_counts(cell: str) -> CitationVector:
+    """The vector of a ``"4;2;1"`` list; blank items are skipped, a bad one is a
+    FormatError and a negative one a NegativeCountError.
+    """
     if _plain(cell):
-        # int skips the ASCII whitespace around an item.  A cell it refuses
-        # (a blank or bad item, or whitespace that str.strip skips and int
-        # does not) is read again below.
+        # int skips the ASCII whitespace around an item, and reads each
+        # distinct item text once.  A cell it refuses (a blank or bad item,
+        # or whitespace that str.strip skips and int does not) is read
+        # again below.
+        tally = Counter(cell.split(";"))
         try:
-            return list(map(int, cell.split(";")))
+            values = list(map(int, tally))
         except ValueError:
             pass
+        else:
+            runs = dict.fromkeys(values, 0)  # "4", "04" and "+4" are one count
+            for value, m in zip(values, tally.values()):
+                runs[value] += m
+            return CitationVector._from_tally(runs)
     items = list(filter(None, map(str.strip, cell.split(";"))))
     try:
         # The items, not the cell: the whitespace they were stripped of may
         # be non-ASCII.  A plain cell has plain items, and is checked faster.
         if _plain(cell) or _plain("".join(items)):
-            return list(map(int, items))
+            return CitationVector._from_tally(Counter(map(int, items)))
     except ValueError:
         pass
     bad = next(item for item in items if not _is_int_literal(item))
@@ -122,14 +138,11 @@ def _is_int_literal(text: str) -> bool:
     return True
 
 
-def _wide(label: str, counts: list) -> PortfolioSummary:
+def _wide(label: str, vector: CitationVector) -> PortfolioSummary:
     """The portfolio of a wide record, which needs at least one paper."""
-    if not counts:
+    if not vector:
         raise FormatError(f"portfolio {shown(label)} has no papers")
-    try:
-        return PortfolioSummary(label, CitationVector(counts))
-    except TypeError as exc:
-        raise FormatError(str(exc)) from None
+    return PortfolioSummary(label, vector)
 
 
 def _summary(label: str, papers: Any, impact: Any, evenness: Any, h: Any) -> PortfolioSummary:
@@ -276,7 +289,11 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
             if not wide:
                 record = _summary(label, entry["P"], entry["i"], entry["eta"], entry.get("h"))
             elif isinstance(entry["citations"], list):
-                record = _wide(label, entry["citations"])
+                try:
+                    vector = CitationVector(entry["citations"])
+                except TypeError as exc:
+                    raise FormatError(str(exc)) from None
+                record = _wide(label, vector)
             else:
                 raise FormatError("'citations' must be an array of integers")
             _add_record(records, first_seen, record, n, "record")

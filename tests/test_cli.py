@@ -11,6 +11,7 @@ import pytest
 from scindex import indicators
 from scindex.cli import main
 from scindex.errors import shown
+from scindex.scaling import MAX_LAMBDAS
 
 WIDE_CSV = 'author,citations\nA,"4;2;1"\nB,"10;5;3;2;1"\nC,"7;7;7"\n'
 SUMMARY_CSV = (
@@ -144,6 +145,26 @@ class TestProbe:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: indicator S: scale factors must be strictly increasing\n"
+
+    @pytest.mark.parametrize(
+        "lambdas, message",
+        [
+            ("1", "log-log fit needs at least 3 points, got 1"),
+            (
+                ",".join(map(str, range(1, MAX_LAMBDAS + 2))),
+                f"at most {MAX_LAMBDAS} scale factors may be given, got {MAX_LAMBDAS + 1}",
+            ),
+        ],
+        ids=["one", "over-bound"],
+    )
+    def test_too_few_or_too_many_lambdas_exit_one(self, lambdas, message, tmp_path, capsys):
+        svg = tmp_path / "plot.svg"
+        argv = ["probe", "--base", "5;5;5", "--index", "S", "--lambdas", lambdas, "--svg", str(svg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: indicator S: {message}\n"
+        assert not svg.exists()
 
     def test_huge_lambda_probes_without_building_the_replica(self, capsys, monkeypatch):
         # The replica at lambda 1e9 stands for 3e9 papers.  With the build

@@ -3,6 +3,7 @@
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -178,6 +179,29 @@ class TestQuantity:
         q = Quantity(27, PAPERS_CUBED) ** Fraction(1, 3)
         assert q.dim == PAPERS
         assert q.magnitude == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: Dimension(x),
+            lambda x: PAPERS_CUBED**x,
+            lambda x: Quantity(8, PAPERS_CUBED) ** x,
+        ],
+        ids=["Dimension", "Dimension **", "Quantity **"],
+    )
+    def test_an_exponent_must_be_rational(self, build):
+        # 1/3 as a float is 6004799503160661/18014398509481984, not a third.
+        for bad, shown in ((1 / 3, "0.3333333333333333"), (0.5, "0.5"), ("3/2", "'3/2'")):
+            with pytest.raises(DomainError) as excinfo:
+                build(bad)
+            assert str(excinfo.value) == f"exponent must be a rational number, got {shown}"
+        assert build(Fraction(1, 3)) == build(Fraction(2, 6))
+        assert build(np.int64(2)) == build(2) and build(np.int32(-1)) == build(-1)
+
+    def test_numpy_exponents_are_read_as_python_ints(self):
+        big = Dimension(np.int64(2**62))
+        assert type(big.exponent.numerator) is int
+        assert big * big == Dimension(2**63)  # a fixed-width sum would wrap
 
     @pytest.mark.parametrize("dim", [2, Fraction(3, 2), "[P]", None])
     def test_dimension_must_be_a_dimension(self, dim):

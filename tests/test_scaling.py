@@ -21,7 +21,7 @@ from scindex import (
 )
 from scindex import indicators
 from scindex.indicators import MAX_REPLICA_COUNTS, REGISTRY, CitationVector, compute_all
-from scindex.scaling import ZERO_SERIES_NOTE
+from scindex.scaling import MAX_LAMBDAS, ZERO_SERIES_NOTE
 
 from oracles import g_brute, h_brute
 
@@ -257,7 +257,11 @@ class TestVerifyDimension:
             verify_dimension(descriptor("C"), [4, 2, 1], lambdas=lambdas)
         assert str(excinfo.value) == f"indicator C: scale factors must be ints, got {shown}"
 
-    @pytest.mark.parametrize("lambdas", [(3, 2, 1), (1, 2.0, 3), ()])
+    @pytest.mark.parametrize(
+        "lambdas",
+        [(3, 2, 1), (1, 2.0, 3), (), (1,), (1, 2), tuple(range(1, MAX_LAMBDAS + 2))],
+        ids=["decreasing", "float", "empty", "one", "two", "over-bound"],
+    )
     def test_scale_factors_are_checked_before_any_replica(self, lambdas):
         replicas = []
         spy = IndicatorDescriptor("S", PAPERS_CUBED, replicas.append)
@@ -276,6 +280,23 @@ class TestVerifyDimension:
         with pytest.raises(DegenerateSeriesError) as excinfo:
             verify_dimension(descriptor("S"), base, lambdas=())
         assert str(excinfo.value) == "indicator S: scale factors must not be empty"
+
+    @pytest.mark.parametrize("lambdas", [(1,), (1, 2)])
+    def test_fewer_than_three_scale_factors_are_refused(self, lambdas):
+        # An all-zero series is no exception: one or two points fit no power law.
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            verify_dimension(descriptor("S"), [5, 5, 5], lambdas=lambdas)
+        assert str(excinfo.value) == (
+            f"indicator S: log-log fit needs at least 3 points, got {len(lambdas)}"
+        )
+
+    def test_the_number_of_scale_factors_is_bounded(self):
+        assert verify_dimension(descriptor("S"), [5, 5, 5], range(1, MAX_LAMBDAS + 1)).passed
+        with pytest.raises(DomainError) as excinfo:
+            verify_dimension(descriptor("S"), [5, 5, 5], lambdas=range(1, MAX_LAMBDAS + 2))
+        assert str(excinfo.value) == (
+            f"indicator S: at most {MAX_LAMBDAS} scale factors may be given, got {MAX_LAMBDAS + 1}"
+        )
 
     def test_degenerate_series_names_the_indicator(self):
         with pytest.raises(DegenerateSeriesError) as excinfo:

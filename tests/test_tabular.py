@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from scindex import (
     AnalyticsTable,
+    CitationVector,
     FormatError,
     NegativeCountError,
     PortfolioSummary,
@@ -39,6 +40,26 @@ from scindex.tabular import (
 
 WIDE_SAMPLE = 'author,citations\nA,"4;2;1"\n'
 SUMMARY_SAMPLE = "author,P,i,eta,h\nLI YF,142,33.25,0.20,34\n"
+
+# Digits, separators, signs and characters that int or _plain refuse.
+COUNT_CHARS = "0123456789;;  \t+-_\u00a0ab\u0664"
+
+
+def counts_one_by_one(cell):
+    """The vector of a cell's items, each read by ``int`` on its own: the first
+    item that is not a plain ASCII integer literal is named, then the first negative."""
+    items = [item.strip() for item in cell.split(";") if item.strip()]
+    bad = next((item for item in items if not re.fullmatch("[+-]?[0-9]+", item)), None)
+    if bad is not None:
+        raise FormatError(f"invalid citation count {bad!r}")
+    return CitationVector([int(item) for item in items])
+
+
+def outcome(read, cell):
+    try:
+        return "read", read(cell).runs
+    except ScindexError as exc:
+        return "raised", type(exc), str(exc)
 
 
 class TestParseCsv:
@@ -214,8 +235,8 @@ class TestParseCsv:
 
 class TestParseCounts:
     def test_blank_items_are_skipped(self):
-        assert parse_counts(" 4; ;2;1;") == [4, 2, 1]
-        assert parse_counts(" ; ") == []
+        assert parse_counts(" 4; ;2;1;") == CitationVector([4, 2, 1])
+        assert parse_counts(" ; ") == CitationVector([])
 
     @pytest.mark.parametrize(
         "cell, bad", [("4;x;1", "x"), ("4; 1_0", "1_0"), ("\u0664;2", "\u0664"), ("4;-", "-")]
@@ -237,8 +258,9 @@ class TestParseCounts:
             ("", []),
             ("  ", []),
             ("4; ;2;", [4, 2]),
-            ("+4;-0;-3", [4, 0, -3]),
             ("007;0", [7, 0]),
+            ("4;04;+4; 4", [4, 4, 4, 4]),
+            ("-0;0", [0, 0]),
             ("4;\u00a02", [4, 2]),
             ("\u00a04\u00a0;\u00a0", [4]),
             ("4;\x1c2\x1f", [4, 2]),
@@ -254,28 +276,32 @@ class TestParseCounts:
             ("4;2\u00a03", "'2\\xa03'"),
             (" ; ;x", "'x'"),
             ("a;\u00a0;_", "'a'"),
+            ("3;-2;x", "'x'"),
         ],
     )
     def test_reads_every_cell_as_before(self, cell, expected):
         # A list is the counts; a string is the bad item the error names.
         if isinstance(expected, list):
-            assert parse_counts(cell) == expected
+            assert parse_counts(cell) == CitationVector(expected)
         else:
             with pytest.raises(FormatError) as excinfo:
                 parse_counts(cell)
             assert str(excinfo.value) == f"invalid citation count {expected}"
 
-    @given(cell=st.text(alphabet="0123456789;;  \t+-_\u00a0ab\u0664", max_size=24))
+    @pytest.mark.parametrize("cell, first", [("3;-2;-5", -2), ("+4;-0;-3", -3), ("-02; 1;-2", -2)])
+    def test_the_first_negative_count_is_named(self, cell, first):
+        with pytest.raises(NegativeCountError) as excinfo:
+            parse_counts(cell)
+        assert str(excinfo.value) == f"negative citation count {first}"
+        assert (excinfo.value.line, excinfo.value.record) == (None, None)
+
+    @given(
+        cell=st.text(alphabet=COUNT_CHARS, max_size=24)
+        | st.lists(st.text(alphabet=COUNT_CHARS.replace(";", ""), max_size=3)).map(";".join)
+    )
     @settings(max_examples=500)
     def test_a_cell_of_int_items_is_read_as_int_reads_them(self, cell):
-        items = [item.strip() for item in cell.split(";") if item.strip()]
-        bad = next((item for item in items if not re.fullmatch("[+-]?[0-9]+", item)), None)
-        if bad is None:
-            assert parse_counts(cell) == [int(s) for s in cell.split(";") if s.strip()]
-        else:
-            with pytest.raises(FormatError) as excinfo:
-                parse_counts(cell)
-            assert str(excinfo.value) == f"invalid citation count {bad!r}"
+        assert outcome(parse_counts, cell) == outcome(counts_one_by_one, cell)
 
 
 class TestParseJson:
