@@ -12,13 +12,14 @@ Subcommands:
 Exit codes: 0 success, 1 malformed input or expression, 2 scaling
 verification failure.  ``--precision`` (or the ``SCINDEX_PRECISION``
 environment variable) controls rendered decimals, at most 17; ``full``
-emits shortest round-trip values.
+emits shortest round-trip values.  ``main`` pauses the cyclic garbage
+collector for one command and restores the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from pathlib import Path
@@ -102,6 +103,15 @@ def _parse_lambdas_arg(text: str) -> list[int]:
     return lams
 
 
+def _parse_index_arg(text: str) -> list[str] | None:
+    if text == "all":
+        return None
+    names = _split_csv_list(text)
+    if not names:
+        raise FormatError("--index needs at least one indicator name")
+    return names
+
+
 def _parse_tolerance_arg(text: str) -> float:
     try:
         tolerance = number(float, text)
@@ -149,17 +159,24 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_probe(args: argparse.Namespace) -> int:
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
-    names = None if args.index == "all" else _split_csv_list(args.index)
+    names = _parse_index_arg(args.index)
     tolerance = None if args.tolerance is None else _parse_tolerance_arg(args.tolerance)
     results = probe_registry(base, lambdas, names=names, tolerance=tolerance)
-    _write_output(_format_probe_lines(results), args.output)
     if args.svg:
+        # Plotted before anything is written, so a refusal leaves no file.
         plottable = [
             PlotSeries(r.indicator, list(zip(r.lambdas, r.values)))
             for r in results
             if all(v > 0 for v in r.values)
         ]
+        if not plottable:
+            raise FormatError(
+                "--svg has nothing to plot: no selected indicator is positive "
+                "at every scale factor"
+            )
         svg, points_csv = emit_loglog_svg(plottable, title="replication scaling")
+    _write_output(_format_probe_lines(results), args.output)
+    if args.svg:
         Path(args.svg).write_text(svg, encoding="utf-8")
         Path(args.svg).with_suffix(".csv").write_text(points_csv, encoding="utf-8")
     if any(not r.passed for r in results):
@@ -187,6 +204,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     published = datasets.published_table()
     matrix = pearson_matrix(published, datasets.AUTHOR_COLUMNS)
     if args.output_format == "json":
+        import json
         payload = {
             "table": table_rows(reconstructed),
             "correlation": {
@@ -260,20 +278,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    # A command's records, reports and rows hold no reference cycles, so
+    # reference counting frees them and a collector pass over them finds
+    # nothing; the only cycles are argparse's parser graph, a fixed set.
+    # The collector is paused for the command, as ``timeit`` does.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; usage errors are input errors here.
-        return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except ScindexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors; usage errors are input errors here.
+            return 0 if exc.code in (0, None) else 1
+        try:
+            return args.func(args)
+        except ScindexError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run() -> None:

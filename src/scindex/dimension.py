@@ -34,9 +34,10 @@ Rational = Union[Fraction, int]
 def _exponent(value: object) -> Fraction:
     """``value`` as an exact exponent of Python ints.  Only a rational number
     is one: a float such as ``1/3`` is a binary fraction near the one meant,
-    and a NumPy int would keep its fixed width inside a ``Fraction``.
+    and a NumPy int would keep its fixed width inside a ``Fraction``.  A
+    ``bool`` is registered as one but is a truth value, so it is refused.
     """
-    if not isinstance(value, numbers.Rational):
+    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise DomainError(f"exponent must be a rational number, got {shown(value)}")
     return Fraction(int(value.numerator), int(value.denominator))
 
@@ -110,10 +111,6 @@ class Dimension(Record):
 
     def __init__(self, exponent: Rational = 0) -> None:
         self._fill(_exponent(exponent))
-
-    @property
-    def is_dimensionless(self) -> bool:
-        return self.exponent == 0
 
     def __add__(self, other: "Dimension", operation: str = "add") -> "Dimension":
         """The homogeneity rule: ``self`` if ``other`` is the same dimension,

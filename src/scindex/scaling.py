@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from statistics import linear_regression
 from typing import Sequence
 
 from .dimension import Record
@@ -68,6 +67,8 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     """OLS slope/intercept in log-log space, plus the largest |residual|."""
+    from statistics import linear_regression  # loaded on first use: only a probe fits
+
     if len(xs) != len(ys):
         raise DegenerateSeriesError(
             f"log-log fit needs as many x as y values, got {len(xs)} and {len(ys)}"
@@ -161,12 +162,16 @@ def probe_registry(
     names: Sequence[str] | None = None,
     tolerance: float | None = None,
 ) -> list[ProbeResult]:
-    """Run the probe for several registered indicators, in registry order."""
+    """Run the probe for the named registered indicators, or for all of
+    them in registry order when ``names`` is None.  A list of names must
+    hold at least one."""
     if tolerance is not None:
         check_tolerance(tolerance)
     if names is None:
         descriptors = list(REGISTRY)
     else:
         descriptors = [descriptor(name) for name in names]
+        if not descriptors:
+            raise DomainError("a probe needs at least one indicator name")
     vec = as_citation_vector(base)
     return [verify_dimension(d, vec, lambdas, tolerance) for d in descriptors]

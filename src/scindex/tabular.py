@@ -23,7 +23,8 @@ matching the usual published presentation); integral values print bare;
 rule is :func:`format_magnitude`'s, per cell, but a table takes one ``%``
 directive per column (see :func:`_format_column`), and a TSV body is one
 ``%`` format of a row template repeated for every row.  JSON cells always
-carry exact float values plus the rendered dimension.
+carry exact float values plus the rendered dimension.  ``json`` is
+imported by the functions that read or write JSON, on first use.
 TSV fields escape backslash, tab, line feed and carriage return as
 ``\\\\``, ``\\t``, ``\\n`` and ``\\r`` (the Linear TSV convention); CSV
 quotes them instead.
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 import sys
@@ -260,6 +260,7 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
 
 
 def _parse_json(text: str) -> list[PortfolioSummary]:
+    import json
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -329,6 +330,7 @@ def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> st
         for r in records
     ]
     if format == "json":
+        import json
         objects = [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
         return json.dumps(objects, indent=2) + "\n"
     return _csv_text([header, *([label, *map(_csv_cell, values)] for label, *values in rows)])
@@ -419,6 +421,7 @@ def _json_table(table: AnalyticsTable) -> str:
     ``%`` format: labels go through ``json.dumps`` and values through
     ``repr``, exactly as the ``json`` module writes them.
     """
+    import json
     if not table.rows:
         return "[]\n"
     # A JSON object holds a repeated column once, where it first appears.
@@ -449,6 +452,7 @@ def _json_table(table: AnalyticsTable) -> str:
 
 def _json_literal(text: str) -> str:
     """``text`` as a JSON string, escaped for use in a ``%`` template."""
+    import json
     return json.dumps(text).replace("%", "%%")
 
 
@@ -504,6 +508,7 @@ def emit_matrix(
 ) -> str:
     """Render a correlation matrix with row and column headers."""
     if format == "json":
+        import json
         payload = {"columns": list(names), "matrix": [list(row) for row in matrix]}
         return json.dumps(payload, indent=2) + "\n"
     if format not in ("tsv", "csv"):

@@ -143,6 +143,11 @@ class TestPortfolioSummary:
         with pytest.raises(DomainError):
             PortfolioSummary("both", vector=None, papers=None)
 
+    def test_a_partial_summary_is_refused(self):
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary("a", papers=3)
+        assert str(excinfo.value) == "summary form needs papers, impact and evenness"
+
     def test_summary_invariants(self):
         with pytest.raises(DomainError):
             PortfolioSummary.from_summary("bad", 10, 5.0, 2.0)
@@ -443,6 +448,11 @@ class TestAnalyticsTable:
         table = reconstructed_table()
         row = table.row("LI YF")
         assert row["P"].magnitude == 142.0
+
+    def test_row_lookup_of_a_missing_label(self):
+        with pytest.raises(DomainError) as excinfo:
+            reconstructed_table().row("missing")
+        assert str(excinfo.value) == "no row labeled 'missing'"
 
     def test_reference_rows_carry_published_h(self):
         table = reconstructed_table()

@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, error rendering."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scindex import indicators
+from scindex import cli, indicators
 from scindex.cli import main
 from scindex.errors import shown
 from scindex.scaling import MAX_LAMBDAS
@@ -234,6 +235,43 @@ class TestProbe:
         assert main(["probe", "--base", "4;2;1", "--index", "nope"]) == 1
         assert "nope" in capsys.readouterr().err
 
+    def test_no_lambdas_exit_one(self, capsys):
+        assert main(["probe", "--base", "4;2;1", "--lambdas", ","]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --lambdas needs at least one scale factor\n"
+
+    @pytest.mark.parametrize("index", [",", " , ", ""])
+    def test_no_index_names_exit_one(self, index, capsys):
+        assert main(["probe", "--base", "4;2;1", "--index", index, "--lambdas", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --index needs at least one indicator name\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_svg_with_nothing_to_plot_writes_nothing(self, to_file, tmp_path, capsys):
+        # S is exactly zero at every scale on a uniform base: the probe
+        # passes, but no series can go on log-log axes.
+        svg = tmp_path / "plot.svg"
+        table = tmp_path / "table.tsv"
+        argv = ["probe", "--base", "5;5;5", "--index", "S", "--svg", str(svg)]
+        assert main(argv + (["-o", str(table)] if to_file else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --svg has nothing to plot: "
+            "no selected indicator is positive at every scale factor\n"
+        )
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_svg_leaves_out_series_that_are_not_positive(self, tmp_path, capsys):
+        svg_path = tmp_path / "plot.svg"
+        argv = ["probe", "--base", "5;5;5", "--index", "S,C", "--svg", str(svg_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\tpass\t") == 2
+        svg = svg_path.read_text()
+        assert "C: slope 2.00" in svg and "S: slope" not in svg
+
     def test_svg_written(self, tmp_path, capsys):
         svg_path = tmp_path / "plot.svg"
         code = main(
@@ -321,6 +359,20 @@ class TestCompute:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["author"] == "A"
         assert rows[0]["E"] == {"value": 21.0, "dimension": "[P^3]"}
+
+    def test_header_only_input_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("author,citations\n")
+        assert main(["compute", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot infer columns for an empty table\n"
+
+    def test_negative_precision_exits_one(self, wide_file, capsys):
+        assert main(["compute", wide_file, "--precision", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be >= 0, got -1\n"
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["compute", "/nonexistent/input.csv"]) == 1
@@ -464,6 +516,118 @@ class TestTable1:
         assert out.splitlines()[0] == "author,P,i,eta,h,z,i_E,C"
 
 
+@pytest.fixture()
+def collector_state():
+    """Restore the session's collector setting after a test changes it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("escaped")
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["dims", "C/P"], 0),
+            (["dims", "C +"], 1),
+            (["probe", "--index", "g", "--base", "4;2;1"], 2),
+            (["compute"], 1),  # an argparse usage error
+            (["--help"], 0),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "usage-error", "help"],
+    )
+    def test_main_restores_the_callers_setting(
+        self, enabled, argv, status, collector_state, capsys
+    ):
+        gc.enable() if enabled else gc.disable()
+        assert main(argv) == status
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_an_escaping_exception_restores_the_setting(
+        self, enabled, collector_state, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_cmd_dims", _raise_runtime_error)
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="escaped"):
+            main(["dims", "C/P"])
+        assert gc.isenabled() is enabled
+
+    def test_the_collector_is_paused_while_a_command_runs(
+        self, collector_state, monkeypatch, capsys
+    ):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_dims", lambda args: seen.append(gc.isenabled()) or 0)
+        gc.enable()
+        assert main(["dims", "C/P"]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+
+def _wide_csv(n):
+    rows = "".join(f'A{k},"{k % 7 + 2};{k % 3 + 1};1"\n' for k in range(n))
+    return "author,citations\n" + rows
+
+
+def _summary_csv(n):
+    rows = "".join(f"A{k},{k + 10},{k % 5 + 1.5},0.{k % 9 + 1},{k % 4 + 1}\n" for k in range(n))
+    return "author,P,i,eta,h\n" + rows
+
+
+def _wide_json(n):
+    records = [
+        {"author": f"A{k}", "citations": [k % 7 + 2, *[k % 3 + 1] * (k % 4 + 1), 1]}
+        for k in range(n)
+    ]
+    return json.dumps(records)
+
+
+def _argv(command, tmp_path, n):
+    """One command over an input whose size grows with ``n``."""
+    if command == "probe-svg":
+        base = ";".join(str(k + 1) for k in range(n))  # n runs
+        return ["probe", "--base", base, "--index", "C,h,i_E", "--svg", str(tmp_path / "p.svg")]
+    name, text, argv = {
+        "compute-wide": ("wide.csv", _wide_csv(n), ["compute"]),
+        "compute-summary": ("summary.csv", _summary_csv(n), ["compute"]),
+        "correlate-json": ("wide.json", _wide_json(n), ["correlate"]),
+    }[command]
+    path = tmp_path / name
+    path.write_text(text)
+    return [*argv, str(path), "-o", str(tmp_path / "out.txt")]
+
+
+def _cycles_left_by(argv):
+    """Objects in reference cycles that one ``main(argv)`` leaves behind."""
+    gc.collect()
+    gc.disable()
+    assert main(argv) in (0, 2)
+    return gc.collect()
+
+
+class TestNoCyclesPerRecord:
+    # Pausing the collector is safe only if a command's garbage in cycles
+    # does not grow with its input: reference counting frees the rest.
+    @pytest.mark.parametrize(
+        "command", ["compute-wide", "compute-summary", "correlate-json", "probe-svg"]
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_input(
+        self, command, tmp_path, collector_state, capsys
+    ):
+        _cycles_left_by(_argv(command, tmp_path, 10))  # lazy imports and caches fill
+        small = _cycles_left_by(_argv(command, tmp_path, 20))
+        large = _cycles_left_by(_argv(command, tmp_path, 80))
+        assert small == large
+
+
 def _run_python(*args):
     """A child interpreter that imports this checkout's package."""
     env = dict(os.environ)
@@ -498,7 +662,8 @@ class TestEntryPoint:
             "before = set(sys.modules)\n"
             "import scindex.cli\n"
             f"status = scindex.cli.main(['compute', {wide_file!r}])\n"
-            "unwanted = ('dataclasses', 'inspect', 'scindex.expressions', 'scindex.datasets')\n"
+            "unwanted = ('dataclasses', 'inspect', 'json', 'statistics',\n"
+            "            'scindex.expressions', 'scindex.datasets')\n"
             "print(status, [name for name in unwanted if name in set(sys.modules) - before])\n"
         )
         proc = _run_python("-c", code)

@@ -198,6 +198,21 @@ class TestQuantity:
         assert build(Fraction(1, 3)) == build(Fraction(2, 6))
         assert build(np.int64(2)) == build(2) and build(np.int32(-1)) == build(-1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: Dimension(x),
+            lambda x: PAPERS**x,
+            lambda x: Quantity(4.0, PAPERS) ** x,
+        ],
+        ids=["Dimension", "Dimension **", "Quantity **"],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_not_an_exponent(self, build, flag):
+        with pytest.raises(DomainError) as excinfo:
+            build(flag)
+        assert str(excinfo.value) == f"exponent must be a rational number, got {flag}"
+
     def test_numpy_exponents_are_read_as_python_ints(self):
         big = Dimension(np.int64(2**62))
         assert type(big.exponent.numerator) is int
@@ -222,6 +237,11 @@ class TestQuantity:
     def test_division_by_zero_scalar(self):
         with pytest.raises(DomainError):
             Quantity(1, PAPERS) / 0
+
+    def test_odd_root_of_a_negative_magnitude(self):
+        with pytest.raises(DomainError) as excinfo:
+            Quantity(-8.0) ** Fraction(1, 3)
+        assert str(excinfo.value) == "cannot raise -8.0 to power 1/3"
 
     def test_zero_to_negative_power(self):
         with pytest.raises(DomainError):

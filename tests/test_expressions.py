@@ -76,6 +76,22 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_dim_expr("E^(1/0)")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "P^2^(1/2)",
+                "expected an integer exponent in an exponent tower at position 8, found '1/2'",
+            ),
+            ("P^x", "expected an integer, '-' or '(' at position 2, found 'x'"),
+        ],
+        ids=["fraction-in-tower", "symbol-exponent"],
+    )
+    def test_an_exponent_must_be_a_number(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_dim_expr(text)
+        assert str(excinfo.value) == message
+
     def test_power_binds_tighter_than_product(self):
         tree = parse_dim_expr("eta*i^2")
         assert tree == Product(Symbol("eta"), Power(Symbol("i"), Fraction(2)))

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from scindex import (
     DegenerateSeriesError,
     PAPERS_CUBED,
+    PAPERS_SQUARED,
     DomainError,
     IndicatorDescriptor,
+    Quantity,
     descriptor,
     fit_loglog,
     probe_registry,
@@ -302,6 +304,23 @@ class TestVerifyDimension:
         with pytest.raises(DegenerateSeriesError) as excinfo:
             verify_dimension(descriptor("C"), [4, 2, 1], lambdas=(1, 2))
         assert "C" in str(excinfo.value)
+
+    def test_a_series_the_fit_refuses_names_the_indicator(self):
+        # C - 7 is zero on the base [4, 2, 1] and positive on its replicas.
+        def c_minus_seven(v):
+            return Quantity(sum(v.counts) - 7.0, PAPERS_SQUARED)
+
+        spy = IndicatorDescriptor("spy", PAPERS_SQUARED, c_minus_seven)
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            verify_dimension(spy, [4, 2, 1], lambdas=(1, 2, 3))
+        assert str(excinfo.value) == (
+            "indicator spy: log-log fit needs strictly positive points, got (1, 0)"
+        )
+
+    def test_an_empty_list_of_names_is_refused(self):
+        with pytest.raises(DomainError) as excinfo:
+            probe_registry([4, 2, 1], names=[])
+        assert str(excinfo.value) == "a probe needs at least one indicator name"
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
     def test_malformed_tolerance_is_refused(self, tolerance):

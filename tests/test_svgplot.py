@@ -9,6 +9,7 @@ import pytest
 
 from scindex import (
     DegenerateSeriesError,
+    DomainError,
     PlotSeries,
     emit_loglog_svg,
 )
@@ -43,6 +44,11 @@ class TestEmitLogLogSvg:
             emit_loglog_svg([PlotSeries("S", [(1, 0.0), (2, 1.0), (3, 2.0)])])
         assert "series S" in str(excinfo.value)
         assert "(1, 0)" in str(excinfo.value)
+
+    def test_no_series_is_refused(self):
+        with pytest.raises(DomainError) as excinfo:
+            emit_loglog_svg([])
+        assert str(excinfo.value) == "nothing to plot"
 
     def test_single_point_series_propagates_fit_error(self):
         with pytest.raises(DegenerateSeriesError):

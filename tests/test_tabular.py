@@ -367,6 +367,18 @@ class TestParseJson:
         text = json.dumps([{"author": "A", "P": 3.0, "i": 1.0, "eta": 0.5}])
         assert parse_input(text, "json")[0].papers == 3
 
+    def test_a_record_of_neither_form_is_refused(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input('[{"author": "A", "P": 3}]', "json")
+        assert str(excinfo.value) == (
+            "record 1: record needs either 'citations' or the keys P, i, eta"
+        )
+
+    def test_citations_must_be_an_array(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_input('[{"author": "A", "citations": 5}]', "json")
+        assert str(excinfo.value) == "record 1: 'citations' must be an array of integers"
+
     def test_not_an_array(self):
         with pytest.raises(FormatError) as excinfo:
             parse_input('{"author": "A"}', "json")
@@ -1050,6 +1062,22 @@ class TestEmitMatrix:
             "a\\tb\t1.00\t0.50\n"
             "c\\\\d\t0.50\t1.00\n"
         )
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda: parse_input(WIDE_SAMPLE, "xml"), "unknown input format 'xml'"),
+        (lambda: emit_records([], "xml"), "unknown record format 'xml'"),
+        (lambda: emit_table(reconstructed_table(), "xml"), "unknown table format 'xml'"),
+        (lambda: emit_matrix(["P"], [[1.0]], "xml"), "unknown matrix format 'xml'"),
+    ],
+    ids=["parse_input", "emit_records", "emit_table", "emit_matrix"],
+)
+def test_an_unknown_format_is_refused(write, message):
+    with pytest.raises(FormatError) as excinfo:
+        write()
+    assert str(excinfo.value) == message
 
 
 class TestFormatting:
