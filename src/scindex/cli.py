@@ -156,11 +156,29 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_probe_outputs(output: str | None, svg: str) -> None:
+    """Refuse ``-o``, ``--svg`` and the SVG's points file when two of them
+    name one file, so that no output overwrites another."""
+    svg_path = Path(svg)
+    if not svg_path.name:
+        raise FormatError(f"--svg {shown(svg)} names no file")
+    outputs = [("--svg", svg_path), ("the points file of --svg", svg_path.with_suffix(".csv"))]
+    if output not in (None, "-"):
+        outputs.insert(0, ("-o", Path(output)))
+    seen: dict[Path, str] = {}
+    for option, path in outputs:
+        first = seen.setdefault(path.resolve(), option)
+        if first != option:
+            raise FormatError(f"{first} and {option} name the same file {shown(str(path))}")
+
+
 def _cmd_probe(args: argparse.Namespace) -> int:
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
     names = _parse_index_arg(args.index)
     tolerance = None if args.tolerance is None else _parse_tolerance_arg(args.tolerance)
+    if args.svg:
+        _check_probe_outputs(args.output, args.svg)
     results = probe_registry(base, lambdas, names=names, tolerance=tolerance)
     if args.svg:
         # Plotted before anything is written, so a refusal leaves no file.

@@ -65,9 +65,15 @@ class CitationVector:
     runs.  The counts, largest first, are built only when asked for
     (``counts``, iteration, ``repr``), and at most ``MAX_REPLICA_COUNTS``
     of them; past that bound ``repr`` shows the runs instead.
+
+    A vector keeps two results derived from its runs, each built on first
+    use and never if its construction raised: the closed-form ladder its
+    ladder kernels read, and the replica series of the last scaling probe
+    of it (see :func:`scindex.scaling.verify_dimension`).  Pickling,
+    equality and hashing read only the runs.
     """
 
-    __slots__ = ("_runs",)
+    __slots__ = ("_runs", "_ladder", "_replicas")
 
     def __init__(self, counts: Iterable[int]) -> None:
         # A list is only read, so it is not copied.
@@ -78,14 +84,21 @@ class CitationVector:
         if not set(map(type, values)) <= {int}:
             values = _checked_counts(values)
         self._runs = _sorted_runs(Counter(values))
+        self._ladder = self._replicas = None
+
+    @classmethod
+    def _of_runs(cls, runs: tuple[tuple[int, int], ...]) -> CitationVector:
+        """The vector of checked runs, with nothing kept yet."""
+        vec = object.__new__(cls)
+        vec._runs = runs
+        vec._ladder = vec._replicas = None
+        return vec
 
     @classmethod
     def _from_tally(cls, tally: dict[int, int]) -> CitationVector:
         """The vector of a ``{count: multiplicity}`` dict of ints, as
         ``CitationVector`` builds one from its ``Counter``."""
-        vec = object.__new__(cls)
-        vec._runs = _sorted_runs(tally)
-        return vec
+        return cls._of_runs(_sorted_runs(tally))
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
@@ -107,9 +120,7 @@ class CitationVector:
                     f"got {(v, m)!r}"
                 )
             previous = v
-        vec = object.__new__(cls)
-        vec._runs = runs
-        return vec
+        return cls._of_runs(runs)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -324,8 +335,16 @@ def _closed_forms(
 
 
 def _ladder_kernel(name: str) -> Kernel:
-    """Kernel for one closed-form indicator: the ladder's value of ``name``."""
-    return lambda v: _closed_forms(_nonempty(v).runs)[name]
+    """Kernel for one closed-form indicator: the ladder's value of ``name``,
+    read from the ladder the vector keeps once it is built."""
+
+    def kernel(v: Counts) -> Quantity:
+        vec = _nonempty(v)
+        if vec._ladder is None:
+            vec._ladder = _closed_forms(vec._runs)
+        return vec._ladder[name]
+
+    return kernel
 
 
 class IndicatorDescriptor:

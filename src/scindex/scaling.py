@@ -11,7 +11,6 @@ gates the fitted slope against the declared exponent.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .dimension import Record
@@ -27,8 +26,9 @@ from .indicators import (
 
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
-# Most scale factors one probe takes.  Each builds a replica per indicator
-# and a point of the plot, so a longer list is refused before any replica.
+# Most scale factors one probe takes.  Each builds a replica, which the
+# base keeps, and a point of the plot, so a longer list is refused before
+# any replica.
 MAX_LAMBDAS = 1000
 
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
@@ -114,6 +114,14 @@ def verify_dimension(
     factors, 3 to ``MAX_LAMBDAS`` strictly increasing ints, are checked
     before any replica.  A scale factor whose replica leaves the float
     range raises :class:`DomainError` naming the indicator and the factor.
+
+    When ``base`` is a :class:`CitationVector`, it keeps the replicas of
+    the last scale factors probed on it, so that probing the other
+    indicators at the same factors builds none again.  The series is kept
+    only once every replica in it was built and measured; a probe at other
+    factors replaces it, so a base holds at most ``MAX_LAMBDAS`` replicas
+    of as many runs as its own.  Each indicator is still computed from
+    each replica's own runs.
     """
     vec = as_citation_vector(base)
     lams = tuple(lambdas)
@@ -138,12 +146,17 @@ def verify_dimension(
     if tolerance is None:
         tolerance = desc.fit_tolerance
     check_tolerance(tolerance)
+    kept = vec._replicas[1] if vec._replicas and vec._replicas[0] == lams else None
+    replicas = []
     values = []
-    for lam in lams:
+    for k, lam in enumerate(lams):
         try:
-            values.append(desc.compute(replicate_scale(vec, lam)).magnitude)
+            replica = kept[k] if kept else replicate_scale(vec, lam)
+            values.append(desc.compute(replica).magnitude)
         except DomainError as exc:
             raise DomainError(f"indicator {desc.name} at lambda {lam}: {exc}") from None
+        replicas.append(replica)
+    vec._replicas = lams, tuple(replicas)
     values = tuple(values)
     declared = desc.declared_dim.exponent
     if all(value == 0.0 for value in values):

@@ -285,6 +285,39 @@ class TestProbe:
         assert points[0] == "series,x,y"
         assert len(points) == 11  # two series x five scales
 
+    @pytest.mark.parametrize(
+        "outputs, message",
+        [
+            (["--svg", "plot.csv"], "--svg and the points file of --svg name the same file 'plot.csv'"),
+            (
+                ["--svg", "same.svg", "-o", "same.csv"],
+                "-o and the points file of --svg name the same file 'same.csv'",
+            ),
+            (["-o", "x.svg", "--svg", "x.svg"], "-o and --svg name the same file 'x.svg'"),
+            (["--svg", "p.svg", "-o", "sub/../p.svg"], "-o and --svg name the same file 'p.svg'"),
+            (["--svg", "."], "--svg '.' names no file"),
+        ],
+        ids=["svg-is-its-points", "output-is-points", "output-is-svg", "same-resolved", "no-name"],
+    )
+    def test_outputs_naming_one_file_are_refused(
+        self, outputs, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["probe", "--base", "4;2;1", "--index", "C", *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+    def test_distinct_outputs_are_all_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["probe", "--base", "4;2;1", "--index", "C", "--svg", "plot.svg", "-o", "table.tsv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.csv", "plot.svg", "table.tsv"]
+        assert (tmp_path / "table.tsv").read_text().startswith("index\tdeclared\t")
+
 
 class TestCompute:
     def test_wide_table(self, wide_file, capsys):

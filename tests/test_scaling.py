@@ -1,6 +1,7 @@
 """Replication scaling and log-log exponent verification."""
 
 import math
+import pickle
 from itertools import chain, repeat
 
 import numpy as np
@@ -21,7 +22,7 @@ from scindex import (
     replicate_scale,
     verify_dimension,
 )
-from scindex import indicators
+from scindex import indicators, scaling
 from scindex.indicators import MAX_REPLICA_COUNTS, REGISTRY, CitationVector, compute_all
 from scindex.scaling import MAX_LAMBDAS, ZERO_SERIES_NOTE
 
@@ -283,13 +284,18 @@ class TestVerifyDimension:
             verify_dimension(descriptor("S"), base, lambdas=())
         assert str(excinfo.value) == "indicator S: scale factors must not be empty"
 
-    @pytest.mark.parametrize("lambdas", [(1,), (1, 2)])
-    def test_fewer_than_three_scale_factors_are_refused(self, lambdas):
-        # An all-zero series is no exception: one or two points fit no power law.
+    @pytest.mark.parametrize(
+        "name, base, lambdas",
+        [("S", [5, 5, 5], (1,)), ("S", [5, 5, 5], (1, 2)), ("C", [4, 2, 1], (1, 2))],
+        ids=["S-one", "S-two", "C-two"],
+    )
+    def test_fewer_than_three_scale_factors_are_refused(self, name, base, lambdas):
+        # An all-zero series (S on a uniform base) is no exception: one or
+        # two points fit no power law.
         with pytest.raises(DegenerateSeriesError) as excinfo:
-            verify_dimension(descriptor("S"), [5, 5, 5], lambdas=lambdas)
+            verify_dimension(descriptor(name), base, lambdas=lambdas)
         assert str(excinfo.value) == (
-            f"indicator S: log-log fit needs at least 3 points, got {len(lambdas)}"
+            f"indicator {name}: log-log fit needs at least 3 points, got {len(lambdas)}"
         )
 
     def test_the_number_of_scale_factors_is_bounded(self):
@@ -299,11 +305,6 @@ class TestVerifyDimension:
         assert str(excinfo.value) == (
             f"indicator S: at most {MAX_LAMBDAS} scale factors may be given, got {MAX_LAMBDAS + 1}"
         )
-
-    def test_degenerate_series_names_the_indicator(self):
-        with pytest.raises(DegenerateSeriesError) as excinfo:
-            verify_dimension(descriptor("C"), [4, 2, 1], lambdas=(1, 2))
-        assert "C" in str(excinfo.value)
 
     def test_a_series_the_fit_refuses_names_the_indicator(self):
         # C - 7 is zero on the base [4, 2, 1] and positive on its replicas.
@@ -346,6 +347,80 @@ class TestVerifyDimension:
         assert [r.indicator for r in results] == ["C", "h"]
         strict = verify_dimension(descriptor("C"), [4, 2, 1], tolerance=0.0)
         assert not strict.passed  # float residue exceeds an exactly-zero gate
+
+
+def _outcome(probe):
+    """What a probe returns, or the type and text of what it raises."""
+    try:
+        return probe()
+    except (DegenerateSeriesError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedReplicas:
+    """A base vector keeps its replica series, and each vector its ladder."""
+
+    def test_one_replica_and_one_ladder_per_scale_factor(self, monkeypatch):
+        built = []
+        ladders = []
+        replicate, closed_forms = scaling.replicate_scale, indicators._closed_forms
+        monkeypatch.setattr(
+            scaling, "replicate_scale", lambda v, lam: built.append(lam) or replicate(v, lam)
+        )
+        monkeypatch.setattr(
+            indicators, "_closed_forms", lambda *a: ladders.append(a) or closed_forms(*a)
+        )
+        results = probe_registry(SMOOTH_BASE, range(1, 13))
+        assert len(results) == len(REGISTRY) == 11
+        assert built == list(range(1, 13))
+        assert len(ladders) == 12
+
+    @given(
+        counts=st.lists(st.integers(0, 1000), min_size=1, max_size=30),
+        lams=st.sets(st.integers(1, 40), min_size=3, max_size=8).map(sorted),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shared_probe_equals_a_fresh_vector_per_indicator(self, counts, lams):
+        shared = _outcome(lambda: probe_registry(CitationVector(counts), lams))
+        fresh = [_outcome(lambda: verify_dimension(d, list(counts), lams)) for d in REGISTRY]
+        assert shared == fresh
+
+    def test_other_scale_factors_replace_the_series(self):
+        vec = CitationVector(SMOOTH_BASE)
+        probe_registry(vec, (1, 2, 3))
+        again = probe_registry(vec, (2, 4, 8, 16))
+        assert again == probe_registry(CitationVector(SMOOTH_BASE), (2, 4, 8, 16))
+        lams, replicas = vec._replicas
+        assert lams == (2, 4, 8, 16)
+        assert replicas == tuple(replicate_scale(SMOOTH_BASE, lam) for lam in lams)
+
+    def test_a_probe_that_overflows_keeps_nothing(self):
+        vec = CitationVector([4, 2, 1])
+        lam = 10**110
+        for _ in range(2):
+            with pytest.raises(DomainError) as excinfo:
+                probe_registry(vec, (1, 2, lam))
+            assert str(excinfo.value) == (
+                f"indicator P at lambda {lam}: citation sums exceed the floating-point range"
+            )
+            assert vec._replicas is None
+        replica = replicate_scale(vec, lam)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                descriptor("C").compute(replica)
+            assert replica._ladder is None
+
+    def test_kept_results_stay_out_of_identity_and_reports(self):
+        vec = CitationVector([4, 2, 1])
+        probe_registry(vec)
+        descriptor("C").compute(vec)
+        assert vec._ladder is not None and vec._replicas is not None
+        copy = pickle.loads(pickle.dumps(vec))
+        assert copy == vec and hash(copy) == hash(CitationVector([4, 2, 1]))
+        assert copy._ladder is None and copy._replicas is None
+        first, second = compute_all(vec), compute_all(vec)
+        assert first is not second and first.magnitudes is not second.magnitudes
+        assert first is not vec._ladder
 
 
 @given(
