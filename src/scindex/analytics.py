@@ -78,10 +78,13 @@ class PortfolioSummary(Record):
         )
 
     @classmethod
-    def _checked(cls, label, papers, impact, evenness, h) -> "PortfolioSummary":
-        """The summary record of values that already pass :func:`_check_summary`."""
+    def _checked(
+        cls, label, vector, papers=None, impact=None, evenness=None, h=None
+    ) -> "PortfolioSummary":
+        """The record of a vector, or of summary values that already pass
+        :func:`_check_summary`."""
         record = object.__new__(cls)
-        record._fill(label, None, papers, impact, evenness, h)
+        record._fill(label, vector, papers, impact, evenness, h)
         return record
 
     @property

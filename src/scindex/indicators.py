@@ -12,9 +12,9 @@ dimensionless, the h-type indices h, g, z carry [P], and the Euclidean
 length of the citation list carries [P^3/2].  Every rung except the
 rank indices h and g is a closed form of P, C = sum(c) and E = sum(c^2),
 so one builder derives and dimensions all of them.  A vector is held as
-the (value, multiplicity) runs of its counts, and the sums and the rank
-indices are read from the runs, so a replica (see :mod:`scindex.scaling`)
-costs O(distinct values) however many papers it stands for.
+the (value, multiplicity) runs of its counts, and one pass over the runs
+gives P, C, E, h and g, so a replica (see :mod:`scindex.scaling`) costs
+O(distinct values) however many papers it stands for.
 """
 
 from __future__ import annotations
@@ -208,12 +208,12 @@ def _nonempty(v: Counts) -> CitationVector:
 
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
-    return Quantity(_rank_magnitude(_h_runs(_nonempty(v).runs)), PAPERS)
+    return Quantity(_rank_magnitude(_rank_sums(_nonempty(v).runs)[3]), PAPERS)
 
 
 def g_index(v: Counts) -> Quantity:
     """g: largest rank whose top papers jointly have >= rank^2 citations."""
-    return Quantity(_rank_magnitude(_g_runs(_nonempty(v).runs)), PAPERS)
+    return Quantity(_rank_magnitude(_rank_sums(_nonempty(v).runs)[4]), PAPERS)
 
 
 def _rank_magnitude(rank: int) -> float:
@@ -223,55 +223,41 @@ def _rank_magnitude(rank: int) -> float:
         raise DomainError("rank index exceeds the floating-point range") from None
 
 
-def _h_runs(runs: tuple[tuple[int, int], ...]) -> int:
-    """h from (value, multiplicity) runs, largest value first.
+def _rank_sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int, int, int]:
+    """The exact sums P, C = sum(c) and E = sum(c^2), and the rank indices h
+    and g, in one pass over (value, multiplicity) runs, largest value first.
 
-    With R papers in earlier runs, a run of m papers at v citations
+    h: with R papers in earlier runs, a run of m papers at v citations
     holds ranks R+1..R+m, of which those up to v pass.  A run with
-    v >= R + m passes whole; the first that does not ends the scan.
-    """
-    ranked = 0
-    for v, m in runs:
-        if v < ranked + m:
-            return max(ranked, min(v, ranked + m))
-        ranked += m
-    return ranked
+    v >= R + m passes whole; in the first that does not, h = max(R, v).
 
-
-def _g_runs(runs: tuple[tuple[int, int], ...]) -> int:
-    """g from (value, multiplicity) runs, largest value first, capped at P.
-
-    No fictitious zero-cited papers are appended.  On non-increasing
-    counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0 and has
-    non-increasing steps c_r - (2r - 1), so once d(r) < 0 it stays
-    negative: the ranks meeting the threshold form a prefix, and the
-    scan may stop at the first run holding a rank that misses it.
-
-    With R papers and S citations in earlier runs, rank R+k of a run at
-    v citations passes when S + k*v >= (R+k)^2.  A run whose last rank
-    passes passes whole.  In the first run that fails, the passing k are
-    those up to the larger root of k^2 + (2R - v)k + R^2 - S, which is
+    g, capped at P: no fictitious zero-cited papers are appended.  On
+    non-increasing counts d(r) = sum(c_1..c_r) - r^2 starts at d(0) = 0
+    and has non-increasing steps c_r - (2r - 1), so once d(r) < 0 it stays
+    negative: the ranks meeting the threshold form a prefix, and g is
+    found in the first run holding a rank that misses it.  With R papers
+    and S citations in earlier runs, rank R+k of a run at v citations
+    passes when S + k*v >= (R+k)^2.  A run whose last rank passes passes
+    whole.  In the first run that fails, the passing k are those up to the
+    larger root of k^2 + (2R - v)k + R^2 - S, which is
     (v - 2R + sqrt(D))/2 with D = v^2 - 4Rv + 4S; its floor is
     (v - 2R + isqrt(D)) // 2 exactly.  D >= 0 because k = 0 passes.
+
+    h <= g, so h is found in g's run or before it, and once g is found
+    only the sums remain.  A rank index that no run stops is P.
     """
-    ranked = cited = 0
-    for v, m in runs:
-        if cited + m * v < (ranked + m) ** 2:
-            root = math.isqrt(v * v - 4 * ranked * v + 4 * cited)
-            return ranked + (v - 2 * ranked + root) // 2
-        ranked += m
-        cited += m * v
-    return ranked
-
-
-def _sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
-    """The exact sums P, C = sum(c) and E = sum(c^2) over the runs."""
     p = c = e = 0
+    h = g = None
     for v, m in runs:
+        if g is None:
+            if h is None and v < p + m:
+                h = max(p, v)
+            if c + m * v < (p + m) ** 2:
+                g = p + (v - 2 * p + math.isqrt(v * v - 4 * p * v + 4 * c)) // 2
         p += m
         c += v * m
         e += v * v * m
-    return p, c, e
+    return p, c, e, p if h is None else h, p if g is None else g
 
 
 def _ladder(
@@ -314,9 +300,10 @@ def _ladder(
 
 
 def _closed_forms(
-    runs: tuple[tuple[int, int], ...], h: int | None = None, g: int | None = None
+    p: int, c: int, e: int, h: int | None = None, g: int | None = None
 ) -> IndicatorReport:
-    """The ladder from the exact sums P, C = sum(c) and E = sum(c^2).
+    """The ladder from the exact sums P, C = sum(c) and E = sum(c^2), with
+    the rank indices h and g when given.
 
     X = C^2/P and S = (P*E - C^2)/P each round once from exact integers,
     so S is non-negative and exactly zero on uniform vectors.  eta = X/E;
@@ -324,7 +311,6 @@ def _closed_forms(
     zero vector is perfectly even, and S = 0 agrees).  Sums beyond the
     float range raise :class:`DomainError`.
     """
-    p, c, e = _sums(runs)
     try:
         x = c * c / p
         return _ladder(
@@ -341,7 +327,7 @@ def _ladder_kernel(name: str) -> Kernel:
     def kernel(v: Counts) -> Quantity:
         vec = _nonempty(v)
         if vec._ladder is None:
-            vec._ladder = _closed_forms(vec._runs)
+            vec._ladder = _closed_forms(*_rank_sums(vec._runs)[:3])
         return vec._ladder[name]
 
     return kernel
@@ -445,5 +431,4 @@ def descriptor(name: str) -> IndicatorDescriptor:
 
 def compute_all(v: Counts) -> IndicatorReport:
     """Every registered indicator for one portfolio, in registry order."""
-    runs = _nonempty(v).runs
-    return _closed_forms(runs, _h_runs(runs), _g_runs(runs))
+    return _closed_forms(*_rank_sums(_nonempty(v).runs))

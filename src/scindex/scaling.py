@@ -26,10 +26,14 @@ from .indicators import (
 
 DEFAULT_LAMBDAS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
-# Most scale factors one probe takes.  Each builds a replica, which the
-# base keeps, and a point of the plot, so a longer list is refused before
-# any replica.
+# Most scale factors one probe takes.  Each builds a replica and a point
+# of the plot, so a longer list is refused before any replica.
 MAX_LAMBDAS = 1000
+
+# Most runs a base keeps of a probe, summed over the replicas of its series:
+# about 12 MiB at some 120 bytes a run.  A longer series is not kept, and
+# each indicator builds it again, one replica at a time.
+MAX_KEPT_RUNS = 10**5
 
 ZERO_SERIES_NOTE = "exactly zero at all scales: consistent"
 
@@ -118,10 +122,11 @@ def verify_dimension(
     When ``base`` is a :class:`CitationVector`, it keeps the replicas of
     the last scale factors probed on it, so that probing the other
     indicators at the same factors builds none again.  The series is kept
-    only once every replica in it was built and measured; a probe at other
-    factors replaces it, so a base holds at most ``MAX_LAMBDAS`` replicas
-    of as many runs as its own.  Each indicator is still computed from
-    each replica's own runs.
+    only once every replica in it was built and measured, and only when
+    it holds at most ``MAX_KEPT_RUNS`` runs (the number of factors times
+    the base's runs); a longer one is built one replica at a time and
+    dropped.  A probe at other factors replaces a kept series.  Each
+    indicator is still computed from each replica's own runs.
     """
     vec = as_citation_vector(base)
     lams = tuple(lambdas)
@@ -147,6 +152,7 @@ def verify_dimension(
         tolerance = desc.fit_tolerance
     check_tolerance(tolerance)
     kept = vec._replicas[1] if vec._replicas and vec._replicas[0] == lams else None
+    keep = len(lams) * len(vec.runs) <= MAX_KEPT_RUNS
     replicas = []
     values = []
     for k, lam in enumerate(lams):
@@ -155,8 +161,10 @@ def verify_dimension(
             values.append(desc.compute(replica).magnitude)
         except DomainError as exc:
             raise DomainError(f"indicator {desc.name} at lambda {lam}: {exc}") from None
-        replicas.append(replica)
-    vec._replicas = lams, tuple(replicas)
+        if keep:
+            replicas.append(replica)
+    if keep:
+        vec._replicas = lams, tuple(replicas)
     values = tuple(values)
     declared = desc.declared_dim.exponent
     if all(value == 0.0 for value in values):

@@ -9,11 +9,15 @@ Input formats (form auto-detected from the header / record keys):
                 [4, 2, 1]}`` or ``{"author": ..., "P": ..., "i": ...,
                 "eta": ..., "h": ...}`` -- one form per file
 
-A wide cell is read tally first: its item texts are counted, ``int``
-reads each distinct text once, and texts that spell one integer (``4``,
-``04``, ``+4``) add up to one run of the :class:`CitationVector`.  A
-cell with a blank or bad item is read again item by item, so an error
-names the first bad item, and a negative count its first occurrence.
+Both CSV forms are read by columns.  Each wide cell's item texts are
+counted, ``int`` reads each distinct text of the file once, and texts
+that spell one integer (``4``, ``04``, ``+4``) add up to one run of the
+:class:`CitationVector`; each summary column is converted and checked at
+once.  A file with any defect (a blank, bad or negative item, a ragged
+row, a repeated label, a value out of range) is read again row by row,
+so its error names its line, the first bad item of its cell and a
+negative count's first occurrence.  A JSON summary array is checked by
+columns too, and read again record by record to name a defect's record.
 
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
@@ -35,11 +39,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 import sys
 from collections import Counter
 from itertools import chain, repeat
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary
 from .errors import FormatError, NegativeCountError, ScindexError, shown
@@ -104,20 +109,12 @@ def parse_counts(cell: str) -> CitationVector:
     FormatError and a negative one a NegativeCountError.
     """
     if _plain(cell):
-        # int skips the ASCII whitespace around an item, and reads each
-        # distinct item text once.  A cell it refuses (a blank or bad item,
-        # or whitespace that str.strip skips and int does not) is read
-        # again below.
-        tally = Counter(cell.split(";"))
+        # A cell the tally refuses (a blank, bad or negative item, or
+        # whitespace that str.strip skips and int does not) is read again below.
         try:
-            values = list(map(int, tally))
+            return CitationVector._of_runs(_cell_runs([cell])[0])
         except ValueError:
             pass
-        else:
-            runs = dict.fromkeys(values, 0)  # "4", "04" and "+4" are one count
-            for value, m in zip(values, tally.values()):
-                runs[value] += m
-            return CitationVector._from_tally(runs)
     items = list(filter(None, map(str.strip, cell.split(";"))))
     try:
         # The items, not the cell: the whitespace they were stripped of may
@@ -128,6 +125,26 @@ def parse_counts(cell: str) -> CitationVector:
         pass
     bad = next(item for item in items if not _is_int_literal(item))
     raise FormatError(f"invalid citation count {shown(bad)}")
+
+
+def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
+    """The runs of each :func:`_plain` ``"4;2;1"`` cell, largest count first.
+
+    Each cell's item texts are tallied, and ``int`` reads each distinct
+    text of all the cells once; it skips the ASCII whitespace around an
+    item.  Texts that spell one integer (``4``, ``04``, ``+4``) add up to
+    one run.  Raises ``ValueError`` for a blank, bad or negative item.
+    """
+    tallies = [Counter(cell.split(";")) for cell in cells]
+    texts = set().union(*tallies)
+    value = dict(zip(texts, map(int, texts)))
+    if min(value.values()) < 0:
+        raise ValueError("negative citation count")
+    if len(set(value.values())) == len(value):
+        runs = (zip(map(value.__getitem__, tally), tally.values()) for tally in tallies)
+    else:  # "4", "04" and "+4" are one count
+        runs = (Counter(map(value.__getitem__, tally.elements())).items() for tally in tallies)
+    return [tuple(sorted(pairs, reverse=True)) for pairs in runs]
 
 
 def _is_int_literal(text: str) -> bool:
@@ -145,14 +162,13 @@ def _wide(label: str, vector: CitationVector) -> PortfolioSummary:
     return PortfolioSummary(label, vector)
 
 
-def _summary(label: str, papers: Any, impact: Any, evenness: Any, h: Any) -> PortfolioSummary:
-    """The portfolio of a summary record; ``h`` is None when none was published."""
-    return PortfolioSummary.from_summary(
-        label,
+def _summary_fields(papers: Any, impact: Any, evenness: Any, h: Any) -> tuple:
+    """The converted fields of a summary record; ``h`` is None when none was published."""
+    return (
         _field(int, papers, "P"),
         _field(float, impact, "i"),
         _field(float, evenness, "eta"),
-        h=None if h is None else _field(float, h, "h"),
+        None if h is None else _field(float, h, "h"),
     )
 
 
@@ -176,7 +192,7 @@ def _field(kind: type, value: Any, name: str) -> float | int:
 
 
 def _parse_csv(text: str) -> list[PortfolioSummary]:
-    records = _summary_columns(text)
+    records = _csv_columns(text)
     if records is not None:
         return records
     reader = csv.reader(io.StringIO(text))
@@ -186,10 +202,10 @@ def _parse_csv(text: str) -> list[PortfolioSummary]:
         raise FormatError(str(exc), reader.line_num) from None
 
 
-def _summary_columns(text: str) -> list[PortfolioSummary] | None:
-    """The records of a well-formed summary CSV, each column converted and
-    checked once by the rules of ``_check_summary``: P an int from 1 to the
-    float range, i finite and >= 0, eta in (0, 1] and a published h in [0, P].
+def _csv_columns(text: str) -> list[PortfolioSummary] | None:
+    """The records of a well-formed CSV of either form, each column read and
+    checked at once: the citation cells by :func:`_cell_runs`, the summary
+    columns by :func:`_summaries_pass`.
 
     Any other input gives None and is read again row by row by
     :func:`_csv_records`, the one place that raises located errors.
@@ -197,17 +213,20 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
     reader = csv.reader(io.StringIO(text))
     try:
         header = tuple(map(str.strip, next(reader)))
-        if header not in (SUMMARY_HEADER, SUMMARY_HEADER_H):
+        if header not in (WIDE_HEADER, SUMMARY_HEADER, SUMMARY_HEADER_H):
             return None
         rows = list(filter(None, reader))
         if set(map(len, rows)) != {len(header)}:
             return None
-        labels, *numbers = zip(*rows)
+        labels, *columns = zip(*rows)
         if len(set(labels)) != len(labels) or not all(
-            map(_plain, map("".join, numbers))
+            map(_plain, map("".join, columns))
         ):
             return None
-        papers, impacts, etas, *published = numbers
+        if header == WIDE_HEADER:
+            vectors = map(CitationVector._of_runs, _cell_runs(columns[0]))
+            return list(map(PortfolioSummary._checked, labels, vectors))
+        papers, impacts, etas, *published = columns
         papers = list(map(int, papers))
         impacts, etas = list(map(float, impacts)), list(map(float, etas))
         h = repeat(None)
@@ -215,15 +234,25 @@ def _summary_columns(text: str) -> list[PortfolioSummary] | None:
             h = [float(c) if c.strip() else None for c in published[0]]
     except (StopIteration, csv.Error, ValueError):
         return None
+    if _summaries_pass(papers, impacts, etas, h):
+        return list(map(PortfolioSummary._checked, labels, repeat(None), papers, impacts, etas, h))
+    return None
+
+
+def _summaries_pass(
+    papers: Sequence[int], impacts: Sequence[float], etas: Sequence[float], h: Iterable
+) -> bool:
+    """Whether non-empty summary columns pass the rules of ``_check_summary``:
+    P an int from 1 to the float range, i finite and >= 0, eta in (0, 1] and
+    a published h (None where there is none) in [0, P].
+    """
     # A finite sum holds no nan or infinity, so min and max bound every value.
-    if (
+    return (
         1 <= min(papers) and max(papers) <= sys.float_info.max
         and math.isfinite(sum(impacts)) and min(impacts) >= 0
         and math.isfinite(sum(etas)) and 0 < min(etas) and max(etas) <= 1
         and all(v is None or 0.0 <= v <= p for v, p in zip(h, papers))
-    ):
-        return list(map(PortfolioSummary._checked, labels, papers, impacts, etas, h))
-    return None
+    )
 
 
 def _csv_records(reader: Any) -> list[PortfolioSummary]:
@@ -252,7 +281,7 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
                 record = _wide(row[0], parse_counts(row[1]))
             else:
                 h = row[4] if len(row) == 5 and row[4].strip() else None
-                record = _summary(*row[:4], h)
+                record = PortfolioSummary.from_summary(row[0], *_summary_fields(*row[1:4], h))
             _add_record(records, first_seen, record, line, "line")
     except ScindexError as exc:
         raise _located(exc, line=line) from None
@@ -275,6 +304,22 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
         raise FormatError(f"invalid JSON: {exc}", line) from None
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records", 1)
+    try:
+        records = _json_records(payload, check=False)
+    except ScindexError:
+        records = None
+    values = operator.attrgetter("papers", "impact", "evenness", "h")
+    if records and not records[0].is_raw and not _summaries_pass(*zip(*map(values, records))):
+        records = None
+    # An array with a defect is read again, each summary checked on its
+    # own, so that the error is the first one and names its record.
+    return _json_records(payload, check=True) if records is None else records
+
+
+def _json_records(payload: list, check: bool) -> list[PortfolioSummary]:
+    """The records of a JSON array; an error names its record.  Unless
+    ``check``, summary values are not checked by ``_check_summary``.
+    """
     records: list[PortfolioSummary] = []
     first_seen: dict[str, int] = {}
     try:
@@ -288,7 +333,11 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
                 raise FormatError("mixed wide and summary records in one file")
             label = entry["author"]
             if not wide:
-                record = _summary(label, entry["P"], entry["i"], entry["eta"], entry.get("h"))
+                fields = _summary_fields(entry["P"], entry["i"], entry["eta"], entry.get("h"))
+                if check:
+                    record = PortfolioSummary.from_summary(label, *fields)
+                else:
+                    record = PortfolioSummary._checked(label, None, *fields)
             elif isinstance(entry["citations"], list):
                 try:
                     vector = CitationVector(entry["citations"])

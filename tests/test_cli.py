@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scindex import cli, indicators
+from scindex import PortfolioSummary, analytics, cli, emit_records, indicators
 from scindex.cli import main
 from scindex.errors import shown
 from scindex.scaling import MAX_LAMBDAS
@@ -337,6 +337,23 @@ class TestCompute:
         assert main(["compute", summary_file, "--columns", "P,h,z,i_E,C"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2].split("\t")[2] == "34"
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_each_summary_row_is_checked_once(self, form, tmp_path, monkeypatch, capsys):
+        records = [
+            PortfolioSummary.from_summary(
+                f"A{k}", 1 + k % 300, (k % 97) / 3, 0.1 + (k % 9) / 10, h=min(1 + k % 300, k % 50)
+            )
+            for k in range(6000)
+        ]
+        path = tmp_path / f"summary.{form}"
+        path.write_text(emit_records(records, form))
+        calls = []
+        check = analytics._check_summary
+        monkeypatch.setattr(analytics, "_check_summary", lambda *a: calls.append(a) or check(*a))
+        assert main(["compute", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 6000
+        assert len(calls) == 6000
 
     def test_precision_flag(self, wide_file, capsys):
         assert main(["compute", wide_file, "--columns", "i", "--precision", "4"]) == 0

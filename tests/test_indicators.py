@@ -410,6 +410,23 @@ class TestOracles:
         assert h_index(v).magnitude == h_brute(v)
         assert g_index(v).magnitude == g_brute(v)
 
+    @given(
+        v=st.one_of(
+            st.lists(st.integers(0, 10_000), min_size=1, max_size=200),
+            st.lists(st.integers(0, 2), min_size=1, max_size=40),  # zeros and ties
+            st.tuples(st.integers(0, 50), st.integers(1, 60)).map(lambda vm: [vm[0]] * vm[1]),
+            # every count at least twice P: every run passes, so h = g = P
+            st.lists(st.integers(0, 10), min_size=1, max_size=20).map(
+                lambda xs: [x + 2 * len(xs) for x in xs]
+            ),
+        )
+    )
+    @settings(max_examples=300)
+    def test_one_pass_gives_the_sums_and_the_rank_indices(self, v):
+        p, c, e, h, g = indicators._rank_sums(CitationVector(v).runs)
+        assert (p, c, e) == (len(v), sum(v), sum(x * x for x in v))
+        assert (h, g) == (h_brute(v), g_brute(v))
+
 
 class TestInvariants:
     @given(v=vectors, seed=st.randoms(use_true_random=False))

@@ -410,6 +410,37 @@ class TestSharedReplicas:
                 descriptor("C").compute(replica)
             assert replica._ladder is None
 
+    def test_a_series_past_the_bound_is_not_kept(self, monkeypatch):
+        runs = len(CitationVector(SMOOTH_BASE).runs)
+        monkeypatch.setattr(scaling, "MAX_KEPT_RUNS", 3 * runs)
+        at, past = CitationVector(SMOOTH_BASE), CitationVector(SMOOTH_BASE)
+        assert probe_registry(at, (1, 2, 3)) == probe_registry(SMOOTH_BASE, (1, 2, 3))
+        assert at._replicas[0] == (1, 2, 3)
+        built = []
+        replicate = scaling.replicate_scale
+        monkeypatch.setattr(
+            scaling, "replicate_scale", lambda v, lam: built.append(lam) or replicate(v, lam)
+        )
+        results = probe_registry(past, (1, 2, 3, 4))
+        assert results == probe_registry(SMOOTH_BASE, (1, 2, 3, 4))
+        assert past._replicas is None
+        assert len(built) == 2 * len(REGISTRY) * 4  # per indicator, for both probes
+
+    def test_a_long_series_is_held_one_replica_at_a_time(self):
+        import tracemalloc
+
+        vec = CitationVector(range(1, 251))
+        lams = range(1, 402)  # 250 runs at 401 factors: past MAX_KEPT_RUNS
+        assert len(lams) * len(vec.runs) > scaling.MAX_KEPT_RUNS
+        tracemalloc.start()
+        try:
+            result = verify_dimension(descriptor("C"), vec, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and vec._replicas is None
+        assert peak < 2 * 2**20  # keeping the series would take about 12 MiB
+
     def test_kept_results_stay_out_of_identity_and_reports(self):
         vec = CitationVector([4, 2, 1])
         probe_registry(vec)

@@ -31,7 +31,7 @@ from scindex.tabular import (
     SUMMARY_HEADER,
     SUMMARY_HEADER_H,
     _csv_records,
-    _summary_columns,
+    _csv_columns,
     emit_matrix,
     format_magnitude,
     parse_counts,
@@ -231,6 +231,52 @@ class TestParseCsv:
         with pytest.raises(FormatError) as excinfo:
             parse_input(text, "csv")
         assert str(excinfo.value) == message
+
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ('A,"4; ;2;"\nB,3\n', [("A", [4, 2]), ("B", [3])]),
+            ('A,4\nB,"4;x;1"\n', "line 3: invalid citation count 'x'"),
+            ('A,"3;-2;-5"\n', "line 2: negative citation count -2"),
+            (
+                'A,1\nB,"2;' + "1" * 5000 + '"\n',
+                "line 3: invalid citation count "
+                f"'{'1' * 39}... (5000 characters)",
+            ),
+            ("A,4\nB,\n", "line 3: portfolio 'B' has no papers"),
+            ('A,4\nB," ; "\n', "line 3: portfolio 'B' has no papers"),
+            ("A,4\nB,4,5\n", "line 3: expected 2 fields, got 3"),
+            ("A,4\nB\n", "line 3: expected 2 fields, got 1"),
+            ("A,4\nB,1\nA,2\n", "line 4: duplicate author 'A', first given at line 2"),
+            ('A,"4;\u0664"\n', "line 2: invalid citation count '\u0664'"),
+            ('A,"4;\u00a02"\n', [("A", [4, 2])]),
+            ('A,"1_0"\n', "line 2: invalid citation count '1_0'"),
+            ('A,4\nB,"' + "1;" * 70000 + '1"\n', "line 3: field larger than field limit (131072)"),
+            ('"Smith, J.","4;2"\n"Q ""R""\nS",1\n', [("Smith, J.", [4, 2]), ('Q "R"\nS', [1])]),
+            ('\nA,4\n\n\nB,"1;1"\n', [("A", [4]), ("B", [1, 1])]),
+            ('A,"4;04;+4"\nB," 4 ;4"\n', [("A", [4, 4, 4]), ("B", [4, 4])]),
+        ],
+        ids=[
+            "blank-item", "bad-item", "negative", "over-long-item", "empty-cell", "blank-cell",
+            "long-row", "short-row", "duplicate", "non-ascii-digit", "non-ascii-space",
+            "digit-separator", "csv-error", "quoted-labels", "blank-lines", "aliases",
+        ],
+    )
+    def test_wide_files_read_as_before(self, body, expected):
+        """Every wide file reads to the records, or fails with the message and
+        line, that the row-by-row reader gives; a file with a defect is never
+        read by columns."""
+        text = "author,citations\n" + body
+        if isinstance(expected, list):
+            records = [PortfolioSummary.from_vector(label, c) for label, c in expected]
+            assert parse_input(text, "csv") == records
+            return
+        with pytest.raises(ScindexError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == expected
+        assert excinfo.value.line == int(expected.split(":")[0].removeprefix("line "))
+        assert _csv_columns(text) is None
 
 
 class TestParseCounts:
@@ -513,6 +559,34 @@ class TestParseJson:
                 parse_input(text, form)
             assert str(excinfo.value) == f"{where}: {message}"
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"eta": 2}, {}, {"author": "A"}], "record 2: evenness must lie in (0, 1], got 2.0"),
+            ([{"P": 0}, {}, {"i": "x"}], "record 2: paper count must be >= 1, got 0"),
+            ([{"h": 11}, {"author": "A"}], "record 2: h must lie in [0, P], got 11.0 with P = 10"),
+            ([{"eta": 0}, {"citations": [1]}], "record 2: evenness must lie in (0, 1], got 0.0"),
+            ([{}, {"citations": [1]}], "record 3: mixed wide and summary records in one file"),
+            ([{}, {"P": 2.5}], "record 3: invalid P value 2.5"),
+            ([{}, {"P": 10**400}], "record 3: paper count exceeds the floating-point range"),
+        ],
+        ids=[
+            "range-before-duplicate", "range-before-field", "range-and-duplicate",
+            "range-before-mixed", "mixed", "field", "P-past-the-float-range",
+        ],
+    )
+    def test_the_first_summary_defect_names_its_record(self, entries, message):
+        """Summary values are checked by columns, but an array with a defect
+        names its first one in record order, as checking record by record does."""
+        records = [{"author": "A", "P": 10, "i": 5.0, "eta": 0.5}]
+        for n, entry in enumerate(entries):
+            records.append({"author": f"R{n}", "P": 10, "i": 5.0, "eta": 0.5, **entry})
+            if "citations" in entry:
+                records[-1] = {"author": f"R{n}", "citations": entry["citations"]}
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(json.dumps(records), "json")
+        assert str(excinfo.value) == message
+
     def test_h_at_zero_and_at_p_is_accepted(self):
         records = parse_input("author,P,i,eta,h\nA,3,2,0.5,0\nB,5,1,1,5\n", "csv")
         assert [record.h for record in records] == [0.0, 5.0]
@@ -697,6 +771,40 @@ def _summary_csvs(draw, defects=_SUMMARY_DEFECTS, min_rows=0):
     return text, None if failure else records, failure
 
 
+# Item texts of one count: int reads them all as n.
+_count_items = st.integers(0, 10**6).flatmap(
+    lambda n: st.sampled_from([str(n), f"0{n}", f"+{n}", f" {n}", f"{n}\t"]).map(
+        lambda text: (text, n)
+    )
+)
+
+
+@st.composite
+def _wide_csvs(draw):
+    """(text, reference records) of a well-formed wide CSV with at least one row."""
+    lines = [draw(st.sampled_from(["author,citations", " author , citations "]))]
+    labels = draw(
+        st.lists(
+            st.text(
+                st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+                max_size=5,
+            ),
+            unique=True,
+            min_size=1,
+            max_size=12,
+        )
+    )
+    records = []
+    for label in labels:
+        while draw(st.integers(0, 3)) == 3:  # a quarter of the time, and never when shrunk
+            lines.append("")
+        items = draw(st.lists(_count_items, min_size=1, max_size=10))
+        cell = ";".join(text for text, _ in items)
+        lines.append('"%s","%s"' % (label.replace('"', '""'), cell))
+        records.append(PortfolioSummary.from_vector(label, [n for _, n in items]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"])), records
+
+
 class TestParseProperties:
     @settings(max_examples=300, deadline=None)
     @given(drawn=_summary_csvs())
@@ -716,7 +824,16 @@ class TestParseProperties:
     def test_well_formed_summaries_are_read_by_columns(self, drawn):
         """A well-formed summary file with rows never falls back to the row reader."""
         text, records, _ = drawn
-        assert _summary_columns(text) == records
+        assert _csv_columns(text) == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_wide_csvs())
+    def test_well_formed_wide_files_are_read_by_columns(self, drawn):
+        """A well-formed wide file with rows never falls back to the row reader,
+        and reads to the row reader's records."""
+        text, records = drawn
+        assert _csv_columns(text) == records
+        assert _csv_records(csv.reader(io.StringIO(text))) == records
 
     @pytest.mark.parametrize(
         "text",
@@ -729,7 +846,7 @@ class TestParseProperties:
         ids=["without-h", "with-h", "blank-h", "quoted-labels"],
     )
     def test_summary_files_are_read_by_columns(self, text):
-        records = _summary_columns(text)
+        records = _csv_columns(text)
         assert records is not None
         assert records == _csv_records(csv.reader(io.StringIO(text)))
 
