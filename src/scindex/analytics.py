@@ -20,10 +20,10 @@ from .errors import (
     HeterogeneityError,
     UnknownIndicatorError,
     ZeroVarianceError,
+    _echo,
     shown,
 )
 from .indicators import (
-    CitationVector,
     IndicatorReport,
     _ladder,
     compute_all,
@@ -54,11 +54,6 @@ class PortfolioSummary(Record):
         if papers is not None:
             _check_summary(papers, impact, evenness, h)
         self._fill(label, vector, papers, impact, evenness, h)
-
-    @classmethod
-    def from_vector(cls, label: str, counts) -> "PortfolioSummary":
-        vec = counts if isinstance(counts, CitationVector) else CitationVector(counts)
-        return cls(label, vector=vec)
 
     @classmethod
     def from_summary(
@@ -122,11 +117,6 @@ def _real(value: object, name: str) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} exceeds the floating-point range") from None
-
-
-def _echo(value: object) -> str:
-    """A refused value as a message shows it: an int by :func:`shown`, else by ``str``."""
-    return shown(value) if isinstance(value, int) else str(value)
 
 
 def _check_summary(

@@ -30,7 +30,7 @@ from .errors import FormatError, ScindexError, shown
 from .indicators import CitationVector, registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
-from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input, table_rows
+from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input
 
 
 def _parse_precision(text: str) -> int | None:
@@ -39,11 +39,11 @@ def _parse_precision(text: str) -> int | None:
     try:
         value = number(int, text)
     except ValueError:
-        raise FormatError(f"invalid precision {text!r} (expected an integer or 'full')")
+        raise FormatError(f"invalid precision {shown(text)} (expected an integer or 'full')")
     if value < 0:
-        raise FormatError(f"precision must be >= 0, got {value}")
+        raise FormatError(f"precision must be >= 0, got {shown(value)}")
     if value > 17:  # a double has at most 17 significant digits; 'full' is exact
-        raise FormatError(f"precision must be <= 17, got {value}")
+        raise FormatError(f"precision must be <= 17, got {shown(value)}")
     return value
 
 
@@ -79,8 +79,12 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _split_csv_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _list_arg(text: str, option: str, item: str = "indicator name") -> list[str]:
+    """The comma-separated items of ``option``, which must name at least one."""
+    items = [part.strip() for part in text.split(",") if part.strip()]
+    if not items:
+        raise FormatError(f"{option} needs at least one {item}")
+    return items
 
 
 def _parse_counts_arg(text: str) -> CitationVector:
@@ -95,28 +99,16 @@ def _parse_counts_arg(text: str) -> CitationVector:
 
 def _parse_lambdas_arg(text: str) -> list[int]:
     try:
-        lams = [number(int, item) for item in _split_csv_list(text)]
+        return [number(int, item) for item in _list_arg(text, "--lambdas", "scale factor")]
     except ValueError:
-        raise FormatError(f"invalid --lambdas value {text!r}") from None
-    if not lams:
-        raise FormatError("--lambdas needs at least one scale factor")
-    return lams
-
-
-def _parse_index_arg(text: str) -> list[str] | None:
-    if text == "all":
-        return None
-    names = _split_csv_list(text)
-    if not names:
-        raise FormatError("--index needs at least one indicator name")
-    return names
+        raise FormatError(f"invalid --lambdas value {shown(text)}") from None
 
 
 def _parse_tolerance_arg(text: str) -> float:
     try:
         tolerance = number(float, text)
     except ValueError:
-        raise FormatError(f"invalid --tolerance value {text!r}") from None
+        raise FormatError(f"invalid --tolerance value {shown(text)}") from None
     check_tolerance(tolerance, "--tolerance")
     return tolerance
 
@@ -139,7 +131,7 @@ def _format_probe_lines(results: Sequence[ProbeResult]) -> str:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     records = _load_records(args.input, args.format)
-    columns = _split_csv_list(args.columns) if args.columns else None
+    columns = None if args.columns is None else _list_arg(args.columns, "--columns")
     table = AnalyticsTable.from_portfolios(records, columns=columns)
     precision = _resolve_precision(args.precision)
     _write_output(emit_table(table, args.output_format, precision), args.output)
@@ -149,7 +141,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     records = _load_records(args.input, args.format)
     table = AnalyticsTable.from_portfolios(records)
-    columns = _split_csv_list(args.columns) if args.columns else list(table.columns)
+    columns = list(table.columns) if args.columns is None else _list_arg(args.columns, "--columns")
     matrix = pearson_matrix(table, columns)
     precision = _resolve_precision(args.precision)
     _write_output(emit_matrix(columns, matrix, args.output_format, precision), args.output)
@@ -175,7 +167,7 @@ def _check_probe_outputs(output: str | None, svg: str) -> None:
 def _cmd_probe(args: argparse.Namespace) -> int:
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
-    names = _parse_index_arg(args.index)
+    names = None if args.index == "all" else _list_arg(args.index, "--index")
     tolerance = None if args.tolerance is None else _parse_tolerance_arg(args.tolerance)
     if args.svg:
         _check_probe_outputs(args.output, args.svg)
@@ -224,7 +216,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     if args.output_format == "json":
         import json
         payload = {
-            "table": table_rows(reconstructed),
+            "table": json.loads(emit_table(reconstructed, "json")),
             "correlation": {
                 "columns": list(datasets.AUTHOR_COLUMNS),
                 "matrix": matrix,

@@ -31,6 +31,11 @@ def shown(value: object) -> str:
     return f"{text[:_SHOWN_LENGTH]}... ({size} characters)"
 
 
+def _echo(value: object) -> str:
+    """A refused value as a message shows it: an int by :func:`shown`, else by ``str``."""
+    return shown(value) if isinstance(value, int) else str(value)
+
+
 def _digits(n: int) -> int:
     """The number of decimal digits of ``n > 0``, without converting it.
 
@@ -128,7 +133,7 @@ class UnknownIndicatorError(ScindexError):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        super().__init__(f"unknown indicator {name!r}")
+        super().__init__(f"unknown indicator {shown(name)}")
 
 
 class FormatError(_LocatedError):

@@ -95,12 +95,6 @@ class CitationVector:
         return vec
 
     @classmethod
-    def _from_tally(cls, tally: dict[int, int]) -> CitationVector:
-        """The vector of a ``{count: multiplicity}`` dict of ints, as
-        ``CitationVector`` builds one from its ``Counter``."""
-        return cls._of_runs(_sorted_runs(tally))
-
-    @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
         """The vector of ``m`` papers with ``v`` citations for each ``(v, m)``.
 

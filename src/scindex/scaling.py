@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .dimension import Record
-from .errors import DegenerateSeriesError, DomainError
+from .errors import DegenerateSeriesError, DomainError, _echo, shown
 from .indicators import (
     REGISTRY,
     CitationVector,
@@ -65,7 +65,7 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
     if not vec:
         raise DomainError("cannot replicate an empty portfolio")
     if lam < 1:
-        raise DomainError(f"replication factor must be >= 1, got {lam}")
+        raise DomainError(f"replication factor must be >= 1, got {_echo(lam)}")
     return CitationVector.from_runs((lam * c, lam * m) for c, m in vec.runs)
 
 
@@ -143,7 +143,9 @@ def verify_dimension(
         )
     for lam in lams:
         if type(lam) is not int:
-            raise DomainError(f"indicator {desc.name}: scale factors must be ints, got {lam!r}")
+            raise DomainError(
+                f"indicator {desc.name}: scale factors must be ints, got {shown(lam)}"
+            )
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise DegenerateSeriesError(
             f"indicator {desc.name}: scale factors must be strictly increasing"
@@ -160,7 +162,7 @@ def verify_dimension(
             replica = kept[k] if kept else replicate_scale(vec, lam)
             values.append(desc.compute(replica).magnitude)
         except DomainError as exc:
-            raise DomainError(f"indicator {desc.name} at lambda {lam}: {exc}") from None
+            raise DomainError(f"indicator {desc.name} at lambda {shown(lam)}: {exc}") from None
         if keep:
             replicas.append(replica)
     if keep:

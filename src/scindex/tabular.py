@@ -15,9 +15,10 @@ that spell one integer (``4``, ``04``, ``+4``) add up to one run of the
 :class:`CitationVector`; each summary column is converted and checked at
 once.  A file with any defect (a blank, bad or negative item, a ragged
 row, a repeated label, a value out of range) is read again row by row,
-so its error names its line, the first bad item of its cell and a
-negative count's first occurrence.  A JSON summary array is checked by
-columns too, and read again record by record to name a defect's record.
+each cell by :func:`parse_counts`, so its error names its line, the first
+bad item of its cell and a negative count's first occurrence.  A JSON
+summary array is checked by columns too, and read again record by record
+to name a defect's record.
 
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
@@ -105,30 +106,24 @@ def number(kind: type, text: str) -> float | int:
 
 
 def parse_counts(cell: str) -> CitationVector:
-    """The vector of a ``"4;2;1"`` list; blank items are skipped, a bad one is a
-    FormatError and a negative one a NegativeCountError.
+    """The vector of a ``"4;2;1"`` list, each stripped item read by ``int``;
+    blank items are skipped, the first bad one is a FormatError and the first
+    negative one a NegativeCountError.
     """
-    if _plain(cell):
-        # A cell the tally refuses (a blank, bad or negative item, or
-        # whitespace that str.strip skips and int does not) is read again below.
+    items = list(filter(None, map(str.strip, cell.split(";"))))
+    # The items, not the cell: the whitespace they were stripped of may be non-ASCII.
+    if _plain("".join(items)):
         try:
-            return CitationVector._of_runs(_cell_runs([cell])[0])
+            return CitationVector(list(map(int, items)))
         except ValueError:
             pass
-    items = list(filter(None, map(str.strip, cell.split(";"))))
-    try:
-        # The items, not the cell: the whitespace they were stripped of may
-        # be non-ASCII.  A plain cell has plain items, and is checked faster.
-        if _plain(cell) or _plain("".join(items)):
-            return CitationVector._from_tally(Counter(map(int, items)))
-    except ValueError:
-        pass
     bad = next(item for item in items if not _is_int_literal(item))
     raise FormatError(f"invalid citation count {shown(bad)}")
 
 
 def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
-    """The runs of each :func:`_plain` ``"4;2;1"`` cell, largest count first.
+    """The runs of each :func:`_plain` ``"4;2;1"`` cell of a wide CSV column,
+    largest count first.
 
     Each cell's item texts are tallied, and ``int`` reads each distinct
     text of all the cells once; it skips the ASCII whitespace around an
@@ -447,28 +442,16 @@ def _format_real(value: float, precision: int | None) -> str:
     return f"{value:.{precision}f}"
 
 
-def table_rows(table: AnalyticsTable) -> list[dict[str, Any]]:
-    """JSON-ready rows: exact values, rendered dimension, derived-cell flags."""
-    dims = [str(dim) for dim in table.dims]
-    rows = []
-    for label, values, recon in zip(table.labels, table.rows, table.reconstructed):
-        row: dict[str, Any] = {"author": label}
-        for name, dim, value in zip(table.columns, dims, values):
-            cell: dict[str, Any] = {"value": value, "dimension": dim}
-            if name in recon:
-                cell["reconstructed"] = True
-            row[name] = cell
-        rows.append(row)
-    return rows
-
-
 def _json_table(table: AnalyticsTable) -> str:
-    """``json.dumps(table_rows(table), indent=2) + "\n"``, one row at a time.
+    """The table as a JSON array of rows, written one row at a time.
 
-    Each column's text around its value is rendered once, and each set
-    of reconstructed flags gives one row template, so a row costs one
-    ``%`` format: labels go through ``json.dumps`` and values through
-    ``repr``, exactly as the ``json`` module writes them.
+    A row maps ``"author"`` to its label and each column to its cell,
+    ``{"value": ..., "dimension": ...}`` plus ``"reconstructed": true`` for
+    a value rebuilt from a summary triple.  Each column's text around its
+    value is rendered once, and each set of reconstructed flags gives one
+    row template, so a row costs one ``%`` format: labels go through
+    ``json.dumps`` and values through ``repr``, exactly as the ``json``
+    module writes them.
     """
     import json
     if not table.rows:

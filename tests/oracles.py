@@ -1,4 +1,5 @@
-"""Definitional rank-index scans, the oracles the h and g kernels are checked against."""
+"""Definitional oracles: the rank-index scans the h and g kernels are checked
+against, and the table rows the JSON table writer is checked against."""
 
 
 def h_brute(counts):
@@ -17,3 +18,18 @@ def g_brute(counts):
         if sum(ranked[:k]) >= k * k:
             best = k
     return best
+
+
+def table_rows(table):
+    """JSON-ready rows of an analytics table: exact values, rendered dimension,
+    and ``"reconstructed": true`` on each cell rebuilt from a summary triple."""
+    rows = []
+    for label, values, recon in zip(table.labels, table.rows, table.reconstructed):
+        row = {"author": label}
+        for name, dim, value in zip(table.columns, table.dims, values):
+            cell = {"value": value, "dimension": str(dim)}
+            if name in recon:
+                cell["reconstructed"] = True
+            row[name] = cell
+        rows.append(row)
+    return rows

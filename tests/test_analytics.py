@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scindex import (
     AnalyticsTable,
+    CitationVector,
     DomainError,
     HeterogeneityError,
     PortfolioSummary,
@@ -153,7 +154,7 @@ class TestPortfolioSummary:
             PortfolioSummary.from_summary("bad", 10, 5.0, 2.0)
 
     def test_raw_report_has_no_reconstructed_columns(self):
-        report, flags = PortfolioSummary.from_vector("a", [4, 2, 1]).report()
+        report, flags = PortfolioSummary("a", CitationVector([4, 2, 1])).report()
         assert flags == frozenset()
         assert "h" in report and "g" in report
 
@@ -375,7 +376,7 @@ class TestAnalyticsTable:
     def test_mixed_sources_intersect_columns(self):
         table = AnalyticsTable.from_portfolios(
             [
-                PortfolioSummary.from_vector("raw", [4, 2, 1]),
+                PortfolioSummary("raw", CitationVector([4, 2, 1])),
                 PortfolioSummary.from_summary("sum", 10, 5.0, 0.5),
             ]
         )
@@ -385,7 +386,7 @@ class TestAnalyticsTable:
 
     def test_columns_in_registry_order(self):
         table = AnalyticsTable.from_portfolios(
-            [PortfolioSummary.from_vector("raw", [4, 2, 1])]
+            [PortfolioSummary("raw", CitationVector([4, 2, 1]))]
         )
         assert table.columns == ("P", "C", "i", "h", "g", "X", "E", "S", "eta", "z", "i_E")
 
@@ -402,7 +403,7 @@ class TestAnalyticsTable:
     )
     def test_missing_column_named_by_first_report_lacking_it(self, order, columns, missing):
         portfolios = [
-            PortfolioSummary.from_vector("raw", [4, 2, 1]),
+            PortfolioSummary("raw", CitationVector([4, 2, 1])),
             PortfolioSummary.from_summary("with h", 10, 5.0, 0.5, h=4),
             PortfolioSummary.from_summary("without h", 10, 5.0, 0.5),
         ]
@@ -413,7 +414,7 @@ class TestAnalyticsTable:
     @pytest.mark.parametrize("columns", [(), ("C",), ("C", "P"), ("P", "P", "h")])
     def test_rows_and_flags_follow_the_columns(self, columns):
         portfolios = [
-            PortfolioSummary.from_vector("raw", [4, 2, 1]),
+            PortfolioSummary("raw", CitationVector([4, 2, 1])),
             PortfolioSummary.from_summary("with h", 10, 5.0, 0.5, h=4),
         ]
         table = AnalyticsTable.from_portfolios(portfolios, columns=columns)
@@ -436,7 +437,7 @@ class TestAnalyticsTable:
 
     def test_dimensions_belong_to_columns(self):
         table = AnalyticsTable.from_portfolios(
-            [PortfolioSummary.from_vector("a", [4, 2, 1])], columns=("P", "i_E", "eta")
+            [PortfolioSummary("a", CitationVector([4, 2, 1]))], columns=("P", "i_E", "eta")
         )
         assert table.dims == (PAPERS, Dimension(Fraction(3, 2)), Dimension(0))
         assert table.rows == ((3.0, math.sqrt(21), (49 / 3) / 21),)

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from scindex import PortfolioSummary, analytics, cli, emit_records, indicators
+from scindex import PortfolioSummary, analytics, cli, emit_records, indicators, pearson_matrix
 from scindex.cli import main
+from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
 from scindex.errors import shown
 from scindex.scaling import MAX_LAMBDAS
+
+from oracles import table_rows
 
 WIDE_CSV = 'author,citations\nA,"4;2;1"\nB,"10;5;3;2;1"\nC,"7;7;7"\n'
 SUMMARY_CSV = (
@@ -178,7 +181,7 @@ class TestProbe:
         lam = 10**110
         assert main(["probe", "--base", "4;2;1", "--lambdas", f"1,2,{lam}"]) == 1
         assert capsys.readouterr().err == (
-            f"error: indicator P at lambda {lam}: "
+            f"error: indicator P at lambda {shown(lam)}: "
             "citation sums exceed the floating-point range\n"
         )
 
@@ -240,6 +243,44 @@ class TestProbe:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --lambdas needs at least one scale factor\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["probe", "--base", "4;2;1", "--lambdas", "1,2," + "9" * 5000],
+                "invalid --lambdas value " + shown("1,2," + "9" * 5000),
+            ),
+            (
+                ["probe", "--base", "4;2;1", "--tolerance", "x" * 5000],
+                "invalid --tolerance value " + shown("x" * 5000),
+            ),
+            (
+                ["probe", "--base", "4;2;1", "--index", "x" + "1" * 5000],
+                "unknown indicator " + shown("x" + "1" * 5000),
+            ),
+            (
+                ["probe", "--base", "4;2;1", "--index", "C", "--lambdas", f"1,2,{10**299}"],
+                f"indicator C at lambda {shown(10**299)}: "
+                "citation sums exceed the floating-point range",
+            ),
+            (
+                ["table1", "--precision", "9" * 5000],
+                f"invalid precision {shown('9' * 5000)} (expected an integer or 'full')",
+            ),
+            (
+                ["table1", "--precision", "9" * 400],
+                f"precision must be <= 17, got {shown(10**400 - 1)}",
+            ),
+        ],
+        ids=["lambdas", "tolerance", "index", "lambda-overflow", "precision", "precision-bound"],
+    )
+    def test_a_long_option_value_is_echoed_cut(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert len(captured.err) < 160
 
     @pytest.mark.parametrize("index", [",", " , ", ""])
     def test_no_index_names_exit_one(self, index, capsys):
@@ -387,6 +428,30 @@ class TestCompute:
         monkeypatch.setenv("SCINDEX_PRECISION", "full")
         assert main(["table1"]) == 0
         assert "\t885.9736875325361\t" in capsys.readouterr().out
+
+    def test_a_long_precision_env_value_is_echoed_cut(self, wide_file, capsys, monkeypatch):
+        monkeypatch.setenv("SCINDEX_PRECISION", "9" * 5000)
+        assert main(["compute", wide_file]) == 1
+        assert capsys.readouterr().err == (
+            f"error: in SCINDEX_PRECISION: invalid precision {shown('9' * 5000)} "
+            "(expected an integer or 'full')\n"
+        )
+
+    @pytest.mark.parametrize("command", ["compute", "correlate"])
+    def test_a_long_unknown_column_is_echoed_cut(self, command, wide_file, capsys):
+        name = "x" + "1" * 5000
+        assert main([command, wide_file, "--columns", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown indicator {shown(name)}\n"
+
+    @pytest.mark.parametrize("command", ["compute", "correlate"])
+    @pytest.mark.parametrize("columns", [",", " , ", ""])
+    def test_no_column_names_exit_one(self, command, columns, wide_file, capsys):
+        assert main([command, wide_file, "--columns", columns]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --columns needs at least one indicator name\n"
 
     def test_precision_env_errors_name_the_variable(self, wide_file, capsys, monkeypatch):
         monkeypatch.setenv("SCINDEX_PRECISION", "abc")
@@ -559,6 +624,17 @@ class TestTable1:
         assert "reconstructed" not in first["h"]
         matrix = payload["correlation"]["matrix"]
         assert matrix[0][0] == 1.0
+
+    def test_json_is_the_table_rows_and_the_matrix(self, capsys):
+        assert main(["table1", "--output-format", "json"]) == 0
+        payload = {
+            "table": table_rows(reconstructed_table()),
+            "correlation": {
+                "columns": list(AUTHOR_COLUMNS),
+                "matrix": pearson_matrix(published_table(), AUTHOR_COLUMNS),
+            },
+        }
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     def test_csv_output(self, capsys):
         assert main(["table1", "--output-format", "csv"]) == 0

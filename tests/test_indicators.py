@@ -163,7 +163,7 @@ class TestCitationVector:
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickles_at_every_protocol(self, protocol):
         vec = CitationVector([3, 1, 1])
-        summary = PortfolioSummary.from_vector("A", vec)
+        summary = PortfolioSummary("A", vec)
         assert pickle.loads(pickle.dumps(vec, protocol)).runs == ((3, 1), (1, 2))
         assert pickle.loads(pickle.dumps(summary, protocol)) == summary
 

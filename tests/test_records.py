@@ -15,14 +15,15 @@ import pytest
 from scindex import (
     PAPERS,
     AnalyticsTable,
+    CitationVector,
     Dimension,
     ExponentEstimate,
     IndicatorDescriptor,
     PlotSeries,
     PortfolioSummary,
     Power,
-    Product,
     ProbeResult,
+    Product,
     Quantity,
     Quotient,
     Sum,
@@ -48,8 +49,8 @@ RECORDS = {
         f"Quantity(magnitude=2.0, dim={_P})",
     ),
     "PortfolioSummary.raw": (
-        lambda: PortfolioSummary.from_vector("A", [3, 1]),
-        lambda: PortfolioSummary.from_vector("A", [3, 2]),
+        lambda: PortfolioSummary("A", CitationVector([3, 1])),
+        lambda: PortfolioSummary("A", CitationVector([3, 2])),
         "PortfolioSummary(label='A', vector=CitationVector([3, 1]), papers=None, "
         "impact=None, evenness=None, h=None)",
     ),

@@ -23,6 +23,7 @@ from scindex import (
     verify_dimension,
 )
 from scindex import indicators, scaling
+from scindex.errors import shown
 from scindex.indicators import MAX_REPLICA_COUNTS, REGISTRY, CitationVector, compute_all
 from scindex.scaling import MAX_LAMBDAS, ZERO_SERIES_NOTE
 
@@ -51,6 +52,16 @@ class TestReplicateScale:
     def test_invalid_factor(self):
         with pytest.raises(DomainError):
             replicate_scale([4, 2, 1], 0)
+
+    @pytest.mark.parametrize(
+        "lam, echo",
+        [(0, "0"), (0.5, "0.5"), (-10**50, "-" + "1" + "0" * 38 + "... (52 characters)")],
+        ids=["zero", "half", "long"],
+    )
+    def test_an_invalid_factor_is_echoed(self, lam, echo):
+        with pytest.raises(DomainError) as excinfo:
+            replicate_scale([4, 2, 1], lam)
+        assert str(excinfo.value) == f"replication factor must be >= 1, got {echo}"
 
     def test_empty_base(self):
         with pytest.raises(DomainError):
@@ -253,7 +264,13 @@ class TestVerifyDimension:
             )
 
     @pytest.mark.parametrize(
-        "lambdas, shown", [((1, 2.5, 3.9), "2.5"), ((True, 2, 3), "True"), ((1, 2, "3"), "'3'")]
+        "lambdas, shown",
+        [
+            ((1, 2.5, 3.9), "2.5"),
+            ((True, 2, 3), "True"),
+            ((1, 2, "3"), "'3'"),
+            ((1, 2, "3" * 5000), "'" + "3" * 39 + "... (5000 characters)"),
+        ],
     )
     def test_scale_factors_must_be_ints(self, lambdas, shown):
         with pytest.raises(DomainError) as excinfo:
@@ -339,7 +356,7 @@ class TestVerifyDimension:
         with pytest.raises(DomainError) as excinfo:
             verify_dimension(descriptor("C"), [4, 2, 1], lambdas=(1, 2, lam))
         assert str(excinfo.value) == (
-            f"indicator C at lambda {lam}: citation sums exceed the floating-point range"
+            f"indicator C at lambda {shown(lam)}: citation sums exceed the floating-point range"
         )
 
     def test_probe_registry_order_and_override(self):
@@ -401,7 +418,7 @@ class TestSharedReplicas:
             with pytest.raises(DomainError) as excinfo:
                 probe_registry(vec, (1, 2, lam))
             assert str(excinfo.value) == (
-                f"indicator P at lambda {lam}: citation sums exceed the floating-point range"
+                f"indicator P at lambda {shown(lam)}: citation sums exceed the floating-point range"
             )
             assert vec._replicas is None
         replica = replicate_scale(vec, lam)

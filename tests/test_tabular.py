@@ -27,6 +27,7 @@ from scindex import (
 from scindex.analytics import pearson_matrix
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
 from scindex.dimension import Dimension
+from scindex.errors import shown
 from scindex.tabular import (
     SUMMARY_HEADER,
     SUMMARY_HEADER_H,
@@ -35,8 +36,9 @@ from scindex.tabular import (
     emit_matrix,
     format_magnitude,
     parse_counts,
-    table_rows,
 )
+
+from oracles import table_rows
 
 WIDE_SAMPLE = 'author,citations\nA,"4;2;1"\n'
 SUMMARY_SAMPLE = "author,P,i,eta,h\nLI YF,142,33.25,0.20,34\n"
@@ -53,6 +55,30 @@ def counts_one_by_one(cell):
     if bad is not None:
         raise FormatError(f"invalid citation count {bad!r}")
     return CitationVector([int(item) for item in items])
+
+
+# Whitespace that str.strip removes around an item, ASCII and not.
+ITEM_SPACE = " \t\n\x0b\x1c\x1f\u00a0\u2003\u3000"
+BAD_ITEMS = ("x", "1_0", "\u0664", "4 2", "4\u00a02", "--4", "+", "-", "0x1", "1.0", "4e2")
+
+
+@st.composite
+def count_items(draw):
+    """A cell item as (padded text, text, count): an int, an alias of one
+    (``04``, ``+4``, ``-0``) or a negative, with its count; a blank, with the
+    count ``"blank"``; or a bad item, with the count None."""
+    n = draw(st.integers(0, 10**6))
+    text, count = draw(
+        st.sampled_from(
+            [
+                (str(n), n), ("0" + str(n), n), ("+" + str(n), n), ("-0", 0),
+                ("-" + str(n + 1), -(n + 1)), ("-0" + str(n + 1), -(n + 1)), ("", "blank"),
+            ]
+        )
+        | st.sampled_from(BAD_ITEMS).map(lambda bad: (bad, None))
+    )
+    pad = st.text(alphabet=ITEM_SPACE, max_size=2)
+    return draw(pad) + text + draw(pad), text, count
 
 
 def outcome(read, cell):
@@ -269,7 +295,7 @@ class TestParseCsv:
         read by columns."""
         text = "author,citations\n" + body
         if isinstance(expected, list):
-            records = [PortfolioSummary.from_vector(label, c) for label, c in expected]
+            records = [PortfolioSummary(label, CitationVector(c)) for label, c in expected]
             assert parse_input(text, "csv") == records
             return
         with pytest.raises(ScindexError) as excinfo:
@@ -310,6 +336,7 @@ class TestParseCounts:
             ("4;\u00a02", [4, 2]),
             ("\u00a04\u00a0;\u00a0", [4]),
             ("4;\x1c2\x1f", [4, 2]),
+            ("\u20034\u3000;\x0b+2", [4, 2]),
             ("4;x", "'x'"),
             ("4;1_0", "'1_0'"),
             ("x;1_0", "'x'"),
@@ -323,6 +350,7 @@ class TestParseCounts:
             (" ; ;x", "'x'"),
             ("a;\u00a0;_", "'a'"),
             ("3;-2;x", "'x'"),
+            ("4;0x1", "'0x1'"),
         ],
     )
     def test_reads_every_cell_as_before(self, cell, expected):
@@ -348,6 +376,27 @@ class TestParseCounts:
     @settings(max_examples=500)
     def test_a_cell_of_int_items_is_read_as_int_reads_them(self, cell):
         assert outcome(parse_counts, cell) == outcome(counts_one_by_one, cell)
+
+    @given(items=st.lists(count_items(), max_size=8))
+    @settings(max_examples=500)
+    def test_a_cell_reads_to_the_ints_of_its_items(self, items):
+        """The vector of the items' ints, else the first bad item, else the
+        first negative count."""
+        cell = ";".join(padded for padded, _, _ in items)
+        bad = [text for _, text, count in items if count is None]
+        counts = [count for _, _, count in items if count not in (None, "blank")]
+        negative = [count for count in counts if count < 0]
+        if not (bad or negative):
+            assert parse_counts(cell) == CitationVector(counts)
+            return
+        with pytest.raises((FormatError, NegativeCountError)) as excinfo:
+            parse_counts(cell)
+        if bad:
+            assert type(excinfo.value) is FormatError
+            assert str(excinfo.value) == f"invalid citation count {shown(bad[0])}"
+        else:
+            assert type(excinfo.value) is NegativeCountError
+            assert str(excinfo.value) == f"negative citation count {negative[0]}"
 
 
 class TestParseJson:
@@ -801,7 +850,7 @@ def _wide_csvs(draw):
         items = draw(st.lists(_count_items, min_size=1, max_size=10))
         cell = ";".join(text for text, _ in items)
         lines.append('"%s","%s"' % (label.replace('"', '""'), cell))
-        records.append(PortfolioSummary.from_vector(label, [n for _, n in items]))
+        records.append(PortfolioSummary(label, CitationVector([n for _, n in items])))
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"])), records
 
 
@@ -875,8 +924,8 @@ class TestParseProperties:
 class TestRoundTrips:
     def test_wide_csv_round_trip(self):
         records = [
-            PortfolioSummary.from_vector("A", [4, 2, 1]),
-            PortfolioSummary.from_vector("B, Jr.", [10, 0]),
+            PortfolioSummary("A", CitationVector([4, 2, 1])),
+            PortfolioSummary("B, Jr.", CitationVector([10, 0])),
         ]
         text = emit_records(records, "csv")
         assert parse_input(text, "csv") == list(records)
@@ -887,7 +936,7 @@ class TestRoundTrips:
         assert parse_input(text, "csv") == records
 
     def test_wide_json_round_trip(self):
-        records = [PortfolioSummary.from_vector("A", [4, 2, 1])]
+        records = [PortfolioSummary("A", CitationVector([4, 2, 1]))]
         text = emit_records(records, "json")
         assert parse_input(text, "json") == records
 
@@ -897,7 +946,7 @@ class TestRoundTrips:
         labels = data.draw(st.lists(st.text(max_size=8), unique=True, max_size=5))
         if wide:
             counts = st.lists(st.integers(0, 10**9), min_size=1, max_size=8)
-            records = [PortfolioSummary.from_vector(l, data.draw(counts)) for l in labels]
+            records = [PortfolioSummary(l, CitationVector(data.draw(counts))) for l in labels]
         else:
             records = [
                 PortfolioSummary.from_summary(
@@ -916,8 +965,8 @@ class TestRoundTrips:
         [
             (
                 [
-                    PortfolioSummary.from_vector("A", [4, 2, 1]),
-                    PortfolioSummary.from_vector("B, Jr.\r", [10, 0]),
+                    PortfolioSummary("A", CitationVector([4, 2, 1])),
+                    PortfolioSummary("B, Jr.\r", CitationVector([10, 0])),
                 ],
                 "csv",
                 'author,citations\nA,4;2;1\n"B, Jr.\r","10;0"\n',
@@ -931,7 +980,7 @@ class TestRoundTrips:
                 "author,P,i,eta,h\nA,45,48.71,0.42,23.0\nB,3,0.1,1.0,\n",
             ),
             (
-                [PortfolioSummary.from_vector("A", [4, 2, 1])],
+                [PortfolioSummary("A", CitationVector([4, 2, 1]))],
                 "json",
                 json.dumps([{"author": "A", "citations": [4, 2, 1]}], indent=2) + "\n",
             ),
@@ -960,7 +1009,7 @@ class TestRoundTrips:
 
     def test_mixed_records_cannot_be_emitted(self):
         records = [
-            PortfolioSummary.from_vector("A", [4, 2, 1]),
+            PortfolioSummary("A", CitationVector([4, 2, 1])),
             PortfolioSummary.from_summary("B", 10, 5.0, 0.5),
         ]
         with pytest.raises(FormatError):
@@ -970,7 +1019,7 @@ class TestRoundTrips:
 class TestEmitTable:
     def test_dimension_row_is_mandatory_and_exact(self):
         table = AnalyticsTable.from_portfolios(
-            [PortfolioSummary.from_vector("A", [4, 2, 1])]
+            [PortfolioSummary("A", CitationVector([4, 2, 1]))]
         )
         lines = emit_table(table, "tsv").splitlines()
         assert lines[0].startswith("author\tP\tC\ti\th\tg\tX\tE\tS\teta\tz\ti_E")
@@ -994,7 +1043,7 @@ class TestEmitTable:
 
     def test_default_precision_two_decimals(self):
         table = AnalyticsTable.from_portfolios(
-            [PortfolioSummary.from_vector("A", [4, 2, 1])]
+            [PortfolioSummary("A", CitationVector([4, 2, 1]))]
         )
         row = emit_table(table, "tsv").splitlines()[2].split("\t")
         assert row[table.columns.index("i") + 1] == "2.33"
@@ -1011,7 +1060,7 @@ class TestEmitTable:
 
     def test_empty_column_selection_is_header_only(self):
         table = AnalyticsTable.from_portfolios(
-            [PortfolioSummary.from_vector("A", [4, 2, 1])], columns=()
+            [PortfolioSummary("A", CitationVector([4, 2, 1]))], columns=()
         )
         lines = emit_table(table, "tsv").splitlines()
         assert lines[0] == "author"
@@ -1035,7 +1084,7 @@ class TestEmitTable:
 
     def test_raw_rows_have_no_reconstructed_flags(self):
         table = AnalyticsTable.from_portfolios(
-            [PortfolioSummary.from_vector("A", [4, 2, 1])]
+            [PortfolioSummary("A", CitationVector([4, 2, 1]))]
         )
         rows = json.loads(emit_table(table, "json"))
         assert all("reconstructed" not in cell for cell in rows[0].values() if isinstance(cell, dict))
