@@ -59,17 +59,13 @@ def _resolve_precision(arg: str | None) -> int | None:
     return 2
 
 
-def _read_input(path: str) -> tuple[bytes, str]:
-    """Return (input bytes, inferred_format); ``parse_input`` decodes them."""
-    if path == "-":
-        return sys.stdin.buffer.read(), "csv"
-    inferred = "json" if path.endswith(".json") else "csv"
-    return Path(path).read_bytes(), inferred
-
-
 def _load_records(path: str, format_arg: str | None):
-    text, inferred = _read_input(path)
-    return parse_input(text, format_arg or inferred)
+    """The records of ``path`` (``-`` for stdin) in ``format_arg``, else in
+    the format its name implies: JSON for ``.json``, CSV otherwise."""
+    if path == "-":
+        return parse_input(sys.stdin.buffer.read(), format_arg or "csv")
+    inferred = "json" if path.endswith(".json") else "csv"
+    return parse_input(Path(path).read_bytes(), format_arg or inferred)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -130,20 +126,19 @@ def _format_probe_lines(results: Sequence[ProbeResult]) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    records = _load_records(args.input, args.format)
     columns = None if args.columns is None else _list_arg(args.columns, "--columns")
-    table = AnalyticsTable.from_portfolios(records, columns=columns)
     precision = _resolve_precision(args.precision)
+    table = AnalyticsTable.from_portfolios(_load_records(args.input, args.format), columns=columns)
     _write_output(emit_table(table, args.output_format, precision), args.output)
     return 0
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    records = _load_records(args.input, args.format)
-    table = AnalyticsTable.from_portfolios(records)
-    columns = list(table.columns) if args.columns is None else _list_arg(args.columns, "--columns")
-    matrix = pearson_matrix(table, columns)
+    columns = None if args.columns is None else _list_arg(args.columns, "--columns")
     precision = _resolve_precision(args.precision)
+    table = AnalyticsTable.from_portfolios(_load_records(args.input, args.format))
+    columns = columns or list(table.columns)
+    matrix = pearson_matrix(table, columns)
     _write_output(emit_matrix(columns, matrix, args.output_format, precision), args.output)
     return 0
 
@@ -238,24 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_output(p: argparse.ArgumentParser, formats=("tsv", "csv", "json")):
-        p.add_argument("--output-format", choices=formats, default="tsv")
+    def add_common_output(p: argparse.ArgumentParser):
+        p.add_argument("--output-format", choices=("tsv", "csv", "json"), default="tsv")
         p.add_argument("--precision", default=None, metavar="N|full")
         p.add_argument("-o", "--output", default=None, metavar="PATH")
 
-    compute = sub.add_parser("compute", help="indicator table for each input portfolio")
-    compute.add_argument("input", help="CSV/JSON file of portfolios, or - for stdin")
-    compute.add_argument("--format", choices=("csv", "json"), default=None)
-    compute.add_argument("--columns", default=None, help="comma-separated indicator names")
-    add_common_output(compute)
-    compute.set_defaults(func=_cmd_compute)
-
-    correlate = sub.add_parser("correlate", help="Pearson matrix over indicator columns")
-    correlate.add_argument("input", help="CSV/JSON file of portfolios, or - for stdin")
-    correlate.add_argument("--format", choices=("csv", "json"), default=None)
-    correlate.add_argument("--columns", default=None, help="comma-separated indicator names")
-    add_common_output(correlate)
-    correlate.set_defaults(func=_cmd_correlate)
+    for name, summary, func in (
+        ("compute", "indicator table for each input portfolio", _cmd_compute),
+        ("correlate", "Pearson matrix over indicator columns", _cmd_correlate),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("input", help="CSV/JSON file of portfolios, or - for stdin")
+        command.add_argument("--format", choices=("csv", "json"), default=None)
+        command.add_argument("--columns", default=None, help="comma-separated indicator names")
+        add_common_output(command)
+        command.set_defaults(func=func)
 
     probe = sub.add_parser("probe", help="verify scaling exponents under replication")
     probe.add_argument("--base", required=True, help="semicolon-delimited counts, e.g. '4;2;1'")
@@ -303,11 +295,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if exc.code in (0, None) else 1
         try:
             return args.func(args)
-        except ScindexError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ScindexError, OSError) as exc:
+            message = str(exc)
+            if isinstance(exc, OSError) and exc.filename is not None:
+                # OSError's own layout, with each file name echoed by ``shown``.
+                names = (shown(name) for name in (exc.filename, exc.filename2) if name is not None)
+                message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+            print(f"error: {message}", file=sys.stderr)
             return 1
     finally:
         if enabled:

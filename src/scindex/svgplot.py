@@ -19,6 +19,7 @@ from .tabular import _csv_text
 
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 640, 480  # the SVG's size in pixels
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
@@ -53,13 +54,8 @@ def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
     )
 
 
-def emit_loglog_svg(
-    series: Sequence[PlotSeries],
-    width: int = 640,
-    height: int = 480,
-    title: str = "",
-) -> tuple[str, str]:
-    """Render series to (svg_text, points_csv_text).
+def emit_loglog_svg(series: Sequence[PlotSeries], title: str = "") -> tuple[str, str]:
+    """Render series to (svg_text, points_csv_text), the SVG 640 × 480 pixels.
 
     Every series needs at least three strictly positive points for its
     slope fit; the fit's :class:`DegenerateSeriesError` otherwise
@@ -88,8 +84,8 @@ def emit_loglog_svg(
     lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
 
     ml, mr, mt, mb = 64, 16, 28, 44
-    plot_w = width - ml - mr
-    plot_h = height - mt - mb
+    plot_w = _WIDTH - ml - mr
+    plot_h = _HEIGHT - mt - mb
 
     def sx(lx: float) -> float:
         return ml + (lx - lo_x) / (hi_x - lo_x) * plot_w
@@ -98,15 +94,15 @@ def emit_loglog_svg(
         return mt + (hi_y - ly) / (hi_y - lo_y) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="{mt - 10}" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="{mt - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{title.translate(_XML_ESCAPES)}</text>'
         )
 
@@ -132,7 +128,7 @@ def emit_loglog_svg(
             f'font-family="sans-serif" font-size="11">10^{decade}</text>'
         )
     parts.append(
-        f'<text x="{ml + plot_w / 2:.0f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{ml + plot_w / 2:.0f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         'font-family="sans-serif" font-size="12">scale factor</text>'
     )
     parts.append(

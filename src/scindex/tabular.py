@@ -26,10 +26,10 @@ with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
 matching the usual published presentation); integral values print bare;
 ``precision=None`` prints shortest round-trip representations.  That
 rule is :func:`format_magnitude`'s, per cell, but a table takes one ``%``
-directive per column (see :func:`_format_column`), and a TSV body is one
-``%`` format of a row template repeated for every row.  JSON cells always
-carry exact float values plus the rendered dimension.  ``json`` is
-imported by the functions that read or write JSON, on first use.
+directive per column (see :func:`_format_column`), and every TSV body,
+all-text ones too, is one ``%`` format of a row template repeated for
+every row.  JSON cells always carry exact float values and the rendered
+dimension; ``json`` is imported by its readers and writers on first use.
 TSV fields escape backslash, tab, line feed and carriage return as
 ``\\\\``, ``\\t``, ``\\n`` and ``\\r`` (the Linear TSV convention); CSV
 quotes them instead.
@@ -507,14 +507,10 @@ def emit_table(
     labels = table.labels
     if any(map("".join(labels).__contains__, _TSV_SPECIALS)):
         labels = [label.translate(_TSV_ESCAPES) for label in labels]
-    directives = [directive for directive, _ in formats]
+    # One template line per row, with labels and cells as its arguments.
+    line = "\t".join(["%s", *(directive for directive, _ in formats)]) + "\n"
     rows = zip(labels, *(values for _, values in formats))
-    if set(directives) <= {"%s"}:  # text cells only, which join faster
-        body = "\n".join(map("\t".join, rows)) + "\n" if labels else ""
-    else:  # one template line per row, with labels and cells as its arguments
-        line = "\t".join(["%s", *directives]) + "\n"
-        body = (line * len(labels)) % tuple(chain.from_iterable(rows))
-    return _tsv_text(head) + body
+    return _tsv_text(head) + (line * len(labels)) % tuple(chain.from_iterable(rows))
 
 
 def _format_column(values: Sequence[float], precision: int | None) -> tuple[str, Sequence]:

@@ -1,5 +1,8 @@
 """Definitional oracles: the rank-index scans the h and g kernels are checked
-against, and the table rows the JSON table writer is checked against."""
+against, and the table rows and fields the table writers are checked against."""
+
+from scindex import registry_symbols
+from scindex.tabular import format_magnitude
 
 
 def h_brute(counts):
@@ -33,3 +36,33 @@ def table_rows(table):
             row[name] = cell
         rows.append(row)
     return rows
+
+
+def table_lines(table, labeled, precision):
+    """The fields of a delimited table, each cell rendered by ``format_magnitude``
+    from the (label, {column: Quantity}) pairs the table was built from."""
+    if labeled:
+        dims = [str(labeled[0][1][name].dim) for name in table.columns]
+    else:
+        symbols = registry_symbols()
+        dims = [str(symbols[n]) if n in symbols else "" for n in table.columns]
+    lines = [["author", *table.columns], ["dimensions", *dims]]
+    for label, report in labeled:
+        lines.append(
+            [label, *(format_magnitude(report[n].magnitude, precision) for n in table.columns)]
+        )
+    return lines
+
+
+def tsv_text(lines):
+    """Linear TSV, field by field: backslash, tab, line feed and carriage
+    return written as two-character escapes, each line ended by a line feed."""
+    def escaped(field):
+        return (
+            field.replace("\\", "\\\\")
+            .replace("\t", "\\t")
+            .replace("\n", "\\n")
+            .replace("\r", "\\r")
+        )
+
+    return "".join("\t".join(map(escaped, line)) + "\n" for line in lines)

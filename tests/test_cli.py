@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, error rendering."""
 
+import argparse
 import gc
 import json
 import os
@@ -586,6 +587,89 @@ class TestCompute:
     def test_usage_error_exits_one(self, capsys):
         assert main(["compute"]) == 1
 
+    @pytest.mark.parametrize("command", ["compute", "correlate"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--precision", "zz"], "invalid precision 'zz' (expected an integer or 'full')"),
+            (["--columns", ","], "--columns needs at least one indicator name"),
+            (["--columns", ",", "--precision", "zz"], "--columns needs at least one indicator name"),
+        ],
+        ids=["precision", "columns", "both"],
+    )
+    def test_options_are_checked_before_the_input_is_read(
+        self, command, options, message, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        parse = cli.parse_input
+        monkeypatch.setattr(cli, "parse_input", lambda *a: calls.append(a) or parse(*a))
+        bad = tmp_path / "bad.csv"
+        bad.write_text('author,citations\nA,"1;-3"\n')
+        for source in (str(bad), str(tmp_path / "missing.csv")):
+            assert main([command, source, *options]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert calls == []
+
+
+class TestOSErrors:
+    """An OS error prints as ``OSError`` does, each file name by the 40-character rule."""
+
+    def test_missing_input(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compute", "missing.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: 'missing.csv'\n"
+
+    def test_a_long_input_name_is_echoed_cut(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        name = "y" * 296 + ".csv"
+        assert main(["compute", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: [Errno 36] File name too long: '" + "y" * 39 + "... (300 characters)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "output, shown_name",
+        [
+            ("nodir/out.tsv", "'nodir/out.tsv'"),
+            ("nodir/" + "x" * 200, "'nodir/" + "x" * 33 + "... (206 characters)"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_output_into_a_missing_directory(
+        self, output, shown_name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["table1", "-o", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {shown_name}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_second_file_name_is_echoed_cut(self, monkeypatch, capsys):
+        def fail(args):
+            raise OSError(18, "Invalid cross-device link", "a.tsv", None, "b" * 50)
+
+        monkeypatch.setattr(cli, "_cmd_table1", fail)
+        assert main(["table1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 18] Invalid cross-device link: 'a.tsv' -> '"
+            + "b" * 39
+            + "... (50 characters)\n"
+        )
+
+    def test_an_error_without_a_file_name_reads_as_str(self, monkeypatch, capsys):
+        def fail(args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_cmd_table1", fail)
+        assert main(["table1"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
 
 class TestCorrelate:
     def test_matrix_layout(self, wide_file, capsys):
@@ -752,6 +836,65 @@ class TestNoCyclesPerRecord:
         small = _cycles_left_by(_argv(command, tmp_path, 20))
         large = _cycles_left_by(_argv(command, tmp_path, 80))
         assert small == large
+
+
+class TestParser:
+    """The option strings of each subcommand and the namespace of a
+    representative command line, as the parser gave them when ``compute``
+    and ``correlate`` declared their shared arguments in two copied blocks."""
+
+    OPTIONS = {
+        "compute": ["-h --help", "input", "--format", "--columns", "--output-format",
+                    "--precision", "-o --output"],
+        "correlate": ["-h --help", "input", "--format", "--columns", "--output-format",
+                      "--precision", "-o --output"],
+        "probe": ["-h --help", "--base", "--lambdas", "--index", "--tolerance", "--svg",
+                  "-o --output"],
+        "dims": ["-h --help", "expression"],
+        "table1": ["-h --help", "--output-format", "--precision", "-o --output"],
+    }
+
+    def test_every_subcommand_keeps_its_options(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(self.OPTIONS)
+        for name, command in sub.choices.items():
+            options = [" ".join(a.option_strings) or a.dest for a in command._actions]
+            assert options == self.OPTIONS[name], name
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["compute", "in.csv", "--format", "json", "--columns", "P,h",
+                 "--output-format", "csv", "--precision", "full", "-o", "out.csv"],
+                {"command": "compute", "input": "in.csv", "format": "json", "columns": "P,h",
+                 "output_format": "csv", "precision": "full", "output": "out.csv",
+                 "func": "_cmd_compute"},
+            ),
+            (
+                ["correlate", "-", "--columns", "P,C"],
+                {"command": "correlate", "input": "-", "format": None, "columns": "P,C",
+                 "output_format": "tsv", "precision": None, "output": None,
+                 "func": "_cmd_correlate"},
+            ),
+            (
+                ["probe", "--base", "4;2;1", "--index", "C", "--svg", "p.svg"],
+                {"command": "probe", "base": "4;2;1", "lambdas": "1,2,3,4,5", "index": "C",
+                 "tolerance": None, "svg": "p.svg", "output": None, "func": "_cmd_probe"},
+            ),
+            (["dims", "C/P"], {"command": "dims", "expression": "C/P", "func": "_cmd_dims"}),
+            (
+                ["table1", "--output-format", "json"],
+                {"command": "table1", "output_format": "json", "precision": None,
+                 "output": None, "func": "_cmd_table1"},
+            ),
+        ],
+        ids=["compute", "correlate", "probe", "dims", "table1"],
+    )
+    def test_a_command_line_parses_as_before(self, argv, expected):
+        namespace = vars(cli.build_parser().parse_args(argv))
+        assert {**namespace, "func": namespace["func"].__name__} == expected
 
 
 def _run_python(*args):

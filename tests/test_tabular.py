@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scindex import (
@@ -38,7 +38,7 @@ from scindex.tabular import (
     parse_counts,
 )
 
-from oracles import table_rows
+from oracles import table_lines, table_rows, tsv_text
 
 WIDE_SAMPLE = 'author,citations\nA,"4;2;1"\n'
 SUMMARY_SAMPLE = "author,P,i,eta,h\nLI YF,142,33.25,0.20,34\n"
@@ -1118,30 +1118,6 @@ def _tables(draw):
     return table, labeled
 
 
-def _reference_lines(table, labeled, precision):
-    """The table's fields, rendered cell by cell from the quantities themselves."""
-    if labeled:
-        dims = [str(labeled[0][1][name].dim) for name in table.columns]
-    else:
-        symbols = registry_symbols()
-        dims = [str(symbols[n]) if n in symbols else "" for n in table.columns]
-    lines = [["author", *table.columns], ["dimensions", *dims]]
-    for label, report in labeled:
-        lines.append(
-            [label, *(format_magnitude(report[n].magnitude, precision) for n in table.columns)]
-        )
-    return lines
-
-
-def _tsv_escaped(field):
-    return (
-        field.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
 _INTEGRAL = st.integers(-(10**6), 10**6).map(float) | st.sampled_from(
     [1e300, -1e300, 2.0**53, 1e16, -0.0]
 )
@@ -1172,9 +1148,8 @@ def _column_kind_tables(draw):
 
 def _assert_delimited_matches(table, labeled, precision):
     """TSV and CSV against the per-cell ``format_magnitude`` reference."""
-    lines = _reference_lines(table, labeled, precision)
-    tsv = "".join("\t".join(map(_tsv_escaped, line)) + "\n" for line in lines)
-    assert emit_table(table, "tsv", precision) == tsv
+    lines = table_lines(table, labeled, precision)
+    assert emit_table(table, "tsv", precision) == tsv_text(lines)
     text = emit_table(table, "csv", precision)
     assert list(csv.reader(io.StringIO(text))) == lines
     if not any("\r" in field for line in lines for field in line):
@@ -1196,12 +1171,13 @@ class TestEmitTableDifferential:
                 assert row[name]["dimension"] == str(report[name].dim)
 
     @settings(max_examples=200, deadline=None)
-    @given(drawn=_tables(), precision=st.sampled_from([None, 0, 2, 5]))
+    @given(drawn=_tables(), precision=st.sampled_from([None, 0, 2, 5, 17]))
     def test_delimited_matches_per_cell_formatting(self, drawn, precision):
         _assert_delimited_matches(*drawn, precision)
 
     @settings(max_examples=300, deadline=None)
-    @given(drawn=_column_kind_tables(), precision=st.sampled_from([None, 0, 2, 5]))
+    @given(drawn=_column_kind_tables(), precision=st.sampled_from([None, 0, 2, 5, 17]))
+    @example(drawn=(AnalyticsTable.from_reports([], columns=("P", "i")), []), precision=17)
     def test_column_kinds_match_per_cell_formatting(self, drawn, precision):
         _assert_delimited_matches(*drawn, precision)
 
