@@ -10,6 +10,7 @@ indicator.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from typing import Mapping, Sequence
@@ -112,11 +113,21 @@ def _integral(value: object) -> object:
 
 
 def _real(value: object, name: str) -> float:
-    """``float(value)``; an int past the float range is a :class:`DomainError`."""
+    """``float(value)`` of a real number; a bool, any other value and an int
+    past the float range are a :class:`DomainError` that names the field.
+    """
+    _require_real(value, name)
     try:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} exceeds the floating-point range") from None
+
+
+def _require_real(value: object, name: str) -> None:
+    """Refuse summary field ``name`` unless it is a real number; a ``bool`` is
+    registered as one but is a truth value, so it is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {shown(value)}")
 
 
 def _check_summary(
@@ -133,6 +144,9 @@ def _check_summary(
         raise DomainError(f"paper count must be >= 1, got {shown(papers)}")
     if papers > sys.float_info.max:
         raise DomainError("paper count exceeds the floating-point range")
+    if type(impact) is not float or type(evenness) is not float:  # exact floats pass at once
+        _require_real(impact, "mean impact")
+        _require_real(evenness, "evenness")
     if impact < 0:
         raise DomainError(f"mean impact must be >= 0, got {_echo(impact)}")
     try:
@@ -142,7 +156,11 @@ def _check_summary(
         raise DomainError("mean impact exceeds the floating-point range") from None
     if not 0 < evenness <= 1:
         raise DomainError(f"evenness must lie in (0, 1], got {_echo(evenness)}")
-    if h is not None and not 0.0 <= h <= papers:  # nan and ±inf fail it too
+    if h is None:
+        return
+    if type(h) is not float:
+        _require_real(h, "h")
+    if not 0.0 <= h <= papers:  # nan and ±inf fail it too
         try:
             if not math.isfinite(h):
                 raise DomainError(f"h must be finite, got {_echo(h)}")

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analytics import AnalyticsTable, pearson_matrix
-from .errors import FormatError, ScindexError, shown
+from .errors import FormatError, ScindexError, UnknownIndicatorError, shown
 from .indicators import CitationVector, registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
@@ -83,6 +83,19 @@ def _list_arg(text: str, option: str, item: str = "indicator name") -> list[str]
     return items
 
 
+def _columns_arg(text: str | None) -> list[str] | None:
+    """The indicator names of ``--columns``, each of the registry; whether
+    the table holds a named column is checked on the table."""
+    if text is None:
+        return None
+    columns = _list_arg(text, "--columns")
+    names = registry_names()
+    for name in columns:
+        if name not in names:
+            raise UnknownIndicatorError(name)
+    return columns
+
+
 def _parse_counts_arg(text: str) -> CitationVector:
     try:
         vector = parse_counts(text)
@@ -126,7 +139,7 @@ def _format_probe_lines(results: Sequence[ProbeResult]) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    columns = None if args.columns is None else _list_arg(args.columns, "--columns")
+    columns = _columns_arg(args.columns)
     precision = _resolve_precision(args.precision)
     table = AnalyticsTable.from_portfolios(_load_records(args.input, args.format), columns=columns)
     _write_output(emit_table(table, args.output_format, precision), args.output)
@@ -134,7 +147,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    columns = None if args.columns is None else _list_arg(args.columns, "--columns")
+    columns = _columns_arg(args.columns)
     precision = _resolve_precision(args.precision)
     table = AnalyticsTable.from_portfolios(_load_records(args.input, args.format))
     columns = columns or list(table.columns)

@@ -48,13 +48,26 @@ class Record:
     The constructor takes every field, by position in slot order or by
     name; a wrong number of fields or an unknown name is a ``TypeError``.
     A subclass that converts or checks its fields has its own, which sets
-    them through :meth:`_fill`; copy and pickle pass them in slot order.
+    them through ``_fill(self, *fields)``; copy and pickle pass them in
+    slot order.  Each class gets its own ``_fill``, generated from its
+    slots as ``dataclasses`` generates ``__init__``: it calls each slot's
+    setter in turn, and a wrong number of fields is a ``TypeError``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        # def _fill(self, v0, v1):
+        #     s0(self, v0)
+        #     s1(self, v1)
+        # with s0, s1 the setters of the first and second slot as its globals.
+        count = len(cls.__slots__)
+        namespace = {f"s{k}": getattr(cls, name).__set__ for k, name in enumerate(cls.__slots__)}
+        params = "".join(f", v{k}" for k in range(count))
+        body = "".join(f"\n s{k}(self, v{k})" for k in range(count)) or "\n pass"
+        exec(f"def _fill(self{params}):{body}", namespace)
+        cls._fill = namespace["_fill"]
+        cls._fill.__qualname__ = f"{cls.__qualname__}._fill"
 
     def __init__(self, *values: object, **named: object) -> None:
         slots, name = self.__slots__, type(self).__qualname__
@@ -67,10 +80,6 @@ class Record:
         if len(values) != len(slots):
             raise TypeError(f"{name}() takes {len(slots)} fields, got {len(values)}")
         self._fill(*values)
-
-    def _fill(self, *values: object) -> None:
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

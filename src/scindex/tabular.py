@@ -517,13 +517,17 @@ def _format_column(values: Sequence[float], precision: int | None) -> tuple[str,
     """A ``%`` directive for one column and the values it formats, by the rule
     of :func:`format_magnitude`: ``%d`` if all are integral, ``%.Nf`` if none
     are, else (or at full precision) ``%s`` of text made cell by cell.
+
+    Integrality is tested as the column is scanned, with no list of it:
+    ``all`` stops at the first fractional value and ``any`` at the first
+    integral one, so an all-integral or all-fractional column takes one
+    pass, and only a mixed one is formatted cell by cell.
     """
     if precision is None:
         return "%s", list(map(repr, values))
-    integral = list(map(float.is_integer, values))
-    if all(integral):
+    if all(map(float.is_integer, values)):
         return "%d", values
-    if not any(integral):
+    if not any(map(float.is_integer, values)):
         return f"%.{precision}f", values
     return "%s", list(map(format_magnitude, values, repeat(precision)))
 

@@ -1,6 +1,8 @@
 """Summary reconstruction, correlation matrices and ranking."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from scindex import (
 )
 from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, reconstructed_table
 from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
+from scindex.errors import shown
 
 # What follows the first digit of an int echoed cut to 40 characters, and
 # an int past the 4,300-digit limit of its repr.
@@ -290,6 +293,27 @@ class TestPortfolioSummary:
         with pytest.raises(DomainError) as excinfo:
             reconstruct_from_summary(papers, impact, evenness)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("value", [True, False, "5", Decimal("0.5"), 1j])
+    @pytest.mark.parametrize("field", ["mean impact", "evenness", "h"])
+    def test_a_bool_or_a_non_real_field_is_refused_by_name(self, field, value):
+        impact, evenness, h = {"mean impact": 2.0, "evenness": 0.5, "h": 3.0, field: value}.values()
+        message = f"^{re.escape(field)} must be a real number, got {re.escape(shown(value))}$"
+        builds = [
+            lambda: PortfolioSummary("a", None, 10, impact, evenness, h),
+            lambda: PortfolioSummary.from_summary("a", 10, impact, evenness, h),
+        ]
+        if field != "h":
+            builds.append(lambda: reconstruct_from_summary(10, impact, evenness))
+        for build in builds:
+            with pytest.raises(DomainError, match=message):
+                build()
+
+    @pytest.mark.parametrize("impact", [2, Fraction(5, 2), np.float32(2.5), np.int64(2)])
+    def test_real_fields_of_other_types_are_taken(self, impact):
+        record = PortfolioSummary("a", papers=10, impact=impact, evenness=0.5, h=impact)
+        assert record.report()[0]["C"].magnitude == pytest.approx(float(impact) * 10)
+        assert PortfolioSummary.from_summary("a", 10, impact, 0.5).impact == float(impact)
 
 
 class TestPearson:

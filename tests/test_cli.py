@@ -484,6 +484,30 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err == "error: cannot infer columns for an empty table\n"
 
+    @pytest.mark.parametrize(
+        "columns, code, out, err",
+        [
+            ("zz", 1, "", "error: unknown indicator 'zz'\n"),
+            ("P,h", 0, "author\tP\th\ndimensions\t[P]\t[P]\n", ""),
+        ],
+    )
+    def test_header_only_input_with_columns(self, columns, code, out, err, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("author,citations\n")
+        assert main(["compute", str(path), "--columns", columns]) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("command", ["compute", "correlate"])
+    def test_an_indicator_missing_from_the_table_is_found_on_the_table(
+        self, command, summary_file, monkeypatch, capsys
+    ):
+        calls = []
+        parse = cli.parse_input
+        monkeypatch.setattr(cli, "parse_input", lambda *a: calls.append(a) or parse(*a))
+        assert main([command, summary_file, "--columns", "P,g"]) == 1
+        assert capsys.readouterr() == ("", "error: unknown indicator 'g'\n")
+        assert len(calls) == 1
+
     def test_negative_precision_exits_one(self, wide_file, capsys):
         assert main(["compute", wide_file, "--precision", "-1"]) == 1
         captured = capsys.readouterr()
@@ -594,8 +618,14 @@ class TestCompute:
             (["--precision", "zz"], "invalid precision 'zz' (expected an integer or 'full')"),
             (["--columns", ","], "--columns needs at least one indicator name"),
             (["--columns", ",", "--precision", "zz"], "--columns needs at least one indicator name"),
+            (["--columns", "zz"], "unknown indicator 'zz'"),
+            (["--columns", "P,zz,yy"], "unknown indicator 'zz'"),
+            (["--columns", "zz", "--precision", "zz"], "unknown indicator 'zz'"),
         ],
-        ids=["precision", "columns", "both"],
+        ids=[
+            "precision", "columns", "both", "unknown", "unknown-after-known",
+            "unknown-and-precision",
+        ],
     )
     def test_options_are_checked_before_the_input_is_read(
         self, command, options, message, tmp_path, monkeypatch, capsys
@@ -821,6 +851,35 @@ def _cycles_left_by(argv):
     gc.disable()
     assert main(argv) in (0, 2)
     return gc.collect()
+
+
+class TestCallsPerRun:
+    """The benchmark's trace (``bench/spans.py``) counts these calls: one
+    ``reconstruct_from_summary`` per summary row, and each indicator kernel
+    once per scale factor of a probe."""
+
+    def test_a_summary_table_reconstructs_each_row_once(self, tmp_path, monkeypatch):
+        calls = []
+        reconstruct = analytics.reconstruct_from_summary
+        monkeypatch.setattr(
+            analytics, "reconstruct_from_summary", lambda *a: calls.append(a) or reconstruct(*a)
+        )
+        path = tmp_path / "summary.csv"
+        path.write_text(_summary_csv(6000))
+        assert main(["compute", str(path), "-o", str(tmp_path / "out.tsv")]) == 0
+        assert len(calls) == 6000
+
+    def test_a_probe_runs_each_kernel_once_per_scale_factor(self, monkeypatch, capsys):
+        calls = []
+        for desc in indicators.REGISTRY:
+            def counted(v, name=desc.name, kernel=desc.compute):
+                calls.append(name)
+                return kernel(v)
+
+            monkeypatch.setattr(desc, "compute", counted)
+        lambdas = ",".join(map(str, range(1, 13)))
+        assert main(["probe", "--base", "10;5;3;2;1", "--lambdas", lambdas]) == 0
+        assert sorted(calls) == sorted(indicators.registry_names() * 12)
 
 
 class TestNoCyclesPerRecord:

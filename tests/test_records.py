@@ -31,6 +31,7 @@ from scindex import (
     g_index,
     h_index,
 )
+from scindex.dimension import Record
 from scindex.expressions import _Token
 
 _P = "Dimension(Fraction(1, 1))"
@@ -224,6 +225,44 @@ def test_a_wrong_arity_or_an_unknown_field_is_a_type_error(case):
         cls(*values, extra=0)
     with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected field '{first}'$"):
         cls(*values, **{first: values[0]})
+
+
+def _record_classes():
+    """Every ``Record`` subclass of the package, the expression nodes included."""
+    found, todo = {}, [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("scindex."):
+                found[cls.__qualname__] = cls
+    return found
+
+
+RECORD_CLASSES = _record_classes()
+
+
+def test_every_record_class_is_covered():
+    assert set(RECORD_CLASSES) == {name.split(".")[0] for name in RECORDS}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CLASSES))
+def test_fill_sets_each_slot_in_slot_order(name):
+    cls = RECORD_CLASSES[name]
+    assert "_fill" in vars(cls) and not hasattr(cls, "_setters")
+    values = [object() for _ in cls.__slots__]
+    record = object.__new__(cls)
+    record._fill(*values)
+    assert all(getattr(record, slot) is value for slot, value in zip(cls.__slots__, values))
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CLASSES))
+def test_fill_with_a_wrong_count_is_a_type_error(name):
+    cls = RECORD_CLASSES[name]
+    count = len(cls.__slots__)
+    with pytest.raises(TypeError, match=rf"^{name}\._fill\(\) missing 1 required positional"):
+        object.__new__(cls)._fill(*range(count - 1))
+    with pytest.raises(TypeError, match=rf"^{name}\._fill\(\) takes {count + 1} positional"):
+        object.__new__(cls)._fill(*range(count + 1))
 
 
 class TestIndicatorDescriptor:

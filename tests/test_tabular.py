@@ -33,6 +33,7 @@ from scindex.tabular import (
     SUMMARY_HEADER_H,
     _csv_records,
     _csv_columns,
+    _format_column,
     emit_matrix,
     format_magnitude,
     parse_counts,
@@ -1180,6 +1181,36 @@ class TestEmitTableDifferential:
     @example(drawn=(AnalyticsTable.from_reports([], columns=("P", "i")), []), precision=17)
     def test_column_kinds_match_per_cell_formatting(self, drawn, precision):
         _assert_delimited_matches(*drawn, precision)
+
+
+def _format_column_by_cell(values, precision):
+    """``_format_column``'s rule with integrality listed cell by cell."""
+    if precision is None:
+        return "%s", [repr(v) for v in values]
+    integral = [v.is_integer() for v in values]
+    if all(integral):
+        return "%d", list(values)
+    if not any(integral):
+        return f"%.{precision}f", list(values)
+    return "%s", [format_magnitude(v, precision) for v in values]
+
+
+class TestFormatColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.sampled_from([_INTEGRAL, _FRACTIONAL, _INTEGRAL | _FRACTIONAL]).flatmap(
+            lambda kind: st.lists(kind, max_size=20)
+        ),
+        precision=st.sampled_from([None, 0, 2, 17]),
+    )
+    @example(values=[], precision=2)
+    @example(values=[1.0, 2.5], precision=0)
+    @example(values=[2.5, 1.0], precision=17)
+    def test_matches_the_cell_by_cell_rule(self, values, precision):
+        directive, formatted = _format_column(tuple(values), precision)
+        assert (directive, list(formatted)) == _format_column_by_cell(values, precision)
+        cells = [directive % value for value in formatted]
+        assert cells == [format_magnitude(value, precision) for value in values]
 
 
 class TestEmitMatrix:
