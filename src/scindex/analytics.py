@@ -10,12 +10,11 @@ indicator.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .dimension import Dimension, Quantity, Record
+from .dimension import Dimension, Quantity, Record, _real, _require_real
 from .errors import (
     DomainError,
     HeterogeneityError,
@@ -92,11 +91,9 @@ class PortfolioSummary(Record):
         try:
             if self.vector is not None:
                 return compute_all(self.vector), frozenset()
-            report = reconstruct_from_summary(self.papers, self.impact, self.evenness)
+            report = reconstruct_from_summary(self.papers, self.impact, self.evenness, self.h)
         except DomainError as exc:
             raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
-        if self.h is not None:
-            report.magnitudes["h"] = float(self.h)
         return report, RECONSTRUCTED_COLUMNS
 
 
@@ -110,24 +107,6 @@ def _integral(value: object) -> object:
         return value if isinstance(value, bool) else operator.index(value)
     except TypeError:
         return value
-
-
-def _real(value: object, name: str) -> float:
-    """``float(value)`` of a real number; a bool, any other value and an int
-    past the float range are a :class:`DomainError` that names the field.
-    """
-    _require_real(value, name)
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{name} exceeds the floating-point range") from None
-
-
-def _require_real(value: object, name: str) -> None:
-    """Refuse summary field ``name`` unless it is a real number; a ``bool`` is
-    registered as one but is a truth value, so it is refused too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {shown(value)}")
 
 
 def _check_summary(
@@ -169,18 +148,22 @@ def _check_summary(
         raise DomainError(f"h must lie in [0, P], got {_echo(h)} with P = {shown(papers)}")
 
 
-def reconstruct_from_summary(papers: int, impact: float, evenness: float) -> IndicatorReport:
+def reconstruct_from_summary(
+    papers: int, impact: float, evenness: float, h: float | None = None
+) -> IndicatorReport:
     """Rebuild the ladder indicators from the summary triple (P, i, eta).
 
     C = i*P, X = i^2*P, E = X/eta and S = E - X; the ladder builder
     derives z and i_E from these and keeps i and eta as given.  h is not
-    derivable from the triple and is absent from the result.
+    derivable from the triple: a published ``h`` is placed at its registry
+    place, after i, and without one h is absent from the result, as g
+    always is.
     """
-    _check_summary(papers, impact, evenness)
+    _check_summary(papers, impact, evenness, h)
     c = impact * papers
     x = impact * impact * papers
     e = x / evenness
-    return _ladder(papers, c, impact, x, e, e - x, evenness)
+    return _ladder(papers, c, impact, x, e, e - x, evenness, h)
 
 
 def _registry_ordered(names: set[str]) -> tuple[str, ...]:
@@ -190,23 +173,41 @@ def _registry_ordered(names: set[str]) -> tuple[str, ...]:
 
 
 def _table_columns(
-    reports: Sequence[Mapping[str, object]], columns: Sequence[str] | None
+    layouts: Sequence[tuple[str, ...]], columns: Sequence[str] | None
 ) -> tuple[str, ...]:
-    """The requested columns, or those all reports share in registry order.
+    """The requested columns, or those all layouts share in registry order.
 
-    Each distinct key set is checked once, in order of first appearance.
+    ``layouts`` holds the distinct key tuples of a table's reports, each
+    checked once, in order of first appearance.
     """
-    keysets = list(map(set, dict.fromkeys(map(tuple, reports))))
     if columns is None:
-        if not reports:
+        if not layouts:
             raise DomainError("cannot infer columns for an empty table")
-        return _registry_ordered(set.intersection(*keysets))
+        return _registry_ordered(set(layouts[0]).intersection(*layouts[1:]))
     columns = tuple(columns)
-    for keys in keysets:
+    for keys in map(set, layouts):
         for name in columns:
             if name not in keys:
                 raise UnknownIndicatorError(name)
     return columns
+
+
+def _distinct(layouts: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """The distinct tuples of ``layouts``, in order of first appearance."""
+    # A tuple does not keep its hash, so one tuple shared by every report
+    # is found by identity, without hashing each.
+    if layouts and layouts.count(layouts[0]) == len(layouts):
+        return layouts[:1]
+    return list(dict.fromkeys(layouts))
+
+
+def _picker(layout: tuple[str, ...], columns: tuple[str, ...]) -> Callable:
+    """The function from a report's values in ``layout`` to a row of ``columns``."""
+    positions = tuple(map(layout.index, columns))
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # itemgetter needs a position, and gives a bare value for one
+    return lambda values: tuple(map(values.__getitem__, positions))
 
 
 def _registry_dims(columns: Sequence[str]) -> tuple[Dimension | None, ...]:
@@ -236,7 +237,7 @@ class AnalyticsTable(Record):
         Each column takes its dimension from the first row, and a later
         row of another dimension raises :class:`HeterogeneityError`.
         """
-        columns = _table_columns([report for _, report in labeled], columns)
+        columns = _table_columns(_distinct([tuple(r) for _, r in labeled]), columns)
         if reconstructed is None:
             reconstructed = [frozenset()] * len(labeled)
         if labeled:
@@ -262,17 +263,22 @@ class AnalyticsTable(Record):
         portfolios: Sequence[PortfolioSummary],
         columns: Sequence[str] | None = None,
     ) -> "AnalyticsTable":
-        reports = []
-        flags = []
-        for portfolio in portfolios:
-            report, recon = portfolio.report()
-            reports.append(report.magnitudes)
-            flags.append(recon)
-        columns = _table_columns(reports, columns)
-        if len(columns) > 1:
-            rows = list(map(operator.itemgetter(*columns), reports))
-        else:  # itemgetter needs a name, and gives a bare value for one
-            rows = [tuple(map(report.__getitem__, columns)) for report in reports]
+        """Table of the portfolios' reports, by ``columns`` or the names they share.
+
+        When every report has one layout and the columns are that layout,
+        each report's values are its row as they are; otherwise each
+        layout picks its row's values by position.
+        """
+        reports, flags = tuple(zip(*map(PortfolioSummary.report, portfolios))) or ((), ())
+        names = list(map(operator.attrgetter("names"), reports))
+        layouts = _distinct(names)
+        columns = _table_columns(layouts, columns)
+        values = map(operator.attrgetter("values"), reports)
+        if layouts == [columns]:  # each report is its row as it is
+            rows = tuple(values)
+        else:
+            pickers = {layout: _picker(layout, columns) for layout in layouts}
+            rows = [pickers[layout](row) for layout, row in zip(names, values)]
         labels = [portfolio.label for portfolio in portfolios]
         return cls._assemble(columns, _registry_dims(columns), labels, rows, flags)
 

@@ -42,6 +42,28 @@ def _exponent(value: object) -> Fraction:
     return Fraction(int(value.numerator), int(value.denominator))
 
 
+def _real(value: object, name: str) -> float:
+    """``value`` as a float: an exact float as it is, another real number by
+    ``float()``.  A bool, any other value and an int past the float range are
+    a :class:`DomainError` that names ``name``.
+    """
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # an exact int skips the ABC test
+        _require_real(value, name)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} exceeds the floating-point range") from None
+
+
+def _require_real(value: object, name: str) -> None:
+    """Refuse ``name`` unless it is a real number; a ``bool`` is registered as
+    one but is a truth value, so it is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {shown(value)}")
+
+
 class Record:
     """An immutable value over its ``__slots__``: equality, hash and repr by field.
 
@@ -50,17 +72,23 @@ class Record:
     A subclass that converts or checks its fields has its own, which sets
     them through ``_fill(self, *fields)``; copy and pickle pass them in
     slot order.  Each class gets its own ``_fill``, generated from its
-    slots as ``dataclasses`` generates ``__init__``: it calls each slot's
-    setter in turn, and a wrong number of fields is a ``TypeError``.
+    slots on its first use, as ``dataclasses`` generates ``__init__``: it
+    calls each slot's setter in turn, and a wrong number of fields is a
+    ``TypeError``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fill = Record._fill
+
+    def _fill(self, *values: object) -> None:
+        """Generate the class's own ``_fill`` on its first use, then call it."""
         # def _fill(self, v0, v1):
         #     s0(self, v0)
         #     s1(self, v1)
         # with s0, s1 the setters of the first and second slot as its globals.
+        cls = type(self)
         count = len(cls.__slots__)
         namespace = {f"s{k}": getattr(cls, name).__set__ for k, name in enumerate(cls.__slots__)}
         params = "".join(f", v{k}" for k in range(count))
@@ -68,6 +96,7 @@ class Record:
         exec(f"def _fill(self{params}):{body}", namespace)
         cls._fill = namespace["_fill"]
         cls._fill.__qualname__ = f"{cls.__qualname__}._fill"
+        cls._fill(self, *values)
 
     def __init__(self, *values: object, **named: object) -> None:
         slots, name = self.__slots__, type(self).__qualname__
@@ -183,6 +212,9 @@ def _ordered(compare: Callable[[float, float], bool]) -> Callable:
 class Quantity(Record):
     """A finite real magnitude paired with a :class:`Dimension`.
 
+    The magnitude is held as a float; a bool or a value that is no real
+    number is a :class:`DomainError`.
+
     Addition, subtraction and ordered comparison (``<``, ``<=``, ``>``,
     ``>=``) require both operands to share a dimension; multiplication
     and division combine dimensions.  Ordering against a non-quantity,
@@ -195,7 +227,8 @@ class Quantity(Record):
     def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS) -> None:
         if not isinstance(dim, Dimension):
             raise TypeError(f"quantity dimension must be a Dimension, got {shown(dim)}")
-        value = float(magnitude)
+        # An exact float, as every kernel and table gives, passes at once.
+        value = magnitude if type(magnitude) is float else _real(magnitude, "quantity magnitude")
         if not math.isfinite(value):
             raise DomainError(f"quantity magnitude must be finite, got {value!r}")
         self._fill(value, dim)

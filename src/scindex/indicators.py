@@ -267,30 +267,36 @@ def _ladder(
 ) -> IndicatorReport:
     """The report of the ladder values, with z and i_E derived from the rest.
 
-    z = (eta*i^2*P)^(1/3) and i_E = sqrt(E).  The rank indices h and g
-    are placed when given; a summary triple cannot supply them.  Every
-    magnitude is a float and must be finite.
+    z = (eta*i^2*P)^(1/3) and i_E = sqrt(E).  The rank indices are placed
+    when given: h and g for a vector, h alone for a summary that publishes
+    it, since a summary triple cannot supply them.  The report's layout is
+    the one of these three that holds its names, and its values are floats
+    in that order; every one must be finite.
     """
     z = float((eta * i * i * p) ** (1.0 / 3.0))
     i_e = math.sqrt(e)
-    # The keys are in registry order.
     if h is None:
-        magnitudes = {
-            "P": float(p), "C": float(c), "i": float(i), "X": float(x), "E": float(e),
-            "S": float(s), "eta": float(eta), "z": z, "i_E": i_e,
-        }
+        names = SUMMARY_LAYOUT
+        values = float(p), float(c), float(i), float(x), float(e), float(s), float(eta), z, i_e
+    elif g is None:
+        names = SUMMARY_H_LAYOUT
+        values = (
+            float(p), float(c), float(i), float(h),
+            float(x), float(e), float(s), float(eta), z, i_e,
+        )
     else:
-        magnitudes = {
-            "P": float(p), "C": float(c), "i": float(i), "h": float(h), "g": float(g),
-            "X": float(x), "E": float(e), "S": float(s), "eta": float(eta), "z": z, "i_E": i_e,
-        }
+        names = VECTOR_LAYOUT
+        values = (
+            float(p), float(c), float(i), float(h), float(g),
+            float(x), float(e), float(s), float(eta), z, i_e,
+        )
     # A finite sum proves every value finite; a sum that overflows from
     # finite values has no offender and is accepted.
-    if not math.isfinite(sum(magnitudes.values())):
-        bad = next((v for v in magnitudes.values() if not math.isfinite(v)), None)
+    if not math.isfinite(sum(values)):
+        bad = next((v for v in values if not math.isfinite(v)), None)
         if bad is not None:
             raise DomainError(f"quantity magnitude must be finite, got {bad!r}")
-    return IndicatorReport(magnitudes)
+    return IndicatorReport(names, values)
 
 
 def _closed_forms(
@@ -363,28 +369,41 @@ class IndicatorDescriptor:
 class IndicatorReport(Mapping[str, Quantity]):
     """Read-only mapping from indicator name to its dimensioned value.
 
-    ``magnitudes`` holds the float values keyed by registry name, in
-    ladder order; ``report[name]`` pairs one with the indicator's
-    declared dimension as a :class:`Quantity`.  The dimension belongs to
-    the indicator, so it is not stored per value.
+    A report is the table row it becomes: ``names`` is one of the three
+    layouts of the ladder, each in registry order (``VECTOR_LAYOUT``,
+    ``SUMMARY_LAYOUT`` and ``SUMMARY_H_LAYOUT``), and ``values`` the
+    float of each name, in that order.  Both are tuples, and a report is
+    not changed once built.  ``report[name]`` pairs a value with the
+    indicator's declared dimension as a :class:`Quantity`; the dimension
+    belongs to the indicator, so it is not stored per value.
+    ``magnitudes`` is the name -> float dict, built on each request.
     """
 
-    __slots__ = ("magnitudes",)
+    __slots__ = ("names", "values")
 
-    def __init__(self, magnitudes: dict[str, float]) -> None:
-        self.magnitudes = magnitudes
+    def __init__(self, names: tuple[str, ...], values: tuple[float, ...]) -> None:
+        self.names = names
+        self.values = values
+
+    @property
+    def magnitudes(self) -> dict[str, float]:
+        return dict(zip(self.names, self.values))
 
     def __getitem__(self, name: str) -> Quantity:
-        return Quantity(self.magnitudes[name], _BY_NAME[name].declared_dim)
+        try:
+            value = self.values[self.names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
+        return Quantity(value, _BY_NAME[name].declared_dim)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.magnitudes
+        return name in self.names
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.magnitudes)
+        return iter(self.names)
 
     def __len__(self) -> int:
-        return len(self.magnitudes)
+        return len(self.names)
 
     def __repr__(self) -> str:
         return f"IndicatorReport({self.magnitudes!r})"
@@ -405,6 +424,13 @@ REGISTRY: tuple[IndicatorDescriptor, ...] = (
 )
 
 _BY_NAME = {d.name: d for d in REGISTRY}
+
+# The names of a report's values, each layout in registry order: every
+# indicator for a vector; all but h and g for a summary; all but g for a
+# summary with its published h.
+VECTOR_LAYOUT = tuple(_BY_NAME)
+SUMMARY_LAYOUT = tuple(name for name in VECTOR_LAYOUT if name not in ("h", "g"))
+SUMMARY_H_LAYOUT = tuple(name for name in VECTOR_LAYOUT if name != "g")
 
 
 def registry_names() -> tuple[str, ...]:

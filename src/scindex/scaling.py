@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .dimension import Record
-from .errors import DegenerateSeriesError, DomainError, _echo, shown
+from .errors import DegenerateSeriesError, DomainError, shown
 from .indicators import (
     REGISTRY,
     CitationVector,
@@ -59,13 +59,16 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
     """Scale a portfolio: each count appears ``lam`` times at ``lam`` times its value.
 
     Each run (v, m) of the base becomes the run (lam*v, lam*m) of the
-    replica, which takes O(distinct values) whatever ``lam`` is.
+    replica, which takes O(distinct values) whatever ``lam`` is.  ``lam``
+    must be an int of at least 1; a bool is not one.
     """
     vec = as_citation_vector(v)
     if not vec:
         raise DomainError("cannot replicate an empty portfolio")
+    if type(lam) is not int:
+        raise DomainError(f"replication factor must be an int, got {shown(lam)}")
     if lam < 1:
-        raise DomainError(f"replication factor must be >= 1, got {_echo(lam)}")
+        raise DomainError(f"replication factor must be >= 1, got {shown(lam)}")
     return CitationVector.from_runs((lam * c, lam * m) for c, m in vec.runs)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dimension import Record
-from .errors import DegenerateSeriesError, DomainError
+from .dimension import Record, _real
+from .errors import DegenerateSeriesError, DomainError, shown
 from .scaling import fit_loglog
 from .tabular import _csv_text
 
@@ -24,12 +24,17 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 
 class PlotSeries(Record):
-    """A named point set destined for log-log axes."""
+    """A named point set destined for log-log axes, each coordinate a float.
+
+    A bool or a coordinate that is no real number is a :class:`DomainError`
+    that names the series.
+    """
 
     __slots__ = ("name", "points")
 
     def __init__(self, name: str, points: Sequence[Sequence[float]]) -> None:
-        self._fill(name, tuple((float(x), float(y)) for x, y in points))
+        coordinate = f"point coordinate of series {shown(name)}"
+        self._fill(name, tuple((_real(x, coordinate), _real(y, coordinate)) for x, y in points))
 
 
 def _marker_svg(shape: str, x: float, y: float, color: str) -> str:

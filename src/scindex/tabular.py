@@ -44,7 +44,7 @@ import operator
 import re
 import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Any, Iterable, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary
@@ -224,9 +224,12 @@ def _csv_columns(text: str) -> list[PortfolioSummary] | None:
         papers, impacts, etas, *published = columns
         papers = list(map(int, papers))
         impacts, etas = list(map(float, impacts)), list(map(float, etas))
-        h = repeat(None)
+        h = [None] * len(papers)
         if published:
-            h = [float(c) if c.strip() else None for c in published[0]]
+            try:
+                h = list(map(float, published[0]))
+            except ValueError:  # a row publishes no h
+                h = [float(c) if c.strip() else None for c in published[0]]
     except (StopIteration, csv.Error, ValueError):
         return None
     if _summaries_pass(papers, impacts, etas, h):
@@ -235,7 +238,7 @@ def _csv_columns(text: str) -> list[PortfolioSummary] | None:
 
 
 def _summaries_pass(
-    papers: Sequence[int], impacts: Sequence[float], etas: Sequence[float], h: Iterable
+    papers: Sequence[int], impacts: Sequence[float], etas: Sequence[float], h: Sequence
 ) -> bool:
     """Whether non-empty summary columns pass the rules of ``_check_summary``:
     P an int from 1 to the float range, i finite and >= 0, eta in (0, 1] and
@@ -246,8 +249,21 @@ def _summaries_pass(
         1 <= min(papers) and max(papers) <= sys.float_info.max
         and math.isfinite(sum(impacts)) and min(impacts) >= 0
         and math.isfinite(sum(etas)) and 0 < min(etas) and max(etas) <= 1
-        and all(v is None or 0.0 <= v <= p for v, p in zip(h, papers))
+        and _h_pass(h, papers)
     )
+
+
+def _h_pass(h: Sequence, papers: Iterable[int]) -> bool:
+    """Whether each published h (None where there is none) lies in [0, P].
+
+    A float compares with an int exactly, so an h just past a P beyond
+    2**53 fails, and nan fails ``<=``.
+    """
+    try:
+        return min(h, default=0.0) >= 0.0 and all(map(operator.le, h, papers))
+    except TypeError:  # some rows publish no h: test the others
+        published = list(map(operator.is_not, h, repeat(None)))
+        return _h_pass(list(compress(h, published)), compress(papers, published))
 
 
 def _csv_records(reader: Any) -> list[PortfolioSummary]:

@@ -23,6 +23,7 @@ from scindex import (
     pearson_matrix,
     rank_by,
     reconstruct_from_summary,
+    registry_names,
 )
 from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, reconstructed_table
 from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
@@ -166,7 +167,7 @@ class TestPortfolioSummary:
         report, flags = record.report()
         assert flags == frozenset({"C", "X", "E", "S", "z", "i_E"})
         assert report["h"].magnitude == 4.0
-        assert tuple(report) == ("P", "C", "i", "X", "E", "S", "eta", "z", "i_E", "h")
+        assert tuple(report) == ("P", "C", "i", "h", "X", "E", "S", "eta", "z", "i_E")
         assert report["h"] == Quantity(4.0, PAPERS)
 
     def test_paper_count_beyond_float_range(self):
@@ -447,6 +448,50 @@ class TestAnalyticsTable:
         assert table.reconstructed == (
             frozenset(), frozenset(columns) & {"C", "X", "E", "S", "z", "i_E"}
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_flags_are_per_name_lookups_of_each_report(self, data):
+        """Rows taken as they are (one layout, its own columns) and rows
+        picked by position (several layouts, or other columns) both hold
+        each report's value of each column."""
+        portfolio = st.one_of(
+            st.lists(st.integers(0, 50), min_size=1, max_size=8).map(CitationVector),
+            st.tuples(
+                st.integers(1, 40),
+                st.floats(0, 100),
+                st.floats(0.01, 1),
+                st.one_of(st.none(), st.floats(0, 1)),
+            ),
+        )
+        sources = data.draw(st.lists(portfolio, min_size=1, max_size=6))
+        portfolios = [
+            PortfolioSummary(f"a{k}", source)
+            if isinstance(source, CitationVector)
+            else PortfolioSummary.from_summary(
+                f"a{k}", *source[:3], None if source[3] is None else source[3] * source[0]
+            )
+            for k, source in enumerate(sources)
+        ]
+        reports = [p.report() for p in portfolios]
+        shared = [name for name in registry_names() if all(name in r for r, _ in reports)]
+        columns = data.draw(
+            st.one_of(
+                st.none(),
+                st.sampled_from(shared).map(lambda name: (name,)),
+                st.lists(st.sampled_from(shared), max_size=12).map(tuple),
+                st.sets(st.sampled_from(shared)).map(
+                    lambda names: tuple(n for n in shared if n in names)
+                ),
+            )
+        )
+        table = AnalyticsTable.from_portfolios(portfolios, columns=columns)
+        expected = tuple(shared) if columns is None else columns
+        assert table.columns == expected
+        assert table.rows == tuple(
+            tuple(report[name].magnitude for name in expected) for report, _ in reports
+        )
+        assert table.reconstructed == tuple(flags & set(expected) for _, flags in reports)
 
     def test_mixed_dimensions_in_a_column_rejected(self):
         labeled = [

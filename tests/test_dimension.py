@@ -1,6 +1,7 @@
 """Dimension and Quantity algebra: exact exponents, checked arithmetic."""
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,30 @@ class TestQuantity:
             Quantity(float("nan"), PAPERS)
         with pytest.raises(DomainError):
             Quantity(float("inf"), PAPERS)
+
+    @pytest.mark.parametrize(
+        "magnitude", [True, False, "5", None, 1j, Decimal("5")],
+        ids=["true", "false", "text", "none", "complex", "decimal"],
+    )
+    def test_a_bool_or_a_non_real_magnitude_is_refused_by_name(self, magnitude):
+        with pytest.raises(DomainError) as excinfo:
+            Quantity(magnitude, PAPERS)
+        assert str(excinfo.value) == (
+            f"quantity magnitude must be a real number, got {magnitude!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "magnitude", [5, 5.0, Fraction(5), np.int64(5), np.float64(5.0)],
+        ids=["int", "float", "fraction", "numpy-int", "numpy-float"],
+    )
+    def test_real_magnitudes_are_held_as_floats(self, magnitude):
+        quantity = Quantity(magnitude, PAPERS)
+        assert type(quantity.magnitude) is float and quantity == Quantity(5.0, PAPERS)
+
+    def test_an_int_past_the_float_range_is_refused(self):
+        with pytest.raises(DomainError) as excinfo:
+            Quantity(10**400)
+        assert str(excinfo.value) == "quantity magnitude exceeds the floating-point range"
 
     def test_division_by_zero_quantity(self):
         with pytest.raises(DomainError):

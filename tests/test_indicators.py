@@ -337,6 +337,26 @@ class TestIndicatorReport:
         assert report.magnitudes == {k: q.magnitude for k, q in expected.items()}
         assert all(type(m) is float for m in report.magnitudes.values())
 
+    @pytest.mark.parametrize(
+        "report, layout, absent",
+        [
+            (compute_all([4, 2, 1]), indicators.VECTOR_LAYOUT, ()),
+            (PortfolioSummary.from_summary("a", 10, 5.0, 0.5).report()[0],
+             indicators.SUMMARY_LAYOUT, ("h", "g")),
+            (PortfolioSummary.from_summary("a", 10, 5.0, 0.5, h=4).report()[0],
+             indicators.SUMMARY_H_LAYOUT, ("g",)),
+        ],
+        ids=["vector", "summary", "summary-with-h"],
+    )
+    def test_each_layout_iterates_in_registry_order(self, report, layout, absent):
+        names = tuple(name for name in registry_names() if name not in absent)
+        assert layout == names and report.names is layout
+        assert tuple(report) == tuple(report.magnitudes) == names and len(report) == len(names)
+        assert type(report.values) is tuple and all(type(v) is float for v in report.values)
+        assert report.magnitudes == dict(zip(names, report.values))
+        assert [report[name].magnitude for name in report] == list(report.values)
+        assert all(name not in report for name in absent)
+
     def test_mapping_protocol(self):
         report = compute_all([4, 2, 1])
         assert "h" in report and "w" not in report

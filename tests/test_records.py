@@ -7,8 +7,12 @@ its equality ignores ``compute``.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,7 @@ from scindex import (
 from scindex.dimension import Record
 from scindex.expressions import _Token
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 _P = "Dimension(Fraction(1, 1))"
 _ESTIMATE = "ExponentEstimate(slope=1.0, intercept=0.5, max_residual=0.0)"
 
@@ -263,6 +268,37 @@ def test_fill_with_a_wrong_count_is_a_type_error(name):
         object.__new__(cls)._fill(*range(count - 1))
     with pytest.raises(TypeError, match=rf"^{name}\._fill\(\) takes {count + 1} positional"):
         object.__new__(cls)._fill(*range(count + 1))
+
+
+def test_fill_is_generated_on_first_use():
+    class Pair(Record):
+        __slots__ = ("first", "second")
+
+    assert vars(Pair)["_fill"] is Record._fill
+    with pytest.raises(TypeError, match=r"Pair\._fill\(\) takes 3 positional"):
+        object.__new__(Pair)._fill(1, 2, 3)
+    generated = vars(Pair)["_fill"]
+    assert generated is not Record._fill
+    pair = Pair(1, 2)
+    assert (pair.first, pair.second) == (1, 2) and vars(Pair)["_fill"] is generated
+
+
+def test_importing_the_cli_generates_only_the_fill_it_uses():
+    code = (
+        "import scindex.cli\n"
+        "scindex.cli.build_parser()\n"
+        "from scindex import AnalyticsTable, Dimension, ExponentEstimate, PlotSeries\n"
+        "from scindex import PortfolioSummary, ProbeResult\n"
+        "from scindex.dimension import Record\n"
+        "classes = (AnalyticsTable, Dimension, ExponentEstimate, PlotSeries,\n"
+        "           PortfolioSummary, ProbeResult)\n"
+        "print(*[c.__name__ for c in classes if vars(c)['_fill'] is not Record._fill])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Dimension"]
 
 
 class TestIndicatorDescriptor:

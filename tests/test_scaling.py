@@ -55,13 +55,22 @@ class TestReplicateScale:
 
     @pytest.mark.parametrize(
         "lam, echo",
-        [(0, "0"), (0.5, "0.5"), (-10**50, "-" + "1" + "0" * 38 + "... (52 characters)")],
-        ids=["zero", "half", "long"],
+        [(0, "0"), (-10**50, "-" + "1" + "0" * 38 + "... (52 characters)")],
+        ids=["zero", "long"],
     )
     def test_an_invalid_factor_is_echoed(self, lam, echo):
         with pytest.raises(DomainError) as excinfo:
             replicate_scale([4, 2, 1], lam)
         assert str(excinfo.value) == f"replication factor must be >= 1, got {echo}"
+
+    @pytest.mark.parametrize(
+        "lam", [0.5, 2.5, 2.0, "2", True, False, np.int64(2), None],
+        ids=["half", "float", "integral-float", "text", "true", "false", "numpy-int", "none"],
+    )
+    def test_a_factor_that_is_no_int_is_refused_by_name(self, lam):
+        with pytest.raises(DomainError) as excinfo:
+            replicate_scale([4, 2, 1], lam)
+        assert str(excinfo.value) == f"replication factor must be an int, got {lam!r}"
 
     def test_empty_base(self):
         with pytest.raises(DomainError):
@@ -467,8 +476,15 @@ class TestSharedReplicas:
         assert copy == vec and hash(copy) == hash(CitationVector([4, 2, 1]))
         assert copy._ladder is None and copy._replicas is None
         first, second = compute_all(vec), compute_all(vec)
-        assert first is not second and first.magnitudes is not second.magnitudes
-        assert first is not vec._ladder
+        assert first is not second and first is not vec._ladder
+        # A report's values are a tuple, so a changed magnitudes dict changes
+        # no report and not the ladder the vector keeps.
+        kept = vec._ladder.values
+        magnitudes = first.magnitudes
+        magnitudes["C"] = -1.0
+        assert type(first.values) is tuple and first.magnitudes != magnitudes
+        assert first == second and first["C"].magnitude == 7.0
+        assert vec._ladder.values == kept and descriptor("C").compute(vec).magnitude == 7.0
 
 
 @given(

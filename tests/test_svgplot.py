@@ -4,7 +4,9 @@ import csv
 import io
 import math
 import xml.dom.minidom
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scindex import (
@@ -18,6 +20,25 @@ from scindex import (
 def _series_c():
     # Total citations on [4,2,1] under replication at scales 1, 2, 4.
     return PlotSeries("C", [(1, 7), (2, 28), (4, 112)])
+
+
+class TestPlotSeries:
+    def test_coordinates_are_held_as_floats(self):
+        series = PlotSeries("h", [(1, 2), (np.int64(2), np.float64(4.5)), (Fraction(1, 2), 8.0)])
+        assert series.points == ((1.0, 2.0), (2.0, 4.5), (0.5, 8.0))
+        assert all(type(c) is float for point in series.points for c in point)
+
+    @pytest.mark.parametrize(
+        "points, bad",
+        [([("1", True)], "'1'"), ([(1, 2), (2, True)], "True"), ([(1, None)], "None")],
+        ids=["text", "bool", "none"],
+    )
+    def test_a_bool_or_a_non_real_coordinate_is_refused_by_name(self, points, bad):
+        with pytest.raises(DomainError) as excinfo:
+            PlotSeries("h", points)
+        assert str(excinfo.value) == (
+            f"point coordinate of series 'h' must be a real number, got {bad}"
+        )
 
 
 class TestEmitLogLogSvg:

@@ -637,6 +637,46 @@ class TestParseJson:
             parse_input(json.dumps(records), "json")
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("A,9007199254740995,2.0,0.5,9007199254740996\n", 2),
+            ("A,9007199254740995,2.0,0.5,\nB,9007199254740995,2.0,0.5,9007199254740996\n", 3),
+        ],
+        ids=["every-row-with-h", "a-row-without-h"],
+    )
+    def test_h_just_past_a_p_beyond_2_to_the_53_is_refused(self, rows, line):
+        """h and P compare exactly: rounding P to a float, 9007199254740996,
+        would take this h."""
+        text = "author,P,i,eta,h\n" + rows
+        assert _csv_columns(text) is None
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == (
+            f"line {line}: h must lie in [0, P], got 9007199254740996.0 "
+            "with P = 9007199254740995"
+        )
+        fields = [
+            {key: value for key, value in zip(SUMMARY_HEADER_H, row.split(",")) if value}
+            for row in rows.split()
+        ]
+        with pytest.raises(FormatError, match=r"h must lie in \[0, P\]"):
+            parse_input(json.dumps(fields), "json")
+
+    @pytest.mark.parametrize(
+        "h", ["0,1,P", "0,,P", ",,", "P,0,"], ids=["all", "some", "none", "last-blank"]
+    )
+    def test_h_columns_in_range_are_read_by_columns(self, h):
+        """An h up to P is taken, P past 2**53 included, and a blank h is none."""
+        papers = 2**53 + 2
+        cells = h.replace("P", str(papers)).split(",")
+        text = "author,P,i,eta,h\n" + "".join(
+            f"A{k},{papers},2.0,0.5,{cell}\n" for k, cell in enumerate(cells)
+        )
+        records = _csv_columns(text)
+        assert records is not None
+        assert records == _csv_records(csv.reader(io.StringIO(text)))
+
     def test_h_at_zero_and_at_p_is_accepted(self):
         records = parse_input("author,P,i,eta,h\nA,3,2,0.5,0\nB,5,1,1,5\n", "csv")
         assert [record.h for record in records] == [0.0, 5.0]
