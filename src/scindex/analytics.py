@@ -14,13 +14,12 @@ import operator
 import sys
 from typing import Callable, Mapping, Sequence
 
-from .dimension import Dimension, Quantity, Record, _real, _require_real
+from .dimension import Dimension, Quantity, Record, count, real
 from .errors import (
     DomainError,
     HeterogeneityError,
     UnknownIndicatorError,
     ZeroVarianceError,
-    _echo,
     shown,
 )
 from .indicators import (
@@ -41,7 +40,8 @@ class PortfolioSummary(Record):
 
     Exactly one source form is present.  The summary form carries the
     triple (papers P, mean impact i, evenness eta) and optionally the
-    published h, which cannot be derived from the triple.
+    published h, which cannot be derived from the triple; they are held as
+    :func:`_check_summary` reads them, an int and floats.
     """
 
     __slots__ = ("label", "vector", "papers", "impact", "evenness", "h")
@@ -52,7 +52,7 @@ class PortfolioSummary(Record):
                 f"portfolio {shown(label)} needs exactly one of: raw vector, summary triple"
             )
         if papers is not None:
-            _check_summary(papers, impact, evenness, h)
+            papers, impact, evenness, h = _check_summary(papers, impact, evenness, h)
         self._fill(label, vector, papers, impact, evenness, h)
 
     @classmethod
@@ -64,13 +64,7 @@ class PortfolioSummary(Record):
         evenness: float,
         h: float | None = None,
     ) -> "PortfolioSummary":
-        return cls(
-            label,
-            papers=_integral(papers),
-            impact=_real(impact, "mean impact"),
-            evenness=_real(evenness, "evenness"),
-            h=None if h is None else _real(h, "h"),
-        )
+        return cls(label, papers=papers, impact=impact, evenness=evenness, h=h)
 
     @classmethod
     def _checked(
@@ -97,16 +91,11 @@ class PortfolioSummary(Record):
         return report, RECONSTRUCTED_COLUMNS
 
 
-def _integral(value: object) -> object:
-    """``value`` as an ``int`` if it is an integer (not a bool) or an integral
-    float; any other value unchanged, for :func:`_check_summary` to refuse.
-    """
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else value
-    try:
-        return value if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return value
+def _paper_count(value: object) -> int:
+    """A summary's P: an integral float as an int, any other value by :func:`count`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return count(value, "paper counts")
 
 
 def _check_summary(
@@ -114,38 +103,38 @@ def _check_summary(
     impact: float | None,
     evenness: float | None,
     h: float | None = None,
-) -> None:
+) -> tuple[int, float, float, float | None]:
+    """The summary values as an int P and float i, eta and h (None when no
+    h is published), each read by its value rule (:func:`_paper_count`,
+    :func:`real`), once each is checked: P from 1 to the float range, i
+    finite and >= 0, eta in (0, 1] and h in [0, P].
+    """
     if papers is None or impact is None or evenness is None:
         raise DomainError("summary form needs papers, impact and evenness")
     if type(papers) is not int:
-        raise DomainError(f"paper count must be an integer, got {shown(papers)}")
+        papers = _paper_count(papers)
     if papers < 1:
         raise DomainError(f"paper count must be >= 1, got {shown(papers)}")
     if papers > sys.float_info.max:
         raise DomainError("paper count exceeds the floating-point range")
-    if type(impact) is not float or type(evenness) is not float:  # exact floats pass at once
-        _require_real(impact, "mean impact")
-        _require_real(evenness, "evenness")
+    if type(impact) is not float:  # exact floats, as the readers give, pass at once
+        impact = real(impact, "mean impact")
+    if type(evenness) is not float:
+        evenness = real(evenness, "evenness")
     if impact < 0:
-        raise DomainError(f"mean impact must be >= 0, got {_echo(impact)}")
-    try:
-        if not math.isfinite(impact):
-            raise DomainError(f"mean impact must be finite, got {_echo(impact)}")
-    except OverflowError:  # an int past the float range
-        raise DomainError("mean impact exceeds the floating-point range") from None
+        raise DomainError(f"mean impact must be >= 0, got {impact}")
+    if not math.isfinite(impact):
+        raise DomainError(f"mean impact must be finite, got {impact}")
     if not 0 < evenness <= 1:
-        raise DomainError(f"evenness must lie in (0, 1], got {_echo(evenness)}")
-    if h is None:
-        return
-    if type(h) is not float:
-        _require_real(h, "h")
-    if not 0.0 <= h <= papers:  # nan and ±inf fail it too
-        try:
+        raise DomainError(f"evenness must lie in (0, 1], got {evenness}")
+    if h is not None:
+        if type(h) is not float:
+            h = real(h, "h")
+        if not 0.0 <= h <= papers:  # nan and ±inf fail it too
             if not math.isfinite(h):
-                raise DomainError(f"h must be finite, got {_echo(h)}")
-        except OverflowError:
-            raise DomainError("h exceeds the floating-point range") from None
-        raise DomainError(f"h must lie in [0, P], got {_echo(h)} with P = {shown(papers)}")
+                raise DomainError(f"h must be finite, got {h}")
+            raise DomainError(f"h must lie in [0, P], got {h} with P = {shown(papers)}")
+    return papers, impact, evenness, h
 
 
 def reconstruct_from_summary(
@@ -159,7 +148,7 @@ def reconstruct_from_summary(
     place, after i, and without one h is absent from the result, as g
     always is.
     """
-    _check_summary(papers, impact, evenness, h)
+    papers, impact, evenness, h = _check_summary(papers, impact, evenness, h)
     c = impact * papers
     x = impact * impact * papers
     e = x / evenness

@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from . import tabular
 from .analytics import AnalyticsTable, pearson_matrix
 from .errors import FormatError, ScindexError, UnknownIndicatorError, shown
 from .indicators import CitationVector, registry_names, registry_symbols
@@ -61,11 +62,23 @@ def _resolve_precision(arg: str | None) -> int | None:
 
 def _load_records(path: str, format_arg: str | None):
     """The records of ``path`` (``-`` for stdin) in ``format_arg``, else in
-    the format its name implies: JSON for ``.json``, CSV otherwise."""
+    the format its name implies: JSON for ``.json``, CSV otherwise.
+
+    An input of more than ``tabular.MAX_INPUT_BYTES`` is refused: a file by
+    its size, before it is read, and stdin once one byte past the limit is
+    read.  A file whose size is not known (a pipe) is read as stdin is.
+    """
+    limit = tabular.MAX_INPUT_BYTES
     if path == "-":
-        return parse_input(sys.stdin.buffer.read(), format_arg or "csv")
+        data = sys.stdin.buffer.read(limit + 1)
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read(limit + 1) if os.fstat(handle.fileno()).st_size <= limit else None
+    if data is None or len(data) > limit:
+        source = "stdin" if path == "-" else shown(path)
+        raise FormatError(f"input {source} is larger than the limit of {limit} bytes")
     inferred = "json" if path.endswith(".json") else "csv"
-    return parse_input(Path(path).read_bytes(), format_arg or inferred)
+    return parse_input(data, format_arg or inferred)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -118,8 +131,7 @@ def _parse_tolerance_arg(text: str) -> float:
         tolerance = number(float, text)
     except ValueError:
         raise FormatError(f"invalid --tolerance value {shown(text)}") from None
-    check_tolerance(tolerance, "--tolerance")
-    return tolerance
+    return check_tolerance(tolerance, "--tolerance")
 
 
 def _format_probe_lines(results: Sequence[ProbeResult]) -> str:

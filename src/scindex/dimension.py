@@ -12,6 +12,13 @@ a number with no meaning.  :class:`Quantity` applies it to ``+``, ``-``,
 ``<``, ``<=``, ``>`` and ``>=``, so ``eval_dim_expr`` evaluates a formula
 over a dimension table or over a report of quantities alike.
 
+The value rules of every entry point live here too.  :func:`real`,
+:func:`count` and :func:`rational` read a value as a float, an int or an
+exact ``Fraction``; a bool (a truth value, though ``numbers`` registers it
+as an int) or a value of another kind is a :class:`DomainError` that
+names it.  Hot paths test the exact type first and call a rule only when
+that test fails.
+
 >>> total = Quantity(7013, PAPERS_SQUARED)
 >>> papers = Quantity(96, PAPERS)
 >>> str((total / papers).dim)
@@ -31,37 +38,44 @@ from .errors import DomainError, HeterogeneityError, shown
 Rational = Union[Fraction, int]
 
 
-def _exponent(value: object) -> Fraction:
-    """``value`` as an exact exponent of Python ints.  Only a rational number
-    is one: a float such as ``1/3`` is a binary fraction near the one meant,
-    and a NumPy int would keep its fixed width inside a ``Fraction``.  A
-    ``bool`` is registered as one but is a truth value, so it is refused.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
-        raise DomainError(f"exponent must be a rational number, got {shown(value)}")
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
-def _real(value: object, name: str) -> float:
-    """``value`` as a float: an exact float as it is, another real number by
-    ``float()``.  A bool, any other value and an int past the float range are
-    a :class:`DomainError` that names ``name``.
-    """
+def real(value: object, name: str) -> float:
+    """``value`` as a float: any ``numbers.Real``, a ``Fraction`` or a NumPy
+    scalar included, but no int past the float range.  An exact float or int
+    skips the ``numbers`` test."""
     if type(value) is float:
         return value
-    if type(value) is not int:  # an exact int skips the ABC test
-        _require_real(value, name)
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} exceeds the floating-point range") from None
 
 
-def _require_real(value: object, name: str) -> None:
-    """Refuse ``name`` unless it is a real number; a ``bool`` is registered as
-    one but is a truth value, so it is refused too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {shown(value)}")
+def count(value: object, name: str) -> int:
+    """``value`` as an int: any ``numbers.Integral``, a NumPy int included,
+    but no float.  The message states the rule in the plural, as counts come
+    in lists: ``citation counts must be integers, got True``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be integers, got {shown(value)}")
+    return int(value)
+
+
+def rational(value: object, name: str) -> Fraction:
+    """``value`` as a ``Fraction`` of Python ints: an int or a ``Fraction``,
+    but no float, as ``1/3`` is a binary fraction near the one meant."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+        raise DomainError(f"{name} must be a rational number, got {shown(value)}")
+    return Fraction(int(value.numerator), int(value.denominator))
+
+
+def pairs(items: object, name: str) -> list[tuple]:
+    """The items of ``items`` as 2-tuples; a non-iterable ``items``, or an
+    item that is no pair, is a :class:`DomainError` that names ``name``."""
+    try:
+        return [(first, second) for first, second in items]
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be pairs, got {shown(items)}") from None
 
 
 class Record:
@@ -89,10 +103,10 @@ class Record:
         #     s1(self, v1)
         # with s0, s1 the setters of the first and second slot as its globals.
         cls = type(self)
-        count = len(cls.__slots__)
+        size = len(cls.__slots__)
         namespace = {f"s{k}": getattr(cls, name).__set__ for k, name in enumerate(cls.__slots__)}
-        params = "".join(f", v{k}" for k in range(count))
-        body = "".join(f"\n s{k}(self, v{k})" for k in range(count)) or "\n pass"
+        params = "".join(f", v{k}" for k in range(size))
+        body = "".join(f"\n s{k}(self, v{k})" for k in range(size)) or "\n pass"
         exec(f"def _fill(self{params}):{body}", namespace)
         cls._fill = namespace["_fill"]
         cls._fill.__qualname__ = f"{cls.__qualname__}._fill"
@@ -141,14 +155,13 @@ class Dimension(Record):
     ``Dimension(2)`` is [P^2]; ``Dimension(Fraction(3, 2))`` is [P^3/2].
     ``Fraction`` keeps the exponent in lowest terms with a positive
     denominator, which makes equality exact.  An exponent, here or in
-    ``**``, must be a rational number (an int or a ``Fraction``); any
-    other, a float included, is a :class:`DomainError`.
+    ``**``, is read by :func:`rational`, so a float is refused.
     """
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Rational = 0) -> None:
-        self._fill(_exponent(exponent))
+        self._fill(rational(exponent, "exponent"))
 
     def __add__(self, other: "Dimension", operation: str = "add") -> "Dimension":
         """The homogeneity rule: ``self`` if ``other`` is the same dimension,
@@ -173,7 +186,7 @@ class Dimension(Record):
         return Dimension(self.exponent - other.exponent)
 
     def __pow__(self, power: Rational) -> "Dimension":
-        return Dimension(self.exponent * _exponent(power))
+        return Dimension(self.exponent * rational(power, "exponent"))
 
     def __str__(self) -> str:
         # Rendering contract: lowest terms, "[P]" for exponent 1, the
@@ -212,12 +225,12 @@ def _ordered(compare: Callable[[float, float], bool]) -> Callable:
 class Quantity(Record):
     """A finite real magnitude paired with a :class:`Dimension`.
 
-    The magnitude is held as a float; a bool or a value that is no real
-    number is a :class:`DomainError`.
+    The magnitude is held as a float, read by :func:`real`.
 
     Addition, subtraction and ordered comparison (``<``, ``<=``, ``>``,
     ``>=``) require both operands to share a dimension; multiplication
-    and division combine dimensions.  Ordering against a non-quantity,
+    and division combine dimensions, and a factor or divisor that is no
+    quantity is read by :func:`real`.  Ordering against a non-quantity,
     such as a bare number, is a ``TypeError``.  Equality (``==``) never
     raises: quantities of different dimension simply compare unequal.
     """
@@ -228,7 +241,7 @@ class Quantity(Record):
         if not isinstance(dim, Dimension):
             raise TypeError(f"quantity dimension must be a Dimension, got {shown(dim)}")
         # An exact float, as every kernel and table gives, passes at once.
-        value = magnitude if type(magnitude) is float else _real(magnitude, "quantity magnitude")
+        value = magnitude if type(magnitude) is float else real(magnitude, "quantity magnitude")
         if not math.isfinite(value):
             raise DomainError(f"quantity magnitude must be finite, got {value!r}")
         self._fill(value, dim)
@@ -246,25 +259,21 @@ class Quantity(Record):
     def __mul__(self, other: "Quantity | float | int") -> "Quantity":
         if isinstance(other, Quantity):
             return Quantity(self.magnitude * other.magnitude, self.dim * other.dim)
-        if isinstance(other, (int, float)):
-            return Quantity(self.magnitude * other, self.dim)
-        return NotImplemented
+        return Quantity(self.magnitude * real(other, "quantity factor"), self.dim)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Quantity | float | int") -> "Quantity":
         if isinstance(other, Quantity):
-            if other.magnitude == 0:
-                raise DomainError("division by a zero-magnitude quantity")
-            return Quantity(self.magnitude / other.magnitude, self.dim / other.dim)
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise DomainError("division by zero")
-            return Quantity(self.magnitude / other, self.dim)
-        return NotImplemented
+            divisor, dim = other.magnitude, self.dim / other.dim
+        else:
+            divisor, dim = real(other, "quantity divisor"), self.dim
+        if divisor == 0:
+            raise DomainError("division by zero")
+        return Quantity(self.magnitude / divisor, dim)
 
     def __pow__(self, power: Rational) -> "Quantity":
-        exponent = _exponent(power)
+        exponent = rational(power, "exponent")
         try:
             value = self.magnitude ** float(exponent)
         except (OverflowError, ZeroDivisionError) as exc:

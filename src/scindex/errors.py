@@ -2,7 +2,13 @@
 
 Every error raised by scindex derives from :class:`ScindexError`, so
 callers (and the CLI) can catch one base class and still distinguish the
-specific failure.
+specific failure.  The exceptions are Python's own protocol errors: a
+``TypeError`` for a call with a wrong number of arguments, for a
+non-iterable where a list other than a ``PlotSeries``'s points is
+expected, for a ``Quantity`` dimension that is no ``Dimension``, and for
+``+``, ``-`` or ordering of a quantity against a non-quantity; and a
+``KeyError`` for a name an ``IndicatorReport`` does not hold, as from any
+mapping.
 """
 
 from __future__ import annotations
@@ -29,11 +35,6 @@ def shown(value: object) -> str:
         return text
     size = len(value) if isinstance(value, str) else len(text)
     return f"{text[:_SHOWN_LENGTH]}... ({size} characters)"
-
-
-def _echo(value: object) -> str:
-    """A refused value as a message shows it: an int by :func:`shown`, else by ``str``."""
-    return shown(value) if isinstance(value, int) else str(value)
 
 
 def _digits(n: int) -> int:

@@ -20,7 +20,6 @@ O(distinct values) however many papers it stands for.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -34,6 +33,8 @@ from .dimension import (
     PAPERS_SQUARED,
     Dimension,
     Quantity,
+    count,
+    pairs,
 )
 from .errors import (
     DomainError,
@@ -98,14 +99,15 @@ class CitationVector:
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CitationVector:
         """The vector of ``m`` papers with ``v`` citations for each ``(v, m)``.
 
-        Values must be non-negative ints in strictly decreasing order and
-        multiplicities positive ints.
+        Values must be non-negative counts in strictly decreasing order and
+        multiplicities positive counts, each read by :func:`count`.
         """
-        runs = tuple(runs)
+        runs = pairs(runs, "runs")
         previous = None
-        for v, m in runs:
+        for k, (v, m) in enumerate(runs):
             if type(v) is not int or type(m) is not int:
-                raise TypeError(f"runs must hold int pairs, got {(v, m)!r}")
+                v, m = count(v, "run values"), count(m, "run multiplicities")
+                runs[k] = v, m
             if v < 0:
                 raise NegativeCountError(f"negative citation count {v}")
             if m < 1 or (previous is not None and v >= previous):
@@ -114,7 +116,7 @@ class CitationVector:
                     f"got {(v, m)!r}"
                 )
             previous = v
-        return cls._of_runs(runs)
+        return cls._of_runs(tuple(runs))
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -170,15 +172,10 @@ def _sorted_runs(tally: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 def _checked_counts(values: list) -> list[int]:
-    """Convert integral counts to ``int``, raising for the first bad item.
-
-    ``bool`` is rejected although it is integral: ``True`` is not a count.
-    """
+    """The counts read by :func:`count`, raising for the first bad item."""
     checked = []
     for c in values:
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise TypeError(f"citation counts must be integers, got {shown(c)}")
-        c = int(c)
+        c = count(c, "citation counts")
         if c < 0:
             raise NegativeCountError(f"negative citation count {shown(c)}")
         checked.append(c)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dimension import Record
+from .dimension import Record, count, real
 from .errors import DegenerateSeriesError, DomainError, shown
 from .indicators import (
     REGISTRY,
@@ -60,20 +60,25 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
 
     Each run (v, m) of the base becomes the run (lam*v, lam*m) of the
     replica, which takes O(distinct values) whatever ``lam`` is.  ``lam``
-    must be an int of at least 1; a bool is not one.
+    is read by :func:`count` and must be at least 1.
     """
     vec = as_citation_vector(v)
     if not vec:
         raise DomainError("cannot replicate an empty portfolio")
     if type(lam) is not int:
-        raise DomainError(f"replication factor must be an int, got {shown(lam)}")
+        lam = count(lam, "replication factors")
     if lam < 1:
         raise DomainError(f"replication factor must be >= 1, got {shown(lam)}")
-    return CitationVector.from_runs((lam * c, lam * m) for c, m in vec.runs)
+    # Checked runs scaled by a count >= 1 are runs, so they are not checked again.
+    return CitationVector._of_runs(tuple((lam * c, lam * m) for c, m in vec.runs))
 
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
-    """OLS slope/intercept in log-log space, plus the largest |residual|."""
+    """OLS slope/intercept in log-log space, plus the largest |residual|.
+
+    Each point is read by :func:`real`; a point that is not finite and
+    strictly positive is a :class:`DegenerateSeriesError` that names it.
+    """
     from statistics import linear_regression  # loaded on first use: only a probe fits
 
     if len(xs) != len(ys):
@@ -84,11 +89,12 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
         raise DegenerateSeriesError(
             f"log-log fit needs at least 3 points, got {len(xs)}"
         )
+    xs = [real(x, "log-log fit point") for x in xs]
+    ys = [real(y, "log-log fit point") for y in ys]
     for x, y in zip(xs, ys):
-        if x <= 0 or y <= 0:
-            raise DegenerateSeriesError(
-                f"log-log fit needs strictly positive points, got ({x:g}, {y:g})"
-            )
+        if not (0 < x < math.inf and 0 < y < math.inf):  # nan fails it too
+            need = "strictly positive" if x <= 0 or y <= 0 else "finite"
+            raise DegenerateSeriesError(f"log-log fit needs {need} points, got ({x:g}, {y:g})")
     lx = list(map(math.log, xs))
     ly = list(map(math.log, ys))
     if len(set(lx)) < 2:
@@ -98,10 +104,13 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     return ExponentEstimate(slope, intercept, residual)
 
 
-def check_tolerance(tolerance: float, name: str = "tolerance") -> None:
-    """Raise :class:`DomainError` unless ``tolerance`` is a finite number >= 0."""
-    if not 0 <= tolerance < math.inf:
-        raise DomainError(f"{name} must be a finite number >= 0, got {tolerance}")
+def check_tolerance(tolerance: float, name: str = "tolerance") -> float:
+    """``tolerance`` read by :func:`real`; :class:`DomainError` unless it is
+    a finite number >= 0."""
+    value = real(tolerance, name)
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be a finite number >= 0, got {value}")
+    return value
 
 
 def verify_dimension(
@@ -118,9 +127,10 @@ def verify_dimension(
     when ``tolerance`` is None).  A series that is exactly zero at all
     scales (e.g. the dispersion term on a uniform portfolio) is
     consistent with any power law and passes without a fit.  The scale
-    factors, 3 to ``MAX_LAMBDAS`` strictly increasing ints, are checked
-    before any replica.  A scale factor whose replica leaves the float
-    range raises :class:`DomainError` naming the indicator and the factor.
+    factors, 3 to ``MAX_LAMBDAS`` strictly increasing counts (read by
+    :func:`count`), are checked before any replica.  A scale factor whose
+    replica leaves the float range raises :class:`DomainError` naming the
+    indicator and the factor.
 
     When ``base`` is a :class:`CitationVector`, it keeps the replicas of
     the last scale factors probed on it, so that probing the other
@@ -144,18 +154,13 @@ def verify_dimension(
         raise DegenerateSeriesError(
             f"indicator {desc.name}: log-log fit needs at least 3 points, got {len(lams)}"
         )
-    for lam in lams:
-        if type(lam) is not int:
-            raise DomainError(
-                f"indicator {desc.name}: scale factors must be ints, got {shown(lam)}"
-            )
+    if not set(map(type, lams)) <= {int}:
+        lams = tuple(count(lam, f"indicator {desc.name}: scale factors") for lam in lams)
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise DegenerateSeriesError(
             f"indicator {desc.name}: scale factors must be strictly increasing"
         )
-    if tolerance is None:
-        tolerance = desc.fit_tolerance
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(desc.fit_tolerance if tolerance is None else tolerance)
     kept = vec._replicas[1] if vec._replicas and vec._replicas[0] == lams else None
     keep = len(lams) * len(vec.runs) <= MAX_KEPT_RUNS
     replicas = []

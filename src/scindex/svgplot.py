@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dimension import Record, _real
+from .dimension import Record, pairs, real
 from .errors import DegenerateSeriesError, DomainError, shown
 from .scaling import fit_loglog
 from .tabular import _csv_text
@@ -24,17 +24,18 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 
 class PlotSeries(Record):
-    """A named point set destined for log-log axes, each coordinate a float.
-
-    A bool or a coordinate that is no real number is a :class:`DomainError`
-    that names the series.
+    """A named point set destined for log-log axes: (x, y) pairs, each
+    coordinate read by :func:`real`, and a :class:`DomainError` that names
+    the series otherwise.
     """
 
     __slots__ = ("name", "points")
 
     def __init__(self, name: str, points: Sequence[Sequence[float]]) -> None:
-        coordinate = f"point coordinate of series {shown(name)}"
-        self._fill(name, tuple((_real(x, coordinate), _real(y, coordinate)) for x, y in points))
+        series = f"series {shown(name)}"
+        checked = pairs(points, f"points of {series}")
+        coordinate = f"point coordinate of {series}"
+        self._fill(name, tuple((real(x, coordinate), real(y, coordinate)) for x, y in checked))
 
 
 def _marker_svg(shape: str, x: float, y: float, color: str) -> str:

@@ -47,13 +47,20 @@ from collections import Counter
 from itertools import chain, compress, repeat
 from typing import Any, Iterable, Sequence
 
-from .analytics import AnalyticsTable, PortfolioSummary
-from .errors import FormatError, NegativeCountError, ScindexError, shown
+from .analytics import AnalyticsTable, PortfolioSummary, _paper_count
+from .dimension import real
+from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector
 
 WIDE_HEADER: tuple[str, ...] = ("author", "citations")
 SUMMARY_HEADER: tuple[str, ...] = ("author", "P", "i", "eta")
 SUMMARY_HEADER_H: tuple[str, ...] = SUMMARY_HEADER + ("h",)
+
+# Most bytes of input the CLI reads.  Reading, checking and emitting a table
+# peaks at up to about 75 bytes of memory per input byte (summary CSV rows of
+# 13 bytes; 39 at 34 bytes a row, 21 for wide CSV), so an input at this limit
+# peaks at about 600 MiB.
+MAX_INPUT_BYTES = 8 * 2**20
 
 
 def _decode(data: str | bytes) -> str:
@@ -168,22 +175,22 @@ def _summary_fields(papers: Any, impact: Any, evenness: Any, h: Any) -> tuple:
 
 
 def _field(kind: type, value: Any, name: str) -> float | int:
-    """Summary field ``name`` as ``kind``: text goes through :func:`number`; any
-    other value must be an int or a float (not a bool), integral for an int field.
+    """Summary field ``name`` as ``kind``: text goes through :func:`number`, any
+    other value through the value rule of the field, :func:`real` for a float
+    field and :func:`_paper_count` for P.
     """
     try:
         if isinstance(value, str):
             return number(kind, value)
-        if type(value) is int or (type(value) is float and (kind is float or value.is_integer())):
-            return kind(value)
-    except (ValueError, OverflowError) as exc:
-        # float() overflows only on an integer past its range, and int()
-        # refuses a run of ASCII digits only past its digit limit, which is
-        # past that range too.  The digits are not shown.
+        return real(value, name) if kind is float else _paper_count(value)
+    except (ValueError, DomainError):
+        # real() refuses an int only past the float range, and int() refuses
+        # a run of ASCII digits only past its digit limit, which is past that
+        # range too.  The digits are not shown.
         digit_run = isinstance(value, str) and value.strip().isdigit() and value.isascii()
-        if isinstance(exc, OverflowError) or digit_run:
+        if type(value) is int or digit_run:
             raise FormatError(f"{name} value exceeds the floating-point range") from None
-    raise FormatError(f"invalid {name} value {shown(value)}")
+        raise FormatError(f"invalid {name} value {shown(value)}") from None
 
 
 def _parse_csv(text: str) -> list[PortfolioSummary]:
@@ -350,11 +357,7 @@ def _json_records(payload: list, check: bool) -> list[PortfolioSummary]:
                 else:
                     record = PortfolioSummary._checked(label, None, *fields)
             elif isinstance(entry["citations"], list):
-                try:
-                    vector = CitationVector(entry["citations"])
-                except TypeError as exc:
-                    raise FormatError(str(exc)) from None
-                record = _wide(label, vector)
+                record = _wide(label, CitationVector(entry["citations"]))
             else:
                 raise FormatError("'citations' must be an array of integers")
             _add_record(records, first_seen, record, n, "record")

@@ -179,7 +179,7 @@ class TestPortfolioSummary:
     def test_paper_count_must_be_an_integer(self, papers):
         with pytest.raises(DomainError) as excinfo:
             PortfolioSummary.from_summary("A", papers, 2.0, 0.5)
-        assert str(excinfo.value) == f"paper count must be an integer, got {papers!r}"
+        assert str(excinfo.value) == f"paper counts must be integers, got {papers!r}"
 
     @pytest.mark.parametrize("papers", [3, 3.0, np.int64(3), np.float64(3.0)])
     def test_integral_paper_counts_are_ints(self, papers):
@@ -187,9 +187,9 @@ class TestPortfolioSummary:
         assert type(record.papers) is int and record.papers == 3
 
     def test_constructor_and_reconstruction_refuse_a_fractional_p(self):
-        with pytest.raises(DomainError, match="paper count must be an integer, got 3.7"):
+        with pytest.raises(DomainError, match="paper counts must be integers, got 3.7"):
             PortfolioSummary("A", papers=3.7, impact=2.0, evenness=0.5)
-        with pytest.raises(DomainError, match="paper count must be an integer, got 2.5"):
+        with pytest.raises(DomainError, match="paper counts must be integers, got 2.5"):
             reconstruct_from_summary(2.5, 1.0, 0.5)
 
     @pytest.mark.parametrize("h", [-4, -1e-300, 3.5, 10])
@@ -241,12 +241,12 @@ class TestPortfolioSummary:
         "summary, message",
         [
             ((-_HUGE, 2.0, 0.5), "paper count must be >= 1, got <negative integer of 5001 digits>"),
-            ((10, -_HUGE, 0.5), "mean impact must be >= 0, got <negative integer of 5001 digits>"),
-            ((10, 2.0, _HUGE), "evenness must lie in (0, 1], got <integer of 5001 digits>"),
-            ((10, 2.0, 10**401), f"evenness must lie in (0, 1], got 1{_ZEROS}... (402 characters)"),
-            ((10, -10**50, 0.5), f"mean impact must be >= 0, got -1{_ZEROS[1:]}... (52 characters)"),
-            ((10, -3, 0.5), "mean impact must be >= 0, got -3"),
-            ((10, 2.0, 2), "evenness must lie in (0, 1], got 2"),
+            ((10, -_HUGE, 0.5), "mean impact exceeds the floating-point range"),
+            ((10, 2.0, _HUGE), "evenness exceeds the floating-point range"),
+            ((10, 2.0, 10**401), "evenness exceeds the floating-point range"),
+            ((10, -10**50, 0.5), "mean impact must be >= 0, got -1e+50"),
+            ((10, -3, 0.5), "mean impact must be >= 0, got -3.0"),
+            ((10, 2.0, 2), "evenness must lie in (0, 1], got 2.0"),
         ],
         ids=["P-past-digit-limit", "i-past-digit-limit", "eta-past-digit-limit", "eta-402-digits",
              "i-52-characters", "i-short-int", "eta-short-int"],
@@ -263,8 +263,8 @@ class TestPortfolioSummary:
     @pytest.mark.parametrize(
         "h, papers, message",
         [
-            (10**50, 10, f"h must lie in [0, P], got 1{_ZEROS}... (51 characters) with P = 10"),
-            (-1, 10**60, f"h must lie in [0, P], got -1 with P = 1{_ZEROS}... (61 characters)"),
+            (10**50, 10, "h must lie in [0, P], got 1e+50 with P = 10"),
+            (-1, 10**60, f"h must lie in [0, P], got -1.0 with P = 1{_ZEROS}... (61 characters)"),
             (-1.5, 10, "h must lie in [0, P], got -1.5 with P = 10"),
         ],
         ids=["h-51-digits", "P-61-digits", "h-float"],
@@ -282,8 +282,8 @@ class TestPortfolioSummary:
             ((10, np.float64("inf"), 0.5), "mean impact must be finite, got inf"),
             ((10, 2.0, np.float64(1.5)), "evenness must lie in (0, 1], got 1.5"),
             ((10, 2.0, np.float32(0.0)), "evenness must lie in (0, 1], got 0.0"),
-            ((10, np.int64(-3), 0.5), "mean impact must be >= 0, got -3"),
-            ((np.int64(-3), 2.0, 0.5), "paper count must be an integer, got np.int64(-3)"),
+            ((10, np.int64(-3), 0.5), "mean impact must be >= 0, got -3.0"),
+            ((np.int64(-3), 2.0, 0.5), "paper count must be >= 1, got -3"),
         ],
     )
     def test_refused_floats_and_numpy_scalars_read_as_before(self, summary, message):

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from scindex import PortfolioSummary, analytics, cli, emit_records, indicators, pearson_matrix
+from scindex import (
+    PortfolioSummary, analytics, cli, emit_records, indicators, pearson_matrix, tabular,
+)
 from scindex.cli import main
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
 from scindex.errors import shown
@@ -599,6 +601,24 @@ class TestCompute:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
         assert main(["compute", "-"]) == 1
         assert capsys.readouterr().err.startswith("error: line 2: input is not UTF-8")
+
+    def test_input_size_is_bounded(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        assert tabular.MAX_INPUT_BYTES == 8 * 2**20
+        limit = len(WIDE_CSV.encode())
+        monkeypatch.setattr(tabular, "MAX_INPUT_BYTES", limit)
+        fits, over = tmp_path / "fits.csv", tmp_path / "over.csv"
+        fits.write_text(WIDE_CSV)
+        over.write_text(WIDE_CSV + "\n")
+        assert main(["compute", str(fits)]) == 0
+        assert main(["compute", str(over)]) == 1
+        message = f"is larger than the limit of {limit} bytes\n"
+        assert capsys.readouterr().err == f"error: input {shown(str(over))} {message}"
+        for data, code in ((WIDE_CSV, 0), (WIDE_CSV + "\n", 1)):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data.encode())))
+            assert main(["compute", "-"]) == code
+        assert capsys.readouterr().err == f"error: input stdin {message}"
 
     def test_tsv_escapes_tab_and_newline_in_labels(self, tmp_path, capsys):
         path = tmp_path / "labels.csv"

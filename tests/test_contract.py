@@ -1,0 +1,137 @@
+"""The value contract: every public entry point returns or raises a
+``ScindexError`` for any value in any of its numeric arguments, and for
+any item of its lists of counts, runs, scale factors or points.
+
+The values are the hostile ones below, each tried on every argument, and
+more drawn by Hypothesis; a bool is refused wherever it is given.  The
+only bare ``TypeError`` the package raises (see ``scindex.errors``) comes
+from calls this test does not make: a wrong number of arguments, a
+non-iterable where a list other than a ``PlotSeries``'s points is
+expected, and ``+``, ``-`` or ordering of a quantity against a
+non-quantity.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from scindex import (
+    PAPERS,
+    CitationVector,
+    Dimension,
+    PlotSeries,
+    PortfolioSummary,
+    Quantity,
+    ScindexError,
+    compute_all,
+    descriptor,
+    probe_registry,
+    reconstruct_from_summary,
+    replicate_scale,
+    verify_dimension,
+)
+from scindex.scaling import check_tolerance
+
+HOSTILE = [
+    True, False, "x", "2", None, math.nan, math.inf, -math.inf, 2.5,
+    Fraction(1, 3), Fraction(4), 1j, 2 + 0j, 10**400, -(10**400),
+    np.int64(3), np.int8(-2), np.float64(2.5), np.float32("nan"), np.bool_(True),
+    # items of the wrong shape
+    (), (1,), (1, 2, 3), "ab", [2, [1]], {},
+]
+
+values = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.integers(),
+    st.floats(),
+    st.fractions(),
+    st.complex_numbers(),
+    st.text(max_size=3),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+)
+
+COUNTS = [4, 2, 1]
+RUNS = [(4, 1), (2, 2), (1, 1)]
+LAMBDAS = [1, 2, 3]
+POINTS = [(1, 1.0), (2, 4.0), (3, 9.0)]
+SUMMARY = (10, 2.0, 0.5, 3.0)  # P, i, eta, h
+C = descriptor("C")
+
+
+def argument(build):
+    """The call of ``build`` on the value."""
+    return lambda value: [lambda: build(value)]
+
+
+def item(base, build):
+    """The calls of ``build`` on ``base`` with the value in place of each item in turn."""
+    return lambda value: [
+        lambda k=k: build(base[:k] + [value] + base[k + 1 :]) for k in range(len(base))
+    ]
+
+
+def summary_field(position, build):
+    """The call of ``build`` on the summary with the value as its field at ``position``."""
+    before, after = SUMMARY[:position], SUMMARY[position + 1 :]
+    return argument(lambda value: build(*before, value, *after))
+
+
+ENTRY_POINTS = {
+    "Quantity": argument(lambda v: Quantity(v, PAPERS)),
+    "Dimension": argument(Dimension),
+    "Quantity * value": argument(lambda v: Quantity(2.0, PAPERS) * v),
+    "Quantity / value": argument(lambda v: Quantity(2.0, PAPERS) / v),
+    "Quantity ** value": argument(lambda v: Quantity(2.0, PAPERS) ** v),
+    "CitationVector": item(COUNTS, CitationVector),
+    "CitationVector.from_runs": item(RUNS, CitationVector.from_runs),
+    "CitationVector.from_runs pair": item(
+        [0, 1], lambda pair: CitationVector.from_runs([tuple(pair)])
+    ),
+    "compute_all": item(COUNTS, compute_all),
+    "replicate_scale base": item(COUNTS, lambda counts: replicate_scale(counts, 2)),
+    "replicate_scale factor": argument(lambda v: replicate_scale(COUNTS, v)),
+    "verify_dimension base": item(COUNTS, lambda counts: verify_dimension(C, counts)),
+    "verify_dimension lambdas": item(LAMBDAS, lambda lams: verify_dimension(C, COUNTS, lams)),
+    "verify_dimension tolerance": argument(lambda v: verify_dimension(C, COUNTS, tolerance=v)),
+    "probe_registry base": item(COUNTS, probe_registry),
+    "probe_registry lambdas": item(LAMBDAS, lambda lams: probe_registry(COUNTS, lams)),
+    "probe_registry tolerance": argument(lambda v: probe_registry(COUNTS, tolerance=v)),
+    "check_tolerance": argument(check_tolerance),
+    **{
+        f"PortfolioSummary.from_summary {name}": summary_field(
+            k, lambda *fields: PortfolioSummary.from_summary("a", *fields)
+        )
+        for k, name in enumerate(["P", "i", "eta", "h"])
+    },
+    **{
+        f"reconstruct_from_summary {name}": summary_field(k, reconstruct_from_summary)
+        for k, name in enumerate(["P", "i", "eta", "h"])
+    },
+    "PlotSeries points": argument(lambda v: PlotSeries("h", v)),
+    "PlotSeries point": item(POINTS, lambda points: PlotSeries("h", points)),
+    "PlotSeries coordinate": item([1, 1.0], lambda point: PlotSeries("h", [tuple(point)])),
+}
+
+
+def hostile_examples(test):
+    for value in reversed(HOSTILE):
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@hostile_examples
+@given(value=values)
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_an_entry_point_returns_or_raises_a_scindex_error(entry, value):
+    for call in entry(value):
+        try:
+            call()
+        except ScindexError:
+            continue
+        # A bool is a truth value, never a number or a count.
+        assert not isinstance(value, (bool, np.bool_)), f"{value!r} was taken as a number"

@@ -255,6 +255,27 @@ class TestQuantity:
             Quantity(10**400)
         assert str(excinfo.value) == "quantity magnitude exceeds the floating-point range"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "must be a real number, got True"),
+            ("2", "must be a real number, got '2'"),
+            (10**400, "exceeds the floating-point range"),
+        ],
+        ids=["bool", "text", "past-the-float-range"],
+    )
+    def test_a_scalar_operand_is_read_as_a_real(self, value, message):
+        quantity = Quantity(2.0, PAPERS)
+        for operate, name in (
+            (lambda: quantity * value, "factor"),
+            (lambda: value * quantity, "factor"),
+            (lambda: quantity / value, "divisor"),
+        ):
+            with pytest.raises(DomainError) as excinfo:
+                operate()
+            assert str(excinfo.value) == f"quantity {name} {message}"
+        assert quantity * Fraction(1, 2) == quantity / np.int64(2) == Quantity(1.0, PAPERS)
+
     def test_division_by_zero_quantity(self):
         with pytest.raises(DomainError):
             Quantity(1, PAPERS) / Quantity(0, PAPERS)

@@ -49,7 +49,7 @@ def reference_counts(xs):
     values = []
     for c in xs:
         if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise TypeError(f"citation counts must be integers, got {c!r}")
+            raise DomainError(f"citation counts must be integers, got {c!r}")
         c = int(c)
         if c < 0:
             raise NegativeCountError(f"negative citation count {c}")
@@ -60,7 +60,7 @@ def reference_counts(xs):
 def outcome(build, xs):
     try:
         return "built", build(xs)
-    except (TypeError, NegativeCountError) as exc:
+    except (DomainError, NegativeCountError) as exc:
         return "raised", type(exc), str(exc)
 
 
@@ -85,7 +85,7 @@ class TestCitationVector:
             CitationVector([4, -2, 1])
 
     def test_non_integer_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             CitationVector([4, 2.5, 1])
 
     @given(
@@ -121,9 +121,9 @@ class TestCitationVector:
     def test_a_non_integer_is_named(self, bad, shown, at):
         counts = [5, 3, 1, 0]
         counts.insert(at, bad)
-        with pytest.raises(TypeError) as excinfo:
+        with pytest.raises(DomainError) as excinfo:
             CitationVector(counts)
-        assert type(excinfo.value) is TypeError
+        assert type(excinfo.value) is DomainError
         assert str(excinfo.value) == f"citation counts must be integers, got {shown}"
 
     @pytest.mark.parametrize(

@@ -40,6 +40,14 @@ class TestPlotSeries:
             f"point coordinate of series 'h' must be a real number, got {bad}"
         )
 
+    @pytest.mark.parametrize(
+        "points", [[(1, 2, 3)], [(1, 2), 5], None], ids=["triple", "number", "none"]
+    )
+    def test_points_that_are_not_pairs_are_refused_by_name(self, points):
+        with pytest.raises(DomainError) as excinfo:
+            PlotSeries("h", points)
+        assert str(excinfo.value) == f"points of series 'h' must be pairs, got {points!r}"
+
 
 class TestEmitLogLogSvg:
     def test_collinear_points_with_slope_label(self):
