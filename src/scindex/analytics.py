@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .dimension import Dimension, Quantity, Record, count, real
+from .dimension import Dimension, Quantity, Record, count, name_list, real
 from .errors import (
     DomainError,
     HeterogeneityError,
@@ -75,10 +75,6 @@ class PortfolioSummary(Record):
         record = object.__new__(cls)
         record._fill(label, vector, papers, impact, evenness, h)
         return record
-
-    @property
-    def is_raw(self) -> bool:
-        return self.vector is not None
 
     def report(self) -> tuple[IndicatorReport, frozenset[str]]:
         """Indicator report plus the set of reconstructed column names."""
@@ -164,7 +160,8 @@ def _registry_ordered(names: set[str]) -> tuple[str, ...]:
 def _table_columns(
     layouts: Sequence[tuple[str, ...]], columns: Sequence[str] | None
 ) -> tuple[str, ...]:
-    """The requested columns, or those all layouts share in registry order.
+    """The requested columns, read by :func:`name_list`, or those all
+    layouts share in registry order.
 
     ``layouts`` holds the distinct key tuples of a table's reports, each
     checked once, in order of first appearance.
@@ -173,7 +170,7 @@ def _table_columns(
         if not layouts:
             raise DomainError("cannot infer columns for an empty table")
         return _registry_ordered(set(layouts[0]).intersection(*layouts[1:]))
-    columns = tuple(columns)
+    columns = name_list(columns, "columns")
     for keys in map(set, layouts):
         for name in columns:
             if name not in keys:
@@ -188,15 +185,6 @@ def _distinct(layouts: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
     if layouts and layouts.count(layouts[0]) == len(layouts):
         return layouts[:1]
     return list(dict.fromkeys(layouts))
-
-
-def _picker(layout: tuple[str, ...], columns: tuple[str, ...]) -> Callable:
-    """The function from a report's values in ``layout`` to a row of ``columns``."""
-    positions = tuple(map(layout.index, columns))
-    if len(positions) > 1:
-        return operator.itemgetter(*positions)
-    # itemgetter needs a position, and gives a bare value for one
-    return lambda values: tuple(map(values.__getitem__, positions))
 
 
 def _registry_dims(columns: Sequence[str]) -> tuple[Dimension | None, ...]:
@@ -266,8 +254,8 @@ class AnalyticsTable(Record):
         if layouts == [columns]:  # each report is its row as it is
             rows = tuple(values)
         else:
-            pickers = {layout: _picker(layout, columns) for layout in layouts}
-            rows = [pickers[layout](row) for layout, row in zip(names, values)]
+            at = {layout: tuple(map(layout.index, columns)) for layout in layouts}
+            rows = [tuple(map(row.__getitem__, at[layout])) for layout, row in zip(names, values)]
         labels = [portfolio.label for portfolio in portfolios]
         return cls._assemble(columns, _registry_dims(columns), labels, rows, flags)
 
@@ -303,13 +291,14 @@ class AnalyticsTable(Record):
 def pearson_matrix(
     table: AnalyticsTable, columns: Sequence[str] | None = None
 ) -> tuple[tuple[float, ...], ...]:
-    """Pearson correlation of the selected columns, as a tuple of row tuples.
+    """Pearson correlation of the selected columns (read by
+    :func:`name_list`), or of every column, as a tuple of row tuples.
 
     Symmetric with a unit diagonal.  Uses the covariance-over-product-of-
     deviations form directly (the sample/population variance convention
     cancels in r).
     """
-    names = tuple(columns) if columns is not None else table.columns
+    names = table.columns if columns is None else name_list(columns, "columns")
     if len(table) < 3:
         raise DomainError(f"correlation needs at least 3 rows, got {len(table)}")
     deviations = []

@@ -17,7 +17,8 @@ The value rules of every entry point live here too.  :func:`real`,
 exact ``Fraction``; a bool (a truth value, though ``numbers`` registers it
 as an int) or a value of another kind is a :class:`DomainError` that
 names it.  Hot paths test the exact type first and call a rule only when
-that test fails.
+that test fails.  :func:`pairs` and :func:`name_list` read the shape of a
+list: of runs or points, and of indicator names.
 
 >>> total = Quantity(7013, PAPERS_SQUARED)
 >>> papers = Quantity(96, PAPERS)
@@ -33,7 +34,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import DomainError, HeterogeneityError, shown
+from .errors import DomainError, HeterogeneityError, digit_safe_repr, digits_text, shown
 
 Rational = Union[Fraction, int]
 
@@ -76,6 +77,22 @@ def pairs(items: object, name: str) -> list[tuple]:
         return [(first, second) for first, second in items]
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be pairs, got {shown(items)}") from None
+
+
+def name_list(items: object, name: str) -> tuple[str, ...]:
+    """The items of ``items`` as a tuple of names.  A ``str`` (one name, not
+    a list of its letters), a non-iterable ``items`` or an item that is no
+    ``str`` is a :class:`DomainError` that names ``name``."""
+    try:
+        if isinstance(items, str):
+            raise TypeError
+        listed = tuple(items)
+    except TypeError:
+        raise DomainError(f"{name} must be a list of names, got {shown(items)}") from None
+    for item in listed:
+        if not isinstance(item, str):
+            raise DomainError(f"{name} must be strings, got {shown(item)}")
+    return listed
 
 
 class Record:
@@ -196,12 +213,18 @@ class Dimension(Record):
             return "dimensionless"
         if e == 1:
             return "[P]"
-        if e.denominator == 1:
-            return f"[P^{e.numerator}]"
-        return f"[P^{e.numerator}/{e.denominator}]"
+        return f"[P^{_ratio_text(e)}]"
 
     def __repr__(self) -> str:
-        return f"Dimension({self.exponent!r})"
+        return f"Dimension({digit_safe_repr(self.exponent)})"
+
+
+def _ratio_text(e: Fraction) -> str:
+    """``str(e)``, each int of it by :func:`~scindex.errors.digits_text`, so
+    an exponent past the int digit limit is named by its number of digits."""
+    if e.denominator == 1:
+        return digits_text(e.numerator)
+    return f"{digits_text(e.numerator)}/{digits_text(e.denominator)}"
 
 
 DIMENSIONLESS = Dimension(0)
@@ -239,7 +262,7 @@ class Quantity(Record):
 
     def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS) -> None:
         if not isinstance(dim, Dimension):
-            raise TypeError(f"quantity dimension must be a Dimension, got {shown(dim)}")
+            raise DomainError(f"quantity dimension must be a Dimension, got {shown(dim)}")
         # An exact float, as every kernel and table gives, passes at once.
         value = magnitude if type(magnitude) is float else real(magnitude, "quantity magnitude")
         if not math.isfinite(value):
@@ -277,9 +300,9 @@ class Quantity(Record):
         try:
             value = self.magnitude ** float(exponent)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot raise {self.magnitude} to power {exponent}") from exc
+            raise DomainError(f"cannot raise {self.magnitude} to power {_ratio_text(exponent)}") from exc
         if isinstance(value, complex) or not math.isfinite(value):
-            raise DomainError(f"cannot raise {self.magnitude} to power {exponent}")
+            raise DomainError(f"cannot raise {self.magnitude} to power {_ratio_text(exponent)}")
         return Quantity(value, self.dim**exponent)
 
     __lt__ = _ordered(operator.lt)

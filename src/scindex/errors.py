@@ -4,14 +4,16 @@ Every error raised by scindex derives from :class:`ScindexError`, so
 callers (and the CLI) can catch one base class and still distinguish the
 specific failure.  The exceptions are Python's own protocol errors: a
 ``TypeError`` for a call with a wrong number of arguments, for a
-non-iterable where a list other than a ``PlotSeries``'s points is
-expected, for a ``Quantity`` dimension that is no ``Dimension``, and for
-``+``, ``-`` or ordering of a quantity against a non-quantity; and a
-``KeyError`` for a name an ``IndicatorReport`` does not hold, as from any
-mapping.
+non-iterable where a list other than a ``PlotSeries``'s points or a list
+of names is expected, and for ``+``, ``-`` or ordering of a quantity
+against a non-quantity; and a ``KeyError`` for a name an
+``IndicatorReport`` does not hold, as from any mapping.
 """
 
 from __future__ import annotations
+
+import reprlib
+from fractions import Fraction
 
 _SHOWN_LENGTH = 40  # characters of an input value that an error message echoes
 _LOG10_2 = 30102999566398119521  # floor(log10(2) * 10^20)
@@ -21,20 +23,45 @@ def shown(value: object) -> str:
     """``repr(value)`` as an error message echoes it: one longer than
     ``_SHOWN_LENGTH`` characters is cut there, and the length of the value
     (of its repr, if it is not a string) is stated.  An int too long for
-    ``repr`` (past ``sys.get_int_max_str_digits()``) is not converted: only
-    its number of digits is stated.
+    ``repr`` (past ``sys.get_int_max_str_digits()``), alone or inside the
+    value, is not converted: only its number of digits is stated (see
+    :func:`digit_safe_repr`).
     """
-    try:
-        text = repr(value)
-    except ValueError:
-        if not isinstance(value, int):
-            raise
-        sign = "negative " if value < 0 else ""
-        return f"<{sign}integer of {_digits(abs(value))} digits>"
+    text = digit_safe_repr(value)
     if len(text) <= _SHOWN_LENGTH:
         return text
     size = len(value) if isinstance(value, str) else len(text)
     return f"{text[:_SHOWN_LENGTH]}... ({size} characters)"
+
+
+def digit_safe_repr(value: object) -> str:
+    """``repr(value)``, or, where an int in it is past the digit limit,
+    :mod:`reprlib`'s short repr with each int by :func:`digits_text`."""
+    try:
+        return repr(value)
+    except ValueError:
+        return _DigitSafeRepr().repr(value)
+
+
+def digits_text(n: int) -> str:
+    """``str(n)``, or ``<integer of N digits>`` (``<negative integer of N
+    digits>``) for an int past ``sys.get_int_max_str_digits()``, which
+    ``str`` refuses."""
+    try:
+        return str(n)
+    except ValueError:
+        sign = "negative " if n < 0 else ""
+        return f"<{sign}integer of {_digits(abs(n))} digits>"
+
+
+class _DigitSafeRepr(reprlib.Repr):
+    """``reprlib``'s short repr, with each int by :func:`digits_text`."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        return digits_text(x)
+
+    def repr_Fraction(self, x: Fraction, level: int) -> str:
+        return f"Fraction({digits_text(x.numerator)}, {digits_text(x.denominator)})"
 
 
 def _digits(n: int) -> int:

@@ -102,21 +102,18 @@ class CitationVector:
         Values must be non-negative counts in strictly decreasing order and
         multiplicities positive counts, each read by :func:`count`.
         """
-        runs = pairs(runs, "runs")
-        previous = None
-        for k, (v, m) in enumerate(runs):
-            if type(v) is not int or type(m) is not int:
-                v, m = count(v, "run values"), count(m, "run multiplicities")
-                runs[k] = v, m
+        checked = []
+        for v, m in pairs(runs, "runs"):
+            v, m = count(v, "run values"), count(m, "run multiplicities")
             if v < 0:
-                raise NegativeCountError(f"negative citation count {v}")
-            if m < 1 or (previous is not None and v >= previous):
+                raise NegativeCountError(f"negative citation count {shown(v)}")
+            if m < 1 or (checked and v >= checked[-1][0]):
                 raise DomainError(
                     f"runs need strictly decreasing values and multiplicities >= 1, "
-                    f"got {(v, m)!r}"
+                    f"got {shown((v, m))}"
                 )
-            previous = v
-        return cls._of_runs(tuple(runs))
+            checked.append((v, m))
+        return cls._of_runs(tuple(checked))
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -392,9 +389,6 @@ class IndicatorReport(Mapping[str, Quantity]):
         except ValueError:
             raise KeyError(name) from None
         return Quantity(value, _BY_NAME[name].declared_dim)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.names
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dimension import Record, count, real
+from .dimension import Record, count, name_list, real
 from .errors import DegenerateSeriesError, DomainError, shown
 from .indicators import (
     REGISTRY,
@@ -194,14 +194,14 @@ def probe_registry(
     tolerance: float | None = None,
 ) -> list[ProbeResult]:
     """Run the probe for the named registered indicators, or for all of
-    them in registry order when ``names`` is None.  A list of names must
-    hold at least one."""
+    them in registry order when ``names`` is None.  A list of names, read
+    by :func:`~scindex.dimension.name_list`, must hold at least one."""
     if tolerance is not None:
         check_tolerance(tolerance)
     if names is None:
         descriptors = list(REGISTRY)
     else:
-        descriptors = [descriptor(name) for name in names]
+        descriptors = [descriptor(name) for name in name_list(names, "indicator names")]
         if not descriptors:
             raise DomainError("a probe needs at least one indicator name")
     vec = as_citation_vector(base)

@@ -327,7 +327,7 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
     except ScindexError:
         records = None
     values = operator.attrgetter("papers", "impact", "evenness", "h")
-    if records and not records[0].is_raw and not _summaries_pass(*zip(*map(values, records))):
+    if records and records[0].vector is None and not _summaries_pass(*zip(*map(values, records))):
         records = None
     # An array with a defect is read again, each summary checked on its
     # own, so that the error is the first one and names its record.
@@ -347,7 +347,7 @@ def _json_records(payload: list, check: bool) -> list[PortfolioSummary]:
             wide = "citations" in entry
             if not (wide or {"P", "i", "eta"} <= entry.keys()):
                 raise FormatError("record needs either 'citations' or the keys P, i, eta")
-            if records and wide != records[0].is_raw:
+            if records and wide != (records[0].vector is not None):
                 raise FormatError("mixed wide and summary records in one file")
             label = entry["author"]
             if not wide:
@@ -382,16 +382,16 @@ def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary
 
 def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> str:
     """Write records back out in the same shape :func:`parse_input` accepts."""
-    forms = {record.is_raw for record in records}
+    forms = {record.vector is not None for record in records}
     if len(forms) > 1:
         raise FormatError("cannot emit a mix of wide and summary records")
     if format not in ("csv", "json"):
         raise FormatError(f"unknown record format {format!r}")
-    header = WIDE_HEADER if forms == {True} else SUMMARY_HEADER_H
-    rows = [
-        (r.label, r.vector.counts) if r.is_raw else (r.label, r.papers, r.impact, r.evenness, r.h)
-        for r in records
-    ]
+    if forms == {True}:
+        header, rows = WIDE_HEADER, [(r.label, r.vector.counts) for r in records]
+    else:
+        header = SUMMARY_HEADER_H
+        rows = [(r.label, r.papers, r.impact, r.evenness, r.h) for r in records]
     if format == "json":
         import json
         objects = [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
@@ -430,18 +430,8 @@ def _tsv_text(lines: Sequence[Sequence[str]]) -> str:
 
     A backslash, tab, line feed or carriage return in a field is written
     as ``\\\\``, ``\\t``, ``\\n`` or ``\\r``, so each line is one row and
-    each tab ends a field.  Most tables hold none of them: the plain
-    text is escaped only when it has a backslash, a carriage return, or
-    more tabs and line ends than its fields need.
+    each tab ends a field.
     """
-    text = "".join("\t".join(line) + "\n" for line in lines)
-    separators = sum(map(len, lines))
-    if (
-        text.count("\t") + text.count("\n") == separators
-        and "\\" not in text
-        and "\r" not in text
-    ):
-        return text
     return "".join(
         "\t".join(field.translate(_TSV_ESCAPES) for field in line) + "\n"
         for line in lines

@@ -338,6 +338,19 @@ class TestPearson:
         assert np.array_equal(np.diag(matrix), np.ones(len(AUTHOR_COLUMNS)))
         assert np.max(np.abs(matrix - np.transpose(matrix))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ("Ph", "columns must be a list of names, got 'Ph'"),
+            (3, "columns must be a list of names, got 3"),
+            (["P", 3], "columns must be strings, got 3"),
+        ],
+    )
+    def test_columns_must_be_a_list_of_names(self, columns, message):
+        with pytest.raises(DomainError) as excinfo:
+            pearson_matrix(published_table(), columns)
+        assert str(excinfo.value) == message
+
     def test_zero_variance_names_column(self):
         table = _toy_table(("x", "y"), [("a", (1, 5)), ("b", (2, 5)), ("c", (3, 5))])
         with pytest.raises(ZeroVarianceError) as excinfo:
@@ -421,6 +434,14 @@ class TestAnalyticsTable:
                 [PortfolioSummary.from_summary("sum", 10, 5.0, 0.5)],
                 columns=("P", "h"),
             )
+
+    @pytest.mark.parametrize("columns", ["PC", 5, [("P",)]])
+    def test_columns_must_be_a_list_of_names(self, columns):
+        portfolios = [PortfolioSummary("raw", CitationVector([4, 2, 1]))]
+        with pytest.raises(DomainError, match="^columns must be "):
+            AnalyticsTable.from_portfolios(portfolios, columns=columns)
+        with pytest.raises(DomainError, match="^columns must be "):
+            AnalyticsTable.from_reports([("raw", compute_all([4, 2, 1]))], columns=columns)
 
     @pytest.mark.parametrize(
         "order, columns, missing",

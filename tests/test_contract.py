@@ -1,14 +1,15 @@
 """The value contract: every public entry point returns or raises a
-``ScindexError`` for any value in any of its numeric arguments, and for
-any item of its lists of counts, runs, scale factors or points.
+``ScindexError`` for any value in any of its numeric arguments, in a
+quantity's dimension, in a list of indicator names, and for any item of
+its lists of counts, runs, scale factors, points or names.
 
 The values are the hostile ones below, each tried on every argument, and
 more drawn by Hypothesis; a bool is refused wherever it is given.  The
 only bare ``TypeError`` the package raises (see ``scindex.errors``) comes
 from calls this test does not make: a wrong number of arguments, a
-non-iterable where a list other than a ``PlotSeries``'s points is
-expected, and ``+``, ``-`` or ordering of a quantity against a
-non-quantity.
+non-iterable where a list other than a ``PlotSeries``'s points or a list
+of names is expected, and ``+``, ``-`` or ordering of a quantity against
+a non-quantity.
 """
 
 import math
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from scindex import (
     PAPERS,
+    AnalyticsTable,
     CitationVector,
     Dimension,
     PlotSeries,
@@ -29,6 +31,7 @@ from scindex import (
     ScindexError,
     compute_all,
     descriptor,
+    pearson_matrix,
     probe_registry,
     reconstruct_from_summary,
     replicate_scale,
@@ -39,6 +42,8 @@ from scindex.scaling import check_tolerance
 HOSTILE = [
     True, False, "x", "2", None, math.nan, math.inf, -math.inf, 2.5,
     Fraction(1, 3), Fraction(4), 1j, 2 + 0j, 10**400, -(10**400),
+    # past the int digit limit, which str() of an int refuses
+    10**5000, -(10**5000),
     np.int64(3), np.int8(-2), np.float64(2.5), np.float32("nan"), np.bool_(True),
     # items of the wrong shape
     (), (1,), (1, 2, 3), "ab", [2, [1]], {},
@@ -59,7 +64,14 @@ RUNS = [(4, 1), (2, 2), (1, 1)]
 LAMBDAS = [1, 2, 3]
 POINTS = [(1, 1.0), (2, 4.0), (3, 9.0)]
 SUMMARY = (10, 2.0, 0.5, 3.0)  # P, i, eta, h
+NAMES = ["C", "h"]
 C = descriptor("C")
+PORTFOLIOS = [
+    PortfolioSummary(label, CitationVector(counts))
+    for label, counts in [("a", [4, 2, 1]), ("b", [9, 3]), ("c", [5, 5, 5, 1])]
+]
+REPORTS = [(portfolio.label, compute_all(portfolio.vector)) for portfolio in PORTFOLIOS]
+TABLE = AnalyticsTable.from_portfolios(PORTFOLIOS)
 
 
 def argument(build):
@@ -82,6 +94,7 @@ def summary_field(position, build):
 
 ENTRY_POINTS = {
     "Quantity": argument(lambda v: Quantity(v, PAPERS)),
+    "Quantity dim": argument(lambda v: Quantity(1.0, v)),
     "Dimension": argument(Dimension),
     "Quantity * value": argument(lambda v: Quantity(2.0, PAPERS) * v),
     "Quantity / value": argument(lambda v: Quantity(2.0, PAPERS) / v),
@@ -100,6 +113,20 @@ ENTRY_POINTS = {
     "probe_registry base": item(COUNTS, probe_registry),
     "probe_registry lambdas": item(LAMBDAS, lambda lams: probe_registry(COUNTS, lams)),
     "probe_registry tolerance": argument(lambda v: probe_registry(COUNTS, tolerance=v)),
+    "probe_registry names": argument(lambda v: probe_registry(COUNTS, names=v)),
+    "probe_registry name": item(NAMES, lambda names: probe_registry(COUNTS, names=names)),
+    "from_portfolios columns": argument(
+        lambda v: AnalyticsTable.from_portfolios(PORTFOLIOS, columns=v)
+    ),
+    "from_portfolios column": item(
+        NAMES, lambda names: AnalyticsTable.from_portfolios(PORTFOLIOS, columns=names)
+    ),
+    "from_reports columns": argument(lambda v: AnalyticsTable.from_reports(REPORTS, columns=v)),
+    "from_reports column": item(
+        NAMES, lambda names: AnalyticsTable.from_reports(REPORTS, columns=names)
+    ),
+    "pearson_matrix columns": argument(lambda v: pearson_matrix(TABLE, v)),
+    "pearson_matrix column": item(NAMES, lambda names: pearson_matrix(TABLE, names)),
     "check_tolerance": argument(check_tolerance),
     **{
         f"PortfolioSummary.from_summary {name}": summary_field(

@@ -114,6 +114,37 @@ class TestRendering:
         assert str(Dimension(exponent)) == text
 
 
+# Past sys.get_int_max_str_digits(), which str() of an int refuses.
+OVERLONG = 10**5000
+
+
+class TestOverlongExponents:
+    """An exponent past the int digit limit is named by its number of digits."""
+
+    def test_str_states_the_digits(self):
+        assert str(Dimension(OVERLONG)) == "[P^<integer of 5001 digits>]"
+        assert str(Dimension(Fraction(-1, OVERLONG))) == (
+            "[P^-1/<integer of 5001 digits>]"
+        )
+
+    def test_repr_states_the_digits(self):
+        assert repr(Dimension(-OVERLONG)) == (
+            "Dimension(Fraction(<negative integer of 5001 digits>, 1))"
+        )
+
+    def test_a_power_past_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError) as excinfo:
+            Quantity(2.0, PAPERS) ** Fraction(OVERLONG)
+        assert str(excinfo.value) == "cannot raise 2.0 to power <integer of 5001 digits>"
+
+    def test_a_heterogeneous_sum_names_both_dimensions(self):
+        with pytest.raises(HeterogeneityError) as excinfo:
+            Quantity(1.0, Dimension(OVERLONG)) + Quantity(1.0, PAPERS)
+        assert str(excinfo.value) == (
+            "cannot add quantities of dimension [P^<integer of 5001 digits>] and [P]"
+        )
+
+
 class TestQuantity:
     def test_add_like_units(self):
         assert Quantity(3, PAPERS) + Quantity(4, PAPERS) == Quantity(7, PAPERS)
@@ -222,7 +253,7 @@ class TestQuantity:
     @pytest.mark.parametrize("dim", [2, Fraction(3, 2), "[P]", None])
     def test_dimension_must_be_a_dimension(self, dim):
         # A bare exponent would otherwise add as a number: [P^2] + [P^2] -> 4.
-        with pytest.raises(TypeError, match="quantity dimension must be a Dimension"):
+        with pytest.raises(DomainError, match="quantity dimension must be a Dimension"):
             Quantity(3, dim)
 
     def test_magnitude_must_be_finite(self):

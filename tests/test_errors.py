@@ -1,6 +1,7 @@
 """How error messages echo input values."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -36,6 +37,22 @@ class TestShown:
         ids=["10^5000", "-10^5000", "10^5000-1"],
     )
     def test_an_int_past_the_digit_limit_states_its_digits(self, value, text):
+        assert shown(value) == text
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(1, 10**5000), "Fraction(1, <integer of 5001 digits>)"),
+            ([4, 10**5000], "[4, <integer of 5001 digits>]"),
+            ((0, -(10**5000)), "(0, <negative integer of 5001 digits>)"),
+            (
+                Fraction(10**5000 + 1, 10**5000),
+                "Fraction(<integer of 5001 digits>, <inte... (60 characters)",
+            ),
+        ],
+        ids=["fraction", "list", "tuple", "long"],
+    )
+    def test_an_int_past_the_digit_limit_inside_a_value_states_its_digits(self, value, text):
         assert shown(value) == text
 
 

@@ -369,6 +369,20 @@ class TestVerifyDimension:
             probe_registry([4, 2, 1], names=[])
         assert str(excinfo.value) == "a probe needs at least one indicator name"
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            # A str is one name, not the list of its letters "h" and "i".
+            ("hi", "indicator names must be a list of names, got 'hi'"),
+            (5, "indicator names must be a list of names, got 5"),
+            (["C", None], "indicator names must be strings, got None"),
+        ],
+    )
+    def test_names_must_be_a_list_of_names(self, names, message):
+        with pytest.raises(DomainError) as excinfo:
+            probe_registry([4, 2, 1], names=names)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
     def test_malformed_tolerance_is_refused(self, tolerance):
         message = f"tolerance must be a finite number >= 0, got {tolerance}"
