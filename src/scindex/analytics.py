@@ -15,13 +15,7 @@ import sys
 from typing import Mapping, Sequence
 
 from .dimension import Dimension, Quantity, Record, count, name_list, real
-from .errors import (
-    DomainError,
-    HeterogeneityError,
-    UnknownIndicatorError,
-    ZeroVarianceError,
-    shown,
-)
+from .errors import DomainError, UnknownIndicatorError, ZeroVarianceError, shown
 from .indicators import (
     IndicatorReport,
     _ladder,
@@ -47,6 +41,7 @@ class PortfolioSummary(Record):
     __slots__ = ("label", "vector", "papers", "impact", "evenness", "h")
 
     def __init__(self, label, vector=None, papers=None, impact=None, evenness=None, h=None) -> None:
+        _label(label)
         if (vector is None) == (papers is None):
             raise DomainError(
                 f"portfolio {shown(label)} needs exactly one of: raw vector, summary triple"
@@ -85,6 +80,13 @@ class PortfolioSummary(Record):
         except DomainError as exc:
             raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
         return report, RECONSTRUCTED_COLUMNS
+
+
+def _label(value: object) -> str:
+    """A portfolio label, which must be a ``str`` for every writer to take it."""
+    if not isinstance(value, str):
+        raise DomainError(f"portfolio label must be a string, got {shown(value)}")
+    return value
 
 
 def _paper_count(value: object) -> int:
@@ -207,16 +209,15 @@ class AnalyticsTable(Record):
         cls,
         labeled: Sequence[tuple[str, Mapping[str, Quantity]]],
         columns: Sequence[str] | None = None,
-        reconstructed: Sequence[frozenset[str]] | None = None,
     ) -> "AnalyticsTable":
         """Table from ``Quantity`` mappings; a column's rows share one dimension.
 
         Each column takes its dimension from the first row, and a later
-        row of another dimension raises :class:`HeterogeneityError`.
+        row of another dimension raises :class:`HeterogeneityError`.  No
+        value is marked reconstructed.
         """
         columns = _table_columns(_distinct([tuple(r) for _, r in labeled]), columns)
-        if reconstructed is None:
-            reconstructed = [frozenset()] * len(labeled)
+        labels = [_label(label) for label, _ in labeled]
         if labeled:
             dims = tuple(labeled[0][1][name].dim for name in columns)
         else:
@@ -226,13 +227,10 @@ class AnalyticsTable(Record):
             row = []
             for name, dim in zip(columns, dims):
                 quantity = report[name]
-                if quantity.dim != dim:
-                    raise HeterogeneityError(dim, quantity.dim, f"mix in column {name!r}")
+                dim.__add__(quantity.dim, f"mix in column {name!r}")
                 row.append(quantity.magnitude)
             rows.append(tuple(row))
-        return cls._assemble(
-            columns, dims, [label for label, _ in labeled], rows, reconstructed
-        )
+        return cls._assemble(columns, dims, labels, rows, [frozenset()] * len(labels))
 
     @classmethod
     def from_portfolios(

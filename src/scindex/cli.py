@@ -27,8 +27,8 @@ from typing import Sequence
 
 from . import tabular
 from .analytics import AnalyticsTable, pearson_matrix
-from .errors import FormatError, ScindexError, UnknownIndicatorError, shown
-from .indicators import CitationVector, registry_names, registry_symbols
+from .errors import FormatError, ScindexError, shown
+from .indicators import CitationVector, descriptor, registry_names, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
 from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input
@@ -102,10 +102,8 @@ def _columns_arg(text: str | None) -> list[str] | None:
     if text is None:
         return None
     columns = _list_arg(text, "--columns")
-    names = registry_names()
     for name in columns:
-        if name not in names:
-            raise UnknownIndicatorError(name)
+        descriptor(name)
     return columns
 
 

@@ -16,9 +16,13 @@ The value rules of every entry point live here too.  :func:`real`,
 :func:`count` and :func:`rational` read a value as a float, an int or an
 exact ``Fraction``; a bool (a truth value, though ``numbers`` registers it
 as an int) or a value of another kind is a :class:`DomainError` that
-names it.  Hot paths test the exact type first and call a rule only when
-that test fails.  :func:`pairs` and :func:`name_list` read the shape of a
-list: of runs or points, and of indicator names.
+names it.  :func:`real` passes an exact float and :func:`count` an exact
+int at once, so a caller needs no type test of its own for one value.
+Two hot paths still test before calling a rule: a summary row tests the
+exact type of each field inline (``analytics._check_summary``), and a
+:class:`~scindex.indicators.CitationVector` tests the types of its whole
+list of counts at once.  :func:`pairs` and :func:`name_list` read the
+shape of a list: of runs or points, and of indicator names.
 
 >>> total = Quantity(7013, PAPERS_SQUARED)
 >>> papers = Quantity(96, PAPERS)
@@ -56,7 +60,10 @@ def real(value: object, name: str) -> float:
 def count(value: object, name: str) -> int:
     """``value`` as an int: any ``numbers.Integral``, a NumPy int included,
     but no float.  The message states the rule in the plural, as counts come
-    in lists: ``citation counts must be integers, got True``."""
+    in lists: ``citation counts must be integers, got True``.  An exact int
+    skips the ``numbers`` test."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be integers, got {shown(value)}")
     return int(value)
@@ -263,8 +270,7 @@ class Quantity(Record):
     def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS) -> None:
         if not isinstance(dim, Dimension):
             raise DomainError(f"quantity dimension must be a Dimension, got {shown(dim)}")
-        # An exact float, as every kernel and table gives, passes at once.
-        value = magnitude if type(magnitude) is float else real(magnitude, "quantity magnitude")
+        value = real(magnitude, "quantity magnitude")
         if not math.isfinite(value):
             raise DomainError(f"quantity magnitude must be finite, got {value!r}")
         self._fill(value, dim)
@@ -299,9 +305,9 @@ class Quantity(Record):
         exponent = rational(power, "exponent")
         try:
             value = self.magnitude ** float(exponent)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot raise {self.magnitude} to power {_ratio_text(exponent)}") from exc
-        if isinstance(value, complex) or not math.isfinite(value):
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if isinstance(value, complex) or not math.isfinite(value):  # no finite real power
             raise DomainError(f"cannot raise {self.magnitude} to power {_ratio_text(exponent)}")
         return Quantity(value, self.dim**exponent)
 

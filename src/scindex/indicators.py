@@ -425,7 +425,7 @@ SUMMARY_H_LAYOUT = tuple(name for name in VECTOR_LAYOUT if name != "g")
 
 
 def registry_names() -> tuple[str, ...]:
-    return tuple(d.name for d in REGISTRY)
+    return VECTOR_LAYOUT
 
 
 def registry_symbols() -> dict[str, Dimension]:

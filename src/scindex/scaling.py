@@ -65,8 +65,7 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
     vec = as_citation_vector(v)
     if not vec:
         raise DomainError("cannot replicate an empty portfolio")
-    if type(lam) is not int:
-        lam = count(lam, "replication factors")
+    lam = count(lam, "replication factors")
     if lam < 1:
         raise DomainError(f"replication factor must be >= 1, got {shown(lam)}")
     # Checked runs scaled by a count >= 1 are runs, so they are not checked again.
@@ -128,7 +127,8 @@ def verify_dimension(
     scales (e.g. the dispersion term on a uniform portfolio) is
     consistent with any power law and passes without a fit.  The scale
     factors, 3 to ``MAX_LAMBDAS`` strictly increasing counts (read by
-    :func:`count`), are checked before any replica.  A scale factor whose
+    :func:`count`), are checked before any replica, and so is the declared
+    exponent, which must lie in the float range.  A scale factor whose
     replica leaves the float range raises :class:`DomainError` naming the
     indicator and the factor.
 
@@ -154,13 +154,14 @@ def verify_dimension(
         raise DegenerateSeriesError(
             f"indicator {desc.name}: log-log fit needs at least 3 points, got {len(lams)}"
         )
-    if not set(map(type, lams)) <= {int}:
-        lams = tuple(count(lam, f"indicator {desc.name}: scale factors") for lam in lams)
+    lams = tuple(count(lam, f"indicator {desc.name}: scale factors") for lam in lams)
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise DegenerateSeriesError(
             f"indicator {desc.name}: scale factors must be strictly increasing"
         )
     tolerance = check_tolerance(desc.fit_tolerance if tolerance is None else tolerance)
+    declared = desc.declared_dim.exponent
+    expected = real(declared, f"indicator {desc.name}: declared exponent")
     kept = vec._replicas[1] if vec._replicas and vec._replicas[0] == lams else None
     keep = len(lams) * len(vec.runs) <= MAX_KEPT_RUNS
     replicas = []
@@ -176,14 +177,13 @@ def verify_dimension(
     if keep:
         vec._replicas = lams, tuple(replicas)
     values = tuple(values)
-    declared = desc.declared_dim.exponent
     if all(value == 0.0 for value in values):
         return ProbeResult(desc.name, declared, lams, values, None, True, ZERO_SERIES_NOTE)
     try:
         estimate = fit_loglog(lams, values)
     except DegenerateSeriesError as exc:
         raise DegenerateSeriesError(f"indicator {desc.name}: {exc}") from None
-    passed = abs(estimate.slope - float(declared)) <= tolerance
+    passed = abs(estimate.slope - expected) <= tolerance
     return ProbeResult(desc.name, declared, lams, values, estimate, passed)
 
 

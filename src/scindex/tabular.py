@@ -117,15 +117,13 @@ def parse_counts(cell: str) -> CitationVector:
     blank items are skipped, the first bad one is a FormatError and the first
     negative one a NegativeCountError.
     """
-    items = list(filter(None, map(str.strip, cell.split(";"))))
-    # The items, not the cell: the whitespace they were stripped of may be non-ASCII.
-    if _plain("".join(items)):
+    counts = []
+    for item in filter(None, map(str.strip, cell.split(";"))):
         try:
-            return CitationVector(list(map(int, items)))
+            counts.append(number(int, item))
         except ValueError:
-            pass
-    bad = next(item for item in items if not _is_int_literal(item))
-    raise FormatError(f"invalid citation count {shown(bad)}")
+            raise FormatError(f"invalid citation count {shown(item)}") from None
+    return CitationVector(counts)
 
 
 def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
@@ -147,14 +145,6 @@ def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
     else:  # "4", "04" and "+4" are one count
         runs = (Counter(map(value.__getitem__, tally.elements())).items() for tally in tallies)
     return [tuple(sorted(pairs, reverse=True)) for pairs in runs]
-
-
-def _is_int_literal(text: str) -> bool:
-    try:
-        number(int, text)
-    except ValueError:
-        return False
-    return True
 
 
 def _wide(label: str, vector: CitationVector) -> PortfolioSummary:

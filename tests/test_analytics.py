@@ -157,6 +157,19 @@ class TestPortfolioSummary:
         with pytest.raises(DomainError):
             PortfolioSummary.from_summary("bad", 10, 5.0, 2.0)
 
+    @pytest.mark.parametrize("label", [1, None, b"a", ("a",), _HUGE], ids=shown)
+    def test_a_label_that_is_no_string_is_refused(self, label):
+        message = f"portfolio label must be a string, got {shown(label)}"
+        reports = [(label, compute_all([4, 2, 1]))]
+        for build in (
+            lambda: PortfolioSummary(label, CitationVector([1, 2])),
+            lambda: PortfolioSummary.from_summary(label, 10, 2.0, 0.5),
+            lambda: AnalyticsTable.from_reports(reports),
+        ):
+            with pytest.raises(DomainError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
     def test_raw_report_has_no_reconstructed_columns(self):
         report, flags = PortfolioSummary("a", CitationVector([4, 2, 1])).report()
         assert flags == frozenset()

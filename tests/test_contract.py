@@ -1,7 +1,9 @@
 """The value contract: every public entry point returns or raises a
 ``ScindexError`` for any value in any of its numeric arguments, in a
-quantity's dimension, in a list of indicator names, and for any item of
-its lists of counts, runs, scale factors, points or names.
+quantity's dimension, in a list of indicator names, in a portfolio label,
+in an indicator descriptor's exponent and gate, and for any item of its
+lists of counts, runs, scale factors, points or names.  A label that is
+taken goes on through every table and record writer.
 
 The values are the hostile ones below, each tried on every argument, and
 more drawn by Hypothesis; a bool is refused wherever it is given.  The
@@ -25,12 +27,15 @@ from scindex import (
     AnalyticsTable,
     CitationVector,
     Dimension,
+    IndicatorDescriptor,
     PlotSeries,
     PortfolioSummary,
     Quantity,
     ScindexError,
     compute_all,
     descriptor,
+    emit_records,
+    emit_table,
     pearson_matrix,
     probe_registry,
     reconstruct_from_summary,
@@ -86,6 +91,19 @@ def item(base, build):
     ]
 
 
+def written(table, records=()):
+    """``table`` in every table format and ``records`` in every record format."""
+    for format in ("tsv", "csv", "json"):
+        emit_table(table, format)
+    for format in ("csv", "json"):
+        emit_records(records, format)
+
+
+def record_written(record):
+    """``record`` and its table through every writer."""
+    written(AnalyticsTable.from_portfolios([record]), [record])
+
+
 def summary_field(position, build):
     """The call of ``build`` on the summary with the value as its field at ``position``."""
     before, after = SUMMARY[:position], SUMMARY[position + 1 :]
@@ -110,6 +128,12 @@ ENTRY_POINTS = {
     "verify_dimension base": item(COUNTS, lambda counts: verify_dimension(C, counts)),
     "verify_dimension lambdas": item(LAMBDAS, lambda lams: verify_dimension(C, COUNTS, lams)),
     "verify_dimension tolerance": argument(lambda v: verify_dimension(C, COUNTS, tolerance=v)),
+    "verify_dimension exponent": argument(
+        lambda v: verify_dimension(IndicatorDescriptor("C", Dimension(v), C.compute), COUNTS)
+    ),
+    "verify_dimension fit_tolerance": argument(
+        lambda v: verify_dimension(IndicatorDescriptor("C", C.declared_dim, C.compute, v), COUNTS)
+    ),
     "probe_registry base": item(COUNTS, probe_registry),
     "probe_registry lambdas": item(LAMBDAS, lambda lams: probe_registry(COUNTS, lams)),
     "probe_registry tolerance": argument(lambda v: probe_registry(COUNTS, tolerance=v)),
@@ -124,6 +148,15 @@ ENTRY_POINTS = {
     "from_reports columns": argument(lambda v: AnalyticsTable.from_reports(REPORTS, columns=v)),
     "from_reports column": item(
         NAMES, lambda names: AnalyticsTable.from_reports(REPORTS, columns=names)
+    ),
+    "from_reports label": argument(
+        lambda v: written(AnalyticsTable.from_reports([(v, REPORTS[0][1])]))
+    ),
+    "PortfolioSummary label": argument(
+        lambda v: record_written(PortfolioSummary(v, CitationVector(COUNTS)))
+    ),
+    "PortfolioSummary.from_summary label": argument(
+        lambda v: record_written(PortfolioSummary.from_summary(v, *SUMMARY))
     ),
     "pearson_matrix columns": argument(lambda v: pearson_matrix(TABLE, v)),
     "pearson_matrix column": item(NAMES, lambda names: pearson_matrix(TABLE, names)),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from scindex import (
     DegenerateSeriesError,
+    Dimension,
     PAPERS_CUBED,
     PAPERS_SQUARED,
     DomainError,
@@ -401,6 +402,17 @@ class TestVerifyDimension:
         assert str(excinfo.value) == (
             f"indicator C at lambda {shown(lam)}: citation sums exceed the floating-point range"
         )
+
+    def test_a_declared_exponent_past_the_float_range_is_named(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(scaling, "replicate_scale", lambda *a: built.append(a))
+        desc = IndicatorDescriptor("C", Dimension(10**400), descriptor("C").compute)
+        with pytest.raises(DomainError) as excinfo:
+            verify_dimension(desc, [4, 2, 1])
+        assert str(excinfo.value) == (
+            "indicator C: declared exponent exceeds the floating-point range"
+        )
+        assert built == []
 
     def test_probe_registry_order_and_override(self):
         results = probe_registry([4, 2, 1], names=["C", "h"])

@@ -1146,7 +1146,8 @@ _MAGNITUDES = st.one_of(
 
 @st.composite
 def _tables(draw):
-    """A table through ``from_reports`` plus the quantities it was built from."""
+    """A table through ``from_reports``, with drawn reconstructed flags, plus
+    the quantities it was built from."""
     columns = tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=6)))
     dims = {name: draw(_DIMS) for name in columns}
     labeled = []
@@ -1154,9 +1155,10 @@ def _tables(draw):
         # Labels hold "%" and "s", which a %-template must not read as a directive.
         label = draw(st.text(st.characters() | st.sampled_from("%s"), max_size=6))
         labeled.append((label, {n: Quantity(draw(_MAGNITUDES), d) for n, d in dims.items()}))
-    flags = [draw(st.frozensets(st.sampled_from(_NAMES))) for _ in labeled]
-    table = AnalyticsTable.from_reports(labeled, columns=columns, reconstructed=flags)
-    return table, labeled
+    flags = tuple(draw(st.frozensets(st.sampled_from(_NAMES))) for _ in labeled)
+    table = AnalyticsTable.from_reports(labeled, columns=columns)
+    flagged = AnalyticsTable(table.columns, table.dims, table.labels, table.rows, flags)
+    return flagged, labeled
 
 
 _INTEGRAL = st.integers(-(10**6), 10**6).map(float) | st.sampled_from(
