@@ -19,6 +19,7 @@ from .errors import DomainError, UnknownIndicatorError, ZeroVarianceError, shown
 from .indicators import (
     IndicatorReport,
     _ladder,
+    as_citation_vector,
     compute_all,
     registry_names,
     registry_symbols,
@@ -32,10 +33,12 @@ RECONSTRUCTED_COLUMNS = frozenset({"C", "X", "E", "S", "z", "i_E"})
 class PortfolioSummary(Record):
     """One author's portfolio: either a raw citation vector or a summary.
 
-    Exactly one source form is present.  The summary form carries the
-    triple (papers P, mean impact i, evenness eta) and optionally the
-    published h, which cannot be derived from the triple; they are held as
-    :func:`_check_summary` reads them, an int and floats.
+    Exactly one source form is present.  A vector is held as a
+    :class:`~scindex.indicators.CitationVector`, so a list of counts is read
+    as one.  The summary form carries the triple (papers P, mean impact i,
+    evenness eta) and optionally the published h, which cannot be derived
+    from the triple; they are held as :func:`_check_summary` reads them, an
+    int and floats.
     """
 
     __slots__ = ("label", "vector", "papers", "impact", "evenness", "h")
@@ -48,6 +51,13 @@ class PortfolioSummary(Record):
             )
         if papers is not None:
             papers, impact, evenness, h = _check_summary(papers, impact, evenness, h)
+        else:
+            try:
+                vector = as_citation_vector(vector)
+            except TypeError:  # not iterable
+                raise DomainError(
+                    f"portfolio {shown(label)} vector must be a list of counts, got {shown(vector)}"
+                ) from None
         self._fill(label, vector, papers, impact, evenness, h)
 
     @classmethod
@@ -133,6 +143,35 @@ def _check_summary(
                 raise DomainError(f"h must be finite, got {h}")
             raise DomainError(f"h must lie in [0, P], got {h} with P = {shown(papers)}")
     return papers, impact, evenness, h
+
+
+def _summaries_pass(
+    papers: Sequence[int], impacts: Sequence[float], etas: Sequence[float], h: Sequence
+) -> bool:
+    """Whether non-empty summary columns, as the readers convert them, pass
+    the rules of :func:`_check_summary`: P an int from 1 to the float range,
+    i finite and >= 0, eta in (0, 1] and a published h (None where there is
+    none) in [0, P].
+    """
+    # A finite sum holds no nan or infinity, so min and max bound every value.
+    return (
+        1 <= min(papers) and max(papers) <= sys.float_info.max
+        and math.isfinite(sum(impacts)) and min(impacts) >= 0
+        and math.isfinite(sum(etas)) and 0 < min(etas) and max(etas) <= 1
+        and _h_pass(h, papers)
+    )
+
+
+def _h_pass(h: Sequence, papers: Sequence[int]) -> bool:
+    """Whether each published h (None where there is none) lies in [0, P].
+
+    A float compares with an int exactly, so an h just past a P beyond
+    2**53 fails, and nan fails ``<=``.
+    """
+    try:
+        return min(h, default=0.0) >= 0.0 and all(map(operator.le, h, papers))
+    except TypeError:  # some rows publish no h
+        return all(x is None or 0.0 <= x <= p for x, p in zip(h, papers))
 
 
 def reconstruct_from_summary(

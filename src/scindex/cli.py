@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed input or expression, 2 scaling
 verification failure.  ``--precision`` (or the ``SCINDEX_PRECISION``
-environment variable) controls rendered decimals, at most 17; ``full``
-emits shortest round-trip values.  ``main`` pauses the cyclic garbage
-collector for one command and restores the caller's setting.
+environment variable) controls rendered decimals, as
+``tabular.check_precision`` allows; ``full`` emits shortest round-trip
+values.  ``main`` pauses the cyclic garbage collector for one command
+and restores the caller's setting.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import Sequence
 
 from . import tabular
 from .analytics import AnalyticsTable, pearson_matrix
+from .dimension import check_tolerance
 from .errors import FormatError, ScindexError, shown
 from .indicators import CitationVector, descriptor, registry_names, registry_symbols
-from .scaling import DEFAULT_LAMBDAS, ProbeResult, check_tolerance, probe_registry
+from .scaling import DEFAULT_LAMBDAS, ProbeResult, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
 from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input
 
@@ -41,11 +43,7 @@ def _parse_precision(text: str) -> int | None:
         value = number(int, text)
     except ValueError:
         raise FormatError(f"invalid precision {shown(text)} (expected an integer or 'full')")
-    if value < 0:
-        raise FormatError(f"precision must be >= 0, got {shown(value)}")
-    if value > 17:  # a double has at most 17 significant digits; 'full' is exact
-        raise FormatError(f"precision must be <= 17, got {shown(value)}")
-    return value
+    return tabular.check_precision(value)
 
 
 def _resolve_precision(arg: str | None) -> int | None:
@@ -55,7 +53,7 @@ def _resolve_precision(arg: str | None) -> int | None:
     if env:
         try:
             return _parse_precision(env)
-        except FormatError as exc:
+        except ScindexError as exc:
             raise FormatError(f"in SCINDEX_PRECISION: {exc}") from None
     return 2
 
@@ -219,8 +217,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     try:
         dim = dimension_of(args.expression, registry_symbols())
     except ScindexError as exc:
-        print(f"error: in expression {shown(args.expression)}: {exc}", file=sys.stderr)
-        return 1
+        raise FormatError(f"in expression {shown(args.expression)}: {exc}") from None
     print(dim)
     return 0
 

@@ -21,8 +21,9 @@ int at once, so a caller needs no type test of its own for one value.
 Two hot paths still test before calling a rule: a summary row tests the
 exact type of each field inline (``analytics._check_summary``), and a
 :class:`~scindex.indicators.CitationVector` tests the types of its whole
-list of counts at once.  :func:`pairs` and :func:`name_list` read the
-shape of a list: of runs or points, and of indicator names.
+list of counts at once.  :func:`check_tolerance` reads a slope gate, a
+real that must be finite and >= 0.  :func:`pairs` and :func:`name_list`
+read the shape of a list: of runs or points, and of indicator names.
 
 >>> total = Quantity(7013, PAPERS_SQUARED)
 >>> papers = Quantity(96, PAPERS)
@@ -75,6 +76,15 @@ def rational(value: object, name: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise DomainError(f"{name} must be a rational number, got {shown(value)}")
     return Fraction(int(value.numerator), int(value.denominator))
+
+
+def check_tolerance(tolerance: float, name: str = "tolerance") -> float:
+    """``tolerance`` read by :func:`real`; :class:`DomainError` unless it is
+    a finite number >= 0."""
+    value = real(tolerance, name)
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be a finite number >= 0, got {value}")
+    return value
 
 
 def pairs(items: object, name: str) -> list[tuple]:

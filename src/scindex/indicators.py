@@ -33,6 +33,7 @@ from .dimension import (
     PAPERS_SQUARED,
     Dimension,
     Quantity,
+    check_tolerance,
     count,
     pairs,
 )
@@ -334,15 +335,29 @@ class IndicatorDescriptor:
     indices with exact replication scaling sit at 1e-6, g (whose rank
     thresholds interact with replication) at 0.05.  Equality and hashing
     ignore ``compute``, which may be rebound (to wrap a kernel, say).
+
+    The name must be a ``str``, the declared dimension a :class:`Dimension`
+    and ``compute`` callable, and ``fit_tolerance`` is read by
+    :func:`~scindex.dimension.check_tolerance`; any other value is a
+    :class:`DomainError` that names the indicator.
     """
 
     def __init__(
         self, name: str, declared_dim: Dimension, compute: Kernel, fit_tolerance: float = 1e-6
     ) -> None:
+        if not isinstance(name, str):
+            raise DomainError(f"indicator name must be a string, got {shown(name)}")
+        if not isinstance(declared_dim, Dimension):
+            raise DomainError(
+                f"indicator {name}: declared dimension must be a Dimension, "
+                f"got {shown(declared_dim)}"
+            )
+        if not callable(compute):
+            raise DomainError(f"indicator {name}: compute must be callable, got {shown(compute)}")
         self.name = name
         self.declared_dim = declared_dim
         self.compute = compute
-        self.fit_tolerance = fit_tolerance
+        self.fit_tolerance = check_tolerance(fit_tolerance, f"indicator {name}: fit tolerance")
 
     def _key(self) -> tuple:
         return self.name, self.declared_dim, self.fit_tolerance

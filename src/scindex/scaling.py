@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dimension import Record, count, name_list, real
+from .dimension import Record, check_tolerance, count, name_list, real
 from .errors import DegenerateSeriesError, DomainError, shown
 from .indicators import (
     REGISTRY,
@@ -101,15 +101,6 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     slope, intercept = linear_regression(lx, ly)
     residual = max(abs(y - (slope * x + intercept)) for x, y in zip(lx, ly))
     return ExponentEstimate(slope, intercept, residual)
-
-
-def check_tolerance(tolerance: float, name: str = "tolerance") -> float:
-    """``tolerance`` read by :func:`real`; :class:`DomainError` unless it is
-    a finite number >= 0."""
-    value = real(tolerance, name)
-    if not 0 <= value < math.inf:
-        raise DomainError(f"{name} must be a finite number >= 0, got {value}")
-    return value
 
 
 def verify_dimension(

@@ -23,7 +23,8 @@ to name a defect's record.
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
 ``[P^2]``).  Reals print with ``precision`` decimals (default 2,
-matching the usual published presentation); integral values print bare;
+matching the usual published presentation; at most ``MAX_PRECISION``,
+by :func:`check_precision`); integral values print bare;
 ``precision=None`` prints shortest round-trip representations.  That
 rule is :func:`format_magnitude`'s, per cell, but a table takes one ``%``
 directive per column (see :func:`_format_column`), and every TSV body,
@@ -39,16 +40,15 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import operator
 import re
 import sys
 from collections import Counter
-from itertools import chain, compress, repeat
-from typing import Any, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Any, Sequence
 
-from .analytics import AnalyticsTable, PortfolioSummary, _paper_count
-from .dimension import real
+from .analytics import AnalyticsTable, PortfolioSummary, _paper_count, _summaries_pass
+from .dimension import count, real
 from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector
 
@@ -61,6 +61,10 @@ SUMMARY_HEADER_H: tuple[str, ...] = SUMMARY_HEADER + ("h",)
 # 13 bytes; 39 at 34 bytes a row, 21 for wide CSV), so an input at this limit
 # peaks at about 600 MiB.
 MAX_INPUT_BYTES = 8 * 2**20
+
+# Most decimals a table writer prints.  A double has at most 17 significant
+# digits, so more print only noise; precision None prints the exact value.
+MAX_PRECISION = 17
 
 
 def _decode(data: str | bytes) -> str:
@@ -234,35 +238,6 @@ def _csv_columns(text: str) -> list[PortfolioSummary] | None:
     return None
 
 
-def _summaries_pass(
-    papers: Sequence[int], impacts: Sequence[float], etas: Sequence[float], h: Sequence
-) -> bool:
-    """Whether non-empty summary columns pass the rules of ``_check_summary``:
-    P an int from 1 to the float range, i finite and >= 0, eta in (0, 1] and
-    a published h (None where there is none) in [0, P].
-    """
-    # A finite sum holds no nan or infinity, so min and max bound every value.
-    return (
-        1 <= min(papers) and max(papers) <= sys.float_info.max
-        and math.isfinite(sum(impacts)) and min(impacts) >= 0
-        and math.isfinite(sum(etas)) and 0 < min(etas) and max(etas) <= 1
-        and _h_pass(h, papers)
-    )
-
-
-def _h_pass(h: Sequence, papers: Iterable[int]) -> bool:
-    """Whether each published h (None where there is none) lies in [0, P].
-
-    A float compares with an int exactly, so an h just past a P beyond
-    2**53 fails, and nan fails ``<=``.
-    """
-    try:
-        return min(h, default=0.0) >= 0.0 and all(map(operator.le, h, papers))
-    except TypeError:  # some rows publish no h: test the others
-        published = list(map(operator.is_not, h, repeat(None)))
-        return _h_pass(list(compress(h, published)), compress(papers, published))
-
-
 def _csv_records(reader: Any) -> list[PortfolioSummary]:
     """The records of a :func:`csv.reader`; an error names the line its row starts on."""
     records: list[PortfolioSummary] = []
@@ -428,6 +403,20 @@ def _tsv_text(lines: Sequence[Sequence[str]]) -> str:
     )
 
 
+def check_precision(precision: object) -> int | None:
+    """``precision`` as the table writers take it: None, or a value read by
+    :func:`count` from 0 to :data:`MAX_PRECISION`; any other value is a
+    :class:`DomainError`."""
+    if precision is None:
+        return None
+    value = count(precision, "precision values")
+    if value < 0:
+        raise DomainError(f"precision must be >= 0, got {shown(value)}")
+    if value > MAX_PRECISION:
+        raise DomainError(f"precision must be <= {MAX_PRECISION}, got {shown(value)}")
+    return value
+
+
 def format_magnitude(value: float, precision: int | None) -> str:
     """Render one magnitude: bare integers, fixed decimals, or shortest repr."""
     if precision is not None and float(value).is_integer():
@@ -490,7 +479,9 @@ def _json_literal(text: str) -> str:
 def emit_table(
     table: AnalyticsTable, format: str = "tsv", precision: int | None = 2
 ) -> str:
-    """Render a table with its mandatory dimension row."""
+    """Render a table with its mandatory dimension row; ``precision`` is
+    read by :func:`check_precision`."""
+    precision = check_precision(precision)
     if format == "json":
         return _json_table(table)
     if format not in ("tsv", "csv"):
@@ -537,7 +528,9 @@ def emit_matrix(
     format: str = "tsv",
     precision: int | None = 2,
 ) -> str:
-    """Render a correlation matrix with row and column headers."""
+    """Render a correlation matrix with row and column headers; ``precision``
+    is read by :func:`check_precision`."""
+    precision = check_precision(precision)
     if format == "json":
         import json
         payload = {"columns": list(names), "matrix": [list(row) for row in matrix]}

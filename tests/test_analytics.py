@@ -2,12 +2,13 @@
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scindex import (
@@ -20,11 +21,13 @@ from scindex import (
     UnknownIndicatorError,
     ZeroVarianceError,
     compute_all,
+    emit_records,
     pearson_matrix,
     rank_by,
     reconstruct_from_summary,
     registry_names,
 )
+from scindex.analytics import _check_summary, _summaries_pass
 from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, reconstructed_table
 from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
 from scindex.errors import shown
@@ -143,6 +146,66 @@ class TestReconstruction:
         assert report["S"].magnitude == 0.0
 
 
+# Summary fields typed as the readers convert them: an int P and float i,
+# eta and h, with the boundaries of each rule and of float arithmetic drawn
+# often: nan, infinities, signed zeros, subnormals and 2**53 +- 1.
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.0, 1.0 - 2**-53, 1.0 + 2**-52, 3.0, sys.float_info.max,
+    float(2**53 - 1), float(2**53), float(2**53 + 2),
+]
+_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(-0.5, 1.5), st.floats(-4, 200), st.floats()
+)
+_papers = st.one_of(
+    st.integers(-1, 100),
+    st.integers(-3, 2**64),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, int(sys.float_info.max), 10**309]),
+)
+_summary_rows = st.tuples(_papers, _floats, _floats, st.one_of(st.none(), _floats))
+# Rows near the bounds, so that a list of them often passes every rule but one.
+_near_rows = st.tuples(
+    st.integers(0, 10),
+    st.floats(-0.5, 10),
+    st.floats(0, 1.5),
+    st.one_of(st.none(), st.floats(-1, 12)),
+)
+
+
+def _accepted(row):
+    try:
+        _check_summary(*row)
+    except DomainError:
+        return False
+    return True
+
+
+class TestSummaryRule:
+    """The column form of the summary rule, ``_summaries_pass``, against its
+    row form, ``_check_summary``."""
+
+    @given(row=_summary_rows)
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @example(row=(3, 2.0, 0.5, None))
+    @example(row=(2**53 + 1, 0.0, 1.0, float(2**53 + 2)))
+    def test_one_row_passes_the_columns_exactly_when_it_passes_the_row_rule(self, row):
+        assert _summaries_pass(*([field] for field in row)) == _accepted(row)
+
+    @given(rows=st.lists(st.one_of(_summary_rows, _near_rows), min_size=1, max_size=6))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example(rows=[(3, 2.0, 0.5, None), (4, 1.0, 1.0, 2.0), (5, 0.0, 0.5, None)])
+    @example(rows=[(3, 2.0, 0.5, None), (4, 1.0, 1.0, 5.0)])
+    def test_rows_that_pass_the_columns_each_pass_the_row_rule(self, rows):
+        if _summaries_pass(*map(list, zip(*rows))):
+            assert all(map(_accepted, rows))
+
+    def test_a_column_sum_past_the_float_range_fails_rows_that_pass(self):
+        # Such a file is read again row by row, which accepts it.
+        rows = [(3, impact, 0.5, None) for impact in (1e308, 1e308, 1.0)]
+        assert all(map(_accepted, rows))
+        assert not _summaries_pass(*map(list, zip(*rows)))
+
+
 class TestPortfolioSummary:
     def test_exactly_one_source_form(self):
         with pytest.raises(DomainError):
@@ -169,6 +232,28 @@ class TestPortfolioSummary:
             with pytest.raises(DomainError) as excinfo:
                 build()
             assert str(excinfo.value) == message
+
+    def test_a_vector_is_held_as_a_citation_vector(self):
+        record = PortfolioSummary("A", [4, 2, 1])
+        assert type(record.vector) is CitationVector
+        assert record == PortfolioSummary("A", CitationVector([4, 2, 1]))
+        assert hash(record) == hash(PortfolioSummary("A", CitationVector((1, 2, 4))))
+        assert emit_records([record]) == 'author,citations\nA,4;2;1\n'
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            (5, "portfolio 'A' vector must be a list of counts, got 5"),
+            (2.5, "portfolio 'A' vector must be a list of counts, got 2.5"),
+            ([4, True], "citation counts must be integers, got True"),
+            ("42", "citation counts must be integers, got '4'"),
+        ],
+        ids=shown,
+    )
+    def test_a_vector_that_is_no_list_of_counts_is_refused(self, vector, message):
+        with pytest.raises(DomainError) as excinfo:
+            PortfolioSummary("A", vector)
+        assert str(excinfo.value) == message
 
     def test_raw_report_has_no_reconstructed_columns(self):
         report, flags = PortfolioSummary("a", CitationVector([4, 2, 1])).report()

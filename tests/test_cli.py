@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from scindex import (
 )
 from scindex.cli import main
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
-from scindex.errors import shown
+from scindex.errors import FormatError, shown
 from scindex.scaling import MAX_LAMBDAS
 
 from oracles import table_rows
@@ -60,6 +61,12 @@ class TestDims:
         assert "cannot add" in err
         assert "[P^3/2]" in err and "[P]" in err
         assert "i_E + h" in err  # names the failing expression
+
+    def test_a_refused_expression_is_raised_for_main_to_print(self, capsys):
+        with pytest.raises(FormatError) as excinfo:
+            cli._cmd_dims(argparse.Namespace(expression="Q/P"))
+        assert str(excinfo.value) == "in expression 'Q/P': unknown symbol 'Q'"
+        assert capsys.readouterr() == ("", "")
 
     def test_parse_error_exits_one(self, capsys):
         assert main(["dims", "i_E + + h"]) == 1
@@ -329,6 +336,20 @@ class TestProbe:
         points = (tmp_path / "plot.csv").read_text().splitlines()
         assert points[0] == "series,x,y"
         assert len(points) == 11  # two series x five scales
+
+    def test_a_constant_series_plots(self, tmp_path, capsys):
+        # eta is dimensionless, so its series is flat and the plot widens
+        # its y range about the one value.
+        svg_path = tmp_path / "p.svg"
+        assert main(["probe", "--base", "4;2;1", "--index", "eta", "--svg", str(svg_path)]) == 0
+        assert "\tpass\t" in capsys.readouterr().out
+        xml.dom.minidom.parseString(svg_path.read_text())
+        header, *rows = (tmp_path / "p.csv").read_text().splitlines()
+        assert header == "series,x,y"
+        assert len(rows) == 5
+        for row in rows:
+            name, _, y = row.split(",")
+            assert name == "eta" and float(y) == pytest.approx(7 / 9, rel=1e-12)
 
     @pytest.mark.parametrize(
         "outputs, message",

@@ -1,17 +1,18 @@
 """The value contract: every public entry point returns or raises a
 ``ScindexError`` for any value in any of its numeric arguments, in a
-quantity's dimension, in a list of indicator names, in a portfolio label,
-in an indicator descriptor's exponent and gate, and for any item of its
-lists of counts, runs, scale factors, points or names.  A label that is
-taken goes on through every table and record writer.
+quantity's dimension, in a list of indicator names, in a portfolio label
+or vector, in each field of an indicator descriptor, in a table writer's
+precision, and for any item of its lists of counts, runs, scale factors,
+points or names.  A label or vector that is taken goes on through every
+table and record writer.
 
 The values are the hostile ones below, each tried on every argument, and
 more drawn by Hypothesis; a bool is refused wherever it is given.  The
 only bare ``TypeError`` the package raises (see ``scindex.errors``) comes
 from calls this test does not make: a wrong number of arguments, a
-non-iterable where a list other than a ``PlotSeries``'s points or a list
-of names is expected, and ``+``, ``-`` or ordering of a quantity against
-a non-quantity.
+non-iterable where a list other than a ``PlotSeries``'s points, a
+portfolio's vector or a list of names is expected, and ``+``, ``-`` or
+ordering of a quantity against a non-quantity.
 """
 
 import math
@@ -34,6 +35,7 @@ from scindex import (
     ScindexError,
     compute_all,
     descriptor,
+    emit_matrix,
     emit_records,
     emit_table,
     pearson_matrix,
@@ -77,6 +79,7 @@ PORTFOLIOS = [
 ]
 REPORTS = [(portfolio.label, compute_all(portfolio.vector)) for portfolio in PORTFOLIOS]
 TABLE = AnalyticsTable.from_portfolios(PORTFOLIOS)
+MATRIX = pearson_matrix(TABLE, NAMES)
 
 
 def argument(build):
@@ -131,6 +134,15 @@ ENTRY_POINTS = {
     "verify_dimension exponent": argument(
         lambda v: verify_dimension(IndicatorDescriptor("C", Dimension(v), C.compute), COUNTS)
     ),
+    "verify_dimension declared_dim": argument(
+        lambda v: verify_dimension(IndicatorDescriptor("C", v, C.compute), COUNTS)
+    ),
+    "verify_dimension compute": argument(
+        lambda v: verify_dimension(IndicatorDescriptor("C", C.declared_dim, v), COUNTS)
+    ),
+    "verify_dimension name": argument(
+        lambda v: verify_dimension(IndicatorDescriptor(v, C.declared_dim, C.compute), COUNTS)
+    ),
     "verify_dimension fit_tolerance": argument(
         lambda v: verify_dimension(IndicatorDescriptor("C", C.declared_dim, C.compute, v), COUNTS)
     ),
@@ -155,9 +167,23 @@ ENTRY_POINTS = {
     "PortfolioSummary label": argument(
         lambda v: record_written(PortfolioSummary(v, CitationVector(COUNTS)))
     ),
+    "PortfolioSummary vector": argument(lambda v: record_written(PortfolioSummary("a", v))),
+    "PortfolioSummary vector item": item(
+        COUNTS, lambda counts: record_written(PortfolioSummary("a", counts))
+    ),
     "PortfolioSummary.from_summary label": argument(
         lambda v: record_written(PortfolioSummary.from_summary(v, *SUMMARY))
     ),
+    **{
+        f"emit_table precision {format}": argument(lambda v, f=format: emit_table(TABLE, f, v))
+        for format in ("tsv", "csv", "json")
+    },
+    **{
+        f"emit_matrix precision {format}": argument(
+            lambda v, f=format: emit_matrix(NAMES, MATRIX, f, v)
+        )
+        for format in ("tsv", "csv", "json")
+    },
     "pearson_matrix columns": argument(lambda v: pearson_matrix(TABLE, v)),
     "pearson_matrix column": item(NAMES, lambda names: pearson_matrix(TABLE, names)),
     "check_tolerance": argument(check_tolerance),

@@ -21,6 +21,7 @@ from scindex import (
     AnalyticsTable,
     CitationVector,
     Dimension,
+    DomainError,
     ExponentEstimate,
     IndicatorDescriptor,
     PlotSeries,
@@ -322,3 +323,29 @@ class TestIndicatorDescriptor:
         for clone in (copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc))):
             assert clone == desc
             assert clone.compute is h_index
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1, PAPERS, h_index), "indicator name must be a string, got 1"),
+            (("h", 1, h_index), "indicator h: declared dimension must be a Dimension, got 1"),
+            (("C", 2, h_index), "indicator C: declared dimension must be a Dimension, got 2"),
+            (("h", PAPERS, None), "indicator h: compute must be callable, got None"),
+            (
+                ("h", PAPERS, h_index, "x"),
+                "indicator h: fit tolerance must be a real number, got 'x'",
+            ),
+            (
+                ("h", PAPERS, h_index, -1.0),
+                "indicator h: fit tolerance must be a finite number >= 0, got -1.0",
+            ),
+        ],
+        ids=[
+            "name", "declared_dim", "declared_dim int", "compute",
+            "fit_tolerance", "fit_tolerance range",
+        ],
+    )
+    def test_each_field_is_checked(self, fields, message):
+        with pytest.raises(DomainError) as excinfo:
+            IndicatorDescriptor(*fields)
+        assert str(excinfo.value) == message

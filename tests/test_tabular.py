@@ -6,6 +6,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scindex import (
     AnalyticsTable,
     CitationVector,
+    DomainError,
     FormatError,
     NegativeCountError,
     PortfolioSummary,
@@ -1277,6 +1279,52 @@ class TestEmitMatrix:
             "a\\tb\t1.00\t0.50\n"
             "c\\\\d\t0.50\t1.00\n"
         )
+
+
+def _writers(precision):
+    """Each table and matrix writer of the reference tables at ``precision``."""
+    table = reconstructed_table()
+    matrix = pearson_matrix(published_table(), AUTHOR_COLUMNS)
+    formats = ("tsv", "csv", "json")
+    return [
+        *(lambda f=f: emit_table(table, f, precision) for f in formats),
+        *(lambda f=f: emit_matrix(AUTHOR_COLUMNS, matrix, f, precision) for f in formats),
+    ]
+
+
+class TestPrecision:
+    @pytest.mark.parametrize(
+        "precision, message",
+        [
+            (-1, "precision must be >= 0, got -1"),
+            (18, "precision must be <= 17, got 18"),
+            (True, "precision values must be integers, got True"),
+            (2.5, "precision values must be integers, got 2.5"),
+            ("2", "precision values must be integers, got '2'"),
+            (10**400, f"precision must be <= 17, got {shown(10**400)}"),
+        ],
+        ids=shown,
+    )
+    def test_the_writers_refuse_a_precision_out_of_the_rule(self, precision, message):
+        for write in _writers(precision):
+            with pytest.raises(DomainError) as excinfo:
+                write()
+            assert str(excinfo.value) == message
+
+    def test_the_precision_is_checked_before_the_format(self):
+        with pytest.raises(DomainError):
+            emit_table(reconstructed_table(), "xml", -1)
+        with pytest.raises(DomainError):
+            emit_matrix(["P"], [[1.0]], "xml", -1)
+
+    def test_a_numpy_int_precision_writes_as_its_int(self):
+        for write, reference in zip(_writers(np.int64(3)), _writers(3)):
+            assert write() == reference()
+
+    @pytest.mark.parametrize("precision", [None, 0, 17])
+    def test_the_bounds_are_taken(self, precision):
+        for write in _writers(precision):
+            assert write()
 
 
 @pytest.mark.parametrize(
