@@ -15,7 +15,13 @@ import sys
 from typing import Mapping, Sequence
 
 from .dimension import Dimension, Quantity, Record, count, name_list, real
-from .errors import DomainError, UnknownIndicatorError, ZeroVarianceError, shown
+from .errors import (
+    DomainError,
+    EmptyPortfolioError,
+    UnknownIndicatorError,
+    ZeroVarianceError,
+    shown,
+)
 from .indicators import (
     IndicatorReport,
     _ladder,
@@ -33,7 +39,7 @@ RECONSTRUCTED_COLUMNS = frozenset({"C", "X", "E", "S", "z", "i_E"})
 class PortfolioSummary(Record):
     """One author's portfolio: either a raw citation vector or a summary.
 
-    Exactly one source form is present.  A vector is held as a
+    Exactly one source form is present.  A vector is held as a non-empty
     :class:`~scindex.indicators.CitationVector`, so a list of counts is read
     as one.  The summary form carries the triple (papers P, mean impact i,
     evenness eta) and optionally the published h, which cannot be derived
@@ -58,6 +64,8 @@ class PortfolioSummary(Record):
                 raise DomainError(
                     f"portfolio {shown(label)} vector must be a list of counts, got {shown(vector)}"
                 ) from None
+            if not vector:
+                raise EmptyPortfolioError(f"portfolio {shown(label)} has no papers")
         self._fill(label, vector, papers, impact, evenness, h)
 
     @classmethod
@@ -256,7 +264,7 @@ class AnalyticsTable(Record):
         value is marked reconstructed.
         """
         columns = _table_columns(_distinct([tuple(r) for _, r in labeled]), columns)
-        labels = [_label(label) for label, _ in labeled]
+        labels = tuple(_label(label) for label, _ in labeled)
         if labeled:
             dims = tuple(labeled[0][1][name].dim for name in columns)
         else:
@@ -269,7 +277,7 @@ class AnalyticsTable(Record):
                 dim.__add__(quantity.dim, f"mix in column {name!r}")
                 row.append(quantity.magnitude)
             rows.append(tuple(row))
-        return cls._assemble(columns, dims, labels, rows, [frozenset()] * len(labels))
+        return cls(columns, dims, labels, tuple(rows), (frozenset(),) * len(rows))
 
     @classmethod
     def from_portfolios(
@@ -287,26 +295,16 @@ class AnalyticsTable(Record):
         names = list(map(operator.attrgetter("names"), reports))
         layouts = _distinct(names)
         columns = _table_columns(layouts, columns)
-        values = map(operator.attrgetter("values"), reports)
+        values = map(operator.attrgetter("row"), reports)
         if layouts == [columns]:  # each report is its row as it is
             rows = tuple(values)
         else:
             at = {layout: tuple(map(layout.index, columns)) for layout in layouts}
-            rows = [tuple(map(row.__getitem__, at[layout])) for layout, row in zip(names, values)]
-        labels = [portfolio.label for portfolio in portfolios]
-        return cls._assemble(columns, _registry_dims(columns), labels, rows, flags)
-
-    @classmethod
-    def _assemble(cls, columns, dims, labels, rows, reconstructed) -> "AnalyticsTable":
-        shown = frozenset(columns)
-        visible = {flags: flags & shown for flags in set(reconstructed)}
-        return cls(
-            columns=columns,
-            dims=dims,
-            labels=tuple(labels),
-            rows=tuple(rows),
-            reconstructed=tuple(map(visible.__getitem__, reconstructed)),
-        )
+            rows = tuple(tuple(map(row.__getitem__, at[n])) for n, row in zip(names, values))
+        labels = tuple(portfolio.label for portfolio in portfolios)
+        visible = {flag: flag.intersection(columns) for flag in set(flags)}
+        reconstructed = tuple(map(visible.__getitem__, flags))
+        return cls(columns, _registry_dims(columns), labels, rows, reconstructed)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -333,7 +331,8 @@ def pearson_matrix(
 
     Symmetric with a unit diagonal.  Uses the covariance-over-product-of-
     deviations form directly (the sample/population variance convention
-    cancels in r).
+    cancels in r).  Each r is clamped to [-1, 1], which the rounded sums
+    of exactly proportional columns can pass by an ulp or two.
     """
     names = table.columns if columns is None else name_list(columns, "columns")
     if len(table) < 3:
@@ -350,7 +349,7 @@ def pearson_matrix(
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             r = sum(map(operator.mul, deviations[a], deviations[b])) / (norms[a] * norms[b])
-            matrix[a][b] = matrix[b][a] = r
+            matrix[a][b] = matrix[b][a] = max(-1.0, min(1.0, r))
     return tuple(map(tuple, matrix))
 
 

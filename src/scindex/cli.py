@@ -232,10 +232,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         import json
         payload = {
             "table": json.loads(emit_table(reconstructed, "json")),
-            "correlation": {
-                "columns": list(datasets.AUTHOR_COLUMNS),
-                "matrix": matrix,
-            },
+            "correlation": json.loads(emit_matrix(datasets.AUTHOR_COLUMNS, matrix, "json")),
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
@@ -328,9 +325,5 @@ def main(argv: Sequence[str] | None = None) -> int:
             gc.enable()
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

@@ -380,27 +380,27 @@ class IndicatorReport(Mapping[str, Quantity]):
 
     A report is the table row it becomes: ``names`` is one of the three
     layouts of the ladder, each in registry order (``VECTOR_LAYOUT``,
-    ``SUMMARY_LAYOUT`` and ``SUMMARY_H_LAYOUT``), and ``values`` the
-    float of each name, in that order.  Both are tuples, and a report is
+    ``SUMMARY_LAYOUT`` and ``SUMMARY_H_LAYOUT``), and ``row`` the float
+    of each name, in that order.  Both are tuples, and a report is
     not changed once built.  ``report[name]`` pairs a value with the
     indicator's declared dimension as a :class:`Quantity`; the dimension
     belongs to the indicator, so it is not stored per value.
     ``magnitudes`` is the name -> float dict, built on each request.
     """
 
-    __slots__ = ("names", "values")
+    __slots__ = ("names", "row")
 
-    def __init__(self, names: tuple[str, ...], values: tuple[float, ...]) -> None:
+    def __init__(self, names: tuple[str, ...], row: tuple[float, ...]) -> None:
         self.names = names
-        self.values = values
+        self.row = row
 
     @property
     def magnitudes(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
+        return dict(zip(self.names, self.row))
 
     def __getitem__(self, name: str) -> Quantity:
         try:
-            value = self.values[self.names.index(name)]
+            value = self.row[self.names.index(name)]
         except ValueError:
             raise KeyError(name) from None
         return Quantity(value, _BY_NAME[name].declared_dim)

@@ -10,7 +10,7 @@ data re-plottable.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dimension import Record, pairs, real
 from .errors import DegenerateSeriesError, DomainError, shown
@@ -60,6 +60,17 @@ def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
     )
 
 
+def _log_range(values: Iterable[float]) -> tuple[float, float]:
+    """The axis range of ``values`` in log10: their span, widened to 1 when
+    it is under 1e-12, padded by 6% at each end."""
+    logs = list(map(math.log10, values))
+    lo, hi = min(logs), max(logs)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.06 * (hi - lo)
+    return lo - pad, hi + pad
+
+
 def emit_loglog_svg(series: Sequence[PlotSeries], title: str = "") -> tuple[str, str]:
     """Render series to (svg_text, points_csv_text), the SVG 640 × 480 pixels.
 
@@ -76,18 +87,8 @@ def emit_loglog_svg(series: Sequence[PlotSeries], title: str = "") -> tuple[str,
         except DegenerateSeriesError as exc:
             raise DegenerateSeriesError(f"series {s.name}: {exc}") from None
 
-    xs = [math.log10(p[0]) for s in series for p in s.points]
-    ys = [math.log10(p[1]) for s in series for p in s.points]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    if hi_x - lo_x < 1e-12:
-        lo_x, hi_x = lo_x - 0.5, hi_x + 0.5
-    if hi_y - lo_y < 1e-12:
-        lo_y, hi_y = lo_y - 0.5, hi_y + 0.5
-    pad_x = 0.06 * (hi_x - lo_x)
-    pad_y = 0.06 * (hi_y - lo_y)
-    lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
-    lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
+    lo_x, hi_x = _log_range(p[0] for s in series for p in s.points)
+    lo_y, hi_y = _log_range(p[1] for s in series for p in s.points)
 
     ml, mr, mt, mb = 64, 16, 28, 44
     plot_w = _WIDTH - ml - mr

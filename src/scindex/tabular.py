@@ -151,13 +151,6 @@ def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(sorted(pairs, reverse=True)) for pairs in runs]
 
 
-def _wide(label: str, vector: CitationVector) -> PortfolioSummary:
-    """The portfolio of a wide record, which needs at least one paper."""
-    if not vector:
-        raise FormatError(f"portfolio {shown(label)} has no papers")
-    return PortfolioSummary(label, vector)
-
-
 def _summary_fields(papers: Any, impact: Any, evenness: Any, h: Any) -> tuple:
     """The converted fields of a summary record; ``h`` is None when none was published."""
     return (
@@ -261,7 +254,7 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
             if len(row) != len(header):
                 raise FormatError(f"expected {len(header)} fields, got {len(row)}")
             if header == WIDE_HEADER:
-                record = _wide(row[0], parse_counts(row[1]))
+                record = PortfolioSummary(row[0], parse_counts(row[1]))
             else:
                 h = row[4] if len(row) == 5 and row[4].strip() else None
                 record = PortfolioSummary.from_summary(row[0], *_summary_fields(*row[1:4], h))
@@ -322,7 +315,7 @@ def _json_records(payload: list, check: bool) -> list[PortfolioSummary]:
                 else:
                     record = PortfolioSummary._checked(label, None, *fields)
             elif isinstance(entry["citations"], list):
-                record = _wide(label, CitationVector(entry["citations"]))
+                record = PortfolioSummary(label, entry["citations"])
             else:
                 raise FormatError("'citations' must be an array of integers")
             _add_record(records, first_seen, record, n, "record")

@@ -15,6 +15,7 @@ from scindex import (
     AnalyticsTable,
     CitationVector,
     DomainError,
+    EmptyPortfolioError,
     HeterogeneityError,
     PortfolioSummary,
     Quantity,
@@ -255,6 +256,12 @@ class TestPortfolioSummary:
             PortfolioSummary("A", vector)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("vector", [[], (), CitationVector([])], ids=repr)
+    def test_an_empty_vector_is_refused_by_name(self, vector):
+        with pytest.raises(EmptyPortfolioError) as excinfo:
+            PortfolioSummary("a", vector)
+        assert str(excinfo.value) == "portfolio 'a' has no papers"
+
     def test_raw_report_has_no_reconstructed_columns(self):
         report, flags = PortfolioSummary("a", CitationVector([4, 2, 1])).report()
         assert flags == frozenset()
@@ -476,6 +483,29 @@ class TestPearson:
         assert isinstance(matrix, tuple) and all(isinstance(row, tuple) for row in matrix)
         reference = np.atleast_2d(np.corrcoef(columns))
         assert np.max(np.abs(np.array(matrix) - reference)) <= 1e-12
+
+    @given(data=st.data(), rows=st.integers(3, 20))
+    @settings(max_examples=200)
+    def test_every_r_lies_in_the_unit_interval(self, data, rows):
+        # Proportional columns have r = +-1 exactly, which rounded sums can pass.
+        base = data.draw(
+            st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows).filter(
+                lambda values: len(set(values)) > 1
+            )
+        )
+        scale = st.floats(-1e3, 1e3).filter(lambda factor: abs(factor) >= 1e-3)
+        factors = data.draw(st.lists(scale, min_size=1, max_size=4))
+        other = data.draw(
+            st.lists(st.floats(-100, 100), min_size=rows, max_size=rows).filter(
+                lambda values: max(values) - min(values) >= 1
+            )
+        )
+        columns = [base, *([factor * v for v in base] for factor in factors), other]
+        names = tuple(f"c{k}" for k in range(len(columns)))
+        table = _toy_table(
+            names, [(f"r{j}", tuple(col[j] for col in columns)) for j in range(rows)]
+        )
+        assert all(-1.0 <= r <= 1.0 for row in pearson_matrix(table, names) for r in row)
 
 
 class TestRanking:

@@ -750,6 +750,17 @@ class TestCorrelate:
         assert lines[0] == "correlation\tP\tC\ti"
         assert lines[1].split("\t")[1] == "1.00"
 
+    def test_proportional_columns_correlate_at_most_one(self, tmp_path, capsys):
+        # C and E of uniform portfolios are exactly proportional; the rounded
+        # sums gave r(C, E) = 1.0000000000000002 before r was clamped.
+        rows = "".join(f'A{n},"{";".join(["3"] * n)}"\n' for n in range(2, 8))
+        path = tmp_path / "uniform.csv"
+        path.write_text("author,citations\n" + rows)
+        argv = ["correlate", str(path), "--columns", "P,C,E", "--output-format", "json"]
+        assert main(argv) == 0
+        matrix = json.loads(capsys.readouterr().out)["matrix"]
+        assert {r for row in matrix for r in row} == {1.0}
+
     def test_zero_variance_exits_one(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text('author,citations\nA,"1"\nB,"1"\nC,"1"\n')
@@ -1035,6 +1046,22 @@ class TestEntryPoint:
         proc = _run_python("-m", "scindex", "dims", "C/P")
         assert proc.returncode == 0
         assert proc.stdout == "[P]\n"
+
+    def test_cli_module_invocation(self):
+        proc = _run_python("-m", "scindex.cli", "dims", "C/P")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[P]\n"
+
+    def test_console_scripts_resolve_to_callables(self):
+        import importlib
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = SRC.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"scindex": "scindex.cli:main"}
+        for target in scripts.values():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), attr)), target
 
     def test_runtime_does_not_import_numpy(self):
         code = (

@@ -89,6 +89,19 @@ class TestDimensionAlgebra:
                     operation(left, right)
                 assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "left, operation",
+        [
+            (PAPERS, operator.mul),
+            (PAPERS, operator.truediv),
+            (Quantity(1.0, PAPERS), operator.add),
+            (Quantity(1.0, PAPERS), operator.sub),
+        ],
+    )
+    def test_a_number_on_the_right_is_a_type_error(self, left, operation):
+        with pytest.raises(TypeError):
+            operation(left, 2)
+
     @pytest.mark.parametrize("operation", [operator.add, operator.sub])
     def test_sum_with_a_number_is_a_type_error(self, operation):
         for left, right in ((PAPERS, 1), (1, PAPERS), (PAPERS, Quantity(1, PAPERS))):

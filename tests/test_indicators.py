@@ -160,6 +160,17 @@ class TestCitationVector:
             vec.counts
         assert repr(vec) == "CitationVector.from_runs([(3, 1), (2, 1), (1, 1)])"
 
+    def test_iterates_its_counts_largest_first(self):
+        assert list(CitationVector([1, 4, 2, 4])) == [4, 4, 2, 1]
+
+    def test_iterating_past_the_count_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(indicators, "MAX_REPLICA_COUNTS", 2)
+        with pytest.raises(DomainError, match="vector of 3 counts is over the limit of 2"):
+            iter(CitationVector([3, 2, 1]))
+
+    def test_never_equals_a_list(self):
+        assert (CitationVector([1]) == [1]) is False
+
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickles_at_every_protocol(self, protocol):
         vec = CitationVector([3, 1, 1])
@@ -352,10 +363,19 @@ class TestIndicatorReport:
         names = tuple(name for name in registry_names() if name not in absent)
         assert layout == names and report.names is layout
         assert tuple(report) == tuple(report.magnitudes) == names and len(report) == len(names)
-        assert type(report.values) is tuple and all(type(v) is float for v in report.values)
-        assert report.magnitudes == dict(zip(names, report.values))
-        assert [report[name].magnitude for name in report] == list(report.values)
+        assert type(report.row) is tuple and all(type(v) is float for v in report.row)
+        assert report.magnitudes == dict(zip(names, report.row))
+        assert [report[name].magnitude for name in report] == list(report.row)
         assert all(name not in report for name in absent)
+
+    def test_values_are_its_quantities(self):
+        report = compute_all([4, 2, 1])
+        assert list(report.values()) == [report[name] for name in report]
+
+    def test_repr_shows_the_magnitudes(self):
+        report = compute_all([2])
+        assert repr(report) == f"IndicatorReport({report.magnitudes!r})"
+        assert repr(report).startswith("IndicatorReport({'P': 1.0, 'C': 2.0, 'i': 2.0, ")
 
     def test_mapping_protocol(self):
         report = compute_all([4, 2, 1])

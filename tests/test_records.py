@@ -311,6 +311,9 @@ class TestIndicatorDescriptor:
         assert a != IndicatorDescriptor("h", PAPERS, h_index, fit_tolerance=0.05)
         assert a != IndicatorDescriptor("g", PAPERS, h_index)
 
+    def test_never_equals_its_name(self):
+        assert (IndicatorDescriptor("h", PAPERS, h_index) == "h") is False
+
     def test_repr_shows_every_field(self):
         desc = IndicatorDescriptor("h", PAPERS, h_index)
         assert repr(desc) == (

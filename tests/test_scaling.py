@@ -525,12 +525,12 @@ class TestSharedReplicas:
         assert first is not second and first is not vec._ladder
         # A report's values are a tuple, so a changed magnitudes dict changes
         # no report and not the ladder the vector keeps.
-        kept = vec._ladder.values
+        kept = vec._ladder.row
         magnitudes = first.magnitudes
         magnitudes["C"] = -1.0
-        assert type(first.values) is tuple and first.magnitudes != magnitudes
+        assert type(first.row) is tuple and first.magnitudes != magnitudes
         assert first == second and first["C"].magnitude == 7.0
-        assert vec._ladder.values == kept and descriptor("C").compute(vec).magnitude == 7.0
+        assert vec._ladder.row == kept and descriptor("C").compute(vec).magnitude == 7.0
 
 
 @given(

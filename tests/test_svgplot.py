@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import xml.dom.minidom
 from fractions import Fraction
 
@@ -67,6 +68,19 @@ class TestEmitLogLogSvg:
         assert "i_E: slope 1.50" in svg
         assert "h: slope 1.00" in svg
         assert "<circle" in svg and "<rect" in svg
+
+    def test_five_marker_shapes_cycle(self):
+        # Six series: circle, square, triangle, diamond, cross, then circle
+        # again, each drawn at three points and once in the legend.
+        series = [
+            PlotSeries(f"s{k}", [(1, k + 1), (2, 2 * k + 2), (4, 4 * k + 4)]) for k in range(6)
+        ]
+        svg, _ = emit_loglog_svg(series)
+        polygons = re.findall(r'<polygon points="([^"]*)"', svg)
+        assert svg.count("<circle") == 8
+        assert svg.count("<rect") == 2 + 4  # the background and plot frame, then the squares
+        assert sorted(len(points.split()) for points in polygons) == [3] * 4 + [4] * 4
+        assert svg.count("<path") == 4
 
     def test_non_positive_point_rejected(self):
         with pytest.raises(DegenerateSeriesError) as excinfo:
