@@ -331,8 +331,11 @@ def pearson_matrix(
 
     Symmetric with a unit diagonal.  Uses the covariance-over-product-of-
     deviations form directly (the sample/population variance convention
-    cancels in r).  Each r is clamped to [-1, 1], which the rounded sums
-    of exactly proportional columns can pass by an ulp or two.
+    cancels in r).  r does not change when a column is scaled, so each is
+    first scaled by the power of two (exact) that puts its largest
+    magnitude in [0.5, 1), and no sum overflows or underflows.  Each r is
+    clamped to [-1, 1], which the rounded sums of exactly proportional
+    columns can pass by an ulp or two.
     """
     names = table.columns if columns is None else name_list(columns, "columns")
     if len(table) < 3:
@@ -340,8 +343,11 @@ def pearson_matrix(
     deviations = []
     for name in names:
         values = list(map(operator.itemgetter(table.column_index(name)), table.rows))
-        if min(values) == max(values):
+        low, high = min(values), max(values)
+        if low == high:
             raise ZeroVarianceError(name)
+        shift = -math.frexp(max(-low, high))[1]
+        values = [math.ldexp(value, shift) for value in values]
         mean = math.fsum(values) / len(values)
         deviations.append([value - mean for value in values])
     norms = [math.sqrt(sum(map(operator.mul, d, d))) for d in deviations]

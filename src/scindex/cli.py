@@ -165,8 +165,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _check_probe_outputs(output: str | None, svg: str) -> None:
-    """Refuse ``-o``, ``--svg`` and the SVG's points file when two of them
-    name one file, so that no output overwrites another."""
+    """Refuse ``-o``, ``--svg`` and the SVG's points file when one is a
+    directory or two of them name one file, so that no output overwrites
+    another and none fails after another is written."""
     svg_path = Path(svg)
     if not svg_path.name:
         raise FormatError(f"--svg {shown(svg)} names no file")
@@ -175,6 +176,8 @@ def _check_probe_outputs(output: str | None, svg: str) -> None:
         outputs.insert(0, ("-o", Path(output)))
     seen: dict[Path, str] = {}
     for option, path in outputs:
+        if path.is_dir():
+            raise FormatError(f"{option} {shown(str(path))} is a directory")
         first = seen.setdefault(path.resolve(), option)
         if first != option:
             raise FormatError(f"{first} and {option} name the same file {shown(str(path))}")

@@ -10,11 +10,12 @@ The indicator ladder runs P (papers, [P]), C (total citations, [P^2]),
 and the second-order family X, E, S ([P^3]); the evenness ratio eta is
 dimensionless, the h-type indices h, g, z carry [P], and the Euclidean
 length of the citation list carries [P^3/2].  Every rung except the
-rank indices h and g is a closed form of P, C = sum(c) and E = sum(c^2),
-so one builder derives and dimensions all of them.  A vector is held as
-the (value, multiplicity) runs of its counts, and one pass over the runs
-gives P, C, E, h and g, so a replica (see :mod:`scindex.scaling`) costs
-O(distinct values) however many papers it stands for.
+rank indices h and g is a closed form of P, C = sum(c) and E = sum(c^2).
+A vector is held as the (value, multiplicity) runs of its counts, and
+one pass over the runs gives P, C, E, h and g, from which one function
+derives and dimensions the whole report; every kernel reads it.  So a
+replica (see :mod:`scindex.scaling`) costs O(distinct values) however
+many papers it stands for.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ class CitationVector:
     of them; past that bound ``repr`` shows the runs instead.
 
     A vector keeps two results derived from its runs, each built on first
-    use and never if its construction raised: the closed-form ladder its
-    ladder kernels read, and the replica series of the last scaling probe
-    of it (see :func:`scindex.scaling.verify_dimension`).  Pickling,
-    equality and hashing read only the runs.
+    use and never if its construction raised: the report of all 11
+    indicators that every kernel reads, and the replica series of the
+    last scaling probe of it (see :func:`scindex.scaling.verify_dimension`).
+    Pickling, equality and hashing read only the runs.
     """
 
     __slots__ = ("_runs", "_ladder", "_replicas")
@@ -197,19 +198,12 @@ def _nonempty(v: Counts) -> CitationVector:
 
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
-    return Quantity(_rank_magnitude(_rank_sums(_nonempty(v).runs)[3]), PAPERS)
+    return _kept_report(v)["h"]
 
 
 def g_index(v: Counts) -> Quantity:
     """g: largest rank whose top papers jointly have >= rank^2 citations."""
-    return Quantity(_rank_magnitude(_rank_sums(_nonempty(v).runs)[4]), PAPERS)
-
-
-def _rank_magnitude(rank: int) -> float:
-    try:
-        return float(rank)
-    except OverflowError:
-        raise DomainError("rank index exceeds the floating-point range") from None
+    return _kept_report(v)["g"]
 
 
 def _rank_sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int, int, int]:
@@ -294,38 +288,35 @@ def _ladder(
     return IndicatorReport(names, values)
 
 
-def _closed_forms(
-    p: int, c: int, e: int, h: int | None = None, g: int | None = None
-) -> IndicatorReport:
+def _closed_forms(p: int, c: int, e: int, h: int, g: int) -> IndicatorReport:
     """The ladder from the exact sums P, C = sum(c) and E = sum(c^2), with
-    the rank indices h and g when given.
+    the rank indices h and g.
 
     X = C^2/P and S = (P*E - C^2)/P each round once from exact integers,
     so S is non-negative and exactly zero on uniform vectors.  eta = X/E;
     an all-zero vector has X = E = 0 and eta is defined as 1 for it (a
-    zero vector is perfectly even, and S = 0 agrees).  Sums beyond the
-    float range raise :class:`DomainError`.
+    zero vector is perfectly even, and S = 0 agrees).  A sum or rank
+    index beyond the float range raises :class:`DomainError`, so a vector
+    whose report does not fit a float has no indicator.
     """
     try:
         x = c * c / p
-        return _ladder(
-            p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g
-        )
+        return _ladder(p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g)
     except OverflowError:
         raise DomainError("citation sums exceed the floating-point range") from None
 
 
+def _kept_report(v: Counts) -> IndicatorReport:
+    """The report of ``v``, which its vector keeps once it is built."""
+    vec = _nonempty(v)
+    if vec._ladder is None:
+        vec._ladder = _closed_forms(*_rank_sums(vec._runs))
+    return vec._ladder
+
+
 def _ladder_kernel(name: str) -> Kernel:
-    """Kernel for one closed-form indicator: the ladder's value of ``name``,
-    read from the ladder the vector keeps once it is built."""
-
-    def kernel(v: Counts) -> Quantity:
-        vec = _nonempty(v)
-        if vec._ladder is None:
-            vec._ladder = _closed_forms(*_rank_sums(vec._runs)[:3])
-        return vec._ladder[name]
-
-    return kernel
+    """Kernel for one indicator: its value in the report the vector keeps."""
+    return lambda v: _kept_report(v)[name]
 
 
 class IndicatorDescriptor:
@@ -334,7 +325,9 @@ class IndicatorDescriptor:
     ``fit_tolerance`` is the slope gate used by the scaling probe; the
     indices with exact replication scaling sit at 1e-6, g (whose rank
     thresholds interact with replication) at 0.05.  Equality and hashing
-    ignore ``compute``, which may be rebound (to wrap a kernel, say).
+    ignore ``compute``, which may be rebound (to wrap a kernel, say); the
+    other three fields are fixed once checked, and rebinding or deleting
+    one raises :class:`AttributeError`.
 
     The name must be a ``str``, the declared dimension a :class:`Dimension`
     and ``compute`` callable, and ``fit_tolerance`` is read by
@@ -358,6 +351,18 @@ class IndicatorDescriptor:
         self.declared_dim = declared_dim
         self.compute = compute
         self.fit_tolerance = check_tolerance(fit_tolerance, f"indicator {name}: fit tolerance")
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        self._refuse_rebinding(attr)
+        object.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr: str) -> None:
+        self._refuse_rebinding(attr)
+        object.__delattr__(self, attr)
+
+    def _refuse_rebinding(self, attr: str) -> None:
+        if attr in ("name", "declared_dim", "fit_tolerance") and attr in vars(self):
+            raise AttributeError(f"indicator {self.name}: {attr} cannot be changed")
 
     def _key(self) -> tuple:
         return self.name, self.declared_dim, self.fit_tolerance
@@ -419,8 +424,8 @@ REGISTRY: tuple[IndicatorDescriptor, ...] = (
     IndicatorDescriptor("P", PAPERS, _ladder_kernel("P")),
     IndicatorDescriptor("C", PAPERS_SQUARED, _ladder_kernel("C")),
     IndicatorDescriptor("i", PAPERS, _ladder_kernel("i")),
-    IndicatorDescriptor("h", PAPERS, h_index),
-    IndicatorDescriptor("g", PAPERS, g_index, fit_tolerance=0.05),
+    IndicatorDescriptor("h", PAPERS, _ladder_kernel("h")),
+    IndicatorDescriptor("g", PAPERS, _ladder_kernel("g"), fit_tolerance=0.05),
     IndicatorDescriptor("X", PAPERS_CUBED, _ladder_kernel("X")),
     IndicatorDescriptor("E", PAPERS_CUBED, _ladder_kernel("E")),
     IndicatorDescriptor("S", PAPERS_CUBED, _ladder_kernel("S")),

@@ -57,9 +57,9 @@ SUMMARY_HEADER: tuple[str, ...] = ("author", "P", "i", "eta")
 SUMMARY_HEADER_H: tuple[str, ...] = SUMMARY_HEADER + ("h",)
 
 # Most bytes of input the CLI reads.  Reading, checking and emitting a table
-# peaks at up to about 75 bytes of memory per input byte (summary CSV rows of
-# 13 bytes; 39 at 34 bytes a row, 21 for wide CSV), so an input at this limit
-# peaks at about 600 MiB.
+# peaks at up to about 80 bytes of resident memory per input byte to TSV,
+# 115 to CSV and 260 to JSON (summary CSV rows of 13 bytes), so an input at
+# this limit peaks at about 640 MiB, 920 MiB and 2 GiB.
 MAX_INPUT_BYTES = 8 * 2**20
 
 # Most decimals a table writer prints.  A double has at most 17 significant

@@ -507,6 +507,34 @@ class TestPearson:
         )
         assert all(-1.0 <= r <= 1.0 for row in pearson_matrix(table, names) for r in row)
 
+    @given(
+        data=st.data(),
+        rows=st.integers(3, 20),
+        width=st.integers(2, 5),
+        power=st.integers(-990, 980),
+    )
+    @settings(max_examples=200)
+    def test_a_power_of_two_scale_changes_no_bit_of_r(self, data, rows, width, power):
+        # Magnitudes from 1e-8 (about 2**-27) to 1e12 (about 2**40), or 0, so
+        # every scaled value stays a finite normal double and the scale is
+        # exact, while their squares may leave the float range.
+        value = st.floats(-1e12, 1e12).filter(lambda v: v == 0 or abs(v) >= 1e-8)
+        column = st.lists(value, min_size=rows, max_size=rows).filter(
+            lambda values: min(values) != max(values)
+        )
+        columns = [data.draw(column) for _ in range(width)]
+        scaled = data.draw(st.integers(0, width - 1))
+        names = tuple(f"c{k}" for k in range(width))
+
+        def table(factor):
+            cols = [
+                [math.ldexp(v, factor) for v in col] if k == scaled else col
+                for k, col in enumerate(columns)
+            ]
+            return _toy_table(names, [(f"r{j}", tuple(c[j] for c in cols)) for j in range(rows)])
+
+        assert pearson_matrix(table(power), names) == pearson_matrix(table(0), names)
+
 
 class TestRanking:
     def test_rank_by_paper_count(self):

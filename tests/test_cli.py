@@ -196,6 +196,15 @@ class TestProbe:
             "citation sums exceed the floating-point range\n"
         )
 
+    def test_the_rank_indices_share_the_float_range_rule(self, capsys):
+        lam = 10**110
+        argv = ["probe", "--base", "4;2;1", "--lambdas", f"1,2,{lam}", "--index", "h,g"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: indicator h at lambda {shown(lam)}: "
+            "citation sums exceed the floating-point range\n"
+        )
+
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
     def test_bad_tolerance_exits_one(self, capsys, value, shown):
         code = main(["probe", "--base", "4;2;1", "--index", "C", "--tolerance", value])
@@ -375,6 +384,27 @@ class TestProbe:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+    @pytest.mark.parametrize(
+        "outputs, message",
+        [
+            (["-o", "t.tsv", "--svg", "sub"], "--svg 'sub' is a directory"),
+            (["-o", "sub", "--svg", "p.svg"], "-o 'sub' is a directory"),
+            (["-o", "t.tsv", "--svg", "sub.svg"], "the points file of --svg 'sub.csv' is a directory"),
+        ],
+        ids=["svg", "output", "points"],
+    )
+    def test_an_output_that_is_a_directory_is_refused_first(
+        self, outputs, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name in ("sub", "sub.csv"):
+            (tmp_path / name).mkdir()
+        assert main(["probe", "--base", "4;2;1", *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub", "sub.csv"]
 
     def test_distinct_outputs_are_all_written(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -761,6 +791,47 @@ class TestCorrelate:
         matrix = json.loads(capsys.readouterr().out)["matrix"]
         assert {r for row in matrix for r in row} == {1.0}
 
+    @pytest.mark.parametrize(
+        "rows, columns, lines",
+        [
+            # E of the first count is near the largest double: its sums overflowed.
+            (
+                ["author,citations"] + [
+                    f'A{a},"{";".join([str(a * 10**153)] + ["1"] * n)}"'
+                    for a, n in ((13, 1), (12, 2), (11, 3))
+                ],
+                "P,E",
+                ["correlation\tP\tE", "P\t1.00\t-1.00", "E\t-1.00\t1.00"],
+            ),
+            # E near 1e300: its squared deviations overflowed to inf, so r read 0.
+            (
+                ["author,citations"] + [
+                    f'A{a},"{";".join([str(a * 10**150)] + ["0"] * n)}"'
+                    for a, n in ((1, 5), (3, 1), (2, 4), (5, 2), (4, 3))
+                ],
+                "P,C,E",
+                [
+                    "correlation\tP\tC\tE",
+                    "P\t1.00\t-0.70\t-0.61",
+                    "C\t-0.70\t1.00\t0.98",
+                    "E\t-0.61\t0.98\t1.00",
+                ],
+            ),
+            # One i of the smallest subnormal: its squared deviations underflowed to 0.
+            (
+                ["author,P,i,eta", "a,10,5e-324,0.5", "b,11,0,0.5", "c,12,0,0.5"],
+                "P,i",
+                ["correlation\tP\ti", "P\t1.00\t-0.87", "i\t-0.87\t1.00"],
+            ),
+        ],
+        ids=["overflow", "inf-deviations", "underflow"],
+    )
+    def test_extreme_magnitudes_give_the_true_r(self, tmp_path, capsys, rows, columns, lines):
+        path = tmp_path / "extreme.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["correlate", str(path), "--columns", columns]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_zero_variance_exits_one(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text('author,citations\nA,"1"\nB,"1"\nC,"1"\n')
@@ -940,24 +1011,34 @@ class TestMemoryPerInputByte:
     of a mid-size summary input: ``tabular.MAX_INPUT_BYTES`` is chosen from
     this ratio, so a rise in it shows here first."""
 
-    # Measured: 48 bytes per input byte on these 20,000 rows (438 kB) with
-    # CPython 3.11 (82 at 5,000 rows, where fixed costs weigh more).  The
-    # bound leaves a third more for other interpreter versions.
-    BOUND = 64
+    # Measured on these 20,000 rows (438 kB) with CPython 3.11: 48.5 bytes per
+    # input byte to TSV, 65.6 to CSV and 147.7 to JSON, whose table is some
+    # 40 times its input (82 to TSV at 5,000 rows, where fixed costs weigh
+    # more).  Each bound leaves a third more for other interpreter versions.
+    BOUNDS = {"tsv": 64, "csv": 88, "json": 197}
 
-    def test_a_summary_table_peaks_under_the_bound(self, tmp_path):
-        path, out = tmp_path / "summary.csv", str(tmp_path / "out.tsv")
+    @staticmethod
+    def _peak_per_byte(tmp_path, output_format):
+        path, out = tmp_path / "summary.csv", str(tmp_path / f"out.{output_format}")
+        argv = ["compute", str(path), "-o", out, "--output-format", output_format]
         path.write_text(_summary_csv(10))
-        assert main(["compute", str(path), "-o", out]) == 0  # lazy imports load
+        assert main(argv) == 0  # lazy imports load
         text = _summary_csv(20000)
         path.write_text(text)
         tracemalloc.start()
         try:
-            assert main(["compute", str(path), "-o", out]) == 0
+            assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(text.encode()) < self.BOUND
+        return peak / len(text.encode())
+
+    def test_a_summary_table_peaks_under_the_bound(self, tmp_path):
+        assert self._peak_per_byte(tmp_path, "tsv") < self.BOUNDS["tsv"]
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_each_output_format_peaks_under_its_bound(self, tmp_path, output_format):
+        assert self._peak_per_byte(tmp_path, output_format) < self.BOUNDS[output_format]
 
 
 class TestNoCyclesPerRecord:

@@ -33,8 +33,10 @@ from scindex import (
     Quotient,
     Sum,
     Symbol,
+    descriptor,
     g_index,
     h_index,
+    probe_registry,
 )
 from scindex.dimension import Record
 from scindex.expressions import _Token
@@ -352,3 +354,21 @@ class TestIndicatorDescriptor:
         with pytest.raises(DomainError) as excinfo:
             IndicatorDescriptor(*fields)
         assert str(excinfo.value) == message
+
+    def test_checked_fields_cannot_be_changed(self):
+        before = probe_registry([10, 5, 3, 2, 1])
+        desc = descriptor("g")
+        for field, value in (("name", "h"), ("declared_dim", 2), ("fit_tolerance", 0.5)):
+            with pytest.raises(AttributeError, match=f"indicator g: {field} cannot be changed"):
+                setattr(desc, field, value)
+            with pytest.raises(AttributeError, match=f"indicator g: {field} cannot be changed"):
+                delattr(desc, field)
+        assert desc.fit_tolerance == 0.05
+        assert probe_registry([10, 5, 3, 2, 1]) == before
+
+    def test_compute_may_be_rebound(self):
+        desc = IndicatorDescriptor("h", PAPERS, h_index)
+        desc.compute = g_index
+        assert desc.compute is g_index
+        del desc.compute
+        assert "compute" not in vars(desc)

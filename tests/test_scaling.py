@@ -19,6 +19,8 @@ from scindex import (
     Quantity,
     descriptor,
     fit_loglog,
+    g_index,
+    h_index,
     probe_registry,
     replicate_scale,
     verify_dimension,
@@ -155,7 +157,7 @@ class TestRunForm:
 
     def test_rank_past_the_float_range(self):
         huge = CitationVector.from_runs([(10**400, 10**400)])
-        with pytest.raises(DomainError, match="rank index exceeds the floating-point range"):
+        with pytest.raises(DomainError, match="citation sums exceed the floating-point range"):
             descriptor("h").compute(huge)
 
 
@@ -393,15 +395,16 @@ class TestVerifyDimension:
             probe_registry([4, 2, 1], names=[], tolerance=tolerance)
 
     def test_scale_factor_past_the_float_range_is_named(self):
-        # E = 21 * lam^3 leaves the float range, and with it the ladder that
-        # every closed-form indicator is read from; the rank h does not.
+        # E = 21 * lam^3 leaves the float range, and with it the report that
+        # every indicator is read from, the rank indices included.
         lam = 10**110
-        assert verify_dimension(descriptor("h"), [4, 2, 1], lambdas=(1, 2, lam)).passed
-        with pytest.raises(DomainError) as excinfo:
-            verify_dimension(descriptor("C"), [4, 2, 1], lambdas=(1, 2, lam))
-        assert str(excinfo.value) == (
-            f"indicator C at lambda {shown(lam)}: citation sums exceed the floating-point range"
-        )
+        for name in ("C", "h"):
+            with pytest.raises(DomainError) as excinfo:
+                verify_dimension(descriptor(name), [4, 2, 1], lambdas=(1, 2, lam))
+            assert str(excinfo.value) == (
+                f"indicator {name} at lambda {shown(lam)}: "
+                "citation sums exceed the floating-point range"
+            )
 
     def test_a_declared_exponent_past_the_float_range_is_named(self, monkeypatch):
         built = []
@@ -435,17 +438,21 @@ class TestSharedReplicas:
     def test_one_replica_and_one_ladder_per_scale_factor(self, monkeypatch):
         built = []
         ladders = []
+        sums = []
         replicate, closed_forms = scaling.replicate_scale, indicators._closed_forms
+        rank_sums = indicators._rank_sums
         monkeypatch.setattr(
             scaling, "replicate_scale", lambda v, lam: built.append(lam) or replicate(v, lam)
         )
         monkeypatch.setattr(
             indicators, "_closed_forms", lambda *a: ladders.append(a) or closed_forms(*a)
         )
+        monkeypatch.setattr(indicators, "_rank_sums", lambda r: sums.append(r) or rank_sums(r))
         results = probe_registry(SMOOTH_BASE, range(1, 13))
         assert len(results) == len(REGISTRY) == 11
         assert built == list(range(1, 13))
         assert len(ladders) == 12
+        assert len(sums) == 12
 
     @given(
         counts=st.lists(st.integers(0, 1000), min_size=1, max_size=30),
@@ -531,6 +538,17 @@ class TestSharedReplicas:
         assert type(first.row) is tuple and first.magnitudes != magnitudes
         assert first == second and first["C"].magnitude == 7.0
         assert vec._ladder.row == kept and descriptor("C").compute(vec).magnitude == 7.0
+
+    def test_the_rank_indices_read_the_kept_report(self, monkeypatch):
+        sums = []
+        rank_sums = indicators._rank_sums
+        monkeypatch.setattr(indicators, "_rank_sums", lambda r: sums.append(r) or rank_sums(r))
+        vec = CitationVector([10, 5, 3, 2, 1])
+        assert h_index(vec).magnitude == h_index(vec).magnitude == 3.0
+        assert g_index(vec).magnitude == 4.0
+        assert descriptor("h").compute(vec) == h_index(vec)
+        assert len(sums) == 1
+        assert vec._ladder == compute_all(vec) and len(sums) == 2
 
 
 @given(
