@@ -35,7 +35,7 @@ print(f"\ng on a 15-paper portfolio: fitted slope {g_result.estimate.slope:.4f}"
 
 # Render the positive series as a log-log SVG with slope annotations.
 plottable = [
-    PlotSeries(r.indicator, list(zip(r.lambdas, r.values)))
+    PlotSeries(r.indicator, list(zip(r.lambdas, r.values)), r.estimate)
     for r in results
     if all(v > 0 for v in r.values)
 ]

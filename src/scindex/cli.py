@@ -14,12 +14,15 @@ verification failure.  ``--precision`` (or the ``SCINDEX_PRECISION``
 environment variable) controls rendered decimals, as
 ``tabular.check_precision`` allows; ``full`` emits shortest round-trip
 values.  ``main`` pauses the cyclic garbage collector for one command
-and restores the caller's setting.
+and restores the caller's setting.  The parser is built once per process,
+on the first ``main`` call, and each call dispatches to the module's
+current ``_cmd_*`` function.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -77,6 +80,13 @@ def _load_records(path: str, format_arg: str | None):
         raise FormatError(f"input {source} is larger than the limit of {limit} bytes")
     inferred = "json" if path.endswith(".json") else "csv"
     return parse_input(data, format_arg or inferred)
+
+
+def _check_output(output: str | None) -> None:
+    """Refuse an ``-o`` that is a directory, before any input is read;
+    none or ``-`` is stdout."""
+    if output not in (None, "-") and Path(output).is_dir():
+        raise FormatError(f"-o {shown(str(Path(output)))} is a directory")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -149,6 +159,7 @@ def _format_probe_lines(results: Sequence[ProbeResult]) -> str:
 def _cmd_compute(args: argparse.Namespace) -> int:
     columns = _columns_arg(args.columns)
     precision = _resolve_precision(args.precision)
+    _check_output(args.output)
     table = AnalyticsTable.from_portfolios(_load_records(args.input, args.format), columns=columns)
     _write_output(emit_table(table, args.output_format, precision), args.output)
     return 0
@@ -157,6 +168,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     columns = _columns_arg(args.columns)
     precision = _resolve_precision(args.precision)
+    _check_output(args.output)
     table = AnalyticsTable.from_portfolios(_load_records(args.input, args.format))
     columns = columns or list(table.columns)
     matrix = pearson_matrix(table, columns)
@@ -165,17 +177,17 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _check_probe_outputs(output: str | None, svg: str) -> None:
-    """Refuse ``-o``, ``--svg`` and the SVG's points file when one is a
-    directory or two of them name one file, so that no output overwrites
-    another and none fails after another is written."""
+    """Refuse ``--svg`` and the SVG's points file when one is a directory
+    or two of ``-o``, ``--svg`` and the points file name one file, so that
+    no output overwrites another and none fails after another is written.
+    ``-o`` itself is checked by :func:`_check_output`."""
     svg_path = Path(svg)
     if not svg_path.name:
         raise FormatError(f"--svg {shown(svg)} names no file")
-    outputs = [("--svg", svg_path), ("the points file of --svg", svg_path.with_suffix(".csv"))]
-    if output not in (None, "-"):
-        outputs.insert(0, ("-o", Path(output)))
-    seen: dict[Path, str] = {}
-    for option, path in outputs:
+    seen = {} if output in (None, "-") else {Path(output).resolve(): "-o"}
+    for option, path in (
+        ("--svg", svg_path), ("the points file of --svg", svg_path.with_suffix(".csv"))
+    ):
         if path.is_dir():
             raise FormatError(f"{option} {shown(str(path))} is a directory")
         first = seen.setdefault(path.resolve(), option)
@@ -184,6 +196,7 @@ def _check_probe_outputs(output: str | None, svg: str) -> None:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     base = _parse_counts_arg(args.base)
     lambdas = _parse_lambdas_arg(args.lambdas)
     names = None if args.index == "all" else _list_arg(args.index, "--index")
@@ -194,7 +207,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     if args.svg:
         # Plotted before anything is written, so a refusal leaves no file.
         plottable = [
-            PlotSeries(r.indicator, list(zip(r.lambdas, r.values)))
+            PlotSeries(r.indicator, list(zip(r.lambdas, r.values)), r.estimate)
             for r in results
             if all(v > 0 for v in r.values)
         ]
@@ -228,6 +241,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from . import datasets
     precision = _resolve_precision(args.precision)
+    _check_output(args.output)
     reconstructed = datasets.reconstructed_table()
     published = datasets.published_table()
     matrix = pearson_matrix(published, datasets.AUTHOR_COLUMNS)
@@ -299,22 +313,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one parser of the process, built on the first ``main`` call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # A command's records, reports and rows hold no reference cycles, so
     # reference counting frees them and a collector pass over them finds
-    # nothing; the only cycles are argparse's parser graph, a fixed set.
-    # The collector is paused for the command, as ``timeit`` does.
+    # nothing; the only cycles are argparse's parser graph, built once per
+    # process.  The collector is paused for the command, as ``timeit`` does.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage errors; usage errors are input errors here.
             return 0 if exc.code in (0, None) else 1
         try:
-            return args.func(args)
+            # The handler by its subcommand's name, so that one rebound on the
+            # module, before or after the parser was built, is the one run.
+            return globals()[f"_cmd_{args.command}"](args)
         except (ScindexError, OSError) as exc:
             message = str(exc)
             if isinstance(exc, OSError) and exc.filename is not None:

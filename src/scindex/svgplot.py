@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .dimension import Record, pairs, real
 from .errors import DegenerateSeriesError, DomainError, shown
-from .scaling import fit_loglog
+from .scaling import ExponentEstimate, fit_loglog
 from .tabular import _csv_text
 
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
@@ -25,17 +25,34 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 class PlotSeries(Record):
     """A named point set destined for log-log axes: (x, y) pairs, each
-    coordinate read by :func:`real`, and a :class:`DomainError` that names
-    the series otherwise.
+    coordinate read by :func:`real`, and optionally the points' log-log
+    fit, an :class:`ExponentEstimate` (a probe's own) whose slope and
+    intercept are finite reals, held as floats; a :class:`DomainError`
+    names the series otherwise.
     """
 
-    __slots__ = ("name", "points")
+    __slots__ = ("name", "points", "fit")
 
-    def __init__(self, name: str, points: Sequence[Sequence[float]]) -> None:
+    def __init__(
+        self,
+        name: str,
+        points: Sequence[Sequence[float]],
+        fit: ExponentEstimate | None = None,
+    ) -> None:
         series = f"series {shown(name)}"
         checked = pairs(points, f"points of {series}")
         coordinate = f"point coordinate of {series}"
-        self._fill(name, tuple((real(x, coordinate), real(y, coordinate)) for x, y in checked))
+        checked = tuple((real(x, coordinate), real(y, coordinate)) for x, y in checked)
+        if fit is not None:
+            if not isinstance(fit, ExponentEstimate):
+                raise DomainError(f"fit of {series} must be an ExponentEstimate, got {shown(fit)}")
+            term = f"fit slope or intercept of {series}"
+            line = [real(value, term) for value in (fit.slope, fit.intercept)]
+            for value in line:
+                if not math.isfinite(value):
+                    raise DomainError(f"{term} must be finite, got {shown(value)}")
+            fit = ExponentEstimate(*line, fit.max_residual)
+        self._fill(name, checked, fit)
 
 
 def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
@@ -74,18 +91,33 @@ def _log_range(values: Iterable[float]) -> tuple[float, float]:
 def emit_loglog_svg(series: Sequence[PlotSeries], title: str = "") -> tuple[str, str]:
     """Render series to (svg_text, points_csv_text), the SVG 640 × 480 pixels.
 
-    Every series needs at least three strictly positive points for its
-    slope fit; the fit's :class:`DegenerateSeriesError` otherwise
-    propagates, prefixed with the series name.
+    Each series' dashed line and slope label come from its log-log fit: the
+    ``fit`` it carries, which is not refitted, or else :func:`fit_loglog`
+    of its points, which needs at least three of them.  A series needs at
+    least one point, and every point must be finite and strictly positive;
+    a :class:`DegenerateSeriesError` prefixed with the series name is
+    raised otherwise.
     """
     if not series:
         raise DomainError("nothing to plot")
     fits = []
     for s in series:
-        try:
-            fits.append(fit_loglog([p[0] for p in s.points], [p[1] for p in s.points]))
-        except DegenerateSeriesError as exc:
-            raise DegenerateSeriesError(f"series {s.name}: {exc}") from None
+        fit = s.fit
+        if fit is None:
+            try:
+                fit = fit_loglog([p[0] for p in s.points], [p[1] for p in s.points])
+            except DegenerateSeriesError as exc:
+                raise DegenerateSeriesError(f"series {s.name}: {exc}") from None
+        elif not s.points:
+            raise DegenerateSeriesError(f"series {s.name}: log-log axes need at least one point")
+        else:
+            for x, y in s.points:
+                if not (0 < x < math.inf and 0 < y < math.inf):  # nan fails it too
+                    raise DegenerateSeriesError(
+                        f"series {s.name}: log-log axes need finite, strictly positive "
+                        f"points, got ({x:g}, {y:g})"
+                    )
+        fits.append(fit)
 
     lo_x, hi_x = _log_range(p[0] for s in series for p in s.points)
     lo_y, hi_y = _log_range(p[1] for s in series for p in s.points)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from scindex import (
-    PortfolioSummary, analytics, cli, emit_records, indicators, pearson_matrix, tabular,
+    PortfolioSummary, analytics, cli, datasets, emit_records, indicators, pearson_matrix,
+    scaling, svgplot, tabular,
 )
 from scindex.cli import main
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
@@ -752,6 +753,35 @@ class TestOSErrors:
         assert captured.err == f"error: [Errno 2] No such file or directory: {shown_name}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "bad.csv"],
+            ["correlate", "bad.csv"],
+            ["table1"],
+            ["probe", "--base", "1;-3"],
+        ],
+        ids=["compute", "correlate", "table1", "probe"],
+    )
+    @pytest.mark.parametrize("output", ["sub", "sub/"], ids=["name", "trailing-slash"])
+    def test_an_output_that_is_a_directory_is_refused_before_the_input_is_read(
+        self, argv, output, tmp_path, monkeypatch, capsys
+    ):
+        # Each input is malformed too: the bad count, and a bundled table
+        # that raises when it is built.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "bad.csv").write_text('author,citations\nA,"1;-3"\n')
+        monkeypatch.setattr(datasets, "reconstructed_table", _raise_runtime_error)
+        assert main([*argv, "-o", output]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: -o 'sub' is a directory\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.csv", "sub"]
+
+    def test_a_dash_output_is_stdout(self, wide_file, capsys):
+        assert main(["compute", wide_file, "--columns", "P", "-o", "-"]) == 0
+        assert capsys.readouterr().out.startswith("author\tP\n")
+
     def test_a_second_file_name_is_echoed_cut(self, monkeypatch, capsys):
         def fail(args):
             raise OSError(18, "Invalid cross-device link", "a.tsv", None, "b" * 50)
@@ -1005,6 +1035,21 @@ class TestCallsPerRun:
         assert main(["probe", "--base", "10;5;3;2;1", "--lambdas", lambdas]) == 0
         assert sorted(calls) == sorted(indicators.registry_names() * 12)
 
+    def test_a_probe_with_an_svg_fits_each_series_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for module in (scaling, svgplot):
+            def counted(xs, ys, fit=module.fit_loglog):
+                calls.append(len(xs))
+                return fit(xs, ys)
+
+            monkeypatch.setattr(module, "fit_loglog", counted)
+        lambdas = ",".join(map(str, range(1, 13)))
+        argv = ["probe", "--base", "10;5;3;2;1", "--lambdas", lambdas, "--index", "all",
+                "--svg", str(tmp_path / "p.svg")]
+        assert main(argv) == 0
+        assert calls == [12] * 11
+        assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 11 * 12
+
 
 class TestMemoryPerInputByte:
     """The traced peak of ``compute``, from parse to table to emit, per byte
@@ -1113,6 +1158,132 @@ class TestParser:
     def test_a_command_line_parses_as_before(self, argv, expected):
         namespace = vars(cli.build_parser().parse_args(argv))
         assert {**namespace, "func": namespace["func"].__name__} == expected
+
+
+_REUSED_ARGVS = {
+    "usage-error": ["bogus"],
+    "help": ["--help"],
+    "probe-help": ["probe", "--help"],
+    "compute": ["compute", "WIDE"],
+    "correlate": ["correlate", "WIDE", "--columns", "P,C,i"],
+    "probe": ["probe", "--base", "4;2;1"],
+    "dims": ["dims", "C/P"],
+    "table1": ["table1"],
+}
+
+
+def _fix_environment(patch):
+    """Help text as wide as in a child whose output is a pipe, and the
+    default precision, here and in child interpreters."""
+    patch.setenv("COLUMNS", "80")
+    patch.delenv("SCINDEX_PRECISION", raising=False)
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """(argvs, results): each of ``_REUSED_ARGVS`` with its input file, and
+    the (stdout, stderr, exit code) of ``python -m scindex`` on it."""
+    path = tmp_path_factory.mktemp("reuse") / "wide.csv"
+    path.write_text(WIDE_CSV)
+    argvs = {
+        key: [str(path) if arg == "WIDE" else arg for arg in argv]
+        for key, argv in _REUSED_ARGVS.items()
+    }
+    results = {}
+    with pytest.MonkeyPatch.context() as patch:
+        _fix_environment(patch)
+        for key, argv in argvs.items():
+            proc = _run_python("-m", "scindex", *argv)
+            results[key] = (proc.stdout, proc.stderr, proc.returncode)
+    return argvs, results
+
+
+def _in_process(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it: no call
+    reads differently for the calls made before it."""
+
+    def test_the_parser_is_built_on_the_first_call_not_at_import(self):
+        code = (
+            "import scindex.cli as cli\n"
+            "before = cli._parser.cache_info().currsize\n"
+            "cli.main(['dims', 'C/P'])\n"
+            "cli.main(['dims', 'C/P'])\n"
+            "print(before, cli._parser.cache_info().currsize)\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 1"
+
+    @pytest.mark.parametrize("calls_before", [0, 1], ids=["unbuilt", "built"])
+    def test_a_rebound_handler_is_the_one_run(self, calls_before):
+        code = (
+            "import scindex.cli as cli\n"
+            f"for _ in range({calls_before}): cli.main(['dims', 'C/P'])\n"
+            "cli._cmd_dims = lambda args: print('rebound', args.expression) or 0\n"
+            "print(cli.main(['dims', 'C/P']))\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[P]\n" * calls_before + "rebound C/P\n0\n"
+
+    def test_a_built_parser_builds_no_other(self, monkeypatch, capsys):
+        main(["dims", "C/P"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *a, **k: built.append(a) or init(self, *a, **k),
+        )
+        for argv in (["dims", "C/P"], ["probe", "--base", "4;2;1", "--index", "C"], ["bogus"]):
+            main(argv)
+        assert built == []
+        assert cli.build_parser() is not cli.build_parser()
+        assert len(built) == 2 * 6  # the parser and its five subcommands, each time
+
+    @pytest.mark.parametrize("first", _REUSED_ARGVS, ids=_REUSED_ARGVS)
+    def test_the_calls_after_any_call_read_as_a_fresh_process(
+        self, first, fresh_runs, monkeypatch, capsys
+    ):
+        _fix_environment(monkeypatch)
+        argvs, results = fresh_runs
+        assert _in_process(argvs[first], capsys) == results[first]
+        for key, argv in argvs.items():
+            assert _in_process(argv, capsys) == results[key], (first, key)
+            assert _in_process(argv, capsys) == results[key], (first, key)
+
+    def test_an_option_given_once_does_not_stay(self, wide_file, capsys):
+        probe = ["probe", "--base", "4;2;1", "--index", "g"]
+        assert main([*probe, "--tolerance", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "pass"
+        assert main(probe) == 2
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "fail"
+        assert main(["compute", wide_file, "--columns", "P"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "author\tP"
+        assert main(["compute", wide_file]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split("\t") == ["author", *indicators.registry_names()]
+
+    def test_the_handler_patching_tests_pass_with_the_parser_built(
+        self, collector_state, monkeypatch, capsys
+    ):
+        main(["table1"])
+        main(["dims", "C/P"])
+        capsys.readouterr()
+        TestOSErrors().test_a_second_file_name_is_echoed_cut(monkeypatch, capsys)
+        TestOSErrors().test_an_error_without_a_file_name_reads_as_str(monkeypatch, capsys)
+        for enabled in (True, False):
+            TestCollector().test_an_escaping_exception_restores_the_setting(
+                enabled, collector_state, monkeypatch
+            )
+        TestCollector().test_the_collector_is_paused_while_a_command_runs(
+            collector_state, monkeypatch, capsys
+        )
 
 
 def _run_python(*args):

@@ -2,8 +2,8 @@
 ``ScindexError`` for any value in any of its numeric arguments, in a
 quantity's dimension, in a list of indicator names, in a portfolio label
 or vector, in each field of an indicator descriptor, in a table writer's
-precision, and for any item of its lists of counts, runs, scale factors,
-points or names.  A label or vector that is taken goes on through every
+precision, in a plot series' fit, and for any item of its lists of
+counts, runs, scale factors, points or names.  A label or vector that is taken goes on through every
 table and record writer.
 
 The values are the hostile ones below, each tried on every argument, and
@@ -28,6 +28,7 @@ from scindex import (
     AnalyticsTable,
     CitationVector,
     Dimension,
+    ExponentEstimate,
     IndicatorDescriptor,
     PlotSeries,
     PortfolioSummary,
@@ -35,6 +36,7 @@ from scindex import (
     ScindexError,
     compute_all,
     descriptor,
+    emit_loglog_svg,
     emit_matrix,
     emit_records,
     emit_table,
@@ -80,6 +82,7 @@ PORTFOLIOS = [
 REPORTS = [(portfolio.label, compute_all(portfolio.vector)) for portfolio in PORTFOLIOS]
 TABLE = AnalyticsTable.from_portfolios(PORTFOLIOS)
 MATRIX = pearson_matrix(TABLE, NAMES)
+FIT = ExponentEstimate(2.0, 0.0, 0.0)
 
 
 def argument(build):
@@ -200,6 +203,16 @@ ENTRY_POINTS = {
     "PlotSeries points": argument(lambda v: PlotSeries("h", v)),
     "PlotSeries point": item(POINTS, lambda points: PlotSeries("h", points)),
     "PlotSeries coordinate": item([1, 1.0], lambda point: PlotSeries("h", [tuple(point)])),
+    "PlotSeries fit": argument(lambda v: PlotSeries("h", POINTS, v)),
+    "PlotSeries fit slope": argument(
+        lambda v: emit_loglog_svg([PlotSeries("h", POINTS, ExponentEstimate(v, 0.0, 0.0))])
+    ),
+    "PlotSeries fit intercept": argument(
+        lambda v: emit_loglog_svg([PlotSeries("h", POINTS, ExponentEstimate(2.0, v, 0.0))])
+    ),
+    "emit_loglog_svg coordinate with a fit": item(
+        [1, 1.0], lambda point: emit_loglog_svg([PlotSeries("h", [tuple(point), *POINTS], FIT)])
+    ),
 }
 
 

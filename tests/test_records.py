@@ -91,7 +91,7 @@ RECORDS = {
     "PlotSeries": (
         lambda: PlotSeries("h", [(1, 2), (2, 4)]),
         lambda: PlotSeries("g", [(1, 2), (2, 4)]),
-        "PlotSeries(name='h', points=((1.0, 2.0), (2.0, 4.0)))",
+        "PlotSeries(name='h', points=((1.0, 2.0), (2.0, 4.0)), fit=None)",
     ),
     "Symbol": (lambda: Symbol("C"), lambda: Symbol("P"), "Symbol(name='C')"),
     "Sum": (

@@ -9,13 +9,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scindex import (
     DegenerateSeriesError,
     DomainError,
+    ExponentEstimate,
     PlotSeries,
     emit_loglog_svg,
+    probe_registry,
 )
+from scindex.errors import shown
+
+_FIT = ExponentEstimate(2.0, math.log(7), 0.0)
 
 
 def _series_c():
@@ -48,6 +55,41 @@ class TestPlotSeries:
         with pytest.raises(DomainError) as excinfo:
             PlotSeries("h", points)
         assert str(excinfo.value) == f"points of series 'h' must be pairs, got {points!r}"
+
+
+    def test_a_fit_is_optional(self):
+        assert _series_c().fit is None
+        assert PlotSeries("C", [(1, 7)], _FIT).fit == _FIT
+
+    def test_a_fit_line_is_held_as_floats(self):
+        fit = PlotSeries("C", [(1, 7)], ExponentEstimate(Fraction(3, 2), np.int64(2), 0.0)).fit
+        assert fit == ExponentEstimate(1.5, 2.0, 0.0)
+        assert type(fit.slope) is float and type(fit.intercept) is float
+
+    @pytest.mark.parametrize(
+        "fit", [2.0, (2.0, 0.5, 0.0), "fit", True], ids=["number", "triple", "text", "bool"]
+    )
+    def test_a_fit_that_is_no_estimate_is_refused_by_name(self, fit):
+        with pytest.raises(DomainError) as excinfo:
+            PlotSeries("h", [(1, 2)], fit)
+        assert str(excinfo.value) == (
+            f"fit of series 'h' must be an ExponentEstimate, got {shown(fit)}"
+        )
+
+    @pytest.mark.parametrize(
+        "fit, message",
+        [
+            (ExponentEstimate("2", 0.0, 0.0), "must be a real number, got '2'"),
+            (ExponentEstimate(1.0, True, 0.0), "must be a real number, got True"),
+            (ExponentEstimate(math.nan, 0.0, 0.0), "must be finite, got nan"),
+            (ExponentEstimate(1.0, -math.inf, 0.0), "must be finite, got -inf"),
+        ],
+        ids=["text-slope", "bool-intercept", "nan-slope", "infinite-intercept"],
+    )
+    def test_a_fit_line_that_is_not_finite_and_real_is_refused_by_name(self, fit, message):
+        with pytest.raises(DomainError) as excinfo:
+            PlotSeries("h", [(1, 2)], fit)
+        assert str(excinfo.value) == f"fit slope or intercept of series 'h' {message}"
 
 
 class TestEmitLogLogSvg:
@@ -129,3 +171,50 @@ class TestEmitLogLogSvg:
         assert rows[0] == ["series", "x", "y"]
         assert all(len(row) == 3 for row in rows)
         assert [row[0] for row in rows[1:]] == ["a,b"] * 3 + ['x<y&z"'] * 3
+
+
+class TestCarriedFit:
+    """A series that carries its fit is drawn from it and is not refitted."""
+
+    def test_the_carried_fit_labels_the_series(self, monkeypatch):
+        from scindex import svgplot
+
+        monkeypatch.setattr(svgplot, "fit_loglog", None)  # a call would raise
+        svg, _ = emit_loglog_svg([PlotSeries("C", [(1, 7), (2, 28)], ExponentEstimate(1.5, 0, 0))])
+        assert "C: slope 1.50" in svg
+
+    @pytest.mark.parametrize(
+        "points, got",
+        [
+            ([(1, 7), (2, 0.0)], "(2, 0)"),
+            ([(-1, 7), (2, 28)], "(-1, 7)"),
+            ([(1, 7), (2, math.inf)], "(2, inf)"),
+            ([(1, math.nan), (2, 28)], "(1, nan)"),
+        ],
+        ids=["zero", "negative", "infinite", "nan"],
+    )
+    def test_a_point_off_the_log_axes_is_refused_by_series(self, points, got):
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            emit_loglog_svg([_series_c(), PlotSeries("E", points, _FIT)])
+        assert str(excinfo.value) == (
+            f"series E: log-log axes need finite, strictly positive points, got {got}"
+        )
+
+    def test_a_series_without_points_is_refused_by_series(self):
+        with pytest.raises(DegenerateSeriesError) as excinfo:
+            emit_loglog_svg([_series_c(), PlotSeries("E", [], _FIT)])
+        assert str(excinfo.value) == "series E: log-log axes need at least one point"
+
+    @given(
+        base=st.lists(st.integers(0, 60), min_size=1, max_size=8),
+        lambdas=st.lists(st.integers(1, 500), min_size=3, max_size=8, unique=True),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_a_probe_fit_draws_the_bytes_a_refit_draws(self, base, lambdas):
+        assume(any(base))
+        results = probe_registry(base, sorted(lambdas))
+        plotted = [r for r in results if all(v > 0 for v in r.values)]
+        assume(plotted)
+        carried = [PlotSeries(r.indicator, zip(r.lambdas, r.values), r.estimate) for r in plotted]
+        refitted = [PlotSeries(r.indicator, zip(r.lambdas, r.values)) for r in plotted]
+        assert emit_loglog_svg(carried, "t") == emit_loglog_svg(refitted, "t")
