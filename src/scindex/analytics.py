@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .dimension import Dimension, Quantity, Record, count, name_list, real
+from .dimension import Dimension, Quantity, Record, count, name_list, pairs, real, text
 from .errors import (
     DomainError,
     EmptyPortfolioError,
@@ -50,7 +50,7 @@ class PortfolioSummary(Record):
     __slots__ = ("label", "vector", "papers", "impact", "evenness", "h")
 
     def __init__(self, label, vector=None, papers=None, impact=None, evenness=None, h=None) -> None:
-        _label(label)
+        text(label, "portfolio label")  # a str, for every writer to take it
         if (vector is None) == (papers is None):
             raise DomainError(
                 f"portfolio {shown(label)} needs exactly one of: raw vector, summary triple"
@@ -98,13 +98,6 @@ class PortfolioSummary(Record):
         except DomainError as exc:
             raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
         return report, RECONSTRUCTED_COLUMNS
-
-
-def _label(value: object) -> str:
-    """A portfolio label, which must be a ``str`` for every writer to take it."""
-    if not isinstance(value, str):
-        raise DomainError(f"portfolio label must be a string, got {shown(value)}")
-    return value
 
 
 def _paper_count(value: object) -> int:
@@ -254,17 +247,18 @@ class AnalyticsTable(Record):
     @classmethod
     def from_reports(
         cls,
-        labeled: Sequence[tuple[str, Mapping[str, Quantity]]],
+        labeled: Iterable[tuple[str, Mapping[str, Quantity]]],
         columns: Sequence[str] | None = None,
     ) -> "AnalyticsTable":
         """Table from ``Quantity`` mappings; a column's rows share one dimension.
 
         Each column takes its dimension from the first row, and a later
         row of another dimension raises :class:`HeterogeneityError`.  No
-        value is marked reconstructed.
+        value is marked reconstructed.  ``labeled`` is read by :func:`pairs`.
         """
+        labeled = pairs(labeled, "labeled reports")
         columns = _table_columns(_distinct([tuple(r) for _, r in labeled]), columns)
-        labels = tuple(_label(label) for label, _ in labeled)
+        labels = tuple(text(label, "portfolio label") for label, _ in labeled)
         if labeled:
             dims = tuple(labeled[0][1][name].dim for name in columns)
         else:
@@ -282,7 +276,7 @@ class AnalyticsTable(Record):
     @classmethod
     def from_portfolios(
         cls,
-        portfolios: Sequence[PortfolioSummary],
+        portfolios: Iterable[PortfolioSummary],
         columns: Sequence[str] | None = None,
     ) -> "AnalyticsTable":
         """Table of the portfolios' reports, by ``columns`` or the names they share.
@@ -291,6 +285,7 @@ class AnalyticsTable(Record):
         each report's values are its row as they are; otherwise each
         layout picks its row's values by position.
         """
+        portfolios = tuple(portfolios)
         reports, flags = tuple(zip(*map(PortfolioSummary.report, portfolios))) or ((), ())
         names = list(map(operator.attrgetter("names"), reports))
         layouts = _distinct(names)

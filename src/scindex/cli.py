@@ -82,11 +82,11 @@ def _load_records(path: str, format_arg: str | None):
     return parse_input(data, format_arg or inferred)
 
 
-def _check_output(output: str | None) -> None:
-    """Refuse an ``-o`` that is a directory, before any input is read;
-    none or ``-`` is stdout."""
+def _check_output(output: str | Path | None, option: str = "-o") -> None:
+    """Refuse an output of ``option`` that is a directory, before any input
+    is read; none or ``-`` is stdout."""
     if output not in (None, "-") and Path(output).is_dir():
-        raise FormatError(f"-o {shown(str(Path(output)))} is a directory")
+        raise FormatError(f"{option} {shown(str(Path(output)))} is a directory")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -177,19 +177,18 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _check_probe_outputs(output: str | None, svg: str) -> None:
-    """Refuse ``--svg`` and the SVG's points file when one is a directory
-    or two of ``-o``, ``--svg`` and the points file name one file, so that
-    no output overwrites another and none fails after another is written.
-    ``-o`` itself is checked by :func:`_check_output`."""
+    """Refuse ``--svg`` and the SVG's points file when one is ``-`` (stdout)
+    or a directory, or two of ``-o``, ``--svg`` and the points file name one
+    file, so that no output overwrites another and none fails after another
+    is written."""
     svg_path = Path(svg)
-    if not svg_path.name:
+    if svg == "-" or not svg_path.name:
         raise FormatError(f"--svg {shown(svg)} names no file")
     seen = {} if output in (None, "-") else {Path(output).resolve(): "-o"}
     for option, path in (
         ("--svg", svg_path), ("the points file of --svg", svg_path.with_suffix(".csv"))
     ):
-        if path.is_dir():
-            raise FormatError(f"{option} {shown(str(path))} is a directory")
+        _check_output(path, option)
         first = seen.setdefault(path.resolve(), option)
         if first != option:
             raise FormatError(f"{first} and {option} name the same file {shown(str(path))}")
@@ -272,16 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", default=None, metavar="N|full")
         p.add_argument("-o", "--output", default=None, metavar="PATH")
 
-    for name, summary, func in (
-        ("compute", "indicator table for each input portfolio", _cmd_compute),
-        ("correlate", "Pearson matrix over indicator columns", _cmd_correlate),
+    for name, summary in (
+        ("compute", "indicator table for each input portfolio"),
+        ("correlate", "Pearson matrix over indicator columns"),
     ):
         command = sub.add_parser(name, help=summary)
         command.add_argument("input", help="CSV/JSON file of portfolios, or - for stdin")
         command.add_argument("--format", choices=("csv", "json"), default=None)
         command.add_argument("--columns", default=None, help="comma-separated indicator names")
         add_common_output(command)
-        command.set_defaults(func=func)
 
     probe = sub.add_parser("probe", help="verify scaling exponents under replication")
     probe.add_argument("--base", required=True, help="semicolon-delimited counts, e.g. '4;2;1'")
@@ -298,17 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--tolerance", default=None, help="slope gate override")
     probe.add_argument("--svg", default=None, metavar="PATH", help="write an SVG plot (+ .csv points)")
     probe.add_argument("-o", "--output", default=None, metavar="PATH")
-    probe.set_defaults(func=_cmd_probe)
 
     dims = sub.add_parser("dims", help="dimension of an index formula")
     dims.add_argument("expression", help="e.g. 'C/P' or '(eta*i^2*P)^(1/3)'")
-    dims.set_defaults(func=_cmd_dims)
 
     table1 = sub.add_parser(
         "table1", help="reproduce the bundled reference author table and correlations"
     )
     add_common_output(table1)
-    table1.set_defaults(func=_cmd_table1)
 
     return parser
 
@@ -330,10 +325,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on usage errors; usage errors are input errors here.
             return 0 if exc.code in (0, None) else 1
+        # Built per call, so that a handler rebound on the module is the one run.
+        handlers = {"compute": _cmd_compute, "correlate": _cmd_correlate,
+                    "probe": _cmd_probe, "dims": _cmd_dims, "table1": _cmd_table1}
         try:
-            # The handler by its subcommand's name, so that one rebound on the
-            # module, before or after the parser was built, is the one run.
-            return globals()[f"_cmd_{args.command}"](args)
+            return handlers[args.command](args)
         except (ScindexError, OSError) as exc:
             message = str(exc)
             if isinstance(exc, OSError) and exc.filename is not None:

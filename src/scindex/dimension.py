@@ -14,11 +14,12 @@ over a dimension table or over a report of quantities alike.
 
 The value rules of every entry point live here too.  :func:`real`,
 :func:`count` and :func:`rational` read a value as a float, an int or an
-exact ``Fraction``; a bool (a truth value, though ``numbers`` registers it
-as an int) or a value of another kind is a :class:`DomainError` that
-names it.  :func:`real` passes an exact float and :func:`count` an exact
-int at once, so a caller needs no type test of its own for one value.
-Two hot paths still test before calling a rule: a summary row tests the
+exact ``Fraction``, and :func:`text` a label, name or title as a ``str``;
+a bool (a truth value, though ``numbers`` registers it as an int) or a
+value of another kind is a :class:`DomainError` that names it.
+:func:`real` passes an exact float and :func:`count` an exact int at
+once, so a caller needs no type test of its own for one value.  Two hot
+paths still test before calling a rule: a summary row tests the
 exact type of each field inline (``analytics._check_summary``), and a
 :class:`~scindex.indicators.CitationVector` tests the types of its whole
 list of counts at once.  :func:`check_tolerance` reads a slope gate, a
@@ -76,6 +77,13 @@ def rational(value: object, name: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise DomainError(f"{name} must be a rational number, got {shown(value)}")
     return Fraction(int(value.numerator), int(value.denominator))
+
+
+def text(value: object, name: str) -> str:
+    """``value``, which must be a ``str``: a label, a name or a title."""
+    if not isinstance(value, str):
+        raise DomainError(f"{name} must be a string, got {shown(value)}")
+    return value
 
 
 def check_tolerance(tolerance: float, name: str = "tolerance") -> float:

@@ -4,10 +4,10 @@ Every error raised by scindex derives from :class:`ScindexError`, so
 callers (and the CLI) can catch one base class and still distinguish the
 specific failure.  The exceptions are Python's own protocol errors: a
 ``TypeError`` for a call with a wrong number of arguments, for a
-non-iterable where a list other than a ``PlotSeries``'s points, a
-portfolio's vector or a list of names is expected, and for ``+``, ``-``
-or ordering of a quantity against a non-quantity; and a ``KeyError`` for
-a name an ``IndicatorReport`` does not hold, as from any mapping.
+non-iterable list that is not read as pairs, names or a portfolio's
+vector, and for ``+``, ``-`` or ordering of a quantity against a
+non-quantity; and a ``KeyError`` for a name an ``IndicatorReport`` does
+not hold, as from any mapping.
 """
 
 from __future__ import annotations

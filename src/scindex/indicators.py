@@ -37,6 +37,7 @@ from .dimension import (
     check_tolerance,
     count,
     pairs,
+    text,
 )
 from .errors import (
     DomainError,
@@ -338,8 +339,7 @@ class IndicatorDescriptor:
     def __init__(
         self, name: str, declared_dim: Dimension, compute: Kernel, fit_tolerance: float = 1e-6
     ) -> None:
-        if not isinstance(name, str):
-            raise DomainError(f"indicator name must be a string, got {shown(name)}")
+        text(name, "indicator name")
         if not isinstance(declared_dim, Dimension):
             raise DomainError(
                 f"indicator {name}: declared dimension must be a Dimension, "

@@ -11,7 +11,8 @@ gates the fitted slope against the declared exponent.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .dimension import Record, check_tolerance, count, name_list, real
 from .errors import DegenerateSeriesError, DomainError, shown
@@ -72,14 +73,23 @@ def replicate_scale(v: Counts, lam: int) -> CitationVector:
     return CitationVector._of_runs(tuple((lam * c, lam * m) for c, m in vec.runs))
 
 
-def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
+def _check_log_points(points: Iterable[tuple[float, float]]) -> None:
+    """Refuse the first point that is not finite and strictly positive."""
+    for x, y in points:
+        if not (0 < x < math.inf and 0 < y < math.inf):  # nan fails it too
+            need = "strictly positive" if x <= 0 or y <= 0 else "finite"
+            raise DegenerateSeriesError(f"log-log fit needs {need} points, got ({x:g}, {y:g})")
+
+
+def fit_loglog(xs: Iterable[float], ys: Iterable[float]) -> ExponentEstimate:
     """OLS slope/intercept in log-log space, plus the largest |residual|.
 
-    Each point is read by :func:`real`; a point that is not finite and
-    strictly positive is a :class:`DegenerateSeriesError` that names it.
+    ``xs`` and ``ys`` are read once, each point by :func:`real`; a point that
+    is not finite and strictly positive is a :class:`DegenerateSeriesError` naming it.
     """
     from statistics import linear_regression  # loaded on first use: only a probe fits
 
+    xs, ys = tuple(xs), tuple(ys)
     if len(xs) != len(ys):
         raise DegenerateSeriesError(
             f"log-log fit needs as many x as y values, got {len(xs)} and {len(ys)}"
@@ -90,10 +100,7 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
         )
     xs = [real(x, "log-log fit point") for x in xs]
     ys = [real(y, "log-log fit point") for y in ys]
-    for x, y in zip(xs, ys):
-        if not (0 < x < math.inf and 0 < y < math.inf):  # nan fails it too
-            need = "strictly positive" if x <= 0 or y <= 0 else "finite"
-            raise DegenerateSeriesError(f"log-log fit needs {need} points, got ({x:g}, {y:g})")
+    _check_log_points(zip(xs, ys))
     lx = list(map(math.log, xs))
     ly = list(map(math.log, ys))
     if len(set(lx)) < 2:
@@ -106,22 +113,23 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
 def verify_dimension(
     desc: IndicatorDescriptor,
     base: Counts,
-    lambdas: Sequence[int] = DEFAULT_LAMBDAS,
+    lambdas: Iterable[int] = DEFAULT_LAMBDAS,
     tolerance: float | None = None,
 ) -> ProbeResult:
     """Probe one indicator's scaling exponent against its declared dimension.
 
     Computes the indicator on the replicated portfolio at each scale
     factor, fits the log-log slope and passes iff it sits within
-    ``tolerance`` of the declared exponent (the descriptor's own gate
-    when ``tolerance`` is None).  A series that is exactly zero at all
-    scales (e.g. the dispersion term on a uniform portfolio) is
-    consistent with any power law and passes without a fit.  The scale
-    factors, 3 to ``MAX_LAMBDAS`` strictly increasing counts (read by
-    :func:`count`), are checked before any replica, and so is the declared
-    exponent, which must lie in the float range.  A scale factor whose
-    replica leaves the float range raises :class:`DomainError` naming the
-    indicator and the factor.
+    ``tolerance`` (read by :func:`check_tolerance`) of the declared
+    exponent, or within the descriptor's own gate when it is None.  A
+    series that is exactly zero at all scales (e.g. the dispersion term on
+    a uniform portfolio) is consistent with any power law and passes
+    without a fit.  The scale factors, 3 to ``MAX_LAMBDAS`` strictly
+    increasing counts (read by :func:`count`) of which no more than
+    ``MAX_LAMBDAS + 1`` are read, are checked before any replica, and so
+    is the declared exponent, which must lie in the float range.  A scale
+    factor whose replica leaves the float range raises
+    :class:`DomainError` naming the indicator and the factor.
 
     When ``base`` is a :class:`CitationVector`, it keeps the replicas of
     the last scale factors probed on it, so that probing the other
@@ -133,13 +141,11 @@ def verify_dimension(
     indicator is still computed from each replica's own runs.
     """
     vec = as_citation_vector(base)
-    lams = tuple(lambdas)
-    if not lams:
-        raise DegenerateSeriesError(f"indicator {desc.name}: scale factors must not be empty")
+    lams = tuple(islice(lambdas, MAX_LAMBDAS + 1))
     if len(lams) > MAX_LAMBDAS:
         raise DomainError(
             f"indicator {desc.name}: at most {MAX_LAMBDAS} scale factors may be given, "
-            f"got {len(lams)}"
+            f"got more than {MAX_LAMBDAS}"
         )
     if len(lams) < 3:
         raise DegenerateSeriesError(
@@ -150,7 +156,7 @@ def verify_dimension(
         raise DegenerateSeriesError(
             f"indicator {desc.name}: scale factors must be strictly increasing"
         )
-    tolerance = check_tolerance(desc.fit_tolerance if tolerance is None else tolerance)
+    tolerance = desc.fit_tolerance if tolerance is None else check_tolerance(tolerance)
     declared = desc.declared_dim.exponent
     expected = real(declared, f"indicator {desc.name}: declared exponent")
     kept = vec._replicas[1] if vec._replicas and vec._replicas[0] == lams else None
@@ -180,13 +186,13 @@ def verify_dimension(
 
 def probe_registry(
     base: Counts,
-    lambdas: Sequence[int] = DEFAULT_LAMBDAS,
+    lambdas: Iterable[int] = DEFAULT_LAMBDAS,
     names: Sequence[str] | None = None,
     tolerance: float | None = None,
 ) -> list[ProbeResult]:
-    """Run the probe for the named registered indicators, or for all of
-    them in registry order when ``names`` is None.  A list of names, read
-    by :func:`~scindex.dimension.name_list`, must hold at least one."""
+    """Run the probe for the named registered indicators (all, in registry
+    order, when ``names`` is None) at the scale factors, read once.  A list
+    of names, read by :func:`~scindex.dimension.name_list`, must hold at least one."""
     if tolerance is not None:
         check_tolerance(tolerance)
     if names is None:
@@ -196,4 +202,5 @@ def probe_registry(
         if not descriptors:
             raise DomainError("a probe needs at least one indicator name")
     vec = as_citation_vector(base)
-    return [verify_dimension(d, vec, lambdas, tolerance) for d in descriptors]
+    lams = tuple(islice(lambdas, MAX_LAMBDAS + 1))
+    return [verify_dimension(d, vec, lams, tolerance) for d in descriptors]

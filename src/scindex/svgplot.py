@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .dimension import Record, pairs, real
+from .dimension import Record, pairs, real, text
 from .errors import DegenerateSeriesError, DomainError, shown
-from .scaling import ExponentEstimate, fit_loglog
+from .scaling import ExponentEstimate, _check_log_points, fit_loglog
 from .tabular import _csv_text
 
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
@@ -24,11 +24,11 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 
 class PlotSeries(Record):
-    """A named point set destined for log-log axes: (x, y) pairs, each
-    coordinate read by :func:`real`, and optionally the points' log-log
+    """A point set destined for log-log axes: a ``str`` name, (x, y) pairs,
+    each coordinate read by :func:`real`, and optionally the points' log-log
     fit, an :class:`ExponentEstimate` (a probe's own) whose slope and
     intercept are finite reals, held as floats; a :class:`DomainError`
-    names the series otherwise.
+    names the field, and the series, otherwise.
     """
 
     __slots__ = ("name", "points", "fit")
@@ -39,7 +39,7 @@ class PlotSeries(Record):
         points: Sequence[Sequence[float]],
         fit: ExponentEstimate | None = None,
     ) -> None:
-        series = f"series {shown(name)}"
+        series = f"series {shown(text(name, 'series name'))}"
         checked = pairs(points, f"points of {series}")
         coordinate = f"point coordinate of {series}"
         checked = tuple((real(x, coordinate), real(y, coordinate)) for x, y in checked)
@@ -88,36 +88,33 @@ def _log_range(values: Iterable[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def emit_loglog_svg(series: Sequence[PlotSeries], title: str = "") -> tuple[str, str]:
-    """Render series to (svg_text, points_csv_text), the SVG 640 × 480 pixels.
+def emit_loglog_svg(series: Iterable[PlotSeries], title: str = "") -> tuple[str, str]:
+    """Render series, read once, to (svg_text, points_csv_text), the SVG
+    640 × 480 pixels; ``title`` must be a ``str``.
 
     Each series' dashed line and slope label come from its log-log fit: the
     ``fit`` it carries, which is not refitted, or else :func:`fit_loglog`
     of its points, which needs at least three of them.  A series needs at
-    least one point, and every point must be finite and strictly positive;
-    a :class:`DegenerateSeriesError` prefixed with the series name is
-    raised otherwise.
+    least one point, and every point must pass the fit's rule, finite and
+    strictly positive, either way; a :class:`DegenerateSeriesError`
+    prefixed with the series name is raised otherwise.
     """
+    series = tuple(series)
+    text(title, "plot title")
     if not series:
         raise DomainError("nothing to plot")
     fits = []
     for s in series:
-        fit = s.fit
-        if fit is None:
-            try:
-                fit = fit_loglog([p[0] for p in s.points], [p[1] for p in s.points])
-            except DegenerateSeriesError as exc:
-                raise DegenerateSeriesError(f"series {s.name}: {exc}") from None
-        elif not s.points:
+        if s.fit is not None and not s.points:
             raise DegenerateSeriesError(f"series {s.name}: log-log axes need at least one point")
-        else:
-            for x, y in s.points:
-                if not (0 < x < math.inf and 0 < y < math.inf):  # nan fails it too
-                    raise DegenerateSeriesError(
-                        f"series {s.name}: log-log axes need finite, strictly positive "
-                        f"points, got ({x:g}, {y:g})"
-                    )
-        fits.append(fit)
+        try:
+            if s.fit is None:
+                fits.append(fit_loglog([p[0] for p in s.points], [p[1] for p in s.points]))
+            else:
+                _check_log_points(s.points)  # the fit's point rule, with no logs taken
+                fits.append(s.fit)
+        except DegenerateSeriesError as exc:
+            raise DegenerateSeriesError(f"series {s.name}: {exc}") from None
 
     lo_x, hi_x = _log_range(p[0] for s in series for p in s.points)
     lo_y, hi_y = _log_range(p[1] for s in series for p in s.points)

@@ -40,15 +40,16 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 import re
 import sys
 from collections import Counter
 from itertools import chain, repeat
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary, _paper_count, _summaries_pass
-from .dimension import count, real
+from .dimension import count, name_list, real
 from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector
 
@@ -338,8 +339,9 @@ def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary
     raise FormatError(f"unknown input format {format!r}")
 
 
-def emit_records(records: Sequence[PortfolioSummary], format: str = "csv") -> str:
+def emit_records(records: Iterable[PortfolioSummary], format: str = "csv") -> str:
     """Write records back out in the same shape :func:`parse_input` accepts."""
+    records = tuple(records)
     forms = {record.vector is not None for record in records}
     if len(forms) > 1:
         raise FormatError("cannot emit a mix of wide and summary records")
@@ -515,23 +517,38 @@ def _format_column(values: Sequence[float], precision: int | None) -> tuple[str,
     return "%s", list(map(format_magnitude, values, repeat(precision)))
 
 
+def _matrix_cell(value: object) -> float:
+    """A matrix cell, read by :func:`real`, which must be finite."""
+    cell = real(value, "matrix cell")
+    if not math.isfinite(cell):
+        raise DomainError(f"matrix cell must be finite, got {shown(cell)}")
+    return cell
+
+
 def emit_matrix(
-    names: Sequence[str],
-    matrix: Sequence[Sequence[float]],
+    names: Iterable[str],
+    matrix: Iterable[Iterable[float]],
     format: str = "tsv",
     precision: int | None = 2,
 ) -> str:
-    """Render a correlation matrix with row and column headers; ``precision``
+    """Render a correlation matrix with row and column headers: ``names`` is
+    read by :func:`name_list`, and ``matrix`` must be one row per name of
+    one cell per name, each read by :func:`real` and finite; ``precision``
     is read by :func:`check_precision`."""
     precision = check_precision(precision)
+    names = name_list(names, "matrix names")
+    rows = [list(map(_matrix_cell, row)) for row in matrix]
+    n = len(names)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise DomainError(f"matrix must be {n} by {n}: a row and a column per name")
     if format == "json":
         import json
-        payload = {"columns": list(names), "matrix": [list(row) for row in matrix]}
+        payload = {"columns": list(names), "matrix": rows}
         return json.dumps(payload, indent=2) + "\n"
     if format not in ("tsv", "csv"):
         raise FormatError(f"unknown matrix format {format!r}")
     lines = [["correlation", *names]]
-    for name, row in zip(names, matrix):
+    for name, row in zip(names, rows):
         lines.append([name, *map(_format_real, row, repeat(precision))])
     if format == "tsv":
         return _tsv_text(lines)

@@ -2,17 +2,19 @@
 ``ScindexError`` for any value in any of its numeric arguments, in a
 quantity's dimension, in a list of indicator names, in a portfolio label
 or vector, in each field of an indicator descriptor, in a table writer's
-precision, in a plot series' fit, and for any item of its lists of
-counts, runs, scale factors, points or names.  A label or vector that is taken goes on through every
-table and record writer.
+precision, in a plot series' name or fit, in a plot's title, and for any
+item of its lists of counts, runs, scale factors, points, matrix cells
+or names.  A label or vector that is taken goes on through every table
+and record writer.
 
 The values are the hostile ones below, each tried on every argument, and
 more drawn by Hypothesis; a bool is refused wherever it is given.  The
 only bare ``TypeError`` the package raises (see ``scindex.errors``) comes
 from calls this test does not make: a wrong number of arguments, a
-non-iterable where a list other than a ``PlotSeries``'s points, a
-portfolio's vector or a list of names is expected, and ``+``, ``-`` or
-ordering of a quantity against a non-quantity.
+non-iterable list that is not read as pairs, names or a portfolio's
+vector, and ``+``, ``-`` or ordering of a quantity against a
+non-quantity.  Any iterable may stand for a list, and gives what the
+list gives.
 """
 
 import math
@@ -40,6 +42,7 @@ from scindex import (
     emit_matrix,
     emit_records,
     emit_table,
+    fit_loglog,
     pearson_matrix,
     probe_registry,
     reconstruct_from_summary,
@@ -108,6 +111,12 @@ def written(table, records=()):
 def record_written(record):
     """``record`` and its table through every writer."""
     written(AnalyticsTable.from_portfolios([record]), [record])
+
+
+def matrix_written(names, matrix):
+    """The matrix in every matrix format."""
+    for format in ("tsv", "csv", "json"):
+        emit_matrix(names, matrix, format)
 
 
 def summary_field(position, build):
@@ -187,6 +196,11 @@ ENTRY_POINTS = {
         )
         for format in ("tsv", "csv", "json")
     },
+    "emit_matrix name": item(NAMES, lambda names: matrix_written(names, MATRIX)),
+    "emit_matrix cell": item(
+        [cell for row in MATRIX for cell in row],
+        lambda cells: matrix_written(NAMES, [cells[:2], cells[2:]]),
+    ),
     "pearson_matrix columns": argument(lambda v: pearson_matrix(TABLE, v)),
     "pearson_matrix column": item(NAMES, lambda names: pearson_matrix(TABLE, names)),
     "check_tolerance": argument(check_tolerance),
@@ -200,6 +214,8 @@ ENTRY_POINTS = {
         f"reconstruct_from_summary {name}": summary_field(k, reconstruct_from_summary)
         for k, name in enumerate(["P", "i", "eta", "h"])
     },
+    "PlotSeries name": argument(lambda v: emit_loglog_svg([PlotSeries(v, POINTS)])),
+    "emit_loglog_svg title": argument(lambda v: emit_loglog_svg([PlotSeries("h", POINTS)], v)),
     "PlotSeries points": argument(lambda v: PlotSeries("h", v)),
     "PlotSeries point": item(POINTS, lambda points: PlotSeries("h", points)),
     "PlotSeries coordinate": item([1, 1.0], lambda point: PlotSeries("h", [tuple(point)])),
@@ -234,3 +250,22 @@ def test_an_entry_point_returns_or_raises_a_scindex_error(entry, value):
             continue
         # A bool is a truth value, never a number or a count.
         assert not isinstance(value, (bool, np.bool_)), f"{value!r} was taken as a number"
+
+
+# Each list argument of an entry point, as (call, list).
+LIST_ARGUMENTS = {
+    "from_portfolios": (AnalyticsTable.from_portfolios, PORTFOLIOS),
+    "from_reports": (AnalyticsTable.from_reports, REPORTS),
+    "emit_records": (emit_records, PORTFOLIOS),
+    "emit_matrix names": (lambda names: emit_matrix(names, MATRIX), NAMES),
+    "emit_matrix rows": (lambda rows: emit_matrix(NAMES, rows, "json"), list(MATRIX)),
+    "emit_loglog_svg": (emit_loglog_svg, [PlotSeries("h", POINTS), PlotSeries("C", POINTS, FIT)]),
+    "fit_loglog": (lambda xs: fit_loglog(xs, iter([1.0, 4.0, 9.0])), LAMBDAS),
+    "verify_dimension lambdas": (lambda lams: verify_dimension(C, COUNTS, lams), LAMBDAS),
+    "probe_registry lambdas": (lambda lams: probe_registry(COUNTS, lams), LAMBDAS),
+}
+
+
+@pytest.mark.parametrize("call, items", LIST_ARGUMENTS.values(), ids=LIST_ARGUMENTS.keys())
+def test_a_one_shot_iterator_gives_what_its_list_gives(call, items):
+    assert call(iter(items)) == call(items)

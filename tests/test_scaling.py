@@ -328,10 +328,10 @@ class TestVerifyDimension:
     def test_no_scale_factors_is_refused(self, base):
         with pytest.raises(DegenerateSeriesError) as excinfo:
             probe_registry(base, lambdas=[])
-        assert str(excinfo.value) == "indicator P: scale factors must not be empty"
+        assert str(excinfo.value) == "indicator P: log-log fit needs at least 3 points, got 0"
         with pytest.raises(DegenerateSeriesError) as excinfo:
             verify_dimension(descriptor("S"), base, lambdas=())
-        assert str(excinfo.value) == "indicator S: scale factors must not be empty"
+        assert str(excinfo.value) == "indicator S: log-log fit needs at least 3 points, got 0"
 
     @pytest.mark.parametrize(
         "name, base, lambdas",
@@ -352,8 +352,27 @@ class TestVerifyDimension:
         with pytest.raises(DomainError) as excinfo:
             verify_dimension(descriptor("S"), [5, 5, 5], lambdas=range(1, MAX_LAMBDAS + 2))
         assert str(excinfo.value) == (
-            f"indicator S: at most {MAX_LAMBDAS} scale factors may be given, got {MAX_LAMBDAS + 1}"
+            f"indicator S: at most {MAX_LAMBDAS} scale factors may be given, "
+            f"got more than {MAX_LAMBDAS}"
         )
+
+    @pytest.mark.parametrize("probe", [verify_dimension, probe_registry], ids=lambda f: f.__name__)
+    def test_a_long_iterator_of_scale_factors_is_refused_unread(self, probe):
+        import tracemalloc
+
+        # Finite, so that code which reads all of it fails here instead of hanging.
+        lambdas = iter(range(1, 2 * 10**6))
+        args = (descriptor("C"), [4, 2, 1]) if probe is verify_dimension else ([4, 2, 1],)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as excinfo:
+                probe(*args, lambdas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value).endswith(f"got more than {MAX_LAMBDAS}")
+        assert next(lambdas) == MAX_LAMBDAS + 2  # no more than MAX_LAMBDAS + 1 were read
+        assert peak < 2**20
 
     def test_a_series_the_fit_refuses_names_the_indicator(self):
         # C - 7 is zero on the base [4, 2, 1] and positive on its replicas.

@@ -57,6 +57,19 @@ class TestPlotSeries:
         assert str(excinfo.value) == f"points of series 'h' must be pairs, got {points!r}"
 
 
+    @pytest.mark.parametrize(
+        "plot, message",
+        [
+            (lambda: PlotSeries(5, [(1, 7)]), "series name must be a string, got 5"),
+            (lambda: emit_loglog_svg([_series_c()], title=7), "plot title must be a string, got 7"),
+        ],
+        ids=["name", "title"],
+    )
+    def test_plot_text_that_is_no_str_is_refused_by_field(self, plot, message):
+        with pytest.raises(DomainError) as excinfo:
+            plot()
+        assert str(excinfo.value) == message
+
     def test_a_fit_is_optional(self):
         assert _series_c().fit is None
         assert PlotSeries("C", [(1, 7)], _FIT).fit == _FIT
@@ -184,21 +197,41 @@ class TestCarriedFit:
         assert "C: slope 1.50" in svg
 
     @pytest.mark.parametrize(
-        "points, got",
+        "points, message",
         [
-            ([(1, 7), (2, 0.0)], "(2, 0)"),
-            ([(-1, 7), (2, 28)], "(-1, 7)"),
-            ([(1, 7), (2, math.inf)], "(2, inf)"),
-            ([(1, math.nan), (2, 28)], "(1, nan)"),
+            ([(1, 7), (2, 0.0)], "strictly positive points, got (2, 0)"),
+            ([(-1, 7), (2, 28)], "strictly positive points, got (-1, 7)"),
+            ([(1, 7), (2, math.inf)], "finite points, got (2, inf)"),
+            ([(1, math.nan), (2, 28)], "finite points, got (1, nan)"),
         ],
         ids=["zero", "negative", "infinite", "nan"],
     )
-    def test_a_point_off_the_log_axes_is_refused_by_series(self, points, got):
+    def test_a_point_off_the_log_axes_is_refused_by_series(self, points, message):
         with pytest.raises(DegenerateSeriesError) as excinfo:
             emit_loglog_svg([_series_c(), PlotSeries("E", points, _FIT)])
-        assert str(excinfo.value) == (
-            f"series E: log-log axes need finite, strictly positive points, got {got}"
-        )
+        assert str(excinfo.value) == f"series E: log-log fit needs {message}"
+
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)), min_size=3, max_size=6
+        ),
+        at=st.integers(0, 5),
+        bad=st.sampled_from([0.0, -0.0, -2.5, math.inf, -math.inf, math.nan]),
+        axis=st.integers(0, 1),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_a_bad_point_reads_the_same_with_a_carried_fit_or_without(
+        self, points, at, bad, axis
+    ):
+        point = list(points[at % len(points)])
+        point[axis] = bad
+        points[at % len(points)] = tuple(point)
+        messages = []
+        for fit in (None, _FIT):
+            with pytest.raises(DegenerateSeriesError) as excinfo:
+                emit_loglog_svg([PlotSeries("E", points, fit)])
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_a_series_without_points_is_refused_by_series(self):
         with pytest.raises(DegenerateSeriesError) as excinfo:

@@ -1280,6 +1280,23 @@ class TestEmitMatrix:
             "c\\\\d\t0.50\t1.00\n"
         )
 
+    @pytest.mark.parametrize("format", ["tsv", "csv", "json"])
+    @pytest.mark.parametrize(
+        "names, matrix, message",
+        [
+            (["a", "b"], [[1.0, 0.5]], "matrix must be 2 by 2: a row and a column per name"),
+            (["a"], [[1.0, 0.5]], "matrix must be 1 by 1: a row and a column per name"),
+            (["a"], [[float("nan")]], "matrix cell must be finite, got nan"),
+            (["a"], [["x"]], "matrix cell must be a real number, got 'x'"),
+            (["a", 5], [[1.0, 0.5], [0.5, 1.0]], "matrix names must be strings, got 5"),
+        ],
+        ids=["missing-row", "extra-cell", "nan", "text-cell", "name-no-str"],
+    )
+    def test_a_matrix_off_its_names_is_refused(self, names, matrix, message, format):
+        with pytest.raises(DomainError) as excinfo:
+            emit_matrix(names, matrix, format)
+        assert str(excinfo.value) == message
+
 
 def _writers(precision):
     """Each table and matrix writer of the reference tables at ``precision``."""
