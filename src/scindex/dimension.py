@@ -14,15 +14,18 @@ over a dimension table or over a report of quantities alike.
 
 The value rules of every entry point live here too.  :func:`real`,
 :func:`count` and :func:`rational` read a value as a float, an int or an
-exact ``Fraction``, and :func:`text` a label, name or title as a ``str``;
-a bool (a truth value, though ``numbers`` registers it as an int) or a
-value of another kind is a :class:`DomainError` that names it.
+exact ``Fraction``, and :func:`text` a label, name or title as a ``str``
+that UTF-8 can encode; a bool (a truth value, though ``numbers`` registers
+it as an int) or a value of another kind is a :class:`DomainError` that
+names it.
 :func:`real` passes an exact float and :func:`count` an exact int at
-once, so a caller needs no type test of its own for one value.  Two hot
+once, so a caller needs no type test of its own for one value.  Three hot
 paths still test before calling a rule: a summary row tests the
-exact type of each field inline (``analytics._check_summary``), and a
+exact type of each field inline (``analytics._check_summary``), a
 :class:`~scindex.indicators.CitationVector` tests the types of its whole
-list of counts at once.  :func:`check_tolerance` reads a slope gate, a
+list of counts at once, and the JSON reader proves a wide array all ints
+by its sum and the absence of ``true`` and ``false`` from the file
+(``tabular._json_records``).  :func:`check_tolerance` reads a slope gate, a
 real that must be finite and >= 0.  :func:`pairs` and :func:`name_list`
 read the shape of a list: of runs or points, and of indicator names.
 
@@ -80,9 +83,16 @@ def rational(value: object, name: str) -> Fraction:
 
 
 def text(value: object, name: str) -> str:
-    """``value``, which must be a ``str``: a label, a name or a title."""
+    """``value``, which must be a ``str`` that UTF-8 can encode (no lone
+    surrogate, which a JSON ``\\ud800`` escape can give): a label, a name
+    or a title, for every writer to take it."""
     if not isinstance(value, str):
         raise DomainError(f"{name} must be a string, got {shown(value)}")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainError(f"{name} must be UTF-8 text, got {shown(value)}") from None
     return value
 
 
@@ -105,9 +115,10 @@ def pairs(items: object, name: str) -> list[tuple]:
 
 
 def name_list(items: object, name: str) -> tuple[str, ...]:
-    """The items of ``items`` as a tuple of names.  A ``str`` (one name, not
-    a list of its letters), a non-iterable ``items`` or an item that is no
-    ``str`` is a :class:`DomainError` that names ``name``."""
+    """The items of ``items`` as a tuple of names, each read by :func:`text`.
+    A ``str`` (one name, not a list of its letters), a non-iterable ``items``
+    or an item that is no ``str`` is a :class:`DomainError` that names
+    ``name``."""
     try:
         if isinstance(items, str):
             raise TypeError
@@ -117,6 +128,7 @@ def name_list(items: object, name: str) -> tuple[str, ...]:
     for item in listed:
         if not isinstance(item, str):
             raise DomainError(f"{name} must be strings, got {shown(item)}")
+        text(item, name)  # UTF-8 text, as every name is
     return listed
 
 

@@ -21,14 +21,24 @@ _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 640, 480  # the SVG's size in pixels
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# Characters XML 1.0 forbids in a document, escaped or not (text() refuses the
+# surrogates): the C0 controls but tab, LF and CR, and U+FFFE and U+FFFF.
+_NOT_XML = frozenset(map(chr, [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]))
+
+
+def _xml_text(value: object, name: str) -> str:
+    """``value`` read by :func:`text`, which must hold no character XML 1.0 forbids."""
+    if not _NOT_XML.isdisjoint(text(value, name)):
+        raise DomainError(f"{name} must be XML text, got {shown(value)}")
+    return value
 
 
 class PlotSeries(Record):
-    """A point set destined for log-log axes: a ``str`` name, (x, y) pairs,
-    each coordinate read by :func:`real`, and optionally the points' log-log
-    fit, an :class:`ExponentEstimate` (a probe's own) whose slope and
-    intercept are finite reals, held as floats; a :class:`DomainError`
-    names the field, and the series, otherwise.
+    """A point set destined for log-log axes: a ``str`` name that XML can
+    hold, (x, y) pairs, each coordinate read by :func:`real`, and optionally
+    the points' log-log fit, an :class:`ExponentEstimate` (a probe's own)
+    whose slope and intercept are finite reals, held as floats; a
+    :class:`DomainError` names the field, and the series, otherwise.
     """
 
     __slots__ = ("name", "points", "fit")
@@ -39,7 +49,7 @@ class PlotSeries(Record):
         points: Sequence[Sequence[float]],
         fit: ExponentEstimate | None = None,
     ) -> None:
-        series = f"series {shown(text(name, 'series name'))}"
+        series = f"series {shown(_xml_text(name, 'series name'))}"
         checked = pairs(points, f"points of {series}")
         coordinate = f"point coordinate of {series}"
         checked = tuple((real(x, coordinate), real(y, coordinate)) for x, y in checked)
@@ -90,7 +100,8 @@ def _log_range(values: Iterable[float]) -> tuple[float, float]:
 
 def emit_loglog_svg(series: Iterable[PlotSeries], title: str = "") -> tuple[str, str]:
     """Render series, read once, to (svg_text, points_csv_text), the SVG
-    640 × 480 pixels; ``title`` must be a ``str``.
+    640 × 480 pixels; ``title`` must be a ``str`` that XML can hold, as a
+    series name must.
 
     Each series' dashed line and slope label come from its log-log fit: the
     ``fit`` it carries, which is not refitted, or else :func:`fit_loglog`
@@ -100,7 +111,7 @@ def emit_loglog_svg(series: Iterable[PlotSeries], title: str = "") -> tuple[str,
     prefixed with the series name is raised otherwise.
     """
     series = tuple(series)
-    text(title, "plot title")
+    _xml_text(title, "plot title")
     if not series:
         raise DomainError("nothing to plot")
     fits = []

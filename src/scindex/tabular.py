@@ -18,7 +18,11 @@ row, a repeated label, a value out of range) is read again row by row,
 each cell by :func:`parse_counts`, so its error names its line, the first
 bad item of its cell and a negative count's first occurrence.  A JSON
 summary array is checked by columns too, and read again record by record
-to name a defect's record.
+to name a defect's record.  A wide JSON array is read at once, with no
+test of each item's type, when two facts prove that each item is an int:
+its sum is an ``int`` (a float makes the sum a float, and any other item
+but a bool raises), and the file holds neither ``true`` nor ``false``,
+the only tokens that give a bool.  Any other array is read item by item.
 
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
@@ -51,7 +55,7 @@ from typing import Any, Iterable, Sequence
 from .analytics import AnalyticsTable, PortfolioSummary, _paper_count, _summaries_pass
 from .dimension import count, name_list, real
 from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
-from .indicators import CitationVector
+from .indicators import CitationVector, _sorted_runs
 
 WIDE_HEADER: tuple[str, ...] = ("author", "citations")
 SUMMARY_HEADER: tuple[str, ...] = ("author", "P", "i", "eta")
@@ -75,6 +79,12 @@ def _decode(data: str | bytes) -> str:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
+            raise FormatError(f"input is not UTF-8: {exc.reason}", line) from None
+    elif not data.isascii():
+        try:  # a str may hold a lone surrogate, which no writer can encode
+            data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            line = data.count("\n", 0, exc.start) + 1
             raise FormatError(f"input is not UTF-8: {exc.reason}", line) from None
     return data.removeprefix("\ufeff")
 
@@ -281,9 +291,15 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
         raise FormatError(f"invalid JSON: {exc}", line) from None
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records", 1)
+    # Only the tokens true and false give a bool, the one item that is no
+    # int but sums as one; a file without them has no bool to find.
+    wide = bool(payload) and isinstance(payload[0], dict) and "citations" in payload[0]
+    ints = wide and "true" not in text and "false" not in text
     try:
-        records = _json_records(payload, check=False)
-    except ScindexError:
+        records = _json_records(payload, check=False, ints=ints)
+        # A \ud800 escape gives a lone surrogate, which no writer can encode.
+        "".join(record.label for record in records).encode("utf-8")
+    except (ScindexError, UnicodeEncodeError):
         records = None
     values = operator.attrgetter("papers", "impact", "evenness", "h")
     if records and records[0].vector is None and not _summaries_pass(*zip(*map(values, records))):
@@ -293,9 +309,16 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
     return _json_records(payload, check=True) if records is None else records
 
 
-def _json_records(payload: list, check: bool) -> list[PortfolioSummary]:
+def _json_records(payload: list, check: bool, ints: bool = False) -> list[PortfolioSummary]:
     """The records of a JSON array; an error names its record.  Unless
-    ``check``, summary values are not checked by ``_check_summary``.
+    ``check``, summary values are not checked by ``_check_summary`` and
+    labels not by :func:`text`.
+
+    When ``ints`` (the array holds no bool), a non-empty citations list
+    whose sum is an ``int`` holds only ints, and is tallied at once into
+    the runs of its vector; its first negative count raises.  Any other
+    list is read by :class:`PortfolioSummary`, which names its first bad
+    item.
     """
     records: list[PortfolioSummary] = []
     first_seen: dict[str, int] = {}
@@ -315,14 +338,27 @@ def _json_records(payload: list, check: bool) -> list[PortfolioSummary]:
                     record = PortfolioSummary.from_summary(label, *fields)
                 else:
                     record = PortfolioSummary._checked(label, None, *fields)
-            elif isinstance(entry["citations"], list):
-                record = PortfolioSummary(label, entry["citations"])
+            elif isinstance(citations := entry["citations"], list):
+                if ints and citations and _int_sum(citations):
+                    vector = CitationVector._of_runs(_sorted_runs(Counter(citations)))
+                    record = PortfolioSummary._checked(label, vector)
+                else:
+                    record = PortfolioSummary(label, citations)
             else:
                 raise FormatError("'citations' must be an array of integers")
             _add_record(records, first_seen, record, n, "record")
     except ScindexError as exc:
         raise _located(exc, record=n) from None
     return records
+
+
+def _int_sum(values: list) -> bool:
+    """Whether the sum of ``values`` is an ``int``, as it is when each item is
+    an int or a bool: a float makes it a float, and any other item raises."""
+    try:
+        return type(sum(values)) is int
+    except (TypeError, OverflowError):  # 10**400 + 0.5 overflows
+        return False
 
 
 def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary]:

@@ -5,7 +5,8 @@ or vector, in each field of an indicator descriptor, in a table writer's
 precision, in a plot series' name or fit, in a plot's title, and for any
 item of its lists of counts, runs, scale factors, points, matrix cells
 or names.  A label or vector that is taken goes on through every table
-and record writer.
+and record writer, whose output UTF-8 encodes, as a file or stdout takes
+it; a series name or title that is taken gives an SVG that XML parses.
 
 The values are the hostile ones below, each tried on every argument, and
 more drawn by Hypothesis; a bool is refused wherever it is given.  The
@@ -17,7 +18,9 @@ non-quantity.  Any iterable may stand for a list, and gives what the
 list gives.
 """
 
+import json
 import math
+import xml.dom.minidom
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +46,7 @@ from scindex import (
     emit_records,
     emit_table,
     fit_loglog,
+    parse_input,
     pearson_matrix,
     probe_registry,
     reconstruct_from_summary,
@@ -59,6 +63,8 @@ HOSTILE = [
     np.int64(3), np.int8(-2), np.float64(2.5), np.float32("nan"), np.bool_(True),
     # items of the wrong shape
     (), (1,), (1, 2, 3), "ab", [2, [1]], {},
+    # text UTF-8 cannot encode (a JSON \\ud800 escape gives it), and text XML forbids
+    "A\ud800", "a\x01b",
 ]
 
 values = st.one_of(
@@ -101,11 +107,12 @@ def item(base, build):
 
 
 def written(table, records=()):
-    """``table`` in every table format and ``records`` in every record format."""
+    """``table`` in every table format and ``records`` in every record format,
+    each encoded as UTF-8."""
     for format in ("tsv", "csv", "json"):
-        emit_table(table, format)
+        emit_table(table, format).encode("utf-8")
     for format in ("csv", "json"):
-        emit_records(records, format)
+        emit_records(records, format).encode("utf-8")
 
 
 def record_written(record):
@@ -114,9 +121,32 @@ def record_written(record):
 
 
 def matrix_written(names, matrix):
-    """The matrix in every matrix format."""
+    """The matrix in every matrix format, each encoded as UTF-8."""
     for format in ("tsv", "csv", "json"):
-        emit_matrix(names, matrix, format)
+        emit_matrix(names, matrix, format).encode("utf-8")
+
+
+def plotted(series, title=""):
+    """The SVG of ``series``, parsed as XML, and its points as UTF-8."""
+    svg, points = emit_loglog_svg(series, title)
+    xml.dom.minidom.parseString(svg.encode("utf-8"))
+    points.encode("utf-8")
+
+
+def read_written(text):
+    """The records of JSON ``text`` and their table through every writer."""
+    records = parse_input(text, "json")
+    written(AnalyticsTable.from_portfolios(records), records)
+
+
+def json_read(label):
+    """The calls that read a wide and a summary JSON record labelled
+    ``label``, if it is a ``str``, and write what they read."""
+    if not isinstance(label, str):
+        return []
+    forms = ({"citations": COUNTS}, {"P": 10, "i": 2.0, "eta": 0.5})
+    texts = [json.dumps([{"author": label, **form}]) for form in forms]
+    return [lambda text=text: read_written(text) for text in texts]
 
 
 def summary_field(position, build):
@@ -186,6 +216,7 @@ ENTRY_POINTS = {
     "PortfolioSummary.from_summary label": argument(
         lambda v: record_written(PortfolioSummary.from_summary(v, *SUMMARY))
     ),
+    "parse_input JSON label": json_read,
     **{
         f"emit_table precision {format}": argument(lambda v, f=format: emit_table(TABLE, f, v))
         for format in ("tsv", "csv", "json")
@@ -214,8 +245,8 @@ ENTRY_POINTS = {
         f"reconstruct_from_summary {name}": summary_field(k, reconstruct_from_summary)
         for k, name in enumerate(["P", "i", "eta", "h"])
     },
-    "PlotSeries name": argument(lambda v: emit_loglog_svg([PlotSeries(v, POINTS)])),
-    "emit_loglog_svg title": argument(lambda v: emit_loglog_svg([PlotSeries("h", POINTS)], v)),
+    "PlotSeries name": argument(lambda v: plotted([PlotSeries(v, POINTS)])),
+    "emit_loglog_svg title": argument(lambda v: plotted([PlotSeries("h", POINTS)], v)),
     "PlotSeries points": argument(lambda v: PlotSeries("h", v)),
     "PlotSeries point": item(POINTS, lambda points: PlotSeries("h", points)),
     "PlotSeries coordinate": item([1, 1.0], lambda point: PlotSeries("h", [tuple(point)])),

@@ -19,6 +19,7 @@ from scindex import (
     HeterogeneityError,
     Quantity,
 )
+from scindex.dimension import name_list, text
 from scindex.indicators import EUCLIDEAN_DIM
 
 exponents = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -352,3 +353,19 @@ class TestQuantity:
                 qa + qb
             with pytest.raises(HeterogeneityError):
                 operator.lt(qa, qb)
+
+
+class TestTextRule:
+    @pytest.mark.parametrize("value", ["", "A", "Kr\u00e9bs", "\U0001f600", "a\x01b"])
+    def test_text_utf8_can_encode_is_taken(self, value):
+        assert text(value, "label") is value
+        assert name_list([value], "names") == (value,)
+
+    @pytest.mark.parametrize("value", ["A\ud800", "\udc00", "\ud83dx"])
+    def test_a_lone_surrogate_is_refused_by_name(self, value):
+        with pytest.raises(DomainError) as excinfo:
+            text(value, "portfolio label")
+        assert str(excinfo.value) == f"portfolio label must be UTF-8 text, got {value!r}"
+        with pytest.raises(DomainError) as excinfo:
+            name_list(["C", value], "matrix names")
+        assert str(excinfo.value) == f"matrix names must be UTF-8 text, got {value!r}"

@@ -70,6 +70,27 @@ class TestPlotSeries:
             plot()
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "plot, message",
+        [
+            (lambda: PlotSeries("a\x01b", [(1, 7)]), "series name must be XML text, got 'a\\x01b'"),
+            (
+                lambda: emit_loglog_svg([_series_c()], title="t\x0c"),
+                "plot title must be XML text, got 't\\x0c'",
+            ),
+            (lambda: PlotSeries("\uffff", [(1, 7)]), "series name must be XML text, got '\\uffff'"),
+            (
+                lambda: emit_loglog_svg([_series_c()], title="A\ud800"),
+                "plot title must be UTF-8 text, got 'A\\ud800'",
+            ),
+        ],
+        ids=["control-name", "control-title", "noncharacter-name", "surrogate-title"],
+    )
+    def test_plot_text_that_xml_cannot_hold_is_refused_by_field(self, plot, message):
+        with pytest.raises(DomainError) as excinfo:
+            plot()
+        assert str(excinfo.value) == message
+
     def test_a_fit_is_optional(self):
         assert _series_c().fit is None
         assert PlotSeries("C", [(1, 7)], _FIT).fit == _FIT
@@ -105,7 +126,34 @@ class TestPlotSeries:
         assert str(excinfo.value) == f"fit slope or intercept of series 'h' {message}"
 
 
+# Characters XML 1.0 forbids: C0 controls but tab, LF and CR, the
+# surrogates, U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# Any code point, surrogates included, with the characters that matter to XML
+# drawn often.
+_any_text = st.text(
+    st.characters(codec=None, exclude_categories=()) | st.sampled_from("&<>\"'\t\r\n\x01]"),
+    max_size=8,
+)
+
+
 class TestEmitLogLogSvg:
+    @settings(max_examples=300, deadline=None)
+    @given(name=_any_text, title=_any_text)
+    def test_plot_text_is_refused_or_parses_as_xml(self, name, title):
+        try:
+            svg, _ = emit_loglog_svg([PlotSeries(name, [(1, 7), (2, 28), (4, 112)])], title)
+        except DomainError:
+            assert _NOT_XML.search(name + title)
+        else:
+            assert not _NOT_XML.search(name + title)
+            texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+            shown_text = {node.firstChild.data for node in texts if node.firstChild}
+            # A parser reads each CR LF and each lone CR as LF (XML 1.0, 2.11).
+            read = {text: text.replace("\r\n", "\n").replace("\r", "\n") for text in (name, title)}
+            assert f"{read[name]}: slope 2.00" in shown_text
+            assert not title or read[title] in shown_text
+
     def test_collinear_points_with_slope_label(self):
         svg, _ = emit_loglog_svg([_series_c()])
         assert svg.startswith("<svg xmlns=")

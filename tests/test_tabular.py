@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from scindex.tabular import (
     _csv_records,
     _csv_columns,
     _format_column,
+    _json_records,
     emit_matrix,
     format_magnitude,
     parse_counts,
@@ -731,6 +733,99 @@ class TestParseJson:
     def test_decoder_limits_are_format_errors(self, text):
         with pytest.raises(FormatError, match="invalid JSON"):
             parse_input(text, "json")
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"citations": [3, 1]}, {"P": 3, "i": 1.0, "eta": 0.5}],
+        ids=["wide", "summary"],
+    )
+    def test_a_label_utf8_cannot_encode_names_its_record(self, record):
+        """A \\ud800 escape gives a lone surrogate, which no writer can encode."""
+        text = json.dumps([{"author": "A", **record}, {"author": "B\ud800", **record}])
+        assert "\\ud800" in text
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text.encode(), "json")
+        assert str(excinfo.value) == (
+            "record 2: portfolio label must be UTF-8 text, got 'B\\ud800'"
+        )
+
+    def test_a_surrogate_pair_escape_is_one_character(self):
+        text = '[{"author": "\\ud83d\\ude00", "citations": [3, 1]}]'
+        assert parse_input(text, "json")[0].label == "\U0001f600"
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_a_str_input_holding_a_lone_surrogate_names_its_line(self, form):
+        text = {
+            "csv": 'author,citations\nA,"1"\nB\ud800,"3;1"\n',
+            "json": '[{"author": "A", "citations": [1]},\n {"author": "B\ud800", "citations": [1]}]',
+        }[form]
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, form)
+        line = 3 if form == "csv" else 2
+        assert str(excinfo.value) == f"line {line}: input is not UTF-8: surrogates not allowed"
+
+
+# Items of a wide JSON list: exact ints of any size, and every kind of item
+# the per-item reading refuses, or that sums as an int (a bool) or overflows
+# a float sum (10**400 with a float).
+_json_items = st.one_of(
+    st.integers(0, 50),
+    st.integers(-3, -1),
+    st.sampled_from([2**70, 10**400]),
+    st.booleans(),
+    st.integers(0, 5).map(float),
+    st.sampled_from([math.nan, math.inf, 0.5]),
+    st.sampled_from(["3", "x", None, [1], {"a": 1}, []]),
+)
+_wide_json_records = st.lists(
+    st.fixed_dictionaries(
+        {
+            "author": st.sampled_from(["A", "B", "C", "untrue", "falsetto", "A\ud800"]),
+            "citations": st.lists(st.integers(0, 50), min_size=1, max_size=6)
+            | st.lists(_json_items, max_size=6),
+        }
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestJsonArraysAtOnce:
+    """A wide JSON array whose sum is an int, in a file with no true or false
+    token, is tallied at once; it reads as record by record does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(records=_wide_json_records)
+    @example(records=[{"author": "A", "citations": [10**400, 0.5]}])
+    @example(records=[{"author": "A", "citations": [1, True]}])
+    @example(records=[{"author": "A", "citations": []}])
+    def test_arrays_read_at_once_read_as_record_by_record(self, records):
+        text = json.dumps(records, allow_nan=True)
+        try:
+            expected = _json_records(json.loads(text), check=True)
+        except ScindexError as exc:
+            with pytest.raises(ScindexError) as excinfo:
+                parse_input(text, "json")
+            assert type(excinfo.value) is type(exc)
+            assert str(excinfo.value) == str(exc)
+            assert excinfo.value.record == exc.record
+        else:
+            assert parse_input(text, "json") == expected
+
+    def test_a_clean_array_builds_no_vector_item_by_item(self, monkeypatch):
+        calls = []
+        init = CitationVector.__init__
+        monkeypatch.setattr(
+            CitationVector, "__init__", lambda vec, counts: calls.append(1) or init(vec, counts)
+        )
+        records = [{"author": f"A{k}", "citations": [k + 3, 2, 2, 0]} for k in range(3)]
+        fast = parse_input(json.dumps(records), "json")
+        assert calls == []
+        records[1]["author"] = "untrue"  # a true token: each list is read item by item
+        exact = parse_input(json.dumps(records), "json")
+        assert len(calls) == 3
+        assert exact == [fast[0], PortfolioSummary("untrue", fast[1].vector), fast[2]]
+        assert fast[0].vector.runs == ((3, 1), (2, 2), (0, 1))
 
 
 # Text that reaches the row parsers: a header of each form, then rows
