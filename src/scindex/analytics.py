@@ -23,6 +23,9 @@ from .errors import (
     shown,
 )
 from .indicators import (
+    SUMMARY_H_LAYOUT,
+    SUMMARY_LAYOUT,
+    VECTOR_LAYOUT,
     IndicatorReport,
     _ladder,
     as_citation_vector,
@@ -34,6 +37,10 @@ from .indicators import (
 # Columns a summary triple determines (everything but P, i, eta themselves
 # and the non-derivable h and g).
 RECONSTRUCTED_COLUMNS = frozenset({"C", "X", "E", "S", "z", "i_E"})
+# The reconstructed columns of each report layout: none of a vector's.
+_RECONSTRUCTED = dict.fromkeys((SUMMARY_LAYOUT, SUMMARY_H_LAYOUT), RECONSTRUCTED_COLUMNS)
+_RECONSTRUCTED[VECTOR_LAYOUT] = frozenset()
+_FLOAT_MAX = sys.float_info.max
 
 
 class PortfolioSummary(Record):
@@ -91,13 +98,17 @@ class PortfolioSummary(Record):
 
     def report(self) -> tuple[IndicatorReport, frozenset[str]]:
         """Indicator report plus the set of reconstructed column names."""
+        report = self._report()
+        return report, _RECONSTRUCTED[report.names]
+
+    def _report(self) -> IndicatorReport:
+        """The indicator report, a :class:`DomainError` naming the portfolio."""
         try:
             if self.vector is not None:
-                return compute_all(self.vector), frozenset()
-            report = reconstruct_from_summary(self.papers, self.impact, self.evenness, self.h)
+                return compute_all(self.vector)
+            return reconstruct_from_summary(self.papers, self.impact, self.evenness, self.h)
         except DomainError as exc:
             raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
-        return report, RECONSTRUCTED_COLUMNS
 
 
 def _paper_count(value: object) -> int:
@@ -124,7 +135,7 @@ def _check_summary(
         papers = _paper_count(papers)
     if papers < 1:
         raise DomainError(f"paper count must be >= 1, got {shown(papers)}")
-    if papers > sys.float_info.max:
+    if papers > _FLOAT_MAX:
         raise DomainError("paper count exceeds the floating-point range")
     if type(impact) is not float:  # exact floats, as the readers give, pass at once
         impact = real(impact, "mean impact")
@@ -132,7 +143,7 @@ def _check_summary(
         evenness = real(evenness, "evenness")
     if impact < 0:
         raise DomainError(f"mean impact must be >= 0, got {impact}")
-    if not math.isfinite(impact):
+    if not impact <= _FLOAT_MAX:  # nan and inf fail it
         raise DomainError(f"mean impact must be finite, got {impact}")
     if not 0 < evenness <= 1:
         raise DomainError(f"evenness must lie in (0, 1], got {evenness}")
@@ -156,7 +167,7 @@ def _summaries_pass(
     """
     # A finite sum holds no nan or infinity, so min and max bound every value.
     return (
-        1 <= min(papers) and max(papers) <= sys.float_info.max
+        1 <= min(papers) and max(papers) <= _FLOAT_MAX
         and math.isfinite(sum(impacts)) and min(impacts) >= 0
         and math.isfinite(sum(etas)) and 0 < min(etas) and max(etas) <= 1
         and _h_pass(h, papers)
@@ -286,7 +297,7 @@ class AnalyticsTable(Record):
         layout picks its row's values by position.
         """
         portfolios = tuple(portfolios)
-        reports, flags = tuple(zip(*map(PortfolioSummary.report, portfolios))) or ((), ())
+        reports = tuple(map(PortfolioSummary._report, portfolios))
         names = list(map(operator.attrgetter("names"), reports))
         layouts = _distinct(names)
         columns = _table_columns(layouts, columns)
@@ -296,9 +307,12 @@ class AnalyticsTable(Record):
         else:
             at = {layout: tuple(map(layout.index, columns)) for layout in layouts}
             rows = tuple(tuple(map(row.__getitem__, at[n])) for n, row in zip(names, values))
-        labels = tuple(portfolio.label for portfolio in portfolios)
-        visible = {flag: flag.intersection(columns) for flag in set(flags)}
-        reconstructed = tuple(map(visible.__getitem__, flags))
+        labels = tuple(map(operator.attrgetter("label"), portfolios))
+        visible = {layout: _RECONSTRUCTED[layout].intersection(columns) for layout in layouts}
+        if len(layouts) == 1:
+            reconstructed = (visible[layouts[0]],) * len(reports)
+        else:
+            reconstructed = tuple(map(visible.__getitem__, names))
         return cls(columns, _registry_dims(columns), labels, rows, reconstructed)
 
     def __len__(self) -> int:

@@ -14,10 +14,11 @@ over a dimension table or over a report of quantities alike.
 
 The value rules of every entry point live here too.  :func:`real`,
 :func:`count` and :func:`rational` read a value as a float, an int or an
-exact ``Fraction``, and :func:`text` a label, name or title as a ``str``
-that UTF-8 can encode; a bool (a truth value, though ``numbers`` registers
-it as an int) or a value of another kind is a :class:`DomainError` that
-names it.
+exact ``Fraction``, :func:`finite` as a float that must be finite (a
+quantity's magnitude, a plotted fit, a matrix cell), and :func:`text` a
+label, name or title as a ``str`` that UTF-8 can encode; a bool (a truth
+value, though ``numbers`` registers it as an int) or a value of another
+kind is a :class:`DomainError` that names it.
 :func:`real` passes an exact float and :func:`count` an exact int at
 once, so a caller needs no type test of its own for one value.  Three hot
 paths still test before calling a rule: a summary row tests the
@@ -60,6 +61,14 @@ def real(value: object, name: str) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} exceeds the floating-point range") from None
+
+
+def finite(value: object, name: str) -> float:
+    """``value`` read by :func:`real`, which must be finite."""
+    value = real(value, name)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {shown(value)}")
+    return value
 
 
 def count(value: object, name: str) -> int:
@@ -285,7 +294,7 @@ def _ordered(compare: Callable[[float, float], bool]) -> Callable:
 class Quantity(Record):
     """A finite real magnitude paired with a :class:`Dimension`.
 
-    The magnitude is held as a float, read by :func:`real`.
+    The magnitude is held as a float, read by :func:`finite`.
 
     Addition, subtraction and ordered comparison (``<``, ``<=``, ``>``,
     ``>=``) require both operands to share a dimension; multiplication
@@ -300,10 +309,7 @@ class Quantity(Record):
     def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS) -> None:
         if not isinstance(dim, Dimension):
             raise DomainError(f"quantity dimension must be a Dimension, got {shown(dim)}")
-        value = real(magnitude, "quantity magnitude")
-        if not math.isfinite(value):
-            raise DomainError(f"quantity magnitude must be finite, got {value!r}")
-        self._fill(value, dim)
+        self._fill(finite(magnitude, "quantity magnitude"), dim)
 
     def __add__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):

@@ -245,15 +245,15 @@ def _rank_sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int, int, i
 
 
 def _ladder(
-    p: float,
+    p: int,
     c: float,
     i: float,
     x: float,
     e: float,
     s: float,
     eta: float,
-    h: int | None = None,
-    g: int | None = None,
+    h: float | None = None,
+    g: float | None = None,
 ) -> IndicatorReport:
     """The report of the ladder values, with z and i_E derived from the rest.
 
@@ -262,24 +262,23 @@ def _ladder(
     it, since a summary triple cannot supply them.  The report's layout is
     the one of these three that holds its names, and its values are floats
     in that order; every one must be finite.
+
+    Only P, an int from both callers, is converted here; every other value
+    is taken as the float it is: :func:`_closed_forms` converts C, E, h and
+    g, and a summary passes the floats ``analytics._check_summary`` returns.
     """
-    z = float((eta * i * i * p) ** (1.0 / 3.0))
+    p = float(p)
+    z = (eta * i * i * p) ** (1.0 / 3.0)
     i_e = math.sqrt(e)
     if h is None:
         names = SUMMARY_LAYOUT
-        values = float(p), float(c), float(i), float(x), float(e), float(s), float(eta), z, i_e
+        values = p, c, i, x, e, s, eta, z, i_e
     elif g is None:
         names = SUMMARY_H_LAYOUT
-        values = (
-            float(p), float(c), float(i), float(h),
-            float(x), float(e), float(s), float(eta), z, i_e,
-        )
+        values = p, c, i, h, x, e, s, eta, z, i_e
     else:
         names = VECTOR_LAYOUT
-        values = (
-            float(p), float(c), float(i), float(h), float(g),
-            float(x), float(e), float(s), float(eta), z, i_e,
-        )
+        values = p, c, i, h, g, x, e, s, eta, z, i_e
     # A finite sum proves every value finite; a sum that overflows from
     # finite values has no offender and is accepted.
     if not math.isfinite(sum(values)):
@@ -301,8 +300,8 @@ def _closed_forms(p: int, c: int, e: int, h: int, g: int) -> IndicatorReport:
     whose report does not fit a float has no indicator.
     """
     try:
-        x = c * c / p
-        return _ladder(p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g)
+        x, s = c * c / p, (p * e - c * c) / p
+        return _ladder(p, float(c), c / p, x, float(e), s, x / e if e else 1.0, float(h), float(g))
     except OverflowError:
         raise DomainError("citation sums exceed the floating-point range") from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .dimension import Record, pairs, real, text
+from .dimension import Record, finite, pairs, real, text
 from .errors import DegenerateSeriesError, DomainError, shown
 from .scaling import ExponentEstimate, _check_log_points, fit_loglog
 from .tabular import _csv_text
@@ -20,7 +20,8 @@ from .tabular import _csv_text
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 640, 480  # the SVG's size in pixels
-_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# A CR is written as a reference, since a parser reads a raw one as LF.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;"})
 # Characters XML 1.0 forbids in a document, escaped or not (text() refuses the
 # surrogates): the C0 controls but tab, LF and CR, and U+FFFE and U+FFFF.
 _NOT_XML = frozenset(map(chr, [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]))
@@ -57,10 +58,7 @@ class PlotSeries(Record):
             if not isinstance(fit, ExponentEstimate):
                 raise DomainError(f"fit of {series} must be an ExponentEstimate, got {shown(fit)}")
             term = f"fit slope or intercept of {series}"
-            line = [real(value, term) for value in (fit.slope, fit.intercept)]
-            for value in line:
-                if not math.isfinite(value):
-                    raise DomainError(f"{term} must be finite, got {shown(value)}")
+            line = [finite(value, term) for value in (fit.slope, fit.intercept)]
             fit = ExponentEstimate(*line, fit.max_residual)
         self._fill(name, checked, fit)
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import operator
 import re
 import sys
@@ -53,7 +52,7 @@ from itertools import chain, repeat
 from typing import Any, Iterable, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary, _paper_count, _summaries_pass
-from .dimension import count, name_list, real
+from .dimension import count, finite, name_list, real
 from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector, _sorted_runs
 
@@ -553,14 +552,6 @@ def _format_column(values: Sequence[float], precision: int | None) -> tuple[str,
     return "%s", list(map(format_magnitude, values, repeat(precision)))
 
 
-def _matrix_cell(value: object) -> float:
-    """A matrix cell, read by :func:`real`, which must be finite."""
-    cell = real(value, "matrix cell")
-    if not math.isfinite(cell):
-        raise DomainError(f"matrix cell must be finite, got {shown(cell)}")
-    return cell
-
-
 def emit_matrix(
     names: Iterable[str],
     matrix: Iterable[Iterable[float]],
@@ -569,11 +560,11 @@ def emit_matrix(
 ) -> str:
     """Render a correlation matrix with row and column headers: ``names`` is
     read by :func:`name_list`, and ``matrix`` must be one row per name of
-    one cell per name, each read by :func:`real` and finite; ``precision``
+    one cell per name, each read by :func:`finite`; ``precision``
     is read by :func:`check_precision`."""
     precision = check_precision(precision)
     names = name_list(names, "matrix names")
-    rows = [list(map(_matrix_cell, row)) for row in matrix]
+    rows = [[finite(cell, "matrix cell") for cell in row] for row in matrix]
     n = len(names)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DomainError(f"matrix must be {n} by {n}: a row and a column per name")

@@ -1,5 +1,8 @@
 """Definitional oracles: the rank-index scans the h and g kernels are checked
-against, and the table rows and fields the table writers are checked against."""
+against, the ladder rows the reports are checked against, and the table rows
+and fields the table writers are checked against."""
+
+import math
 
 from scindex import registry_symbols
 from scindex.tabular import format_magnitude
@@ -21,6 +24,16 @@ def g_brute(counts):
         if sum(ranked[:k]) >= k * k:
             best = k
     return best
+
+
+def ladder_row(p, c, i, x, e, s, eta, h=None, g=None):
+    """The report row of the ladder values, each passed through ``float()``:
+    the rank indices h and g where given, and z and i_E derived, in registry
+    order.  An OverflowError of a conversion propagates."""
+    z = float((eta * i * i * p) ** (1.0 / 3.0))
+    ranks = () if h is None else (float(h),) if g is None else (float(h), float(g))
+    head = float(p), float(c), float(i)
+    return (*head, *ranks, float(x), float(e), float(s), float(eta), z, math.sqrt(e))
 
 
 def table_rows(table):

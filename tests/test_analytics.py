@@ -33,6 +33,8 @@ from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, recon
 from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
 from scindex.errors import shown
 
+from oracles import ladder_row
+
 # What follows the first digit of an int echoed cut to 40 characters, and
 # an int past the 4,300-digit limit of its repr.
 _ZEROS = "0" * 39
@@ -145,6 +147,39 @@ class TestReconstruction:
         direct = compute_all([7, 7, 7])
         report = reconstruct_from_summary(3, direct["i"].magnitude, direct["eta"].magnitude)
         assert report["S"].magnitude == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_exact_floats_equal_to_the_converted_ladder(self, data):
+        """A summary's values reach the ladder as floats, whatever numeric
+        type each is given as: every value of the row is an exact float,
+        equal to the ladder of the converted values with every value
+        converted again, or a DomainError where one is not finite."""
+        p = data.draw(st.integers(1, 10**6), "P")
+        papers = data.draw(st.sampled_from([p, float(p), np.int64(p)]), "papers")
+
+        def typed(floats, ints):
+            return st.one_of(ints, floats, floats.map(Fraction), floats.map(np.float64))
+
+        impact = data.draw(typed(st.floats(0, 1e300), st.integers(0, 10**6)), "impact")
+        evenness = data.draw(typed(st.floats(1e-300, 1), st.just(1)), "evenness")
+        h = data.draw(st.none() | typed(st.floats(0, p), st.integers(0, p)), "h")
+        i, eta = float(impact), float(evenness)
+        x = i * i * p
+        e = x / eta
+        expected = ladder_row(p, i * p, i, x, e, e - x, eta, h)
+        builds = [
+            lambda: reconstruct_from_summary(papers, impact, evenness, h),
+            lambda: PortfolioSummary.from_summary("a", papers, impact, evenness, h).report()[0],
+        ]
+        for build in builds:
+            if not all(map(math.isfinite, expected)):
+                with pytest.raises(DomainError, match="quantity magnitude must be finite"):
+                    build()
+                continue
+            row = build().row
+            assert row == expected
+            assert {type(value) for value in row} == {float}
 
 
 # Summary fields typed as the readers convert them: an int P and float i,
@@ -613,18 +648,39 @@ class TestAnalyticsTable:
             AnalyticsTable.from_portfolios([portfolios[k] for k in order], columns=columns)
         assert excinfo.value.name == missing
 
-    @pytest.mark.parametrize("columns", [(), ("C",), ("C", "P"), ("P", "P", "h")])
-    def test_rows_and_flags_follow_the_columns(self, columns):
-        portfolios = [
-            PortfolioSummary("raw", CitationVector([4, 2, 1])),
-            PortfolioSummary.from_summary("with h", 10, 5.0, 0.5, h=4),
-        ]
+    _SOURCES = {
+        "raw": PortfolioSummary("raw", CitationVector([4, 2, 1])),
+        "with h": PortfolioSummary.from_summary("with h", 10, 5.0, 0.5, h=4),
+        "without h": PortfolioSummary.from_summary("without h", 7, 2.5, 0.25),
+    }
+
+    @pytest.mark.parametrize(
+        "sources, columns",
+        [
+            (("raw", "with h"), ()),
+            (("raw", "with h"), ("C",)),
+            (("raw", "with h"), ("C", "P")),
+            (("raw", "with h"), ("P", "P", "h")),
+            (("raw", "with h", "without h"), None),
+            (("raw", "with h", "without h"), ("i_E", "z", "eta", "S", "E", "X", "i", "C", "P")),
+            (("without h", "raw", "with h"), ("eta", "P", "E", "eta")),
+            (("with h", "without h", "raw"), ("i",)),
+            (("without h", "without h"), ("z", "P", "C")),
+            (("with h",), ("h", "S")),
+            (("raw", "raw"), ("g", "C")),
+        ],
+    )
+    def test_rows_and_flags_follow_the_columns(self, sources, columns):
+        portfolios = [self._SOURCES[source] for source in sources]
         table = AnalyticsTable.from_portfolios(portfolios, columns=columns)
+        columns = table.columns
         reports = [dict(p.report()[0].magnitudes) for p in portfolios]
         assert table.rows == tuple(tuple(r[n] for n in columns) for r in reports)
-        assert table.reconstructed == (
-            frozenset(), frozenset(columns) & {"C", "X", "E", "S", "z", "i_E"}
+        rebuilt = frozenset(columns) & {"C", "X", "E", "S", "z", "i_E"}
+        assert table.reconstructed == tuple(
+            frozenset() if source == "raw" else rebuilt for source in sources
         )
+        assert table.reconstructed == tuple(p.report()[1] & set(columns) for p in portfolios)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

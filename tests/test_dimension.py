@@ -19,7 +19,7 @@ from scindex import (
     HeterogeneityError,
     Quantity,
 )
-from scindex.dimension import name_list, text
+from scindex.dimension import finite, name_list, text
 from scindex.indicators import EUCLIDEAN_DIM
 
 exponents = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -369,3 +369,26 @@ class TestTextRule:
         with pytest.raises(DomainError) as excinfo:
             name_list(["C", value], "matrix names")
         assert str(excinfo.value) == f"matrix names must be UTF-8 text, got {value!r}"
+
+
+class TestFiniteRule:
+    @pytest.mark.parametrize(
+        "value, read", [(2, 2.0), (-0.5, -0.5), (Fraction(1, 4), 0.25), (np.float64(3.5), 3.5)]
+    )
+    def test_a_finite_real_is_read_as_an_exact_float(self, value, read):
+        assert type(finite(value, "cell")) is float and finite(value, "cell") == read
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (float("nan"), "cell must be finite, got nan"),
+            (float("-inf"), "cell must be finite, got -inf"),
+            (np.float64("inf"), "cell must be finite, got inf"),
+            (True, "cell must be a real number, got True"),
+            (10**400, "cell exceeds the floating-point range"),
+        ],
+    )
+    def test_anything_else_is_refused_by_name(self, value, message):
+        with pytest.raises(DomainError) as excinfo:
+            finite(value, "cell")
+        assert str(excinfo.value) == message

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scindex import (
@@ -35,7 +35,7 @@ from scindex.dimension import (
 )
 from scindex.indicators import EUCLIDEAN_DIM, _ladder
 
-from oracles import g_brute, h_brute
+from oracles import g_brute, h_brute, ladder_row
 
 # Vectors kept within the published-data ranges; the rounding analysis
 # for the S = E - X comparison needs P*c^2 well under 2^53.
@@ -306,6 +306,42 @@ class TestComputeAll:
         assert report["E"].magnitude == e
         assert report["h"].magnitude == h_brute(v)
         assert report["g"].magnitude == g_brute(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.dictionaries(
+            st.integers(0, 10**150),
+            st.one_of(st.integers(1, 3), st.integers(1, 10**12)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example(runs={10**150: 1, 3: 2})
+    @example(runs={10**150: 10**12})  # E = 10**312
+    @example(runs={0: 5})
+    def test_rows_are_exact_floats_equal_to_the_converted_ladder(self, runs):
+        """Only P is converted by the ladder: each value of the row is an
+        exact float, equal to the ladder of the exact sums with every value
+        converted, and a sum past the float range is refused by name."""
+        vec = CitationVector.from_runs(sorted(runs.items(), reverse=True))
+        p = sum(runs.values())
+        c = sum(v * m for v, m in runs.items())
+        e = sum(v * v * m for v, m in runs.items())
+        _, _, _, h, g = indicators._rank_sums(vec.runs)
+        try:
+            x = c * c / p
+            expected = ladder_row(p, c, c / p, x, e, (p * e - c * c) / p, x / e if e else 1.0, h, g)
+        except OverflowError:
+            with pytest.raises(DomainError, match="^citation sums exceed the floating-point range"):
+                compute_all(vec)
+            return
+        if not all(map(math.isfinite, expected)):
+            with pytest.raises(DomainError, match="^quantity magnitude must be finite"):
+                compute_all(vec)
+            return
+        row = compute_all(vec).row
+        assert row == expected
+        assert {type(value) for value in row} == {float}
 
     @given(v=vectors)
     def test_descriptors_agree_with_compute_all(self, v):
