@@ -127,7 +127,7 @@ def _check_summary(
     """The summary values as an int P and float i, eta and h (None when no
     h is published), each read by its value rule (:func:`_paper_count`,
     :func:`real`), once each is checked: P from 1 to the float range, i
-    finite and >= 0, eta in (0, 1] and h in [0, P].
+    finite and >= 0, eta in (0, 1] and h in [0, P]; an i or h of -0.0 as 0.0.
     """
     if papers is None or impact is None or evenness is None:
         raise DomainError("summary form needs papers, impact and evenness")
@@ -154,16 +154,17 @@ def _check_summary(
             if not math.isfinite(h):
                 raise DomainError(f"h must be finite, got {h}")
             raise DomainError(f"h must lie in [0, P], got {h} with P = {shown(papers)}")
-    return papers, impact, evenness, h
+        h += 0.0
+    return papers, impact + 0.0, evenness, h
 
 
 def _summaries_pass(
     papers: Sequence[int], impacts: Sequence[float], etas: Sequence[float], h: Sequence
 ) -> bool:
-    """Whether non-empty summary columns, as the readers convert them, pass
-    the rules of :func:`_check_summary`: P an int from 1 to the float range,
-    i finite and >= 0, eta in (0, 1] and a published h (None where there is
-    none) in [0, P].
+    """Whether non-empty summary columns, as the CSV column reader converts
+    them (the one reader that checks by columns), pass the rules of
+    :func:`_check_summary`: P an int from 1 to the float range, i finite and
+    >= 0, eta in (0, 1] and a published h (None where there is none) in [0, P].
     """
     # A finite sum holds no nan or infinity, so min and max bound every value.
     return (

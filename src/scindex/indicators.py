@@ -34,6 +34,7 @@ from .dimension import (
     PAPERS_SQUARED,
     Dimension,
     Quantity,
+    Record,
     check_tolerance,
     count,
     pairs,
@@ -72,8 +73,8 @@ class CitationVector:
 
     A vector keeps two results derived from its runs, each built on first
     use and never if its construction raised: the report of all 11
-    indicators that every kernel reads, and the replica series of the
-    last scaling probe of it (see :func:`scindex.scaling.verify_dimension`).
+    indicators, which :func:`compute_all` returns and every kernel reads, and
+    the replicas of its last scaling probe (see :func:`scindex.scaling.verify_dimension`).
     Pickling, equality and hashing read only the runs.
     """
 
@@ -190,21 +191,14 @@ def as_citation_vector(v: Counts) -> CitationVector:
     return v if isinstance(v, CitationVector) else CitationVector(v)
 
 
-def _nonempty(v: Counts) -> CitationVector:
-    vec = as_citation_vector(v)
-    if not vec:
-        raise EmptyPortfolioError("portfolio has no papers")
-    return vec
-
-
 def h_index(v: Counts) -> Quantity:
     """h: largest rank whose paper still has at least that many citations."""
-    return _kept_report(v)["h"]
+    return compute_all(v)["h"]
 
 
 def g_index(v: Counts) -> Quantity:
     """g: largest rank whose top papers jointly have >= rank^2 citations."""
-    return _kept_report(v)["g"]
+    return compute_all(v)["g"]
 
 
 def _rank_sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int, int, int]:
@@ -306,9 +300,11 @@ def _closed_forms(p: int, c: int, e: int, h: int, g: int) -> IndicatorReport:
         raise DomainError("citation sums exceed the floating-point range") from None
 
 
-def _kept_report(v: Counts) -> IndicatorReport:
-    """The report of ``v``, which its vector keeps once it is built."""
-    vec = _nonempty(v)
+def compute_all(v: Counts) -> IndicatorReport:
+    """Every indicator of one portfolio, in registry order: the report its vector keeps."""
+    vec = as_citation_vector(v)
+    if not vec:
+        raise EmptyPortfolioError("portfolio has no papers")
     if vec._ladder is None:
         vec._ladder = _closed_forms(*_rank_sums(vec._runs))
     return vec._ladder
@@ -316,7 +312,7 @@ def _kept_report(v: Counts) -> IndicatorReport:
 
 def _ladder_kernel(name: str) -> Kernel:
     """Kernel for one indicator: its value in the report the vector keeps."""
-    return lambda v: _kept_report(v)[name]
+    return lambda v: compute_all(v)[name]
 
 
 class IndicatorDescriptor:
@@ -385,18 +381,26 @@ class IndicatorReport(Mapping[str, Quantity]):
     A report is the table row it becomes: ``names`` is one of the three
     layouts of the ladder, each in registry order (``VECTOR_LAYOUT``,
     ``SUMMARY_LAYOUT`` and ``SUMMARY_H_LAYOUT``), and ``row`` the float
-    of each name, in that order.  Both are tuples, and a report is
-    not changed once built.  ``report[name]`` pairs a value with the
-    indicator's declared dimension as a :class:`Quantity`; the dimension
-    belongs to the indicator, so it is not stored per value.
+    of each name, in that order.  Both are tuples, and rebinding or deleting
+    either raises :class:`AttributeError`, as for a ``Record`` field.
+    ``report[name]`` pairs a value with the indicator's declared dimension
+    as a :class:`Quantity`; the dimension belongs to the indicator, so it
+    is not stored per value.
     ``magnitudes`` is the name -> float dict, built on each request.
     """
 
     __slots__ = ("names", "row")
 
+    # A Record's slot setter and field guard, for a report that is a mapping.
+    _fill = Record._fill
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
     def __init__(self, names: tuple[str, ...], row: tuple[float, ...]) -> None:
-        self.names = names
-        self.row = row
+        self._fill(names, row)
+
+    def __reduce__(self) -> tuple:
+        return IndicatorReport, (self.names, self.row)
 
     @property
     def magnitudes(self) -> dict[str, float]:
@@ -457,8 +461,3 @@ def descriptor(name: str) -> IndicatorDescriptor:
         return _BY_NAME[name]
     except KeyError:
         raise UnknownIndicatorError(name) from None
-
-
-def compute_all(v: Counts) -> IndicatorReport:
-    """Every registered indicator for one portfolio, in registry order."""
-    return _closed_forms(*_rank_sums(_nonempty(v).runs))

@@ -17,12 +17,12 @@ once.  A file with any defect (a blank, bad or negative item, a ragged
 row, a repeated label, a value out of range) is read again row by row,
 each cell by :func:`parse_counts`, so its error names its line, the first
 bad item of its cell and a negative count's first occurrence.  A JSON
-summary array is checked by columns too, and read again record by record
-to name a defect's record.  A wide JSON array is read at once, with no
-test of each item's type, when two facts prove that each item is an int:
-its sum is an ``int`` (a float makes the sum a float, and any other item
-but a bool raises), and the file holds neither ``true`` nor ``false``,
-the only tokens that give a bool.  Any other array is read item by item.
+array is read once, each record checked as it is read, so its first defect
+names its record.  A wide record's citations are tallied at once, with no
+test of each item's type, when two facts prove each item an int: their sum
+is an ``int`` (a float makes the sum a float, and any other item but a bool
+raises), and the file holds neither ``true`` nor ``false``, the only tokens
+that give a bool.  Any other list is read item by item.
 
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 import re
 import sys
 from collections import Counter
@@ -52,7 +51,7 @@ from itertools import chain, repeat
 from typing import Any, Iterable, Sequence
 
 from .analytics import AnalyticsTable, PortfolioSummary, _paper_count, _summaries_pass
-from .dimension import count, finite, name_list, real
+from .dimension import count, finite, name_list, real, text
 from .errors import DomainError, FormatError, NegativeCountError, ScindexError, shown
 from .indicators import CitationVector, _sorted_runs
 
@@ -274,10 +273,10 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
     return records
 
 
-def _parse_json(text: str) -> list[PortfolioSummary]:
+def _parse_json(source: str) -> list[PortfolioSummary]:
     import json
     try:
-        payload = json.loads(text)
+        payload = json.loads(source)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", exc.lineno) from None
     except RecursionError as exc:
@@ -285,33 +284,19 @@ def _parse_json(text: str) -> list[PortfolioSummary]:
     except ValueError as exc:
         # An integer past the digit limit, which the decoder reports without
         # a position: its line is that of the first over-long digit run.
-        run = re.search(r"\d{%d,}" % (sys.get_int_max_str_digits() + 1), text)
-        line = text.count("\n", 0, run.start()) + 1 if run else 1
+        run = re.search(r"\d{%d,}" % (sys.get_int_max_str_digits() + 1), source)
+        line = source.count("\n", 0, run.start()) + 1 if run else 1
         raise FormatError(f"invalid JSON: {exc}", line) from None
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records", 1)
     # Only the tokens true and false give a bool, the one item that is no
     # int but sums as one; a file without them has no bool to find.
-    wide = bool(payload) and isinstance(payload[0], dict) and "citations" in payload[0]
-    ints = wide and "true" not in text and "false" not in text
-    try:
-        records = _json_records(payload, check=False, ints=ints)
-        # A \ud800 escape gives a lone surrogate, which no writer can encode.
-        "".join(record.label for record in records).encode("utf-8")
-    except (ScindexError, UnicodeEncodeError):
-        records = None
-    values = operator.attrgetter("papers", "impact", "evenness", "h")
-    if records and records[0].vector is None and not _summaries_pass(*zip(*map(values, records))):
-        records = None
-    # An array with a defect is read again, each summary checked on its
-    # own, so that the error is the first one and names its record.
-    return _json_records(payload, check=True) if records is None else records
+    return _json_records(payload, ints="true" not in source and "false" not in source)
 
 
-def _json_records(payload: list, check: bool, ints: bool = False) -> list[PortfolioSummary]:
-    """The records of a JSON array; an error names its record.  Unless
-    ``check``, summary values are not checked by ``_check_summary`` and
-    labels not by :func:`text`.
+def _json_records(payload: list, ints: bool = False) -> list[PortfolioSummary]:
+    """The records of a JSON array, each read and checked in turn; the first
+    error raises and names its record.
 
     When ``ints`` (the array holds no bool), a non-empty citations list
     whose sum is an ``int`` holds only ints, and is tallied at once into
@@ -333,12 +318,10 @@ def _json_records(payload: list, check: bool, ints: bool = False) -> list[Portfo
             label = entry["author"]
             if not wide:
                 fields = _summary_fields(entry["P"], entry["i"], entry["eta"], entry.get("h"))
-                if check:
-                    record = PortfolioSummary.from_summary(label, *fields)
-                else:
-                    record = PortfolioSummary._checked(label, None, *fields)
+                record = PortfolioSummary.from_summary(label, *fields)
             elif isinstance(citations := entry["citations"], list):
                 if ints and citations and _int_sum(citations):
+                    text(label, "portfolio label")  # checked first, as PortfolioSummary does
                     vector = CitationVector._of_runs(_sorted_runs(Counter(citations)))
                     record = PortfolioSummary._checked(label, vector)
                 else:

@@ -332,6 +332,12 @@ class TestPortfolioSummary:
         with pytest.raises(DomainError, match="paper counts must be integers, got 2.5"):
             reconstruct_from_summary(2.5, 1.0, 0.5)
 
+    def test_a_negative_zero_impact_or_h_is_held_as_zero(self):
+        summary = PortfolioSummary("A", papers=3, impact=-0.0, evenness=0.5, h=-0.0)
+        assert repr(summary.impact) == repr(summary.h) == "0.0"
+        row = reconstruct_from_summary(3, -0.0, 0.5, -0.0).magnitudes
+        assert [repr(row[name]) for name in ("C", "i", "h")] == ["0.0"] * 3
+
     @pytest.mark.parametrize("h", [-4, -1e-300, 3.5, 10])
     def test_h_must_lie_in_zero_to_p(self, h):
         with pytest.raises(DomainError) as excinfo:

@@ -441,22 +441,38 @@ class TestCompute:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2].split("\t")[2] == "34"
 
-    @pytest.mark.parametrize("form", ["csv", "json"])
-    def test_each_summary_row_is_checked_once(self, form, tmp_path, monkeypatch, capsys):
+    def test_each_summary_row_is_checked_once(self, tmp_path, monkeypatch, capsys):
+        # A JSON summary record is checked as it is read and again when it is
+        # rebuilt; only the CSV reader checks a file's summaries by columns.
         records = [
             PortfolioSummary.from_summary(
                 f"A{k}", 1 + k % 300, (k % 97) / 3, 0.1 + (k % 9) / 10, h=min(1 + k % 300, k % 50)
             )
             for k in range(6000)
         ]
-        path = tmp_path / f"summary.{form}"
-        path.write_text(emit_records(records, form))
+        path = tmp_path / "summary.csv"
+        path.write_text(emit_records(records, "csv"))
         calls = []
         check = analytics._check_summary
         monkeypatch.setattr(analytics, "_check_summary", lambda *a: calls.append(a) or check(*a))
         assert main(["compute", str(path)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 6000
         assert len(calls) == 6000
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_a_negative_zero_summary_prints_zero(self, form, tmp_path, capsys):
+        text = {
+            "csv": "author,P,i,eta,h\nA,3,-0.0,0.5,-0.0\n",
+            "json": '[{"author": "A", "P": 3, "i": -0.0, "eta": 0.5, "h": -0.0}]',
+        }[form]
+        path = tmp_path / f"summary.{form}"
+        path.write_text(text)
+        argv = ["compute", str(path), "--columns", "C,i,h"]
+        assert main([*argv, "--precision", "full"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "A\t0.0\t0.0\t0.0"
+        assert main([*argv, "--output-format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert [repr(row[name]["value"]) for name in ("C", "i", "h")] == ["0.0"] * 3
 
     def test_precision_flag(self, wide_file, capsys):
         assert main(["compute", wide_file, "--columns", "i", "--precision", "4"]) == 0

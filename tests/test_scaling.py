@@ -548,15 +548,26 @@ class TestSharedReplicas:
         assert copy == vec and hash(copy) == hash(CitationVector([4, 2, 1]))
         assert copy._ladder is None and copy._replicas is None
         first, second = compute_all(vec), compute_all(vec)
-        assert first is not second and first is not vec._ladder
+        assert first is second is vec._ladder
         # A report's values are a tuple, so a changed magnitudes dict changes
         # no report and not the ladder the vector keeps.
         kept = vec._ladder.row
         magnitudes = first.magnitudes
         magnitudes["C"] = -1.0
         assert type(first.row) is tuple and first.magnitudes != magnitudes
-        assert first == second and first["C"].magnitude == 7.0
+        assert first["C"].magnitude == 7.0
         assert vec._ladder.row == kept and descriptor("C").compute(vec).magnitude == 7.0
+
+    def test_the_kept_report_cannot_be_changed(self):
+        vec = CitationVector([10, 5, 3, 2, 1])
+        report = compute_all(vec)
+        for field in ("names", "row"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(report, field, (0.0,) * 11)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(report, field)
+        assert h_index(vec).magnitude == 3.0 and compute_all(vec) is report
+        assert pickle.loads(pickle.dumps(report)) == report
 
     def test_the_rank_indices_read_the_kept_report(self, monkeypatch):
         sums = []
@@ -566,8 +577,9 @@ class TestSharedReplicas:
         assert h_index(vec).magnitude == h_index(vec).magnitude == 3.0
         assert g_index(vec).magnitude == 4.0
         assert descriptor("h").compute(vec) == h_index(vec)
-        assert len(sums) == 1
-        assert vec._ladder == compute_all(vec) and len(sums) == 2
+        assert vec._ladder is compute_all(vec) and len(sums) == 1
+        other = CitationVector([10, 5, 3, 2, 1])
+        assert compute_all(other)["h"] == h_index(other) and len(sums) == 2
 
 
 @given(

@@ -790,19 +790,35 @@ _wide_json_records = st.lists(
 )
 
 
+def _summary(author, P=3, i=1.0, eta=0.5):
+    return {"author": author, "P": P, "i": i, "eta": eta}
+
+
 class TestJsonArraysAtOnce:
     """A wide JSON array whose sum is an int, in a file with no true or false
-    token, is tallied at once; it reads as record by record does."""
+    token, is tallied at once; it reads as record by record does, each list
+    read item by item, and gives the same first error."""
 
     @settings(max_examples=500, deadline=None)
     @given(records=_wide_json_records)
     @example(records=[{"author": "A", "citations": [10**400, 0.5]}])
     @example(records=[{"author": "A", "citations": [1, True]}])
     @example(records=[{"author": "A", "citations": []}])
+    @example(records=[{"author": "A\ud800", "citations": [3, -1]}])
+    @example(records=[_summary("A"), _summary("B", eta=1.5), _summary("C"), _summary("D", P="x")])
+    @example(records=[_summary("A"), _summary("B"), _summary("C", i=-1.0), _summary("D"),
+                      _summary("A")])
+    @example(
+        records=[
+            {"author": "A", "citations": [1, 2]},
+            {"author": "B", "citations": [5, -2]},
+            _summary("C"),
+        ]
+    )
     def test_arrays_read_at_once_read_as_record_by_record(self, records):
         text = json.dumps(records, allow_nan=True)
         try:
-            expected = _json_records(json.loads(text), check=True)
+            expected = _json_records(json.loads(text), ints=False)
         except ScindexError as exc:
             with pytest.raises(ScindexError) as excinfo:
                 parse_input(text, "json")
@@ -826,6 +842,23 @@ class TestJsonArraysAtOnce:
         assert len(calls) == 3
         assert exact == [fast[0], PortfolioSummary("untrue", fast[1].vector), fast[2]]
         assert fast[0].vector.runs == ((3, 1), (2, 2), (0, 1))
+
+    def test_a_defective_array_builds_no_vector_item_by_item(self, monkeypatch):
+        calls = []
+        init = CitationVector.__init__
+        monkeypatch.setattr(
+            CitationVector, "__init__", lambda vec, counts: calls.append(1) or init(vec, counts)
+        )
+        # Eight wide records of 15,000 to 24,800 counts; the last count is -1.
+        records = [
+            {"author": f"A{k}", "citations": [(j * 7919) % 1000 for j in range(15000 + 1400 * k)]}
+            for k in range(8)
+        ]
+        records[-1]["citations"][-1] = -1
+        with pytest.raises(NegativeCountError) as excinfo:
+            parse_input(json.dumps(records), "json")
+        assert str(excinfo.value) == "record 8: negative citation count -1"
+        assert calls == []
 
 
 # Text that reaches the row parsers: a header of each form, then rows
