@@ -9,9 +9,15 @@ Input formats (form auto-detected from the header / record keys):
                 [4, 2, 1]}`` or ``{"author": ..., "P": ..., "i": ...,
                 "eta": ..., "h": ...}`` -- one form per file
 
-Both CSV forms are read by columns.  Each wide cell's item texts are
-counted, ``int`` reads each distinct text of the file once, and texts
-that spell one integer (``4``, ``04``, ``+4``) add up to one run of the
+Both CSV forms are read by columns.  A text with no quote, no carriage
+return and no line past ``csv.field_size_limit()`` is split at ``\\n`` and
+``,`` with ``str.split``; any other text is read by ``csv.reader``.  The two
+give the same columns: the ``excel`` dialect treats only ``,``, ``"``,
+``\\r`` and ``\\n`` specially (NUL, ``\\x0b`` and ``\\u2028`` are data), so
+in such a text each non-empty line is one row and the first line, even a
+blank one, is the header.  Each wide cell's item texts are counted,
+``int`` reads each distinct text of the file once, and texts that spell
+one integer (``4``, ``04``, ``+4``) add up to one run of the
 :class:`CitationVector`; each summary column is converted and checked at
 once.  A file with any defect (a blank, bad or negative item, a ragged
 row, a repeated label, a value out of range) is read again row by row,
@@ -203,23 +209,20 @@ def _parse_csv(text: str) -> list[PortfolioSummary]:
 def _csv_columns(text: str) -> list[PortfolioSummary] | None:
     """The records of a well-formed CSV of either form, each column read and
     checked at once: the citation cells by :func:`_cell_runs`, the summary
-    columns by :func:`_summaries_pass`.
+    columns by :func:`_summaries_pass`.  A text that :func:`_split_columns`
+    cannot split is read by ``csv.reader``.
 
     Any other input gives None and is read again row by row by
     :func:`_csv_records`, the one place that raises located errors.
     """
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = tuple(map(str.strip, next(reader)))
-        if header not in (WIDE_HEADER, SUMMARY_HEADER, SUMMARY_HEADER_H):
+        header, columns = _split_columns(text) or _read_columns(text)
+        header = tuple(map(str.strip, header))
+        if header not in (WIDE_HEADER, SUMMARY_HEADER, SUMMARY_HEADER_H) or not columns:
             return None
-        rows = list(filter(None, reader))
-        if set(map(len, rows)) != {len(header)}:
-            return None
-        labels, *columns = zip(*rows)
-        if len(set(labels)) != len(labels) or not all(
-            map(_plain, map("".join, columns))
-        ):
+        labels, *columns = columns
+        texts = list(map("".join, columns))
+        if len(set(labels)) != len(labels) or not all(map(_plain, texts)):
             return None
         if header == WIDE_HEADER:
             vectors = map(CitationVector._of_runs, _cell_runs(columns[0]))
@@ -235,9 +238,40 @@ def _csv_columns(text: str) -> list[PortfolioSummary] | None:
                 h = [float(c) if c.strip() else None for c in published[0]]
     except (StopIteration, csv.Error, ValueError):
         return None
-    if _summaries_pass(papers, impacts, etas, h):
-        return list(map(PortfolioSummary._checked, labels, repeat(None), papers, impacts, etas, h))
-    return None
+    if not _summaries_pass(papers, impacts, etas, h):
+        return None
+    # Only a text with a minus sign reads as -0.0, which the row reader gives as 0.0.
+    if "-" in texts[1]:
+        impacts = list(map(abs, impacts))
+    if published and "-" in texts[3]:
+        h = [x if x is None else abs(x) for x in h]
+    return list(map(PortfolioSummary._checked, labels, repeat(None), papers, impacts, etas, h))
+
+
+def _split_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """The header fields and the columns of a CSV text, split at ``\\n`` and
+    ``,`` as ``csv.reader`` reads it; no columns if it has no rows or a ragged
+    one.  None for a text with a quote, a carriage return or a line longer
+    than ``csv.field_size_limit()``.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # the reader names the line of a field past the limit
+    header, rows = lines[0].split(","), list(filter(None, lines[1:]))
+    width = len(header)
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return header, []
+    cells = ",".join(rows).split(",")
+    return header, [cells[j::width] for j in range(width)]
+
+
+def _read_columns(text: str) -> tuple[list[str], list[tuple[str, ...]]]:
+    """:func:`_split_columns` of any text, by ``csv.reader``."""
+    reader = csv.reader(io.StringIO(text))
+    header, rows = next(reader), list(filter(None, reader))
+    return header, list(zip(*rows)) if set(map(len, rows)) == {len(header)} else []
 
 
 def _csv_records(reader: Any) -> list[PortfolioSummary]:

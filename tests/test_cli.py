@@ -1100,6 +1100,32 @@ class TestCallsPerRun:
         assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 11 * 12
 
 
+class TestCsvReaderCalls:
+    """A CSV text with no quote and no carriage return is split into its
+    columns with no ``csv.reader``; any other text is read by one."""
+
+    @pytest.mark.parametrize(
+        "text, reads",
+        [
+            (_summary_csv(50), 0),
+            (_wide_csv(50).replace('"', ""), 0),
+            (_wide_csv(50), 1),
+            (_summary_csv(50).replace("\n", "\r\n"), 1),
+        ],
+        ids=["quote-free-summary", "quote-free-wide", "quoted-label", "carriage-return"],
+    )
+    def test_only_a_quote_or_a_carriage_return_takes_the_reader(
+        self, tmp_path, monkeypatch, text, reads
+    ):
+        calls = []
+        reader = tabular.csv.reader
+        monkeypatch.setattr(tabular.csv, "reader", lambda *a: calls.append(a) or reader(*a))
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode())
+        assert main(["compute", str(path), "-o", str(tmp_path / "out.tsv")]) == 0
+        assert len(calls) == reads
+
+
 class TestMemoryPerInputByte:
     """The traced peak of ``compute``, from parse to table to emit, per byte
     of a mid-size summary input: ``tabular.MAX_INPUT_BYTES`` is chosen from

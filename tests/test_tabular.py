@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
@@ -31,11 +32,14 @@ from scindex.analytics import pearson_matrix
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
 from scindex.dimension import Dimension
 from scindex.errors import shown
+from scindex import tabular
 from scindex.tabular import (
     SUMMARY_HEADER,
     SUMMARY_HEADER_H,
     _csv_records,
     _csv_columns,
+    _read_columns,
+    _split_columns,
     _format_column,
     _json_records,
     emit_matrix,
@@ -58,7 +62,7 @@ def counts_one_by_one(cell):
     items = [item.strip() for item in cell.split(";") if item.strip()]
     bad = next((item for item in items if not re.fullmatch("[+-]?[0-9]+", item)), None)
     if bad is not None:
-        raise FormatError(f"invalid citation count {bad!r}")
+        raise FormatError(f"invalid citation count {shown(bad)}")
     return CitationVector([int(item) for item in items])
 
 
@@ -379,6 +383,7 @@ class TestParseCounts:
         | st.lists(st.text(alphabet=COUNT_CHARS.replace(";", ""), max_size=3)).map(";".join)
     )
     @settings(max_examples=500)
+    @example(cell="00000000000000\xa0\xa0\xa0\xa0\xa0\xa00")  # a repr past the shown length
     def test_a_cell_of_int_items_is_read_as_int_reads_them(self, cell):
         assert outcome(parse_counts, cell) == outcome(counts_one_by_one, cell)
 
@@ -684,6 +689,21 @@ class TestParseJson:
     def test_h_at_zero_and_at_p_is_accepted(self):
         records = parse_input("author,P,i,eta,h\nA,3,2,0.5,0\nB,5,1,1,5\n", "csv")
         assert [record.h for record in records] == [0.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["A,3,-0.0,0.5,-0.0\n", "A,3,-0,0.5,-0e3\nB,4,1e-3,0.5,\n"],
+        ids=["every-row-with-h", "a-row-without-h"],
+    )
+    def test_a_negative_zero_impact_or_h_is_read_as_zero(self, rows):
+        """The column reader gives 0.0 for -0.0, as the row and JSON readers
+        do, and the records write back as 0.0."""
+        text = "author,P,i,eta,h\n" + rows
+        records = _csv_columns(text)
+        assert records is not None
+        assert records == parse_input(text, "csv")
+        assert math.copysign(1.0, records[0].impact) == math.copysign(1.0, records[0].h) == 1.0
+        assert emit_records(records[:1]) == "author,P,i,eta,h\nA,3,0.0,0.5,0.0\n"
 
     @pytest.mark.parametrize(
         "text, form, message",
@@ -1090,6 +1110,120 @@ class TestParseProperties:
             assert form == "json" or exc.line is not None, exc
         except ScindexError:
             pass
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+_SPLIT_SUMMARY = "author,P,i,eta\nA,3,1.0,0.5\n"
+
+
+def _split_record(label, *fields):
+    """A wide record of a ``[counts]`` field, else a summary record."""
+    if isinstance(fields[0], list):
+        return PortfolioSummary(label, CitationVector(fields[0]))
+    return PortfolioSummary.from_summary(label, *fields)
+
+
+# Texts at the edges of the quote-free split, with what the csv.reader
+# columns read them to: (label, fields) records, or the located error.
+_SPLIT_EXAMPLES = {
+    "leading-blank-line": (
+        "\n" + _SPLIT_SUMMARY,
+        "line 1: header must be 'author,citations' or 'author,P,i,eta[,h]', got ''",
+    ),
+    "blank-lines": (
+        "author,P,i,eta\n\nA,3,1.0,0.5\n\n\nB,4,2.0,1\n\n",
+        [("A", 3, 1.0, 0.5), ("B", 4, 2.0, 1.0)],
+    ),
+    "no-final-newline": ("author,citations\nA,4;2;1\nB,3", [("A", [4, 2, 1]), ("B", [3])]),
+    "header-only": ("author,P,i,eta,h\n", []),
+    "ragged-row": (_SPLIT_SUMMARY + "B,3,1.0\n", "line 3: expected 4 fields, got 3"),
+    "nul-label": ("author,P,i,eta\nA\x00B,3,1.0,0.5\n", [("A\x00B", 3, 1.0, 0.5)]),
+    "vt-label": ("author,citations\nA\x0bB,4;2\n", [("A\x0bB", [4, 2])]),
+    "fs-label": ("author,citations\nA\x1cB,4;2\n", [("A\x1cB", [4, 2])]),
+    "line-separator-label": (
+        "author,P,i,eta,h\nA\u2028B,3,1.0,0.5,2\n", [("A\u2028B", 3, 1.0, 0.5, 2.0)]
+    ),
+    "line-over-the-limit": (
+        "author,citations\n" + "A" * (_FIELD_LIMIT - 1) + ",1\n",
+        [("A" * (_FIELD_LIMIT - 1), [1])],
+    ),
+    "field-over-the-limit": (
+        "author,citations\nA," + "1;" * (_FIELD_LIMIT // 2) + "1\n",
+        "line 2: field larger than field limit (131072)",
+    ),
+    "header-over-the-limit": (
+        "author" + " " * _FIELD_LIMIT + ",citations\nA,1\n",
+        "line 1: field larger than field limit (131072)",
+    ),
+    "crlf-line-ends": (
+        "author,P,i,eta\r\nA,3,1.0,0.5\r\nB,4,2.0,1\r\n",
+        [("A", 3, 1.0, 0.5), ("B", 4, 2.0, 1.0)],
+    ),
+    "quoted-label": ('author,P,i,eta\n"LI, YF",3,1.0,0.5\n', [("LI, YF", 3, 1.0, 0.5)]),
+}
+
+# Cells of either form, good and bad, and labels with the characters a
+# line splitter could take for a line end, a quote and a carriage return.
+_split_cells = st.sampled_from(
+    ["1", "3", "0", "-0.0", "0.5", "1.0", "2.5", "", " 4 ", "4;2;1", "1; 1", "x", "nan", "1e-3", "-1"]
+)
+_split_labels = st.text(st.sampled_from("aB 0;_-\x00\x0b\x1c\u2028\xa0\"\r"), max_size=4)
+
+
+@st.composite
+def _split_texts(draw):
+    """A CSV text of either form: mostly quote-free rows of the header's
+    width, with blank lines, a ragged row, odd labels and either line end."""
+    header = draw(st.sampled_from(
+        ["author,citations", " author , citations", "author,P,i,eta", "author,P,i,eta,h",
+         "author, P ,i,eta,h", "author,x", ""]
+    ))
+    width = header.count(",") + 1
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        lines += [""] * draw(st.integers(0, 1))
+        cells = draw(st.lists(_split_cells, min_size=width - 1, max_size=width - 1))
+        if draw(st.integers(0, 9)) == 9:  # ragged
+            cells = cells[1:] if cells and draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join([draw(_split_labels), *cells]))
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+
+
+def _with_split_examples(test):
+    for text, _ in _SPLIT_EXAMPLES.values():
+        test = example(text=text)(test)
+    return test
+
+
+class TestSplitColumns:
+    """A text with no quote and no carriage return is split at ``\\n`` and
+    ``,``; it reads as ``csv.reader``'s columns read it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_split_texts())
+    @_with_split_examples
+    def test_split_columns_read_as_the_reader_columns(self, text):
+        records = _csv_columns(text)
+        with unittest.mock.patch.object(tabular, "_split_columns", lambda text: None):
+            assert records == _csv_columns(text)
+        split = _split_columns(text)
+        lines = text.split("\n")
+        plain = '"' not in text and "\r" not in text
+        assert (split is not None) == (plain and max(map(len, lines)) <= _FIELD_LIMIT)
+        if split is not None and lines[0]:  # the reader gives [] for a blank line
+            header, columns = _read_columns(text)
+            assert split == (header, list(map(list, columns)))
+
+    @pytest.mark.parametrize("text, expected", _SPLIT_EXAMPLES.values(), ids=_SPLIT_EXAMPLES)
+    def test_edge_texts_read_as_before(self, text, expected):
+        if isinstance(expected, list):
+            assert parse_input(text, "csv") == [_split_record(*fields) for fields in expected]
+            return
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "csv")
+        assert str(excinfo.value) == expected
+        assert _csv_columns(text) is None
 
 
 class TestRoundTrips:
