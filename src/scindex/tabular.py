@@ -66,9 +66,9 @@ SUMMARY_HEADER: tuple[str, ...] = ("author", "P", "i", "eta")
 SUMMARY_HEADER_H: tuple[str, ...] = SUMMARY_HEADER + ("h",)
 
 # Most bytes of input the CLI reads.  Reading, checking and emitting a table
-# peaks at up to about 80 bytes of resident memory per input byte to TSV,
-# 115 to CSV and 260 to JSON (summary CSV rows of 13 bytes), so an input at
-# this limit peaks at about 640 MiB, 920 MiB and 2 GiB.
+# peaks at about 70 bytes of resident memory per input byte to TSV, 61 to
+# CSV and 187 to JSON (summary CSV rows of 13 bytes), so an input at this
+# limit peaks at about 560 MiB, 490 MiB and 1.5 GiB.
 MAX_INPUT_BYTES = 8 * 2**20
 
 # Most decimals a table writer prints.  A double has at most 17 significant
@@ -78,18 +78,14 @@ MAX_PRECISION = 17
 
 def _decode(data: str | bytes) -> str:
     """Text of the input, without a leading byte-order mark."""
-    if isinstance(data, bytes):
-        try:
+    try:
+        if isinstance(data, bytes):
             data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise FormatError(f"input is not UTF-8: {exc.reason}", line) from None
-    elif not data.isascii():
-        try:  # a str may hold a lone surrogate, which no writer can encode
+        elif not data.isascii():  # a str may hold a lone surrogate, which no writer can encode
             data.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            line = data.count("\n", 0, exc.start) + 1
-            raise FormatError(f"input is not UTF-8: {exc.reason}", line) from None
+    except UnicodeError as exc:
+        line = data.count(b"\n" if isinstance(data, bytes) else "\n", 0, exc.start) + 1
+        raise FormatError(f"input is not UTF-8: {exc.reason}", line) from None
     return data.removeprefix("\ufeff")
 
 
@@ -418,7 +414,7 @@ def _csv_cell(value: Any) -> str:
     return "" if value is None else repr(value)
 
 
-def _csv_text(lines: Sequence[Sequence[str]]) -> str:
+def _csv_text(lines: Iterable[Sequence[str]]) -> str:
     """CSV with "\\n" line ends that ``csv.reader`` reads back field for field.
 
     The writer quotes only fields holding a delimiter, a quote or a
@@ -514,7 +510,10 @@ def _json_table(table: AnalyticsTable) -> str:
         if len(names) < len(values):
             values = [values[j] for j in first]
         out.append(template % (json.dumps(label), *values))
-    return "[\n" + ",\n".join(out) + "\n]\n"
+    # The brackets join the end rows' texts, so the whole text is built once.
+    out[0] = "[\n" + out[0]
+    out[-1] += "\n]\n"
+    return ",\n".join(out)
 
 
 def _json_literal(text: str) -> str:
@@ -539,8 +538,8 @@ def emit_table(
     ]
     formats = [_format_column(column, precision) for column in zip(*table.rows)]
     if format == "csv":
-        cells = [v if d == "%s" else list(map(d.__mod__, v)) for d, v in formats]
-        return _csv_text(head + list(zip(table.labels, *cells)))
+        cells = [v if d == "%s" else map(d.__mod__, v) for d, v in formats]
+        return _csv_text(chain(head, zip(table.labels, *cells)))
     labels = table.labels
     if any(map("".join(labels).__contains__, _TSV_SPECIALS)):
         labels = [label.translate(_TSV_ESCAPES) for label in labels]
@@ -550,10 +549,11 @@ def emit_table(
     return _tsv_text(head) + (line * len(labels)) % tuple(chain.from_iterable(rows))
 
 
-def _format_column(values: Sequence[float], precision: int | None) -> tuple[str, Sequence]:
+def _format_column(values: Sequence[float], precision: int | None) -> tuple[str, Iterable]:
     """A ``%`` directive for one column and the values it formats, by the rule
     of :func:`format_magnitude`: ``%d`` if all are integral, ``%.Nf`` if none
-    are, else (or at full precision) ``%s`` of text made cell by cell.
+    are, else (or at full precision) ``%s`` of text made cell by cell as the
+    writer reads it, so no column's text is held whole.
 
     Integrality is tested as the column is scanned, with no list of it:
     ``all`` stops at the first fractional value and ``any`` at the first
@@ -561,12 +561,12 @@ def _format_column(values: Sequence[float], precision: int | None) -> tuple[str,
     pass, and only a mixed one is formatted cell by cell.
     """
     if precision is None:
-        return "%s", list(map(repr, values))
+        return "%s", map(repr, values)
     if all(map(float.is_integer, values)):
         return "%d", values
     if not any(map(float.is_integer, values)):
         return f"%.{precision}f", values
-    return "%s", list(map(format_magnitude, values, repeat(precision)))
+    return "%s", map(format_magnitude, values, repeat(precision))
 
 
 def emit_matrix(

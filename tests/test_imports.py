@@ -1,5 +1,5 @@
 """The unused-import guard: every name a ``src/scindex`` module imports is
-used in that module.  ``__init__`` is exempt, since it imports to re-export."""
+used in that module."""
 
 import ast
 from pathlib import Path
@@ -33,8 +33,6 @@ def _used(tree):
 def test_every_imported_name_is_used_in_its_module():
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
-        if module.name == "__init__.py":
-            continue
         tree = ast.parse(module.read_text(encoding="utf-8"))
         used = _used(tree)
         unused += [f"{module.name}:{n} {name}" for name, n in _imported(tree) if name not in used]

@@ -1516,7 +1516,8 @@ class TestFormatColumn:
     @example(values=[2.5, 1.0], precision=17)
     def test_matches_the_cell_by_cell_rule(self, values, precision):
         directive, formatted = _format_column(tuple(values), precision)
-        assert (directive, list(formatted)) == _format_column_by_cell(values, precision)
+        formatted = list(formatted)  # a column of text is an iterator, read once
+        assert (directive, formatted) == _format_column_by_cell(values, precision)
         cells = [directive % value for value in formatted]
         assert cells == [format_magnitude(value, precision) for value in values]
 
