@@ -30,7 +30,6 @@ from .indicators import (
     _ladder,
     as_citation_vector,
     compute_all,
-    registry_names,
     registry_symbols,
 )
 
@@ -96,12 +95,7 @@ class PortfolioSummary(Record):
         record._fill(label, vector, papers, impact, evenness, h)
         return record
 
-    def report(self) -> tuple[IndicatorReport, frozenset[str]]:
-        """Indicator report plus the set of reconstructed column names."""
-        report = self._report()
-        return report, _RECONSTRUCTED[report.names]
-
-    def _report(self) -> IndicatorReport:
+    def report(self) -> IndicatorReport:
         """The indicator report, a :class:`DomainError` naming the portfolio."""
         try:
             if self.vector is not None:
@@ -206,7 +200,7 @@ def reconstruct_from_summary(
 
 
 def _registry_ordered(names: set[str]) -> tuple[str, ...]:
-    ordered = [n for n in registry_names() if n in names]
+    ordered = [n for n in VECTOR_LAYOUT if n in names]
     ordered.extend(sorted(names.difference(ordered)))
     return tuple(ordered)
 
@@ -298,7 +292,7 @@ class AnalyticsTable(Record):
         layout picks its row's values by position.
         """
         portfolios = tuple(portfolios)
-        reports = tuple(map(PortfolioSummary._report, portfolios))
+        reports = tuple(map(PortfolioSummary.report, portfolios))
         names = list(map(operator.attrgetter("names"), reports))
         layouts = _distinct(names)
         columns = _table_columns(layouts, columns)

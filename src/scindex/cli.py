@@ -33,7 +33,7 @@ from . import tabular
 from .analytics import AnalyticsTable, pearson_matrix
 from .dimension import check_tolerance
 from .errors import FormatError, ScindexError, shown
-from .indicators import CitationVector, descriptor, registry_names, registry_symbols
+from .indicators import VECTOR_LAYOUT, CitationVector, descriptor, registry_symbols
 from .scaling import DEFAULT_LAMBDAS, ProbeResult, probe_registry
 from .svgplot import PlotSeries, emit_loglog_svg
 from .tabular import emit_matrix, emit_table, number, parse_counts, parse_input
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument(
         "--index",
         default="all",
-        help=f"indicator name(s) or 'all' ({', '.join(registry_names())})",
+        help=f"indicator name(s) or 'all' ({', '.join(VECTOR_LAYOUT)})",
     )
     probe.add_argument("--tolerance", default=None, help="slope gate override")
     probe.add_argument("--svg", default=None, metavar="PATH", help="write an SVG plot (+ .csv points)")

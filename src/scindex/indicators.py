@@ -191,16 +191,6 @@ def as_citation_vector(v: Counts) -> CitationVector:
     return v if isinstance(v, CitationVector) else CitationVector(v)
 
 
-def h_index(v: Counts) -> Quantity:
-    """h: largest rank whose paper still has at least that many citations."""
-    return compute_all(v)["h"]
-
-
-def g_index(v: Counts) -> Quantity:
-    """g: largest rank whose top papers jointly have >= rank^2 citations."""
-    return compute_all(v)["g"]
-
-
 def _rank_sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int, int, int]:
     """The exact sums P, C = sum(c) and E = sum(c^2), and the rank indices h
     and g, in one pass over (value, multiplicity) runs, largest value first.
@@ -445,10 +435,6 @@ _BY_NAME = {d.name: d for d in REGISTRY}
 VECTOR_LAYOUT = tuple(_BY_NAME)
 SUMMARY_LAYOUT = tuple(name for name in VECTOR_LAYOUT if name not in ("h", "g"))
 SUMMARY_H_LAYOUT = tuple(name for name in VECTOR_LAYOUT if name != "g")
-
-
-def registry_names() -> tuple[str, ...]:
-    return VECTOR_LAYOUT
 
 
 def registry_symbols() -> dict[str, Dimension]:

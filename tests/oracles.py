@@ -1,8 +1,10 @@
 """Definitional oracles: the rank-index scans the h and g kernels are checked
-against, the ladder rows the reports are checked against, and the table rows
-and fields the table writers are checked against."""
+against, g's stopping run that its replication law is stated from, the
+ladder rows the reports are checked against, and the table rows and fields
+the table writers are checked against."""
 
 import math
+from itertools import groupby
 
 from scindex import registry_symbols
 from scindex.tabular import format_magnitude
@@ -24,6 +26,24 @@ def g_brute(counts):
         if sum(ranked[:k]) >= k * k:
             best = k
     return best
+
+
+def g_stopping_run(counts):
+    """g's stopping run: the first run of equal counts, largest first, in
+    which some rank fails g's test, as (R, S, v), with R papers and S
+    citations before it and v its count; None when every rank passes.
+
+    Rank R + k of that run passes iff S + k*v >= (R + k)^2, so the real-valued
+    g is R + (v - 2R + sqrt(D))/2 with D = v^2 - 4Rv + 4S.
+    """
+    papers = cites = 0
+    for v, run in groupby(sorted(counts, reverse=True)):
+        m = len(list(run))
+        if cites + m * v < (papers + m) ** 2:
+            return papers, cites, v
+        papers += m
+        cites += m * v
+    return None
 
 
 def ladder_row(p, c, i, x, e, s, eta, h=None, g=None):

@@ -26,12 +26,12 @@ from scindex import (
     pearson_matrix,
     rank_by,
     reconstruct_from_summary,
-    registry_names,
 )
-from scindex.analytics import _check_summary, _summaries_pass
+from scindex.analytics import RECONSTRUCTED_COLUMNS, _check_summary, _summaries_pass
 from scindex.datasets import AUTHOR_COLUMNS, AUTHOR_ROWS, published_table, reconstructed_table
 from scindex.dimension import PAPERS, PAPERS_SQUARED, Dimension
 from scindex.errors import shown
+from scindex.indicators import VECTOR_LAYOUT
 
 from oracles import ladder_row
 
@@ -170,7 +170,7 @@ class TestReconstruction:
         expected = ladder_row(p, i * p, i, x, e, e - x, eta, h)
         builds = [
             lambda: reconstruct_from_summary(papers, impact, evenness, h),
-            lambda: PortfolioSummary.from_summary("a", papers, impact, evenness, h).report()[0],
+            lambda: PortfolioSummary.from_summary("a", papers, impact, evenness, h).report(),
         ]
         for build in builds:
             if not all(map(math.isfinite, expected)):
@@ -298,14 +298,16 @@ class TestPortfolioSummary:
         assert str(excinfo.value) == "portfolio 'a' has no papers"
 
     def test_raw_report_has_no_reconstructed_columns(self):
-        report, flags = PortfolioSummary("a", CitationVector([4, 2, 1])).report()
-        assert flags == frozenset()
+        record = PortfolioSummary("a", CitationVector([4, 2, 1]))
+        report = record.report()
+        assert AnalyticsTable.from_portfolios([record]).reconstructed == (frozenset(),)
         assert "h" in report and "g" in report
 
     def test_summary_report_flags_derived_columns(self):
         record = PortfolioSummary.from_summary("a", 10, 5.0, 0.5, h=4)
-        report, flags = record.report()
-        assert flags == frozenset({"C", "X", "E", "S", "z", "i_E"})
+        report = record.report()
+        assert AnalyticsTable.from_portfolios([record]).reconstructed == (RECONSTRUCTED_COLUMNS,)
+        assert RECONSTRUCTED_COLUMNS == frozenset({"C", "X", "E", "S", "z", "i_E"})
         assert report["h"].magnitude == 4.0
         assert tuple(report) == ("P", "C", "i", "h", "X", "E", "S", "eta", "z", "i_E")
         assert report["h"] == Quantity(4.0, PAPERS)
@@ -459,7 +461,7 @@ class TestPortfolioSummary:
     @pytest.mark.parametrize("impact", [2, Fraction(5, 2), np.float32(2.5), np.int64(2)])
     def test_real_fields_of_other_types_are_taken(self, impact):
         record = PortfolioSummary("a", papers=10, impact=impact, evenness=0.5, h=impact)
-        assert record.report()[0]["C"].magnitude == pytest.approx(float(impact) * 10)
+        assert record.report()["C"].magnitude == pytest.approx(float(impact) * 10)
         assert PortfolioSummary.from_summary("a", 10, impact, 0.5).impact == float(impact)
 
 
@@ -680,13 +682,16 @@ class TestAnalyticsTable:
         portfolios = [self._SOURCES[source] for source in sources]
         table = AnalyticsTable.from_portfolios(portfolios, columns=columns)
         columns = table.columns
-        reports = [dict(p.report()[0].magnitudes) for p in portfolios]
+        reports = [dict(p.report().magnitudes) for p in portfolios]
         assert table.rows == tuple(tuple(r[n] for n in columns) for r in reports)
         rebuilt = frozenset(columns) & {"C", "X", "E", "S", "z", "i_E"}
         assert table.reconstructed == tuple(
             frozenset() if source == "raw" else rebuilt for source in sources
         )
-        assert table.reconstructed == tuple(p.report()[1] & set(columns) for p in portfolios)
+        assert table.reconstructed == tuple(
+            frozenset() if p.vector is not None else RECONSTRUCTED_COLUMNS & set(columns)
+            for p in portfolios
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -713,7 +718,7 @@ class TestAnalyticsTable:
             for k, source in enumerate(sources)
         ]
         reports = [p.report() for p in portfolios]
-        shared = [name for name in registry_names() if all(name in r for r, _ in reports)]
+        shared = [name for name in VECTOR_LAYOUT if all(name in r for r in reports)]
         columns = data.draw(
             st.one_of(
                 st.none(),
@@ -728,9 +733,12 @@ class TestAnalyticsTable:
         expected = tuple(shared) if columns is None else columns
         assert table.columns == expected
         assert table.rows == tuple(
-            tuple(report[name].magnitude for name in expected) for report, _ in reports
+            tuple(report[name].magnitude for name in expected) for report in reports
         )
-        assert table.reconstructed == tuple(flags & set(expected) for _, flags in reports)
+        assert table.reconstructed == tuple(
+            frozenset() if p.vector is not None else RECONSTRUCTED_COLUMNS & set(expected)
+            for p in portfolios
+        )
 
     def test_mixed_dimensions_in_a_column_rejected(self):
         labeled = [

@@ -1082,7 +1082,7 @@ class TestCallsPerRun:
             monkeypatch.setattr(desc, "compute", counted)
         lambdas = ",".join(map(str, range(1, 13)))
         assert main(["probe", "--base", "10;5;3;2;1", "--lambdas", lambdas]) == 0
-        assert sorted(calls) == sorted(indicators.registry_names() * 12)
+        assert sorted(calls) == sorted(indicators.VECTOR_LAYOUT * 12)
 
     def test_a_probe_with_an_svg_fits_each_series_once(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -1363,7 +1363,7 @@ class TestParserReuse:
         assert capsys.readouterr().out.splitlines()[0] == "author\tP"
         assert main(["compute", wide_file]) == 0
         header = capsys.readouterr().out.splitlines()[0]
-        assert header.split("\t") == ["author", *indicators.registry_names()]
+        assert header.split("\t") == ["author", *indicators.VECTOR_LAYOUT]
 
     def test_the_handler_patching_tests_pass_with_the_parser_built(
         self, collector_state, monkeypatch, capsys
@@ -1506,8 +1506,24 @@ class TestPackageNames:
     def test_a_name_is_kept_after_its_first_use(self):
         import scindex
 
-        value = scindex.h_index
-        assert vars(scindex)["h_index"] is value
+        value = scindex.compute_all
+        assert vars(scindex)["compute_all"] is value
+
+    def test_import_time_lists_every_loaded_submodule(self):
+        code = (
+            "import sys, scindex.cli\n"
+            "print(*(m for m in sys.modules if m.startswith('scindex')))\n"
+        )
+        proc = _run_python("-X", "importtime", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        timed = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        loaded = set(proc.stdout.split())
+        assert "scindex.tabular" in loaded
+        assert loaded <= timed, loaded - timed
 
     def test_a_submodule_loads_as_an_attribute(self):
         code = "import scindex\nprint(scindex.tabular.MAX_INPUT_BYTES == 8 * 2**20)\n"

@@ -21,9 +21,6 @@ from scindex import (
     PortfolioSummary,
     compute_all,
     descriptor,
-    g_index,
-    h_index,
-    registry_names,
 )
 from scindex import indicators
 from scindex.dimension import (
@@ -204,16 +201,16 @@ class TestIndicatorValues:
         assert descriptor("i").compute([4, 2, 1]).dim == PAPERS
 
     def test_h_index(self):
-        assert h_index([10, 5, 3, 2, 1]).magnitude == 3.0
-        assert h_index([0, 0]).magnitude == 0.0
-        assert h_index([3, 3, 3]).magnitude == 3.0
-        assert h_index([4, 2, 1]).magnitude == 2.0
+        assert compute_all([10, 5, 3, 2, 1])["h"].magnitude == 3.0
+        assert compute_all([0, 0])["h"].magnitude == 0.0
+        assert compute_all([3, 3, 3])["h"].magnitude == 3.0
+        assert compute_all([4, 2, 1])["h"].magnitude == 2.0
 
     def test_g_index(self):
         # cumulative sums 10,15,18,20,21 against 1,4,9,16,25
-        assert g_index([10, 5, 3, 2, 1]).magnitude == 4.0
-        assert g_index([0, 0]).magnitude == 0.0
-        assert g_index([100]).magnitude == 1.0  # capped at P
+        assert compute_all([10, 5, 3, 2, 1])["g"].magnitude == 4.0
+        assert compute_all([0, 0])["g"].magnitude == 0.0
+        assert compute_all([100])["g"].magnitude == 1.0  # capped at P
 
     def test_energy(self):
         assert descriptor("E").compute([4, 2, 1]).magnitude == 21.0
@@ -252,7 +249,7 @@ class TestIndicatorValues:
 class TestComputeAll:
     def test_contains_exactly_the_registry(self):
         report = compute_all([4, 2, 1])
-        assert tuple(report) == registry_names()
+        assert tuple(report) == indicators.VECTOR_LAYOUT
         assert tuple(report) == ("P", "C", "i", "h", "g", "X", "E", "S", "eta", "z", "i_E")
 
     def test_small_portfolio(self):
@@ -388,15 +385,15 @@ class TestIndicatorReport:
         "report, layout, absent",
         [
             (compute_all([4, 2, 1]), indicators.VECTOR_LAYOUT, ()),
-            (PortfolioSummary.from_summary("a", 10, 5.0, 0.5).report()[0],
+            (PortfolioSummary.from_summary("a", 10, 5.0, 0.5).report(),
              indicators.SUMMARY_LAYOUT, ("h", "g")),
-            (PortfolioSummary.from_summary("a", 10, 5.0, 0.5, h=4).report()[0],
+            (PortfolioSummary.from_summary("a", 10, 5.0, 0.5, h=4).report(),
              indicators.SUMMARY_H_LAYOUT, ("g",)),
         ],
         ids=["vector", "summary", "summary-with-h"],
     )
     def test_each_layout_iterates_in_registry_order(self, report, layout, absent):
-        names = tuple(name for name in registry_names() if name not in absent)
+        names = tuple(name for name in indicators.VECTOR_LAYOUT if name not in absent)
         assert layout == names and report.names is layout
         assert tuple(report) == tuple(report.magnitudes) == names and len(report) == len(names)
         assert type(report.row) is tuple and all(type(v) is float for v in report.row)
@@ -436,7 +433,7 @@ class TestIndicatorReport:
             "S": 0.0, "eta": 1.0, "z": 1.0, "i_E": math.sqrt(big),
         }
         assert list(_ladder(1, big, 1.0, big, big, 0.0, 1.0).magnitudes) == [
-            name for name in registry_names() if name not in ("h", "g")
+            name for name in indicators.VECTOR_LAYOUT if name not in ("h", "g")
         ]
 
     @pytest.mark.parametrize(
@@ -477,14 +474,16 @@ class TestOracles:
         # permutation of a vector reduces to the same case.
         for p in range(1, 6):
             for combo in combinations_with_replacement(range(7), p):
-                assert h_index(combo).magnitude == h_brute(combo), combo
-                assert g_index(combo).magnitude == g_brute(combo), combo
+                report = compute_all(combo)
+                assert report["h"].magnitude == h_brute(combo), combo
+                assert report["g"].magnitude == g_brute(combo), combo
 
     @given(v=st.lists(st.integers(0, 10_000), min_size=1, max_size=200))
     @settings(max_examples=300)
     def test_random_vectors_match_brute_force(self, v):
-        assert h_index(v).magnitude == h_brute(v)
-        assert g_index(v).magnitude == g_brute(v)
+        report = compute_all(v)
+        assert report["h"].magnitude == h_brute(v)
+        assert report["g"].magnitude == g_brute(v)
 
     @given(
         v=st.one_of(
@@ -560,8 +559,9 @@ class TestInvariants:
     @given(v=vectors)
     def test_h_and_g_bounds(self, v):
         p = len(v)
-        h = h_index(v).magnitude
-        g = g_index(v).magnitude
+        report = compute_all(v)
+        h = report["h"].magnitude
+        g = report["g"].magnitude
         assert h <= min(p, max(v))
         assert g >= h
         assert g <= p

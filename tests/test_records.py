@@ -34,8 +34,6 @@ from scindex import (
     Sum,
     Symbol,
     descriptor,
-    g_index,
-    h_index,
     probe_registry,
 )
 from scindex.dimension import Record
@@ -44,6 +42,17 @@ from scindex.expressions import _Token
 SRC = Path(__file__).resolve().parents[1] / "src"
 _P = "Dimension(Fraction(1, 1))"
 _ESTIMATE = "ExponentEstimate(slope=1.0, intercept=0.5, max_residual=0.0)"
+
+
+# Stand-in kernels.  Module-level functions pickle by name; the registry's
+# kernels are lambdas and do not.
+def h_kernel(v):
+    return descriptor("h").compute(v)
+
+
+def g_kernel(v):
+    return descriptor("g").compute(v)
+
 
 # (make one record, make one with another field, its repr)
 RECORDS = {
@@ -306,42 +315,42 @@ def test_importing_the_cli_generates_only_the_fill_it_uses():
 
 class TestIndicatorDescriptor:
     def test_equality_and_hash_ignore_compute(self):
-        a = IndicatorDescriptor("h", PAPERS, h_index)
-        b = IndicatorDescriptor("h", PAPERS, g_index)
+        a = IndicatorDescriptor("h", PAPERS, h_kernel)
+        b = IndicatorDescriptor("h", PAPERS, g_kernel)
         assert a == b
         assert hash(a) == hash(b)
-        assert a != IndicatorDescriptor("h", PAPERS, h_index, fit_tolerance=0.05)
-        assert a != IndicatorDescriptor("g", PAPERS, h_index)
+        assert a != IndicatorDescriptor("h", PAPERS, h_kernel, fit_tolerance=0.05)
+        assert a != IndicatorDescriptor("g", PAPERS, h_kernel)
 
     def test_never_equals_its_name(self):
-        assert (IndicatorDescriptor("h", PAPERS, h_index) == "h") is False
+        assert (IndicatorDescriptor("h", PAPERS, h_kernel) == "h") is False
 
     def test_repr_shows_every_field(self):
-        desc = IndicatorDescriptor("h", PAPERS, h_index)
+        desc = IndicatorDescriptor("h", PAPERS, h_kernel)
         assert repr(desc) == (
             f"IndicatorDescriptor(name='h', declared_dim={_P}, "
-            f"compute={h_index!r}, fit_tolerance=1e-06)"
+            f"compute={h_kernel!r}, fit_tolerance=1e-06)"
         )
 
     def test_copies_keep_compute(self):
-        desc = IndicatorDescriptor("h", PAPERS, h_index)
+        desc = IndicatorDescriptor("h", PAPERS, h_kernel)
         for clone in (copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc))):
             assert clone == desc
-            assert clone.compute is h_index
+            assert clone.compute is h_kernel
 
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ((1, PAPERS, h_index), "indicator name must be a string, got 1"),
-            (("h", 1, h_index), "indicator h: declared dimension must be a Dimension, got 1"),
-            (("C", 2, h_index), "indicator C: declared dimension must be a Dimension, got 2"),
+            ((1, PAPERS, h_kernel), "indicator name must be a string, got 1"),
+            (("h", 1, h_kernel), "indicator h: declared dimension must be a Dimension, got 1"),
+            (("C", 2, h_kernel), "indicator C: declared dimension must be a Dimension, got 2"),
             (("h", PAPERS, None), "indicator h: compute must be callable, got None"),
             (
-                ("h", PAPERS, h_index, "x"),
+                ("h", PAPERS, h_kernel, "x"),
                 "indicator h: fit tolerance must be a real number, got 'x'",
             ),
             (
-                ("h", PAPERS, h_index, -1.0),
+                ("h", PAPERS, h_kernel, -1.0),
                 "indicator h: fit tolerance must be a finite number >= 0, got -1.0",
             ),
         ],
@@ -367,8 +376,8 @@ class TestIndicatorDescriptor:
         assert probe_registry([10, 5, 3, 2, 1]) == before
 
     def test_compute_may_be_rebound(self):
-        desc = IndicatorDescriptor("h", PAPERS, h_index)
-        desc.compute = g_index
-        assert desc.compute is g_index
+        desc = IndicatorDescriptor("h", PAPERS, h_kernel)
+        desc.compute = g_kernel
+        assert desc.compute is g_kernel
         del desc.compute
         assert "compute" not in vars(desc)

@@ -6,7 +6,7 @@ from itertools import chain, repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scindex import (
@@ -19,8 +19,6 @@ from scindex import (
     Quantity,
     descriptor,
     fit_loglog,
-    g_index,
-    h_index,
     probe_registry,
     replicate_scale,
     verify_dimension,
@@ -30,7 +28,7 @@ from scindex.errors import shown
 from scindex.indicators import MAX_REPLICA_COUNTS, REGISTRY, CitationVector, compute_all
 from scindex.scaling import MAX_LAMBDAS, ZERO_SERIES_NOTE
 
-from oracles import g_brute, h_brute
+from oracles import g_brute, g_stopping_run, h_brute
 
 # A base long and smooth enough that even g's rank thresholds replicate
 # cleanly (its probe slope is 1.0 to four decimals).
@@ -132,6 +130,28 @@ def test_run_form_matches_materialised_oracle(base, lam):
     assert hash(replica) == hash(built)
     assert replica.runs == built.runs
     assert repr(replica) == repr(built) == f"CitationVector({counts!r})"
+
+
+@given(base=_oracle_bases, lam=st.integers(1, 10))
+@example(base=[4, 2, 1], lam=2)  # g = 2, but g of the replica is 5, not 4
+@example(base=[10, 5, 3, 2, 1], lam=3)
+@example(base=[5, 5], lam=7)  # every run passes: g = P
+@settings(max_examples=300)
+def test_h_and_g_of_a_replica_follow_their_exact_laws(base, lam):
+    """h of the lam-replica is lam*h.  g of it is floor(lam*g*), where g* is
+    the real-valued g solved in the base's stopping run (R, S, v), or lam*P
+    when no run stops; a discriminant of lam^2*D gives the floor exactly."""
+    report = compute_all(replicate_scale(base, lam)).magnitudes
+    counts = _materialised(base, lam)
+    assert report["h"] == lam * compute_all(base)["h"].magnitude == h_brute(counts)
+    run = g_stopping_run(base)
+    if run is None:
+        g = lam * len(base)
+    else:
+        r, s, v = run
+        d = v * v - 4 * r * v + 4 * s
+        g = (2 * lam * r + lam * (v - 2 * r) + math.isqrt(lam * lam * d)) // 2
+    assert report["g"] == g == g_brute(counts)
 
 
 class TestRunForm:
@@ -566,7 +586,7 @@ class TestSharedReplicas:
                 setattr(report, field, (0.0,) * 11)
             with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
                 delattr(report, field)
-        assert h_index(vec).magnitude == 3.0 and compute_all(vec) is report
+        assert compute_all(vec)["h"].magnitude == 3.0 and compute_all(vec) is report
         assert pickle.loads(pickle.dumps(report)) == report
 
     def test_the_rank_indices_read_the_kept_report(self, monkeypatch):
@@ -574,12 +594,13 @@ class TestSharedReplicas:
         rank_sums = indicators._rank_sums
         monkeypatch.setattr(indicators, "_rank_sums", lambda r: sums.append(r) or rank_sums(r))
         vec = CitationVector([10, 5, 3, 2, 1])
-        assert h_index(vec).magnitude == h_index(vec).magnitude == 3.0
-        assert g_index(vec).magnitude == 4.0
-        assert descriptor("h").compute(vec) == h_index(vec)
+        h, g = descriptor("h").compute, descriptor("g").compute
+        assert h(vec).magnitude == h(vec).magnitude == 3.0
+        assert g(vec).magnitude == 4.0
+        assert compute_all(vec)["h"] == h(vec)
         assert vec._ladder is compute_all(vec) and len(sums) == 1
         other = CitationVector([10, 5, 3, 2, 1])
-        assert compute_all(other)["h"] == h_index(other) and len(sums) == 2
+        assert compute_all(other)["h"] == h(other) and len(sums) == 2
 
 
 @given(

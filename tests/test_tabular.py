@@ -25,13 +25,13 @@ from scindex import (
     emit_records,
     emit_table,
     parse_input,
-    registry_names,
     registry_symbols,
 )
 from scindex.analytics import pearson_matrix
 from scindex.datasets import AUTHOR_COLUMNS, published_table, reconstructed_table
 from scindex.dimension import Dimension
 from scindex.errors import shown
+from scindex.indicators import VECTOR_LAYOUT
 from scindex import tabular
 from scindex.tabular import (
     SUMMARY_HEADER,
@@ -1397,7 +1397,7 @@ class TestEmitTable:
 
 # Column names include ones outside the registry, with characters that
 # JSON escapes and that a %-template must not read as a directive.
-_NAMES = registry_names() + ("w", 'q"t', "100%", "\u00fc")
+_NAMES = VECTOR_LAYOUT + ("w", 'q"t', "100%", "\u00fc")
 _DIMS = st.sampled_from(
     [Dimension(0), Dimension(1), Dimension(2), Dimension(3), Dimension(Fraction(3, 2))]
 )
@@ -1438,7 +1438,7 @@ _FRACTIONAL = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()) | st.sam
 @st.composite
 def _column_kind_tables(draw):
     """A table of up to 20 rows whose columns are each all integral, all not, or mixed."""
-    columns = tuple(draw(st.lists(st.sampled_from(registry_names()), max_size=6)))
+    columns = tuple(draw(st.lists(st.sampled_from(VECTOR_LAYOUT), max_size=6)))
     count = draw(st.integers(0, 20))
     special = draw(st.sampled_from(["", "\\", "\t", "\n", "\r", "\\\t\n\r"]))
     alphabet = "ab\u00e9,\"%s" + special
