@@ -63,7 +63,7 @@ def _resolve_precision(arg: str | None) -> int | None:
 
 def _load_records(path: str, format_arg: str | None):
     """The records of ``path`` (``-`` for stdin) in ``format_arg``, else in
-    the format its name implies: JSON for ``.json``, CSV otherwise.
+    the format its name implies: JSON for ``.json`` in any case, CSV otherwise.
 
     An input of more than ``tabular.MAX_INPUT_BYTES`` is refused: a file by
     its size, before it is read, and stdin once one byte past the limit is
@@ -78,7 +78,7 @@ def _load_records(path: str, format_arg: str | None):
     if data is None or len(data) > limit:
         source = "stdin" if path == "-" else shown(path)
         raise FormatError(f"input {source} is larger than the limit of {limit} bytes")
-    inferred = "json" if path.endswith(".json") else "csv"
+    inferred = "json" if path.lower().endswith(".json") else "csv"
     return parse_input(data, format_arg or inferred)
 
 

@@ -25,10 +25,10 @@ each cell by :func:`parse_counts`, so its error names its line, the first
 bad item of its cell and a negative count's first occurrence.  A JSON
 array is read once, each record checked as it is read, so its first defect
 names its record.  A wide record's citations are tallied at once, with no
-test of each item's type, when two facts prove each item an int: their sum
-is an ``int`` (a float makes the sum a float, and any other item but a bool
-raises), and the file holds neither ``true`` nor ``false``, the only tokens
-that give a bool.  Any other list is read item by item.
+test of each item's type, when each distinct value of the tally is an
+``int`` and the file has no ``true``, ``false`` or float token: only a bool
+or an integral float tallies into an int key.  Any other list is read item
+by item.
 
 Table output (TSV/CSV/JSON) always carries a dimension row rendered
 with the exact dimension format (``[P]``, ``[P^3/2]``, ``dimensionless``,
@@ -305,8 +305,18 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
 
 def _parse_json(source: str) -> list[PortfolioSummary]:
     import json
+    floats = 0
+
+    def parse_float(token: str) -> float:
+        nonlocal floats
+        floats += 1
+        return float(token)
+
+    # Only a text that holds "citations" pays for the hook: any other holds
+    # no wide record but one with an escaped key, read item by item.
+    wide = '"citations"' in source
     try:
-        payload = json.loads(source)
+        payload = json.loads(source, parse_float=parse_float if wide else None)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", exc.lineno) from None
     except RecursionError as exc:
@@ -319,20 +329,24 @@ def _parse_json(source: str) -> list[PortfolioSummary]:
         raise FormatError(f"invalid JSON: {exc}", line) from None
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records", 1)
-    # Only the tokens true and false give a bool, the one item that is no
-    # int but sums as one; a file without them has no bool to find.
-    return _json_records(payload, ints="true" not in source and "false" not in source)
+    # An item that is no int yet tallies into an int key is a bool, which
+    # only the tokens true and false give, or an integral float, which only
+    # a number token with a fraction or an exponent gives, and the decoder
+    # hands each such token to the hook.  A file with none has none to find.
+    ints = wide and not floats and "true" not in source and "false" not in source
+    return _json_records(payload, ints)
 
 
 def _json_records(payload: list, ints: bool = False) -> list[PortfolioSummary]:
     """The records of a JSON array, each read and checked in turn; the first
     error raises and names its record.
 
-    When ``ints`` (the array holds no bool), a non-empty citations list
-    whose sum is an ``int`` holds only ints, and is tallied at once into
-    the runs of its vector; its first negative count raises.  Any other
-    list is read by :class:`PortfolioSummary`, which names its first bad
-    item.
+    When ``ints`` (the array holds no bool and no float that equals an
+    int), a non-empty citations list is tallied first; if each distinct
+    value of the tally is an ``int``, so is each item, and the tally gives
+    the runs of its vector at once; its first negative count raises.  Any
+    other list, one with an array or an object among its items too, is read
+    by :class:`PortfolioSummary`, which names its first bad item.
     """
     records: list[PortfolioSummary] = []
     first_seen: dict[str, int] = {}
@@ -350,9 +364,13 @@ def _json_records(payload: list, ints: bool = False) -> list[PortfolioSummary]:
                 fields = _summary_fields(entry["P"], entry["i"], entry["eta"], entry.get("h"))
                 record = PortfolioSummary.from_summary(label, *fields)
             elif isinstance(citations := entry["citations"], list):
-                if ints and citations and _int_sum(citations):
+                try:
+                    tally = Counter(citations) if ints and citations else None
+                except TypeError:  # an unhashable item: an array or an object
+                    tally = None
+                if tally is not None and set(map(type, tally)) <= {int}:
                     text(label, "portfolio label")  # checked first, as PortfolioSummary does
-                    vector = CitationVector._of_runs(_sorted_runs(Counter(citations)))
+                    vector = CitationVector._of_runs(_sorted_runs(tally))
                     record = PortfolioSummary._checked(label, vector)
                 else:
                     record = PortfolioSummary(label, citations)
@@ -362,15 +380,6 @@ def _json_records(payload: list, ints: bool = False) -> list[PortfolioSummary]:
     except ScindexError as exc:
         raise _located(exc, record=n) from None
     return records
-
-
-def _int_sum(values: list) -> bool:
-    """Whether the sum of ``values`` is an ``int``, as it is when each item is
-    an int or a bool: a float makes it a float, and any other item raises."""
-    try:
-        return type(sum(values)) is int
-    except (TypeError, OverflowError):  # 10**400 + 0.5 overflows
-        return False
 
 
 def parse_input(data: str | bytes, format: str = "csv") -> list[PortfolioSummary]:

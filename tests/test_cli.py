@@ -657,6 +657,13 @@ class TestCompute:
         assert main(["compute", str(path)]) == 0
         assert "A\t3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["C.JSON", "C.Json", "C.json"])
+    def test_a_json_suffix_in_any_case_is_read_as_json(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text('[{"author": "A", "citations": [4, 2, 1]}]')
+        assert main(["compute", str(path), "--columns", "P,C,h"]) == 0
+        assert capsys.readouterr().out == "author\tP\tC\th\ndimensions\t[P]\t[P^2]\t[P]\nA\t3\t7\t2\n"
+
     def test_output_file(self, wide_file, tmp_path, capsys):
         out = tmp_path / "table.tsv"
         assert main(["compute", wide_file, "-o", str(out)]) == 0

@@ -786,8 +786,8 @@ class TestParseJson:
 
 
 # Items of a wide JSON list: exact ints of any size, and every kind of item
-# the per-item reading refuses, or that sums as an int (a bool) or overflows
-# a float sum (10**400 with a float).
+# the per-item reading refuses, among them those that tally into an equal
+# int key (a bool, an integral float) and those that cannot be tallied.
 _json_items = st.one_of(
     st.integers(0, 50),
     st.integers(-3, -1),
@@ -814,29 +814,49 @@ def _summary(author, P=3, i=1.0, eta=0.5):
     return {"author": author, "P": P, "i": i, "eta": eta}
 
 
+def _json_text(records):
+    return json.dumps(records, allow_nan=True)
+
+
 class TestJsonArraysAtOnce:
-    """A wide JSON array whose sum is an int, in a file with no true or false
-    token, is tallied at once; it reads as record by record does, each list
-    read item by item, and gives the same first error."""
+    """A wide JSON list whose tally has only int keys, in a file with no
+    true or false token and no float token, is tallied at once; it reads as
+    record by record does, each list read item by item, and gives the same
+    first error."""
 
     @settings(max_examples=500, deadline=None)
-    @given(records=_wide_json_records)
-    @example(records=[{"author": "A", "citations": [10**400, 0.5]}])
-    @example(records=[{"author": "A", "citations": [1, True]}])
-    @example(records=[{"author": "A", "citations": []}])
-    @example(records=[{"author": "A\ud800", "citations": [3, -1]}])
-    @example(records=[_summary("A"), _summary("B", eta=1.5), _summary("C"), _summary("D", P="x")])
-    @example(records=[_summary("A"), _summary("B"), _summary("C", i=-1.0), _summary("D"),
-                      _summary("A")])
+    @given(text=_wide_json_records.map(_json_text))
+    @example(text=_json_text([{"author": "A", "citations": [10**400, 0.5]}]))
+    @example(text=_json_text([{"author": "A", "citations": [1, True]}]))
+    @example(text=_json_text([{"author": "A", "citations": []}]))
+    @example(text=_json_text([{"author": "A\ud800", "citations": [3, -1]}]))
+    @example(text=_json_text([{"author": "A", "citations": [2, 2.0]}]))
+    @example(text=_json_text([{"author": "A", "citations": [3, [1]]}]))
+    @example(text=_json_text([{"author": "A", "citations": [1, math.nan]}]))
+    @example(text=_json_text([{"author": "A", "citations": [0, math.inf]}]))
+    @example(text=_json_text([{"author": "A", "citations": [3, 1], "w": 0.5}]))
+    @example(text='[{"author": "A", "cit\\u0061tions": [3, 2.0]}]')
+    @example(text=_json_text([_summary("citations"), _summary("B", i=2.5)]))
     @example(
-        records=[
-            {"author": "A", "citations": [1, 2]},
-            {"author": "B", "citations": [5, -2]},
-            _summary("C"),
-        ]
+        text=_json_text(
+            [_summary("A"), _summary("B", eta=1.5), _summary("C"), _summary("D", P="x")]
+        )
     )
-    def test_arrays_read_at_once_read_as_record_by_record(self, records):
-        text = json.dumps(records, allow_nan=True)
+    @example(
+        text=_json_text(
+            [_summary("A"), _summary("B"), _summary("C", i=-1.0), _summary("D"), _summary("A")]
+        )
+    )
+    @example(
+        text=_json_text(
+            [
+                {"author": "A", "citations": [1, 2]},
+                {"author": "B", "citations": [5, -2]},
+                _summary("C"),
+            ]
+        )
+    )
+    def test_arrays_read_at_once_read_as_record_by_record(self, text):
         try:
             expected = _json_records(json.loads(text), ints=False)
         except ScindexError as exc:
@@ -862,6 +882,39 @@ class TestJsonArraysAtOnce:
         assert len(calls) == 3
         assert exact == [fast[0], PortfolioSummary("untrue", fast[1].vector), fast[2]]
         assert fast[0].vector.runs == ((3, 1), (2, 2), (0, 1))
+
+    def test_a_clean_array_is_proven_with_no_sum(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tabular, "sum", lambda *args: calls.append(args) or sum(*args),
+                            raising=False)
+        records = [{"author": f"A{k}", "citations": [k + 3, 2, 2, 0]} for k in range(3)]
+        assert parse_input(json.dumps(records), "json")[0].vector.runs == ((3, 1), (2, 2), (0, 1))
+        assert calls == []
+
+    def test_only_a_text_holding_citations_gets_the_float_hook(self, monkeypatch):
+        hooks = []
+        loads = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda s, **kw: hooks.append(kw["parse_float"]) or loads(s, **kw)
+        )
+        summary = parse_input(json.dumps([_summary("A", i=2.5)]), "json")
+        assert hooks == [None]
+        assert summary == [PortfolioSummary.from_summary("A", 3, 2.5, 0.5)]
+        parse_input(json.dumps([{"author": "A", "citations": [1]}]), "json")
+        assert hooks[1] is not None and hooks[1]("2.5") == 2.5
+
+    def test_a_float_token_reads_each_list_item_by_item(self, monkeypatch):
+        calls = []
+        init = CitationVector.__init__
+        monkeypatch.setattr(
+            CitationVector, "__init__", lambda vec, counts: calls.append(1) or init(vec, counts)
+        )
+        records = [{"author": f"A{k}", "citations": [k + 3, 2, 2, 0]} for k in range(3)]
+        fast = parse_input(json.dumps(records), "json")
+        assert calls == []
+        records[1]["w"] = 0.5  # the trade: one float token in the file
+        assert parse_input(json.dumps(records), "json") == fast
+        assert len(calls) == 3
 
     def test_a_defective_array_builds_no_vector_item_by_item(self, monkeypatch):
         calls = []
