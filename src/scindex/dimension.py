@@ -26,9 +26,10 @@ exact type of each field inline (``analytics._check_summary``), a
 :class:`~scindex.indicators.CitationVector` tests the types of its whole
 list of counts at once, and the JSON reader proves a wide array all ints
 by the types of its tally's distinct values and the absence of ``true``,
-``false`` and float tokens from the file (``tabular._json_records``).  :func:`check_tolerance` reads a slope gate, a
-real that must be finite and >= 0.  :func:`pairs` and :func:`name_list`
-read the shape of a list: of runs or points, and of indicator names.
+``false`` and float tokens from the file (``tabular._json_records``).
+:func:`check_tolerance` reads a slope gate, a real that must be finite
+and >= 0.  :func:`pairs` and :func:`name_list` read the shape of a list:
+of runs or points, and of indicator names.
 
 >>> total = Quantity(7013, PAPERS_SQUARED)
 >>> papers = Quantity(96, PAPERS)

@@ -303,20 +303,27 @@ def _csv_records(reader: Any) -> list[PortfolioSummary]:
     return records
 
 
+class _FloatToken(Exception):
+    """Stops a decode at its first float token (see :func:`_parse_json`)."""
+
+
+def _no_float(token: str) -> float:
+    raise _FloatToken
+
+
 def _parse_json(source: str) -> list[PortfolioSummary]:
     import json
-    floats = 0
-
-    def parse_float(token: str) -> float:
-        nonlocal floats
-        floats += 1
-        return float(token)
-
-    # Only a text that holds "citations" pays for the hook: any other holds
-    # no wide record but one with an escaped key, read item by item.
-    wide = '"citations"' in source
     try:
-        payload = json.loads(source, parse_float=parse_float if wide else None)
+        # An item that is no int yet tallies into an int key is a bool, which
+        # only the tokens true and false give, or an integral float, which
+        # only a number token with a fraction or an exponent gives, and the
+        # decoder hands each such token to its float hook.  A text with none
+        # has none to find; a text with one is decoded again as it stands.
+        try:
+            payload = json.loads(source, parse_float=_no_float)
+            ints = "true" not in source and "false" not in source
+        except _FloatToken:
+            payload, ints = json.loads(source), False
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", exc.lineno) from None
     except RecursionError as exc:
@@ -329,11 +336,6 @@ def _parse_json(source: str) -> list[PortfolioSummary]:
         raise FormatError(f"invalid JSON: {exc}", line) from None
     if not isinstance(payload, list):
         raise FormatError("expected a JSON array of records", 1)
-    # An item that is no int yet tallies into an int key is a bool, which
-    # only the tokens true and false give, or an integral float, which only
-    # a number token with a fraction or an exponent gives, and the decoder
-    # hands each such token to the hook.  A file with none has none to find.
-    ints = wide and not floats and "true" not in source and "false" not in source
     return _json_records(payload, ints)
 
 

@@ -755,6 +755,24 @@ class TestParseJson:
             parse_input(text, "json")
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"author": "A", "i": 2.5},\n {"author": "B",}]',
+            "[2.5, " + "[" * 100_000,
+            f"[2.5, {'1' * 5000}]",
+        ],
+        ids=["syntax", "deep-nesting", "long-integer"],
+    )
+    def test_a_defect_past_a_float_token_is_the_decoders_error(self, text):
+        try:
+            json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            expected = f"line {getattr(exc, 'lineno', 1)}: invalid JSON: {exc}"
+        with pytest.raises(FormatError) as excinfo:
+            parse_input(text, "json")
+        assert str(excinfo.value) == expected
+
+    @pytest.mark.parametrize(
         "record",
         [{"citations": [3, 1]}, {"P": 3, "i": 1.0, "eta": 0.5}],
         ids=["wide", "summary"],
@@ -890,31 +908,6 @@ class TestJsonArraysAtOnce:
         records = [{"author": f"A{k}", "citations": [k + 3, 2, 2, 0]} for k in range(3)]
         assert parse_input(json.dumps(records), "json")[0].vector.runs == ((3, 1), (2, 2), (0, 1))
         assert calls == []
-
-    def test_only_a_text_holding_citations_gets_the_float_hook(self, monkeypatch):
-        hooks = []
-        loads = json.loads
-        monkeypatch.setattr(
-            json, "loads", lambda s, **kw: hooks.append(kw["parse_float"]) or loads(s, **kw)
-        )
-        summary = parse_input(json.dumps([_summary("A", i=2.5)]), "json")
-        assert hooks == [None]
-        assert summary == [PortfolioSummary.from_summary("A", 3, 2.5, 0.5)]
-        parse_input(json.dumps([{"author": "A", "citations": [1]}]), "json")
-        assert hooks[1] is not None and hooks[1]("2.5") == 2.5
-
-    def test_a_float_token_reads_each_list_item_by_item(self, monkeypatch):
-        calls = []
-        init = CitationVector.__init__
-        monkeypatch.setattr(
-            CitationVector, "__init__", lambda vec, counts: calls.append(1) or init(vec, counts)
-        )
-        records = [{"author": f"A{k}", "citations": [k + 3, 2, 2, 0]} for k in range(3)]
-        fast = parse_input(json.dumps(records), "json")
-        assert calls == []
-        records[1]["w"] = 0.5  # the trade: one float token in the file
-        assert parse_input(json.dumps(records), "json") == fast
-        assert len(calls) == 3
 
     def test_a_defective_array_builds_no_vector_item_by_item(self, monkeypatch):
         calls = []
