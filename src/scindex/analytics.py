@@ -14,7 +14,17 @@ import operator
 import sys
 from typing import Iterable, Mapping, Sequence
 
-from .dimension import Dimension, Quantity, Record, count, name_list, pairs, real, text
+from .dimension import (
+    Dimension,
+    Quantity,
+    Record,
+    count,
+    name_list,
+    pairs,
+    real,
+    slot_setters,
+    text,
+)
 from .errors import (
     DomainError,
     EmptyPortfolioError,
@@ -90,9 +100,14 @@ class PortfolioSummary(Record):
         cls, label, vector, papers=None, impact=None, evenness=None, h=None
     ) -> "PortfolioSummary":
         """The record of a vector, or of summary values that already pass
-        :func:`_check_summary`."""
+        :func:`_check_summary`, its fields set by their slot setters here."""
         record = object.__new__(cls)
-        record._fill(label, vector, papers, impact, evenness, h)
+        _set_label(record, label)
+        _set_vector(record, vector)
+        _set_papers(record, papers)
+        _set_impact(record, impact)
+        _set_evenness(record, evenness)
+        _set_h(record, h)
         return record
 
     def report(self) -> IndicatorReport:
@@ -103,6 +118,11 @@ class PortfolioSummary(Record):
             return reconstruct_from_summary(self.papers, self.impact, self.evenness, self.h)
         except DomainError as exc:
             raise DomainError(f"portfolio {shown(self.label)}: {exc}") from None
+
+
+_set_label, _set_vector, _set_papers, _set_impact, _set_evenness, _set_h = slot_setters(
+    PortfolioSummary
+)
 
 
 def _paper_count(value: object) -> int:

@@ -152,7 +152,9 @@ class Record:
     slot order.  Each class gets its own ``_fill``, generated from its
     slots on its first use, as ``dataclasses`` generates ``__init__``: it
     calls each slot's setter in turn, and a wrong number of fields is a
-    ``TypeError``.
+    ``TypeError``.  A builder on a hot path whose fields are already
+    checked calls the same setters, from :func:`slot_setters`, in its own
+    frame, on an instance from ``object.__new__``.
     """
 
     __slots__ = ()
@@ -168,7 +170,7 @@ class Record:
         # with s0, s1 the setters of the first and second slot as its globals.
         cls = type(self)
         size = len(cls.__slots__)
-        namespace = {f"s{k}": getattr(cls, name).__set__ for k, name in enumerate(cls.__slots__)}
+        namespace = {f"s{k}": setter for k, setter in enumerate(slot_setters(cls))}
         params = "".join(f", v{k}" for k in range(size))
         body = "".join(f"\n s{k}(self, v{k})" for k in range(size)) or "\n pass"
         exec(f"def _fill(self{params}):{body}", namespace)
@@ -211,6 +213,12 @@ class Record:
 
     def __reduce__(self) -> tuple:
         return type(self), self._fields()
+
+
+def slot_setters(cls: type) -> tuple:
+    """The setter of each of ``cls``'s slots, in slot order; each sets its
+    field past the guarded ``__setattr__`` of a record."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class Dimension(Record):

@@ -38,6 +38,7 @@ from .dimension import (
     check_tolerance,
     count,
     pairs,
+    slot_setters,
     text,
 )
 from .errors import (
@@ -217,12 +218,13 @@ def _rank_sums(runs: tuple[tuple[int, int], ...]) -> tuple[int, int, int, int, i
     p = c = e = 0
     h = g = None
     for v, m in runs:
+        q = p + m
         if g is None:
-            if h is None and v < p + m:
+            if h is None and v < q:
                 h = max(p, v)
-            if c + m * v < (p + m) ** 2:
+            if c + m * v < q * q:
                 g = p + (v - 2 * p + math.isqrt(v * v - 4 * p * v + 4 * c)) // 2
-        p += m
+        p = q
         c += v * m
         e += v * v * m
     return p, c, e, p if h is None else h, p if g is None else g
@@ -250,6 +252,8 @@ def _ladder(
     Only P, an int from both callers, is converted here; every other value
     is taken as the float it is: :func:`_closed_forms` converts C, E, h and
     g, and a summary passes the floats ``analytics._check_summary`` returns.
+    The report is built here, its two fields set by their slot setters,
+    with no constructor call.
     """
     p = float(p)
     z = (eta * i * i * p) ** (1.0 / 3.0)
@@ -269,7 +273,10 @@ def _ladder(
         bad = next((v for v in values if not math.isfinite(v)), None)
         if bad is not None:
             raise DomainError(f"quantity magnitude must be finite, got {bad!r}")
-    return IndicatorReport(names, values)
+    report = object.__new__(IndicatorReport)
+    _set_names(report, names)
+    _set_row(report, values)
+    return report
 
 
 def _closed_forms(p: int, c: int, e: int, h: int, g: int) -> IndicatorReport:
@@ -291,9 +298,10 @@ def _closed_forms(p: int, c: int, e: int, h: int, g: int) -> IndicatorReport:
 
 
 def compute_all(v: Counts) -> IndicatorReport:
-    """Every indicator of one portfolio, in registry order: the report its vector keeps."""
-    vec = as_citation_vector(v)
-    if not vec:
+    """Every indicator of one portfolio, in registry order: the report its vector keeps.
+    A ``v`` that is no :class:`CitationVector` is read as one first."""
+    vec = v if isinstance(v, CitationVector) else CitationVector(v)
+    if not vec._runs:
         raise EmptyPortfolioError("portfolio has no papers")
     if vec._ladder is None:
         vec._ladder = _closed_forms(*_rank_sums(vec._runs))
@@ -372,22 +380,24 @@ class IndicatorReport(Mapping[str, Quantity]):
     layouts of the ladder, each in registry order (``VECTOR_LAYOUT``,
     ``SUMMARY_LAYOUT`` and ``SUMMARY_H_LAYOUT``), and ``row`` the float
     of each name, in that order.  Both are tuples, and rebinding or deleting
-    either raises :class:`AttributeError`, as for a ``Record`` field.
-    ``report[name]`` pairs a value with the indicator's declared dimension
-    as a :class:`Quantity`; the dimension belongs to the indicator, so it
-    is not stored per value.
+    either raises :class:`AttributeError`, as for a ``Record`` field.  The
+    constructor sets both by their slot setters, and so does the ladder
+    builder, which makes every report of a vector or a summary, with no
+    constructor call.  ``report[name]`` pairs a value with the indicator's
+    declared dimension as a :class:`Quantity`; the dimension belongs to the
+    indicator, so it is not stored per value.
     ``magnitudes`` is the name -> float dict, built on each request.
     """
 
     __slots__ = ("names", "row")
 
-    # A Record's slot setter and field guard, for a report that is a mapping.
-    _fill = Record._fill
+    # A Record's field guard, for a report that is a mapping.
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
     def __init__(self, names: tuple[str, ...], row: tuple[float, ...]) -> None:
-        self._fill(names, row)
+        _set_names(self, names)
+        _set_row(self, row)
 
     def __reduce__(self) -> tuple:
         return IndicatorReport, (self.names, self.row)
@@ -411,6 +421,9 @@ class IndicatorReport(Mapping[str, Quantity]):
 
     def __repr__(self) -> str:
         return f"IndicatorReport({self.magnitudes!r})"
+
+
+_set_names, _set_row = slot_setters(IndicatorReport)
 
 
 REGISTRY: tuple[IndicatorDescriptor, ...] = (

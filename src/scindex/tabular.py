@@ -15,7 +15,7 @@ return and no line past ``csv.field_size_limit()`` is split at ``\\n`` and
 give the same columns: the ``excel`` dialect treats only ``,``, ``"``,
 ``\\r`` and ``\\n`` specially (NUL, ``\\x0b`` and ``\\u2028`` are data), so
 in such a text each non-empty line is one row and the first line, even a
-blank one, is the header.  Each wide cell's item texts are counted,
+blank one, is the header.  Each wide cell's item texts are counted in a dict,
 ``int`` reads each distinct text of the file once, and texts that spell
 one integer (``4``, ``04``, ``+4``) add up to one run of the
 :class:`CitationVector`; each summary column is converted and checked at
@@ -52,7 +52,7 @@ import csv
 import io
 import re
 import sys
-from collections import Counter
+from collections import Counter, _count_elements
 from itertools import chain, repeat
 from typing import Any, Iterable, Sequence
 
@@ -145,12 +145,18 @@ def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
     """The runs of each :func:`_plain` ``"4;2;1"`` cell of a wide CSV column,
     largest count first.
 
-    Each cell's item texts are tallied, and ``int`` reads each distinct
-    text of all the cells once; it skips the ASCII whitespace around an
-    item.  Texts that spell one integer (``4``, ``04``, ``+4``) add up to
-    one run.  Raises ``ValueError`` for a blank, bad or negative item.
+    Each cell's item texts are tallied into a plain dict, and ``int``
+    reads each distinct text of all the cells once; it skips the ASCII
+    whitespace around an item.  Texts that spell one integer (``4``,
+    ``04``, ``+4``) add up to one run: the cells' items are then counted
+    again, by value.  Raises ``ValueError`` for a blank, bad or negative
+    item.
     """
-    tallies = [Counter(cell.split(";")) for cell in cells]
+    # Counter's own C loop, without building a Counter per cell, whose
+    # update() makes an ABC isinstance test first.
+    tallies = [{} for _ in cells]
+    for tally, cell in zip(tallies, cells):
+        _count_elements(tally, cell.split(";"))
     texts = set().union(*tallies)
     value = dict(zip(texts, map(int, texts)))
     if min(value.values()) < 0:
@@ -158,7 +164,7 @@ def _cell_runs(cells: Sequence[str]) -> list[tuple[tuple[int, int], ...]]:
     if len(set(value.values())) == len(value):
         runs = (zip(map(value.__getitem__, tally), tally.values()) for tally in tallies)
     else:  # "4", "04" and "+4" are one count
-        runs = (Counter(map(value.__getitem__, tally.elements())).items() for tally in tallies)
+        runs = (Counter(map(value.__getitem__, cell.split(";"))).items() for cell in cells)
     return [tuple(sorted(pairs, reverse=True)) for pairs in runs]
 
 
@@ -492,10 +498,12 @@ def _json_table(table: AnalyticsTable) -> str:
     a value rebuilt from a summary triple.  Each column's text around its
     value is rendered once, and each set of reconstructed flags gives one
     row template, so a row costs one ``%`` format: labels go through
-    ``json.dumps`` and values through ``repr``, exactly as the ``json``
-    module writes them.
+    ``encode_basestring_ascii``, which is what ``json.dumps`` returns for a
+    ``str``, and values through ``repr``, exactly as the ``json`` module
+    writes them.
     """
     import json
+    quote = json.encoder.encode_basestring_ascii
     if not table.rows:
         return "[]\n"
     # A JSON object holds a repeated column once, where it first appears.
@@ -520,7 +528,7 @@ def _json_table(table: AnalyticsTable) -> str:
             )
         if len(names) < len(values):
             values = [values[j] for j in first]
-        out.append(template % (json.dumps(label), *values))
+        out.append(template % (quote(label), *values))
     # The brackets join the end rows' texts, so the whole text is built once.
     out[0] = "[\n" + out[0]
     out[-1] += "\n]\n"
@@ -530,7 +538,7 @@ def _json_table(table: AnalyticsTable) -> str:
 def _json_literal(text: str) -> str:
     """``text`` as a JSON string, escaped for use in a ``%`` template."""
     import json
-    return json.dumps(text).replace("%", "%%")
+    return json.encoder.encode_basestring_ascii(text).replace("%", "%%")
 
 
 def emit_table(

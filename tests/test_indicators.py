@@ -287,6 +287,28 @@ class TestComputeAll:
         assert report["z"] == pytest.approx(25 ** (1 / 3), rel=1e-12)
         assert report["i_E"] == 5
 
+    @pytest.mark.parametrize(
+        "make, counts",
+        [
+            (list, [4, 2, 1]),
+            (tuple, [4, 2, 1]),
+            (lambda counts: (c for c in counts), [1, 4, 2]),
+            (list, []),
+            (CitationVector, []),
+        ],
+        ids=["list", "tuple", "generator", "empty list", "empty vector"],
+    )
+    def test_every_kind_of_input_gives_the_report_of_its_vector(self, make, counts):
+        if not counts:
+            with pytest.raises(EmptyPortfolioError, match="^portfolio has no papers$"):
+                compute_all(make(counts))
+            return
+        vec = CitationVector([4, 2, 1])
+        report = compute_all(vec)
+        given = compute_all(make(counts))
+        assert given == report and given.row == report.row and given.names == report.names
+        assert compute_all(vec) is report
+
     @given(v=vectors)
     def test_dimension_audit(self, v):
         report = compute_all(v)

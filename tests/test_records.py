@@ -24,6 +24,7 @@ from scindex import (
     DomainError,
     ExponentEstimate,
     IndicatorDescriptor,
+    IndicatorReport,
     PlotSeries,
     PortfolioSummary,
     Power,
@@ -33,8 +34,11 @@ from scindex import (
     Quotient,
     Sum,
     Symbol,
+    compute_all,
     descriptor,
+    parse_input,
     probe_registry,
+    reconstruct_from_summary,
 )
 from scindex.dimension import Record
 from scindex.expressions import _Token
@@ -381,3 +385,82 @@ class TestIndicatorDescriptor:
         assert desc.compute is g_kernel
         del desc.compute
         assert "compute" not in vars(desc)
+
+
+def _summary_csv(text):
+    return parse_input("author,P,i,eta,h\n" + text)
+
+
+def _report_twin(report):
+    return IndicatorReport(report.names, report.row)
+
+
+# Reports and records the ladder and the readers build past the public
+# constructor: (build one, build its twin by the public constructor).
+BUILT = {
+    "vector report": (
+        lambda: compute_all([4, 2, 1]),
+        lambda: _report_twin(compute_all([4, 2, 1])),
+    ),
+    "summary report": (
+        lambda: reconstruct_from_summary(10, 2.5, 0.5, 3.0),
+        lambda: _report_twin(reconstruct_from_summary(10, 2.5, 0.5, 3.0)),
+    ),
+    "report of a summary CSV row": (
+        lambda: _summary_csv("A,10,2.5,0.5,3\n")[0].report(),
+        lambda: _report_twin(PortfolioSummary.from_summary("A", 10, 2.5, 0.5, 3.0).report()),
+    ),
+    "wide CSV record": (
+        lambda: parse_input("author,citations\nA,4;1;2\n")[0],
+        lambda: PortfolioSummary("A", [4, 2, 1]),
+    ),
+    "summary CSV record": (
+        lambda: _summary_csv("A,10,2.5,0.5,3\n")[0],
+        lambda: PortfolioSummary.from_summary("A", 10, 2.5, 0.5, 3.0),
+    ),
+    "JSON wide record": (
+        lambda: parse_input('[{"author": "A", "citations": [1, 4, 2]}]', "json")[0],
+        lambda: PortfolioSummary("A", [4, 2, 1]),
+    ),
+}
+BUILT_CASES = pytest.mark.parametrize("case", list(BUILT), ids=list(BUILT))
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@BUILT_CASES
+def test_a_built_value_refuses_rebinding_and_deletion(case):
+    built = BUILT[case][0]()
+    fields = type(built).__slots__
+    before = tuple(map(built.__getattribute__, fields))
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(built, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(built, field)
+    assert tuple(map(built.__getattribute__, fields)) == before
+
+
+@BUILT_CASES
+def test_a_built_value_equals_and_hashes_like_its_twin(case):
+    build, twin = BUILT[case]
+    built, other = build(), twin()
+    assert type(built) is type(other) and built == other
+    fields = type(built).__slots__
+    assert tuple(map(built.__getattribute__, fields)) == tuple(map(other.__getattribute__, fields))
+    assert _hash_or_error(built) == _hash_or_error(other)
+
+
+@BUILT_CASES
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_built_value_survives_a_pickle_round_trip(case, protocol):
+    built = BUILT[case][0]()
+    clone = pickle.loads(pickle.dumps(built, protocol))
+    assert type(clone) is type(built) and clone == built
+    fields = type(built).__slots__
+    assert tuple(map(clone.__getattribute__, fields)) == tuple(map(built.__getattribute__, fields))
